@@ -3,8 +3,8 @@
 //!
 //! A [`SinkPlan`] flattens a group of batchable queries into the sink
 //! lists a [`tbs_core::output::MultiQueryAction`] consumes — count sinks
-//! first, histogram sinks after, exactly the order the fused
-//! `FusedConsumer::Multi` pass feeds them — plus per-query routes to
+//! first, histogram sinks after, exactly the order the compiled
+//! `TileSink::Multi` pass feeds them — plus per-query routes to
 //! demultiplex the merged sink outputs back into [`QueryResult`]s.
 //! Coalescing is *output-level only*: every sink sees the identical
 //! distance stream the standalone query would see, which is why a

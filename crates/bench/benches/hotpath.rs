@@ -1,13 +1,11 @@
-//! Interpreter hot-path throughput: the four interpreter routes — the
-//! plan-compiled route (default), fused tile passes
-//! (`with_compiled(false)`), vectorized op-by-op
-//! (`with_compiled(false).with_fused_tile(false)`), and the retained
-//! `scalar_reference` implementation — on a small fig2-style 2-PCF
-//! workload, under the config-default parallel block executor
-//! (`sequential` benches the fused route's sequential engine for
-//! comparison). Guards the speedups measured by the `hotpath_baseline`
-//! bin against bitrot; run it with
-//! `cargo bench -p tbs-bench --bench hotpath`.
+//! Interpreter hot-path throughput: the three interpreter routes — the
+//! plan-compiled route (default), vectorized op-by-op
+//! (`with_compiled(false)`), and the retained `scalar_reference`
+//! implementation — on a small fig2-style 2-PCF workload, under the
+//! config-default parallel block executor (`sequential` benches the
+//! compiled route's sequential engine for comparison). Guards the
+//! speedups measured by the `hotpath_baseline` bin against bitrot; run
+//! it with `cargo bench -p tbs-bench --bench hotpath`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::config::ExecMode;
@@ -18,9 +16,8 @@ use tbs_datagen::uniform_points;
 
 #[derive(Clone, Copy)]
 enum Route {
-    Fused,
-    FusedSequential,
     Compiled,
+    CompiledSequential,
     Vectorized,
     Scalar,
 }
@@ -32,12 +29,9 @@ fn route_config(route: Route) -> DeviceConfig {
     // engine.
     let cfg = DeviceConfig::titan_x();
     match route {
-        Route::Fused => cfg.with_compiled(false),
-        Route::FusedSequential => cfg
-            .with_compiled(false)
-            .with_exec_mode(ExecMode::Sequential),
         Route::Compiled => cfg,
-        Route::Vectorized => cfg.with_compiled(false).with_fused_tile(false),
+        Route::CompiledSequential => cfg.with_exec_mode(ExecMode::Sequential),
+        Route::Vectorized => cfg.with_compiled(false),
         Route::Scalar => cfg.with_scalar_reference(true),
     }
 }
@@ -82,42 +76,31 @@ fn bench_hotpath(c: &mut Criterion) {
     }
     g.finish();
 
-    // The shipping route, in its own group so A/B tooling can compare
-    // `sim_fused/default` against `sim_hotpath/vectorized` directly.
-    // `sequential` is the same route under the sequential block
-    // executor; `sdh` is the Type-II output stage (fused histogram
-    // scatters + packed reduction); `sdh_vectorized` its op-by-op
-    // counterpart.
-    let mut g = c.benchmark_group("sim_fused");
-    g.throughput(Throughput::Elements(pairs));
-    g.sample_size(10);
-    g.bench_function("default", |b| b.iter(|| run(&pts, Route::Fused)));
-    g.bench_function("sequential", |b| {
-        b.iter(|| run(&pts, Route::FusedSequential))
-    });
-    g.bench_function("sdh", |b| b.iter(|| run_sdh(&pts, Route::Fused)));
-    g.bench_function("sdh_vectorized", |b| {
-        b.iter(|| run_sdh(&pts, Route::Vectorized))
-    });
-    g.finish();
-
     // The plan-compiled route: whole kernel plans lowered to
-    // closed-form straight-line host passes (see `gpu_sim::exec`).
+    // closed-form straight-line host passes (see `gpu_sim::exec`), in
+    // its own group so A/B tooling can compare `sim_compiled/default`
+    // against `sim_hotpath/vectorized` directly. `sequential` is the
+    // same route under the sequential block executor.
     let mut g = c.benchmark_group("sim_compiled");
     g.throughput(Throughput::Elements(pairs));
     g.sample_size(10);
     g.bench_function("default", |b| b.iter(|| run(&pts, Route::Compiled)));
+    g.bench_function("sequential", |b| {
+        b.iter(|| run(&pts, Route::CompiledSequential))
+    });
     g.finish();
 
     // The compiled Type-II output stage on its own: the histogram sink
     // (sqrt-free bucketing + closed-form scatter accounting) and the
-    // compiled Figure-3 reduction, with the fused route as the in-group
-    // comparison leg for A/B tooling.
+    // compiled Figure-3 reduction, with the op-by-op route as the
+    // in-group comparison leg for A/B tooling.
     let mut g = c.benchmark_group("sim_compiled_sdh");
     g.throughput(Throughput::Elements(pairs));
     g.sample_size(10);
     g.bench_function("default", |b| b.iter(|| run_sdh(&pts, Route::Compiled)));
-    g.bench_function("fused", |b| b.iter(|| run_sdh(&pts, Route::Fused)));
+    g.bench_function("vectorized", |b| {
+        b.iter(|| run_sdh(&pts, Route::Vectorized))
+    });
     g.finish();
 }
 

@@ -1,14 +1,14 @@
 //! Host-throughput baseline for the interpreter fast paths.
 //!
-//! Measures the four interpreter routes — scalar reference, vectorized
-//! op-by-op, fused tile passes, and the plan-compiled route — via
-//! `experiments::hotpath` (which asserts all routes are bit-identical
-//! and cross-checks the parallel block executor against a sequential
-//! run), prints the structured report, and records
+//! Measures the three interpreter routes — scalar reference, vectorized
+//! op-by-op, and the plan-compiled route — via `experiments::hotpath`
+//! (which asserts all routes are bit-identical and cross-checks the
+//! parallel block executor against a sequential run of the compiled
+//! route), prints the structured report, and records
 //! `BENCH_sim_hotpath.json` at the repository root. Two workloads run:
 //! the fig2 2-PCF (Type-I output) and a privatized SDH on the
-//! Register-SHM plan (Type-II output: fused histogram scatters plus the
-//! packed Figure-3 cross-copy reduction).
+//! Register-SHM plan (Type-II output: compiled histogram scatters plus
+//! the Figure-3 cross-copy reduction).
 //!
 //! Usage:
 //!
@@ -25,18 +25,17 @@
 //! and with `--budget-secs S` any comparison route (scalar reference,
 //! vectorized, sequential cross-check) projected over `S` seconds is
 //! skipped with a loud note; its fields are omitted from the JSON
-//! record and its acceptance gates are reported as skipped. The fused
-//! and compiled routes always run.
+//! record and its acceptance gates are reported as skipped. The
+//! compiled route always runs.
 //!
 //! Acceptance gates: at N = 65536 the vectorized 2-PCF route must be
-//! ≥2× the scalar reference, the fused route ≥2× the vectorized route,
-//! the compiled route ≥3× the fused route, and the cache memo must
-//! replay at least half of its probes; at N = 16384 the fused Type-II
-//! (SDH) route must be ≥2× the vectorized route, the compiled SDH route
-//! ≥2× the fused route (compiled output stage end-to-end; also gated at
-//! N = 65536 under `--full`), and the compiled 2-PCF route ≥3× the
-//! fused route. Pass `--json DIR` (or set `TBS_REPORT_DIR`) to also
-//! mirror the schema-versioned `sim_hotpath.json` report.
+//! ≥2× the scalar reference, the compiled route ≥6× the vectorized
+//! route, and the cache memo must replay at least half of its probes;
+//! at N = 16384 the compiled 2-PCF route must be ≥6× the vectorized
+//! route and the compiled Type-II (SDH) route ≥4× (also gated at
+//! N = 65536 under `--full`). Pass `--json DIR` (or set
+//! `TBS_REPORT_DIR`) to also mirror the schema-versioned
+//! `sim_hotpath.json` report.
 
 use tbs_bench::experiments::hotpath::{self, Sample};
 use tbs_bench::report;
@@ -59,7 +58,7 @@ fn main() {
     let mut sizes = vec![16_384usize, 65_536];
     let mut sdh_sizes = vec![16_384usize];
     if full {
-        // 262144 exceeds SCALAR_CEILING: vectorized + fused only.
+        // 262144 exceeds SCALAR_CEILING: vectorized + compiled only.
         sizes.extend([131_072, 262_144]);
         sdh_sizes.push(65_536);
     }
@@ -76,9 +75,8 @@ fn main() {
     }
     report::emit_result(hotpath::build_report_from(&samples, &sdh));
 
-    // The legacy flat benchmark record at the repository root, now
-    // emitted through tbs-json (same fields as before, plus the fused
-    // route, its interpreter statistics, and the Type-II SDH workload).
+    // The flat benchmark record at the repository root, emitted
+    // through tbs-json.
     let entry = |s: &Sample| {
         let mut e = Json::obj().with("n", s.n).with("pair_count", s.pair_count);
         if let Some(v) = s.scalar_s {
@@ -87,27 +85,23 @@ fn main() {
         if let Some(v) = s.fast_s {
             e = e.with("vectorized_s", v);
         }
-        e = e.with("fused_s", s.fused_s);
-        if let Some(v) = s.fused_seq_s {
-            e = e.with("fused_sequential_s", v);
-        }
         e = e.with("compiled_s", s.compiled_s);
+        if let Some(v) = s.compiled_seq_s {
+            e = e.with("compiled_sequential_s", v);
+        }
         if let Some(v) = s.speedup() {
             e = e.with("speedup", v);
         }
-        if let Some(v) = s.fused_speedup() {
-            e = e.with("fused_speedup", v);
+        if let Some(v) = s.vectorized_speedup() {
+            e = e.with("vectorized_speedup", v);
         }
-        if let Some(v) = s.fused_vs_vectorized() {
-            e = e.with("fused_vs_vectorized", v);
+        if let Some(v) = s.compiled_vs_vectorized() {
+            e = e.with("compiled_vs_vectorized", v);
         }
-        e = e.with("compiled_vs_fused", s.compiled_vs_fused());
         if let Some(v) = s.parallel_vs_sequential() {
             e = e.with("parallel_vs_sequential", v);
         }
         e.with("dispatches", s.dispatches)
-            .with("fused_ops", s.fused_ops)
-            .with("fused_coverage", s.fused_coverage)
             .with("compiled_ops", s.compiled_ops)
             .with("compiled_coverage", s.compiled_coverage)
             .with("memo_hit_rate", s.memo_hit_rate)
@@ -125,7 +119,7 @@ fn main() {
         )
         .with(
             "exec_mode",
-            "parallel (sequential cross-checked on the fused route)",
+            "parallel (sequential cross-checked on the compiled route)",
         )
         .with("bit_identical", true)
         .with("sizes", Json::Arr(samples.iter().map(entry).collect()))
@@ -158,40 +152,34 @@ fn main() {
             verdicts.push(format!("{name} skipped"));
         }
     };
-    check("vectorized over scalar at N=65536", gate.speedup(), 2.0);
     check(
-        "fused over vectorized at N=65536",
-        gate.fused_vs_vectorized(),
+        "vectorized over scalar at N=65536",
+        gate.vectorized_speedup(),
         2.0,
     );
     check(
-        "compiled over fused at N=65536",
-        Some(gate.compiled_vs_fused()),
-        3.0,
+        "compiled over vectorized at N=65536",
+        gate.compiled_vs_vectorized(),
+        6.0,
     );
     // The L2 cache memo must keep paying off at large N — its hit rate
     // collapsing was exactly the regression this gate exists to catch.
     check("memo hit rate at N=65536", Some(gate.memo_hit_rate), 0.5);
     check(
-        "compiled over fused at N=16384",
-        Some(small.compiled_vs_fused()),
-        3.0,
+        "compiled over vectorized at N=16384",
+        small.compiled_vs_vectorized(),
+        6.0,
     );
     check(
-        "fused SDH over vectorized at N=16384",
-        sdh_gate.fused_vs_vectorized(),
-        2.0,
-    );
-    check(
-        "compiled SDH over fused at N=16384",
-        Some(sdh_gate.compiled_vs_fused()),
-        2.0,
+        "compiled SDH over vectorized at N=16384",
+        sdh_gate.compiled_vs_vectorized(),
+        4.0,
     );
     if let Some(s) = sdh.iter().find(|s| s.n == 65_536) {
         check(
-            "compiled SDH over fused at N=65536",
-            Some(s.compiled_vs_fused()),
-            2.0,
+            "compiled SDH over vectorized at N=65536",
+            s.compiled_vs_vectorized(),
+            4.0,
         );
     }
     eprintln!("acceptance gates: {}", verdicts.join("; "));

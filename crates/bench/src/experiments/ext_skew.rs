@@ -7,6 +7,11 @@
 //! that: most pairwise distances collapse into a few histogram buckets.
 //! This *functional* study measures real same-address serialization on
 //! the simulator for uniform vs clustered data.
+//!
+//! It also pins two deterministic invariants of the compiled histogram
+//! sink on the most contended dataset: every half-pair bins exactly
+//! once, and the sink's closed-form scatter accounting reproduces the
+//! serialization the op-by-op route's simulated atomics measure.
 
 use crate::report::{Cell, Report, ReportError, SeriesTable};
 use gpu_sim::{AccessTally, Device, DeviceConfig};
@@ -25,6 +30,10 @@ pub struct Row {
     pub seconds: f64,
     /// Fraction of all counts landing in the busiest bucket.
     pub peak_bucket_share: f64,
+    /// Pairs binned, summed over every bucket and private copy.
+    pub binned: u64,
+    /// Compiled passes the interpreter took.
+    pub compiled_ops: u64,
     /// Full instrumentation snapshot of the run (embedded in the JSON
     /// report so contention regressions can be diffed at counter level).
     pub tally: AccessTally,
@@ -34,7 +43,18 @@ pub struct Row {
 /// A faulting launch is reported and yields `None` so dataset sweeps can
 /// skip the bad configuration and continue.
 pub fn measure(pts: &SoaPoints<3>, label: &str, buckets: u32, block: u32) -> Option<Row> {
-    let mut dev = Device::new(DeviceConfig::titan_x());
+    measure_on(DeviceConfig::titan_x(), pts, label, buckets, block)
+}
+
+/// [`measure`] on an explicit device configuration (interpreter route).
+fn measure_on(
+    cfg: DeviceConfig,
+    pts: &SoaPoints<3>,
+    label: &str,
+    buckets: u32,
+    block: u32,
+) -> Option<Row> {
+    let mut dev = Device::new(cfg);
     let input = pts.upload(&mut dev);
     let lc = pair_launch(input.n, block);
     let spec = HistogramSpec::new(
@@ -69,31 +89,35 @@ pub fn measure(pts: &SoaPoints<3>, label: &str, buckets: u32, block: u32) -> Opt
         contention: run.tally.shared_atomic_contention(),
         seconds: run.timing.seconds,
         peak_bucket_share: peak as f64 / total.max(1) as f64,
+        binned: total,
+        compiled_ops: run.interp.compiled_ops,
         tally: run.tally,
     })
+}
+
+/// Uniform data, then increasingly tight clusters (the last dataset is
+/// the most contended).
+fn datasets(n: usize) -> Vec<(String, SoaPoints<3>)> {
+    let mut sets = vec![(
+        "uniform".to_string(),
+        tbs_datagen::uniform_points::<3>(n, tbs_datagen::DEFAULT_BOX, 7),
+    )];
+    for (clusters, spread) in [(8usize, 5.0f32), (4, 2.0), (1, 1.0)] {
+        sets.push((
+            format!("clustered k={clusters} sigma={spread}"),
+            tbs_datagen::clustered_points::<3>(n, tbs_datagen::DEFAULT_BOX, clusters, spread, 7),
+        ));
+    }
+    sets
 }
 
 /// Compare uniform vs increasingly-tight clustered data. Faulting
 /// datasets are skipped (see [`measure`]).
 pub fn series(n: usize, buckets: u32, block: u32) -> Vec<Row> {
-    let mut rows = Vec::new();
-    rows.extend(measure(
-        &tbs_datagen::uniform_points::<3>(n, tbs_datagen::DEFAULT_BOX, 7),
-        "uniform",
-        buckets,
-        block,
-    ));
-    for (clusters, spread) in [(8usize, 5.0f32), (4, 2.0), (1, 1.0)] {
-        let pts =
-            tbs_datagen::clustered_points::<3>(n, tbs_datagen::DEFAULT_BOX, clusters, spread, 7);
-        rows.extend(measure(
-            &pts,
-            &format!("clustered k={clusters} sigma={spread}"),
-            buckets,
-            block,
-        ));
-    }
-    rows
+    datasets(n)
+        .iter()
+        .filter_map(|(label, pts)| measure(pts, label, buckets, block))
+        .collect()
 }
 
 /// Build the structured skew-study report.
@@ -138,6 +162,36 @@ pub fn build_report(n: usize, buckets: u32, block: u32) -> Result<Report, Report
         tightest.contention / uniform.contention,
         "ratio",
     )?;
+
+    // The compiled sink's invariants, on the most contended dataset,
+    // against the op-by-op route.
+    let (label, pts) = datasets(n).pop().expect("datasets are non-empty");
+    let run = |cfg| {
+        measure_on(cfg, &pts, &label, buckets, block).ok_or_else(|| ReportError::EmptySeries {
+            what: format!("ext_skew {label} run"),
+        })
+    };
+    let compiled = run(DeviceConfig::titan_x())?;
+    let op = run(DeviceConfig::titan_x().with_compiled(false))?;
+    assert!(
+        compiled.compiled_ops > 0 && op.compiled_ops == 0,
+        "ext_skew: the default run must compile and the op-by-op run must not"
+    );
+    assert_eq!(
+        compiled.tally, op.tally,
+        "ext_skew: compiled and op-by-op tallies diverged"
+    );
+    let pairs = (n as u64 * (n as u64 - 1) / 2) as f64;
+    rep.metric(
+        "hist_total_over_pairs",
+        compiled.binned as f64 / pairs,
+        "ratio",
+    )?;
+    rep.metric(
+        "scatter_contention_parity",
+        compiled.contention / op.contention,
+        "ratio",
+    )?;
     // The tightest cluster is the interesting instrumentation snapshot:
     // it is the run whose serialization the gate pins.
     rep.tally = Some(tightest.tally.clone());
@@ -174,6 +228,20 @@ mod tests {
         );
         assert!(tightest.peak_bucket_share > uniform.peak_bucket_share);
         assert!(tightest.seconds > uniform.seconds);
+    }
+
+    #[test]
+    fn compiled_sink_invariants_hold_at_ci_size() {
+        let rep = build_report(512, 64, 64).expect("report");
+        let get = |id: &str| {
+            rep.metrics
+                .iter()
+                .find(|m| m.id == id)
+                .unwrap_or_else(|| panic!("missing metric {id}"))
+                .value
+        };
+        assert_eq!(get("hist_total_over_pairs"), 1.0);
+        assert_eq!(get("scatter_contention_parity"), 1.0);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! **Host throughput** — wall-clock cost of the simulator interpreter
-//! itself, across its four routes: the retained scalar reference, the
-//! vectorized op-by-op fast paths
-//! (`with_compiled(false).with_fused_tile(false)`), fused tile passes
-//! (`with_compiled(false)`), and the shipping default — the
-//! plan-compiled route that lowers whole kernel plans, Type-II output
-//! stage included, to closed-form host passes.
+//! itself, across its three routes: the retained scalar reference, the
+//! vectorized op-by-op fast paths (`with_compiled(false)`), and the
+//! shipping default — the plan-compiled route that lowers whole kernel
+//! plans, Type-II output stage included, to closed-form host passes.
 //!
 //! Unlike every other experiment, this one measures *this machine*, not
 //! the modeled GPU: it runs two workloads through the functional
@@ -13,17 +11,17 @@
 //! scatters in the inner loop plus the Figure-3 cross-copy reduction) —
 //! asserts all routes are bit-identical (pair count / histogram, full
 //! `AccessTally`, simulated timing), and reports wall-clock times plus
-//! the per-route interpreter statistics (dispatch count, fused/compiled
+//! the compiled route's interpreter statistics (dispatch count, compiled
 //! lane coverage, cache-memo hit rate).
 //!
 //! Every route runs under the config-default block executor
 //! (`ExecMode::Parallel { threads: 0 }`); one extra sequential run of
-//! the fused route cross-checks that the speculative parallel engine is
-//! bit-identical to the reference block order, and both wall-clock
+//! the compiled route cross-checks that the speculative parallel engine
+//! is bit-identical to the reference block order, and both wall-clock
 //! times land in the JSON record.
 //!
 //! The scalar reference is quadratic in wall-clock pain; above
-//! [`SCALAR_CEILING`] only the vectorized, fused and compiled routes run
+//! [`SCALAR_CEILING`] only the vectorized and compiled routes run
 //! (identity against the scalar route is established at the sizes below
 //! it).
 //!
@@ -35,9 +33,9 @@ use std::time::Instant;
 
 use crate::report::{Cell, Report, ReportError, SeriesTable};
 use gpu_sim::config::ExecMode;
-use gpu_sim::{Device, DeviceConfig};
-use tbs_apps::{pcf_gpu, sdh_gpu, PairwisePlan, PcfResult, SdhOutputMode, SdhResult};
-use tbs_core::histogram::HistogramSpec;
+use gpu_sim::{AccessTally, Device, DeviceConfig, InterpStats};
+use tbs_apps::{pcf_gpu, sdh_gpu, PairwisePlan, SdhOutputMode};
+use tbs_core::histogram::{Histogram, HistogramSpec};
 use tbs_datagen::uniform_points;
 
 /// Workload constants, fixed so every measurement is comparable.
@@ -46,8 +44,9 @@ pub const BOX: f32 = 100.0;
 pub const SEED: u64 = 11;
 pub const BLOCK: u32 = 1024;
 
-/// Largest N the scalar-reference route is run at (it is ~10× slower
-/// than the fused route and exists only as the correctness anchor).
+/// Largest N the scalar-reference route is run at (it is orders of
+/// magnitude slower than the compiled route and exists only as the
+/// correctness anchor).
 pub const SCALAR_CEILING: usize = 131_072;
 
 /// Histogram size for the Type-II (SDH) workload: one private `u32`
@@ -61,8 +60,9 @@ pub fn sdh_spec() -> HistogramSpec {
 }
 
 /// The block executor every measured pass runs under: the config
-/// default (parallel, one worker per host core). The fused route gets
-/// one extra [`ExecMode::Sequential`] pass as the engine cross-check.
+/// default (parallel, one worker per host core). The compiled route
+/// gets one extra [`ExecMode::Sequential`] pass as the engine
+/// cross-check.
 pub fn bench_exec() -> ExecMode {
     ExecMode::Parallel { threads: 0 }
 }
@@ -71,8 +71,25 @@ pub fn bench_exec() -> ExecMode {
 enum Route {
     Scalar,
     Vectorized,
-    Fused,
     Compiled,
+}
+
+/// Which of the two workloads a measurement runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Workload {
+    /// fig2 2-PCF, Type-I output.
+    Pcf,
+    /// Privatized SDH, Type-II output plus the cross-copy reduction.
+    Sdh,
+}
+
+impl Workload {
+    fn label(self) -> &'static str {
+        match self {
+            Workload::Pcf => "",
+            Workload::Sdh => "SDH ",
+        }
+    }
 }
 
 /// One problem size's per-route measurement.
@@ -84,75 +101,63 @@ pub struct Sample {
     /// (`None` above [`SCALAR_CEILING`] or when a budget projection
     /// skipped it).
     pub scalar_s: Option<f64>,
-    /// Wall-clock seconds with the vectorized fast paths, fusion off
+    /// Wall-clock seconds with the vectorized op-by-op route
     /// (`None` when a budget projection skipped the route).
     pub fast_s: Option<f64>,
-    /// Wall-clock seconds with fused tile passes (`with_compiled(false)`).
-    pub fused_s: f64,
-    /// Wall-clock seconds of the fused route under the sequential block
-    /// executor — the engine cross-check (everything else runs under
-    /// [`bench_exec`]; `None` when a budget projection skipped it).
-    pub fused_seq_s: Option<f64>,
     /// Wall-clock seconds with the plan-compiled route (the shipping
     /// default).
     pub compiled_s: f64,
+    /// Wall-clock seconds of the compiled route under the sequential
+    /// block executor — the engine cross-check (everything else runs
+    /// under [`bench_exec`]; `None` when a budget projection skipped it).
+    pub compiled_seq_s: Option<f64>,
     /// Executed lane slots (useful + predicated) — the work measure
     /// behind the throughput numbers.
     pub lane_ops: u64,
     pub sim_cycles: f64,
-    /// Interpreter dispatches on the fused route (each fused tile pass
+    /// Interpreter dispatches on the compiled route (each compiled pass
     /// is one dispatch where the op-by-op route takes thousands).
     pub dispatches: u64,
-    /// Fused tile passes taken.
-    pub fused_ops: u64,
-    /// Fraction of useful lane work executed inside fused passes.
-    pub fused_coverage: f64,
-    /// Compiled straight-line passes taken (compiled route).
+    /// Compiled straight-line passes taken.
     pub compiled_ops: u64,
-    /// Fraction of useful lane work absorbed by compiled passes
-    /// (compiled route).
+    /// Fraction of useful lane work absorbed by compiled passes.
     pub compiled_coverage: f64,
     /// Generation-stamped cache-memo hit rate (replayed / probed runs).
     pub memo_hit_rate: f64,
 }
 
 impl Sample {
-    /// Scalar-reference over vectorized — PR 2's original claim.
+    /// Scalar reference over the compiled route — the whole interpreter
+    /// stack.
     pub fn speedup(&self) -> Option<f64> {
+        self.scalar_s.map(|s| s / self.compiled_s)
+    }
+
+    /// Scalar reference over vectorized — what the op-by-op fast paths
+    /// alone buy.
+    pub fn vectorized_speedup(&self) -> Option<f64> {
         Some(self.scalar_s? / self.fast_s?)
     }
 
-    /// Scalar-reference over fused — the full interpreter stack.
-    pub fn fused_speedup(&self) -> Option<f64> {
-        self.scalar_s.map(|s| s / self.fused_s)
+    /// Vectorized over compiled — what plan compilation buys on top of
+    /// the op-by-op fast paths.
+    pub fn compiled_vs_vectorized(&self) -> Option<f64> {
+        self.fast_s.map(|f| f / self.compiled_s)
     }
 
-    /// Vectorized over fused — what fusion alone buys.
-    pub fn fused_vs_vectorized(&self) -> Option<f64> {
-        self.fast_s.map(|f| f / self.fused_s)
-    }
-
-    /// Fused over compiled — what plan compilation buys on top of the
-    /// shipping fused route.
-    pub fn compiled_vs_fused(&self) -> f64 {
-        self.fused_s / self.compiled_s
-    }
-
-    /// Sequential over parallel wall-clock on the fused route: > 1 when
-    /// the parallel engine wins, and pinned by a generous no-regression
-    /// floor in the gate (single-core hosts pay speculation overhead but
-    /// must stay close to sequential).
+    /// Sequential over parallel wall-clock on the compiled route: > 1
+    /// when the parallel engine wins.
     pub fn parallel_vs_sequential(&self) -> Option<f64> {
-        self.fused_seq_s.map(|q| q / self.fused_s)
+        self.compiled_seq_s.map(|q| q / self.compiled_s)
     }
 
-    /// Lane throughput of the fused route.
+    /// Lane throughput of the compiled route.
     pub fn lane_ops_per_s(&self) -> f64 {
-        self.lane_ops as f64 / self.fused_s
+        self.lane_ops as f64 / self.compiled_s
     }
 
     pub fn sim_cycles_per_s(&self) -> f64 {
-        self.sim_cycles / self.fused_s
+        self.sim_cycles / self.compiled_s
     }
 }
 
@@ -163,9 +168,8 @@ impl Sample {
 /// skipped it, leaving nothing to extrapolate from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Projection {
-    pub fused: Option<f64>,
-    pub fused_seq: Option<f64>,
     pub compiled: Option<f64>,
+    pub compiled_seq: Option<f64>,
     pub vectorized: Option<f64>,
     pub scalar: Option<f64>,
 }
@@ -175,9 +179,8 @@ impl Projection {
         let s = n as f64 / prev.n.max(1) as f64;
         let scale = s * s;
         Projection {
-            fused: Some(prev.fused_s * scale),
-            fused_seq: prev.fused_seq_s.map(|v| v * scale),
             compiled: Some(prev.compiled_s * scale),
+            compiled_seq: prev.compiled_seq_s.map(|v| v * scale),
             vectorized: prev.fast_s.map(|v| v * scale),
             scalar: prev.scalar_s.map(|v| v * scale),
         }
@@ -191,11 +194,10 @@ impl Projection {
     /// is that a doomed sweep announces itself instead of hanging.
     fn announce(&self, what: &str, n: usize, prev_n: usize) {
         eprintln!(
-            "{what}N={n}: projected from N={prev_n} (quadratic): fused {}, sequential {}, \
-             compiled {}, vectorized {}, scalar {}",
-            Self::fmt(self.fused),
-            Self::fmt(self.fused_seq),
+            "{what}N={n}: projected from N={prev_n} (quadratic): compiled {}, sequential {}, \
+             vectorized {}, scalar {}",
             Self::fmt(self.compiled),
+            Self::fmt(self.compiled_seq),
             Self::fmt(self.vectorized),
             Self::fmt(self.scalar),
         );
@@ -227,8 +229,7 @@ fn route_config(route: Route, exec: ExecMode) -> DeviceConfig {
     let cfg = DeviceConfig::titan_x().with_exec_mode(exec);
     match route {
         Route::Scalar => cfg.with_scalar_reference(true),
-        Route::Vectorized => cfg.with_compiled(false).with_fused_tile(false),
-        Route::Fused => cfg.with_compiled(false),
+        Route::Vectorized => cfg.with_compiled(false),
         Route::Compiled => cfg, // compiled is the preset default
     }
 }
@@ -242,33 +243,120 @@ fn warm_up() {
     ONCE.call_once(|| {
         let pts = uniform_points::<3>(4096, BOX, SEED);
         for exec in [bench_exec(), ExecMode::Sequential] {
-            let mut dev = Device::new(route_config(Route::Fused, exec));
+            let mut dev = Device::new(route_config(Route::Compiled, exec));
             pcf_gpu(&mut dev, &pts, RADIUS, PairwisePlan::register_shm(BLOCK)).expect("warm-up");
         }
     });
 }
 
-fn run_once(n: usize, route: Route, exec: ExecMode) -> (f64, PcfResult) {
-    let pts = uniform_points::<3>(n, BOX, SEED);
-    let mut dev = Device::new(route_config(route, exec));
-    let t = Instant::now();
-    let r = pcf_gpu(&mut dev, &pts, RADIUS, PairwisePlan::register_shm(BLOCK)).expect("launch");
-    (t.elapsed().as_secs_f64(), r)
+/// Everything one route's run of a workload reports: the result (pair
+/// count or histogram) plus the folded tally, interpreter statistics
+/// and simulated cycles of every kernel it launched.
+struct Run {
+    count: u64,
+    histogram: Option<Histogram>,
+    tally: AccessTally,
+    interp: InterpStats,
+    sim_cycles: f64,
+    /// Simulated seconds per launched kernel, in launch order.
+    sim_seconds: Vec<u64>,
+    /// Per-kernel tallies, in launch order (the identity contract is
+    /// per kernel, not just for the fold).
+    tallies: Vec<AccessTally>,
+    /// Compiled passes of the SDH's cross-copy reduction kernel.
+    reduce_compiled_ops: u64,
 }
 
-fn assert_routes_identical(n: usize, a: &PcfResult, b: &PcfResult, what: &str) {
+/// A leg whose first run is shorter than this is repeated and timed
+/// best-of-many: a 20 ms pass is otherwise at the mercy of one
+/// scheduler hiccup, or of a stretch in which another tenant holds the
+/// host's second core.
+const SHORT_RUN_S: f64 = 0.25;
+/// Wall-clock each short leg keeps repeating for.
+const SHORT_BUDGET_S: f64 = 1.0;
+
+/// Time each leg — a `(route, block executor)` pair — on a workload.
+/// Every leg runs once; a leg shorter than [`SHORT_RUN_S`] then
+/// repeats until it has run for [`SHORT_BUDGET_S`] and reports its best
+/// time (the same rule for every route, so ratios stay fair), its
+/// repeats interleaved with the other short legs' so a slow stretch of
+/// the host hits them alike.
+fn timed_runs(n: usize, work: Workload, legs: &[(Route, ExecMode)]) -> Vec<(f64, Run)> {
+    let mut out: Vec<(f64, Run)> = legs
+        .iter()
+        .map(|&(route, exec)| run_once(n, work, route, exec))
+        .collect();
+    let mut spent: Vec<f64> = out
+        .iter()
+        .map(|(s, _)| if *s < SHORT_RUN_S { *s } else { f64::INFINITY })
+        .collect();
+    while spent.iter().any(|&t| t < SHORT_BUDGET_S) {
+        for ((leg, t), &(route, exec)) in out.iter_mut().zip(&mut spent).zip(legs) {
+            if *t < SHORT_BUDGET_S {
+                let s = run_once(n, work, route, exec).0;
+                leg.0 = leg.0.min(s);
+                *t += s;
+            }
+        }
+    }
+    out
+}
+
+fn run_once(n: usize, work: Workload, route: Route, exec: ExecMode) -> (f64, Run) {
+    let pts = uniform_points::<3>(n, BOX, SEED);
+    let mut dev = Device::new(route_config(route, exec));
+    let plan = PairwisePlan::register_shm(BLOCK);
+    let t = Instant::now();
+    let (count, histogram, runs) = match work {
+        Workload::Pcf => {
+            let r = pcf_gpu(&mut dev, &pts, RADIUS, plan).expect("launch");
+            (r.count, None, vec![r.run])
+        }
+        Workload::Sdh => {
+            let r = sdh_gpu(&mut dev, &pts, sdh_spec(), plan, SdhOutputMode::Privatized)
+                .expect("launch");
+            let mut runs = vec![r.pair_run];
+            runs.extend(r.reduce_run);
+            (r.histogram.total(), Some(r.histogram), runs)
+        }
+    };
+    let secs = t.elapsed().as_secs_f64();
+    let mut tally = AccessTally::new();
+    let mut interp = InterpStats::default();
+    for r in &runs {
+        tally.merge(&r.tally);
+        interp.merge(&r.interp);
+    }
+    let run = Run {
+        count,
+        histogram,
+        tally,
+        interp,
+        sim_cycles: runs.iter().map(|r| r.timing.cycles).sum(),
+        sim_seconds: runs.iter().map(|r| r.timing.seconds.to_bits()).collect(),
+        tallies: runs.iter().map(|r| r.tally.clone()).collect(),
+        reduce_compiled_ops: runs.get(1).map_or(0, |r| r.interp.compiled_ops),
+    };
+    (secs, run)
+}
+
+fn assert_routes_identical(n: usize, a: &Run, b: &Run, what: &str) {
     assert_eq!(a.count, b.count, "pair count diverged ({what}) at N={n}");
-    assert_eq!(a.run.tally, b.run.tally, "tally diverged ({what}) at N={n}");
     assert_eq!(
-        a.run.timing.seconds.to_bits(),
-        b.run.timing.seconds.to_bits(),
+        a.histogram, b.histogram,
+        "histogram diverged ({what}) at N={n}"
+    );
+    assert_eq!(a.tallies, b.tallies, "tally diverged ({what}) at N={n}");
+    assert_eq!(
+        a.sim_seconds, b.sim_seconds,
         "simulated time diverged ({what}) at N={n}"
     );
 }
 
-/// Measure one size, asserting every interpreter route is bit-identical
-/// (same pair count, tally and simulated timing), and that the parallel
-/// block executor matches a sequential run of the same route.
+/// Measure the 2-PCF workload at one size, asserting every interpreter
+/// route is bit-identical (same pair count, tally and simulated timing),
+/// and that the parallel block executor matches a sequential run of the
+/// same route.
 pub fn measure(n: usize) -> Sample {
     measure_budgeted(n, None, None)
 }
@@ -279,149 +367,9 @@ pub fn measure(n: usize) -> Sample {
 /// `budget_secs` is set, any comparison route (scalar reference,
 /// vectorized, sequential cross-check) projected over the budget is
 /// skipped with a loud note instead of silently hanging the sweep. The
-/// fused and compiled routes are the subject of the benchmark and
-/// always run.
+/// compiled route is the subject of the benchmark and always runs.
 pub fn measure_budgeted(n: usize, budget_secs: Option<f64>, prev: Option<&Sample>) -> Sample {
-    warm_up();
-    let proj = prev.map_or_else(Projection::default, |p| Projection::from_sample(p, n));
-    if let Some(p) = prev {
-        proj.announce("", n, p.n);
-    }
-    eprintln!("N={n}: fused pass...");
-    let (fused_s, fused) = run_once(n, Route::Fused, bench_exec());
-    eprintln!("N={n}: fused {fused_s:.3}s");
-    let fused_seq_s = if budget_skips("", n, "sequential cross-check", proj.fused_seq, budget_secs)
-    {
-        None
-    } else {
-        eprintln!("N={n}: sequential cross-check...");
-        let (fused_seq_s, fused_seq) = run_once(n, Route::Fused, ExecMode::Sequential);
-        eprintln!(
-            "N={n}: sequential {fused_seq_s:.3}s ({:.2}x from parallel)",
-            fused_seq_s / fused_s
-        );
-        assert_routes_identical(n, &fused, &fused_seq, "parallel vs sequential engine");
-        Some(fused_seq_s)
-    };
-    eprintln!("N={n}: compiled pass...");
-    let (compiled_s, compiled) = run_once(n, Route::Compiled, bench_exec());
-    eprintln!(
-        "N={n}: compiled {compiled_s:.3}s ({:.2}x over fused)",
-        fused_s / compiled_s
-    );
-    assert_routes_identical(n, &fused, &compiled, "fused vs compiled");
-    let fast_s = if budget_skips("", n, "vectorized", proj.vectorized, budget_secs) {
-        None
-    } else {
-        eprintln!("N={n}: vectorized (unfused) pass...");
-        let (fast_s, fast) = run_once(n, Route::Vectorized, bench_exec());
-        eprintln!(
-            "N={n}: vectorized {fast_s:.3}s ({:.2}x from fusion)",
-            fast_s / fused_s
-        );
-        assert_routes_identical(n, &fused, &fast, "fused vs vectorized");
-        assert_eq!(
-            fast.run.interp.fused_ops + fast.run.interp.compiled_ops,
-            0,
-            "op-by-op leg took a fast path at N={n}"
-        );
-        Some(fast_s)
-    };
-    assert!(
-        fused.run.interp.fused_ops > 0,
-        "fused leg took no fused tile passes at N={n}"
-    );
-    assert!(
-        compiled.run.interp.compiled_ops > 0,
-        "compiled (default) route took no compiled passes at N={n}"
-    );
-    assert_eq!(
-        fused.run.interp.compiled_ops, 0,
-        "fused leg compiled despite with_compiled(false) at N={n}"
-    );
-    // The no-regression floor the issue pins: plan compilation must
-    // never cost the 2-PCF workload more than measurement noise.
-    assert!(
-        fused_s / compiled_s >= 0.95,
-        "compiled 2-PCF regressed below the 0.95x floor at N={n}: \
-         fused {fused_s:.3}s vs compiled {compiled_s:.3}s"
-    );
-
-    let scalar_s = if n > SCALAR_CEILING {
-        eprintln!("N={n}: scalar-reference pass skipped (> SCALAR_CEILING)");
-        None
-    } else if budget_skips("", n, "scalar-reference", proj.scalar, budget_secs) {
-        None
-    } else {
-        eprintln!("N={n}: scalar-reference pass...");
-        let (scalar_s, scalar) = run_once(n, Route::Scalar, bench_exec());
-        eprintln!("N={n}: scalar {scalar_s:.3}s ({:.2}x)", scalar_s / fused_s);
-        assert_routes_identical(n, &fused, &scalar, "fused vs scalar");
-        Some(scalar_s)
-    };
-
-    let t = &fused.run.tally;
-    let interp = &fused.run.interp;
-    let cinterp = &compiled.run.interp;
-    Sample {
-        n,
-        pair_count: fused.count,
-        scalar_s,
-        fast_s,
-        fused_s,
-        fused_seq_s,
-        compiled_s,
-        lane_ops: t.useful_lane_ops + t.predicated_lane_slots,
-        sim_cycles: fused.run.timing.cycles,
-        dispatches: interp.dispatches,
-        fused_ops: interp.fused_ops,
-        fused_coverage: interp.fused_coverage(t),
-        compiled_ops: cinterp.compiled_ops,
-        compiled_coverage: cinterp.compiled_coverage(&compiled.run.tally),
-        memo_hit_rate: interp.memo_hit_rate(),
-    }
-}
-
-fn run_sdh_once(n: usize, route: Route, exec: ExecMode) -> (f64, SdhResult) {
-    let pts = uniform_points::<3>(n, BOX, SEED);
-    let mut dev = Device::new(route_config(route, exec));
-    let t = Instant::now();
-    let r = sdh_gpu(
-        &mut dev,
-        &pts,
-        sdh_spec(),
-        PairwisePlan::register_shm(BLOCK),
-        SdhOutputMode::Privatized,
-    )
-    .expect("launch");
-    (t.elapsed().as_secs_f64(), r)
-}
-
-fn assert_sdh_identical(n: usize, a: &SdhResult, b: &SdhResult, what: &str) {
-    assert_eq!(
-        a.histogram, b.histogram,
-        "histogram diverged ({what}) at N={n}"
-    );
-    assert_eq!(
-        a.pair_run.tally, b.pair_run.tally,
-        "pair tally diverged ({what}) at N={n}"
-    );
-    assert_eq!(
-        a.pair_run.timing.seconds.to_bits(),
-        b.pair_run.timing.seconds.to_bits(),
-        "pair simulated time diverged ({what}) at N={n}"
-    );
-    let ra = a.reduce_run.as_ref().expect("privatized SDH reduces");
-    let rb = b.reduce_run.as_ref().expect("privatized SDH reduces");
-    assert_eq!(
-        ra.tally, rb.tally,
-        "reduce tally diverged ({what}) at N={n}"
-    );
-    assert_eq!(
-        ra.timing.seconds.to_bits(),
-        rb.timing.seconds.to_bits(),
-        "reduce simulated time diverged ({what}) at N={n}"
-    );
+    measure_workload(Workload::Pcf, n, budget_secs, prev)
 }
 
 /// Measure the Type-II (SDH, Register-SHM-Out, privatized) workload at
@@ -432,155 +380,108 @@ pub fn measure_sdh(n: usize) -> Sample {
     measure_sdh_budgeted(n, None, None)
 }
 
-/// [`measure_sdh`] with the same budget guard as [`measure_budgeted`]:
-/// projections announced up front, over-budget comparison routes
-/// skipped loudly, the fused and compiled routes always measured.
+/// [`measure_sdh`] with the same budget guard as [`measure_budgeted`].
 pub fn measure_sdh_budgeted(n: usize, budget_secs: Option<f64>, prev: Option<&Sample>) -> Sample {
+    measure_workload(Workload::Sdh, n, budget_secs, prev)
+}
+
+fn measure_workload(
+    work: Workload,
+    n: usize,
+    budget_secs: Option<f64>,
+    prev: Option<&Sample>,
+) -> Sample {
+    let what = work.label();
     warm_up();
     let proj = prev.map_or_else(Projection::default, |p| Projection::from_sample(p, n));
     if let Some(p) = prev {
-        proj.announce("SDH ", n, p.n);
+        proj.announce(what, n, p.n);
     }
-    eprintln!("SDH N={n}: fused pass...");
-    let (fused_s, fused) = run_sdh_once(n, Route::Fused, bench_exec());
-    eprintln!("SDH N={n}: fused {fused_s:.3}s");
-    let fused_seq_s = if budget_skips(
-        "SDH ",
+    // The compiled route under both block executors, timed together.
+    let mut legs = vec![(Route::Compiled, bench_exec())];
+    if !budget_skips(
+        what,
         n,
         "sequential cross-check",
-        proj.fused_seq,
+        proj.compiled_seq,
         budget_secs,
     ) {
-        None
-    } else {
-        eprintln!("SDH N={n}: sequential cross-check...");
-        let (fused_seq_s, fused_seq) = run_sdh_once(n, Route::Fused, ExecMode::Sequential);
-        eprintln!(
-            "SDH N={n}: sequential {fused_seq_s:.3}s ({:.2}x from parallel)",
-            fused_seq_s / fused_s
-        );
-        assert_sdh_identical(n, &fused, &fused_seq, "parallel vs sequential engine");
-        Some(fused_seq_s)
-    };
-    eprintln!("SDH N={n}: compiled pass...");
-    let (compiled_s, compiled) = run_sdh_once(n, Route::Compiled, bench_exec());
-    eprintln!(
-        "SDH N={n}: compiled {compiled_s:.3}s ({:.2}x over fused)",
-        fused_s / compiled_s
+        legs.push((Route::Compiled, ExecMode::Sequential));
+    }
+    eprintln!("{what}N={n}: compiled pass (+ sequential cross-check)...");
+    let mut runs = timed_runs(n, work, &legs).into_iter();
+    let (compiled_s, compiled) = runs.next().expect("the compiled leg always runs");
+    eprintln!("{what}N={n}: compiled {compiled_s:.3}s");
+    assert!(
+        compiled.interp.compiled_ops > 0,
+        "compiled (default) route took no compiled passes ({what}N={n})"
     );
-    assert_sdh_identical(n, &fused, &compiled, "fused vs compiled");
-    let fast_s = if budget_skips("SDH ", n, "vectorized", proj.vectorized, budget_secs) {
+    if work == Workload::Sdh {
+        // The compiled histogram sink lowers the whole inter-tile pass,
+        // and the Figure-3 reduction lowers too.
+        assert!(
+            compiled.reduce_compiled_ops > 0,
+            "compiled route took no compiled cross-copy reductions at N={n}"
+        );
+    }
+    let compiled_seq_s = runs.next().map(|(seq_s, seq)| {
+        eprintln!(
+            "{what}N={n}: sequential {seq_s:.3}s ({:.2}x from parallel)",
+            seq_s / compiled_s
+        );
+        assert_routes_identical(n, &compiled, &seq, "parallel vs sequential engine");
+        seq_s
+    });
+    let fast_s = if budget_skips(what, n, "vectorized", proj.vectorized, budget_secs) {
         None
     } else {
-        eprintln!("SDH N={n}: vectorized (unfused) pass...");
-        let (fast_s, fast) = run_sdh_once(n, Route::Vectorized, bench_exec());
+        eprintln!("{what}N={n}: vectorized (op-by-op) pass...");
+        let (fast_s, fast) = timed_runs(n, work, &[(Route::Vectorized, bench_exec())])
+            .pop()
+            .expect("one leg");
         eprintln!(
-            "SDH N={n}: vectorized {fast_s:.3}s ({:.2}x from fusion)",
-            fast_s / fused_s
+            "{what}N={n}: vectorized {fast_s:.3}s ({:.2}x from compilation)",
+            fast_s / compiled_s
         );
-        assert_sdh_identical(n, &fused, &fast, "fused vs vectorized");
+        assert_routes_identical(n, &compiled, &fast, "compiled vs vectorized");
         assert_eq!(
-            fast.pair_run.interp.fused_ops
-                + fast.pair_run.interp.compiled_ops
-                + fast.reduce_run.as_ref().map_or(0, |r| r.interp.fused_ops),
-            0,
-            "op-by-op leg took a fast path on the SDH at N={n}"
+            fast.interp.compiled_ops, 0,
+            "op-by-op leg took a compiled pass ({what}N={n})"
         );
         Some(fast_s)
     };
-    assert!(
-        fused.pair_run.interp.fused_ops > 0,
-        "fused leg took no fused histogram tile passes at N={n}"
-    );
-    // The compiled histogram sink lowers the whole inter-tile pass —
-    // sqrt-free bucketing plus closed-form scatter accounting — so the
-    // SDH must run compiled end-to-end, not just its tile fetches.
-    assert!(
-        compiled.pair_run.interp.compiled_ops > 0,
-        "compiled (default) route took no compiled passes on the SDH at N={n}"
-    );
-    assert_eq!(
-        fused.pair_run.interp.compiled_ops, 0,
-        "fused SDH leg compiled despite with_compiled(false) at N={n}"
-    );
-    assert!(
-        fused
-            .reduce_run
-            .as_ref()
-            .expect("privatized SDH reduces")
-            .interp
-            .fused_ops
-            > 0,
-        "fused leg took no packed cross-copy reductions at N={n}"
-    );
-    assert!(
-        compiled
-            .reduce_run
-            .as_ref()
-            .expect("privatized SDH reduces")
-            .interp
-            .compiled_ops
-            > 0,
-        "compiled route took no compiled cross-copy reductions at N={n}"
-    );
-    // The issue's headline floor: with the output stage compiled
-    // end-to-end, the SDH must clear 2x over the fused route at the
-    // benchmark's headline sizes.
-    if n == 16_384 || n == 65_536 {
-        assert!(
-            fused_s / compiled_s >= 2.0,
-            "compiled SDH below the 2x floor at N={n}: \
-             fused {fused_s:.3}s vs compiled {compiled_s:.3}s"
-        );
-    }
-
     let scalar_s = if n > SCALAR_CEILING {
-        eprintln!("SDH N={n}: scalar-reference pass skipped (> SCALAR_CEILING)");
+        eprintln!("{what}N={n}: scalar-reference pass skipped (> SCALAR_CEILING)");
         None
-    } else if budget_skips("SDH ", n, "scalar-reference", proj.scalar, budget_secs) {
+    } else if budget_skips(what, n, "scalar-reference", proj.scalar, budget_secs) {
         None
     } else {
-        eprintln!("SDH N={n}: scalar-reference pass...");
-        let (scalar_s, scalar) = run_sdh_once(n, Route::Scalar, bench_exec());
+        eprintln!("{what}N={n}: scalar-reference pass...");
+        let (scalar_s, scalar) = timed_runs(n, work, &[(Route::Scalar, bench_exec())])
+            .pop()
+            .expect("one leg");
         eprintln!(
-            "SDH N={n}: scalar {scalar_s:.3}s ({:.2}x)",
-            scalar_s / fused_s
+            "{what}N={n}: scalar {scalar_s:.3}s ({:.2}x)",
+            scalar_s / compiled_s
         );
-        assert_sdh_identical(n, &fused, &scalar, "fused vs scalar");
+        assert_routes_identical(n, &compiled, &scalar, "compiled vs scalar");
         Some(scalar_s)
     };
 
-    // Fold both kernels into one sample: the Type-II claim is about the
-    // whole output stage (inner-loop scatters + cross-copy reduction).
-    let mut tally = fused.pair_run.tally.clone();
-    let mut interp = fused.pair_run.interp.clone();
-    let mut sim_cycles = fused.pair_run.timing.cycles;
-    if let Some(r) = &fused.reduce_run {
-        tally.merge(&r.tally);
-        interp.merge(&r.interp);
-        sim_cycles += r.timing.cycles;
-    }
-    let mut ctally = compiled.pair_run.tally.clone();
-    let mut cinterp = compiled.pair_run.interp.clone();
-    if let Some(r) = &compiled.reduce_run {
-        ctally.merge(&r.tally);
-        cinterp.merge(&r.interp);
-    }
+    let t = &compiled.tally;
+    let interp = &compiled.interp;
     Sample {
         n,
-        pair_count: fused.histogram.total(),
+        pair_count: compiled.count,
         scalar_s,
         fast_s,
-        fused_s,
-        fused_seq_s,
         compiled_s,
-        lane_ops: tally.useful_lane_ops + tally.predicated_lane_slots,
-        sim_cycles,
+        compiled_seq_s,
+        lane_ops: t.useful_lane_ops + t.predicated_lane_slots,
+        sim_cycles: compiled.sim_cycles,
         dispatches: interp.dispatches,
-        fused_ops: interp.fused_ops,
-        fused_coverage: interp.fused_coverage(&tally),
-        compiled_ops: cinterp.compiled_ops,
-        compiled_coverage: cinterp.compiled_coverage(&ctally),
+        compiled_ops: interp.compiled_ops,
+        compiled_coverage: interp.compiled_coverage(t),
         memo_hit_rate: interp.memo_hit_rate(),
     }
 }
@@ -608,8 +509,8 @@ pub fn build_report_from(samples: &[Sample], sdh: &[Sample]) -> Result<Report, R
         .with_context(&format!(
             "fig2 2-PCF (Type-I) + privatized SDH (Type-II, {SDH_BUCKETS} buckets), \
              register_shm plan, block={BLOCK}, r={RADIUS}, {BOX}^3 box, \
-             parallel exec (sequential cross-checked on the fused route); \
-             scalar / vectorized / fused / compiled routes bit-identical"
+             parallel exec (sequential cross-checked on the compiled route); \
+             scalar / vectorized / compiled routes bit-identical"
         ));
     for (table, suffix, set) in [("sizes", "", samples), ("sdh_sizes", "_sdh", sdh)] {
         if set.is_empty() {
@@ -622,12 +523,9 @@ pub fn build_report_from(samples: &[Sample], sdh: &[Sample]) -> Result<Report, R
                 "count",
                 "scalar_s",
                 "vec_s",
-                "fused_s",
-                "seq_s",
                 "comp_s",
-                "fused/vec",
-                "comp/fused",
-                "coverage",
+                "seq_s",
+                "comp/vec",
                 "ccov",
                 "memo",
                 "Mlane-ops/s",
@@ -647,18 +545,9 @@ pub fn build_report_from(samples: &[Sample], sdh: &[Sample]) -> Result<Report, R
                 Cell::int(s.pair_count),
                 opt_secs(s.scalar_s),
                 opt_secs(s.fast_s),
-                Cell::num(s.fused_s, format!("{:.3}", s.fused_s)),
-                opt_secs(s.fused_seq_s),
                 Cell::num(s.compiled_s, format!("{:.3}", s.compiled_s)),
-                opt_ratio(s.fused_vs_vectorized()),
-                Cell::num(
-                    s.compiled_vs_fused(),
-                    format!("{:.2}x", s.compiled_vs_fused()),
-                ),
-                Cell::num(
-                    s.fused_coverage,
-                    format!("{:.1}%", s.fused_coverage * 100.0),
-                ),
+                opt_secs(s.compiled_seq_s),
+                opt_ratio(s.compiled_vs_vectorized()),
                 Cell::num(
                     s.compiled_coverage,
                     format!("{:.1}%", s.compiled_coverage * 100.0),
@@ -672,25 +561,15 @@ pub fn build_report_from(samples: &[Sample], sdh: &[Sample]) -> Result<Report, R
             if let Some(sp) = s.speedup() {
                 rep.metric(&format!("speedup{suffix}.n{}", s.n), sp, "x")?;
             }
-            if let Some(sp) = s.fused_speedup() {
-                rep.metric(&format!("fused_speedup{suffix}.n{}", s.n), sp, "x")?;
+            if let Some(sp) = s.vectorized_speedup() {
+                rep.metric(&format!("vectorized_speedup{suffix}.n{}", s.n), sp, "x")?;
             }
-            if let Some(v) = s.fused_vs_vectorized() {
-                rep.metric(&format!("fused_vs_vectorized{suffix}.n{}", s.n), v, "x")?;
+            if let Some(v) = s.compiled_vs_vectorized() {
+                rep.metric(&format!("compiled_vs_vectorized{suffix}.n{}", s.n), v, "x")?;
             }
-            rep.metric(
-                &format!("compiled_vs_fused{suffix}.n{}", s.n),
-                s.compiled_vs_fused(),
-                "x",
-            )?;
             if let Some(v) = s.parallel_vs_sequential() {
                 rep.metric(&format!("parallel_vs_sequential{suffix}.n{}", s.n), v, "x")?;
             }
-            rep.metric(
-                &format!("fused_coverage{suffix}.n{}", s.n),
-                s.fused_coverage,
-                "frac",
-            )?;
             rep.metric(
                 &format!("compiled_coverage{suffix}.n{}", s.n),
                 s.compiled_coverage,
@@ -710,16 +589,15 @@ pub fn build_report_from(samples: &[Sample], sdh: &[Sample]) -> Result<Report, R
         rep.push_table(t);
     }
     rep.push_note(
-        "host wall-clock throughput of the simulator interpreter; the vectorized,\n\
-         fused and compiled routes must be bit-identical to the scalar reference,\n\
-         and the parallel block executor to a sequential run. The fused route\n\
-         batches whole inner tile passes into one dispatch; the compiled route\n\
-         lowers the kernel plan to closed-form straight-line passes (comp/fused\n\
-         is what that lowering buys). coverage/ccov are the fractions of useful\n\
-         lane work absorbed by fused/compiled passes. The sdh rows exercise the\n\
-         Type-II output stage end-to-end: the compiled route lowers the\n\
-         histogram sink itself (sqrt-free squared-edge bucketing + closed-form\n\
-         scatter accounting) and the packed Figure-3 cross-copy reduction.",
+        "host wall-clock throughput of the simulator interpreter; the vectorized\n\
+         and compiled routes must be bit-identical to the scalar reference, and\n\
+         the parallel block executor to a sequential run. The compiled route\n\
+         lowers the kernel plan to closed-form straight-line passes (comp/vec is\n\
+         what that lowering buys over the op-by-op fast paths); ccov is the\n\
+         fraction of useful lane work absorbed by compiled passes. The sdh rows\n\
+         exercise the Type-II output stage end-to-end: the compiled route lowers\n\
+         the histogram sink itself (sqrt-free squared-edge bucketing +\n\
+         closed-form scatter accounting) and the Figure-3 cross-copy reduction.",
     );
     Ok(rep)
 }

@@ -4,7 +4,6 @@
 
 pub mod ext_arch;
 pub mod ext_blocksize;
-pub mod ext_fusedout;
 pub mod ext_ls;
 pub mod ext_multicopy;
 pub mod ext_multigpu;

@@ -9,8 +9,13 @@
 //! device, charging a fixed, documented instruction cost (so the analytic
 //! access model can mirror it exactly), and also offers a host-side
 //! scalar evaluation used by the CPU baseline and by verification tests.
+//!
+//! Kernels run on one of two interpreter routes: the plan compiler,
+//! when the distance declares a [`DistanceKernel::compiled_form`] (only
+//! [`Euclidean`] and [`PeriodicEuclidean`] do), and the op-by-op route
+//! otherwise. Both produce the same bits.
 
-use gpu_sim::{F32x32, Mask, WarpCtx, WARP_SIZE};
+use gpu_sim::{DistanceForm, F32x32, Mask, WarpCtx, WARP_SIZE};
 
 /// A constant-time pairwise function (the paper's "distance function").
 pub trait DistanceKernel<const D: usize>: Sync {
@@ -32,25 +37,16 @@ pub trait DistanceKernel<const D: usize>: Sync {
     /// path; used by the CPU baseline).
     fn eval_host(&self, a: &[f32; D], b: &[f32; D]) -> f32;
 
-    /// Whether [`DistanceKernel::eval`] is exactly *charge
+    /// The form the plan compiler lowers this distance to, when
+    /// [`DistanceKernel::eval`] is exactly *charge
     /// [`DistanceKernel::cost`] ALU under the mask, then
-    /// [`DistanceKernel::eval_host`] per active lane* — the contract the
-    /// fused tile executor (`WarpCtx::fused_tile_pass`) relies on to
-    /// batch the charges in closed form. All built-ins qualify; the
-    /// default is conservative for implementations that charge
-    /// data-dependent costs or keep lane state.
-    fn fusible(&self) -> bool {
-        false
-    }
-
-    /// Whether [`DistanceKernel::eval_host`] is exactly the closed-form
-    /// Euclidean chain — per-dimension `sub` + `mul_add`, then `sqrt` —
-    /// *and* [`DistanceKernel::cost`] is `2·D + 1`. The fused dispatcher
-    /// then routes through `WarpCtx::fused_euclidean_tile`, whose
-    /// lane-vectorized evaluation is bit-identical to calling `eval_host`
-    /// per lane but substantially faster. Only [`Euclidean`] qualifies.
-    fn euclidean_form(&self) -> bool {
-        false
+    /// [`DistanceKernel::eval_host`] per active lane* and `eval_host` is
+    /// exactly that form's operation sequence (see [`DistanceForm`]).
+    /// The compiled passes then charge `cost()` in closed form and
+    /// evaluate the form themselves, bit-identically. `None` — the
+    /// default — runs the distance op by op.
+    fn compiled_form(&self) -> Option<DistanceForm> {
+        None
     }
 }
 
@@ -89,12 +85,8 @@ impl<const D: usize> DistanceKernel<D> for Euclidean {
         2 * D as u64 + 1
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
-    fn euclidean_form(&self) -> bool {
-        true
+    fn compiled_form(&self) -> Option<DistanceForm> {
+        Some(DistanceForm::Euclidean)
     }
 
     fn eval(
@@ -134,10 +126,6 @@ impl<const D: usize> DistanceKernel<D> for SquaredEuclidean {
         2 * D as u64
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn eval(
         &self,
         w: &mut WarpCtx<'_, '_>,
@@ -172,10 +160,6 @@ impl<const D: usize> DistanceKernel<D> for Manhattan {
 
     fn cost(&self) -> u64 {
         3 * D as u64
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn eval(
@@ -227,8 +211,10 @@ impl<const D: usize> DistanceKernel<D> for PeriodicEuclidean {
         5 * D as u64 + 1
     }
 
-    fn fusible(&self) -> bool {
-        true
+    fn compiled_form(&self) -> Option<DistanceForm> {
+        Some(DistanceForm::MinimumImage {
+            box_edge: self.box_edge,
+        })
     }
 
     fn eval(
@@ -270,10 +256,6 @@ impl<const D: usize> DistanceKernel<D> for CosineDissimilarity {
 
     fn cost(&self) -> u64 {
         3 * D as u64 + 4
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn eval(
@@ -330,10 +312,6 @@ impl<const D: usize> DistanceKernel<D> for GaussianRbf {
         2 * D as u64 + 2
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn eval(
         &self,
         w: &mut WarpCtx<'_, '_>,
@@ -368,10 +346,6 @@ impl<const D: usize> DistanceKernel<D> for DotProduct {
 
     fn cost(&self) -> u64 {
         D as u64
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn eval(

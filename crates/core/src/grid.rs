@@ -9,7 +9,7 @@
 //! pairs are then handed to the paper's tiled kernels unchanged — the
 //! intra-cell triangle through the regular `HalfPairs` path, inter-cell
 //! rectangles through [`crate::kernels::CrossShmKernel`] — so the whole
-//! op-by-op / fused / compiled route matrix and its bit-identity
+//! op-by-op / compiled route pair and its bit-identity
 //! contract apply *per cell pair* exactly as they do to a monolithic
 //! launch.
 //!
@@ -25,7 +25,7 @@
 //!    `r_cull = r_max · (1 + R_CULL_MARGIN)`. The margin strictly
 //!    dominates every rounding source between "true separation" and the
 //!    f32 distance the kernels compute (cell assignment happens in f64;
-//!    the fused/compiled Euclidean chain is within a few ulp of exact),
+//!    the compiled and op-by-op Euclidean chain is within a few ulp of exact),
 //!    so any pair whose *computed* distance is `< r_max` lives in a
 //!    surviving cell pair.
 //! 2. **No pair is double-counted.** Intra-cell pairs run once through

@@ -74,8 +74,8 @@ impl HistogramSpec {
     /// mask, no warp context, no charge. Per lane the result is exactly
     /// [`bucket_lanes`](HistogramSpec::bucket_lanes)'s active-lane value
     /// (`FMUL` then saturating truncation, then clamp); callers apply
-    /// their own predicate. This is the bucketing the fused tile pass
-    /// mirrors.
+    /// their own predicate. This is the bucketing the compiled histogram
+    /// sink reproduces.
     pub fn bucket_lanes_all(&self, d: &F32x32) -> U32x32 {
         let inv = self.inv_width();
         let hmax = self.buckets - 1;

@@ -107,12 +107,11 @@ where
                 if !super::try_tile_pass(
                     w,
                     ck.as_ref(),
-                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::FusedSrc::SharedBroadcast(&tile),
+                    gpu_sim::TileSrc::SharedBroadcast(&tile),
                     len,
-                    gpu_sim::FusedPred::All,
+                    gpu_sim::TilePred::All,
                     reg,
                     valid,
                 ) {

@@ -12,6 +12,12 @@
 //! Every variant is generic over the distance function and the
 //! [`crate::output::PairAction`], so e.g. the paper's `Reg-ROC-Out` SDH
 //! kernel is `RegisterRocKernel` × `SharedHistogramAction`.
+//!
+//! Each kernel lowers its plan once per block (`lower_block_plan`) and
+//! runs every stage — tile fetch, inner tile pass, intra triangle —
+//! through the compiled pass when the plan lowered and the shape is
+//! supported, else interprets it op by op. The two routes are
+//! bit-identical in outputs, tally and cache state.
 
 pub mod cross;
 pub mod naive;
@@ -35,8 +41,8 @@ use crate::distance::DistanceKernel;
 use crate::output::PairAction;
 use crate::point::DeviceSoa;
 use gpu_sim::{
-    BlockCtx, CompiledKernel, CompiledTile, F32x32, FusedPred, FusedSrc, LaunchConfig, Mask,
-    ShmF32, U32x32, WarpCtx, WARP_SIZE,
+    BlockCtx, CompiledKernel, CompiledTile, F32x32, LaunchConfig, Mask, ShmF32, TilePred, TileSrc,
+    U32x32, WarpCtx, WARP_SIZE,
 };
 
 /// Which pairs a kernel evaluates.
@@ -159,52 +165,9 @@ pub(crate) fn load_tile_to_shared<const D: usize>(
     });
 }
 
-/// Try to execute one inner tile pass through the fused fast path
-/// (`WarpCtx::fused_tile_pass`): the distance must opt in via
-/// [`DistanceKernel::fusible`] and the action must expose a
-/// [`gpu_sim::FusedConsumer`] view of its per-warp state. Returns `false`
-/// when the caller must interpret the loop op by op — either because the
-/// pair is not fusible or because a `fused_tile_pass` precondition failed
-/// (scalar reference, `fused_tile` off, non-prefix mask, potential
-/// mid-pass fault, …). Both routes are bit-identical in outputs, tally
-/// and cache state; only host-side speed differs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_fused_pass<const D: usize, F: DistanceKernel<D>, A: PairAction>(
-    w: &mut WarpCtx<'_, '_>,
-    dist: &F,
-    action: &A,
-    st: &mut A::Block,
-    src: FusedSrc<'_, D>,
-    len: u32,
-    pred: FusedPred,
-    own: &[F32x32; D],
-    valid: Mask,
-) -> bool {
-    if !dist.fusible() {
-        return false;
-    }
-    match action.fused_consumer(st, w.warp_id) {
-        // The plain Euclidean chain gets the lane-vectorized
-        // specialization; anything else runs the generic per-lane
-        // `eval_host` body. Same bits either way.
-        Some(c) if dist.euclidean_form() => w.fused_euclidean_tile(src, len, pred, own, c, valid),
-        Some(c) => w.fused_tile_pass(
-            src,
-            len,
-            pred,
-            dist.cost(),
-            |a, b| dist.eval_host(a, b),
-            own,
-            c,
-            valid,
-        ),
-        None => false,
-    }
-}
-
 /// Lower this kernel's plan for the compiled route: `Some` only when the
-/// distance is the fusible Euclidean chain, the action declares a
-/// compiled sink, and the device config enables the route. Kernels call
+/// distance declares a compiled form, the action declares a compiled
+/// sink, and the device config enables the route. Kernels call
 /// this once per block and thread the result through every tile pass.
 pub(crate) fn lower_block_plan<const D: usize, F: DistanceKernel<D>, A: PairAction>(
     blk: &BlockCtx<'_>,
@@ -215,34 +178,31 @@ pub(crate) fn lower_block_plan<const D: usize, F: DistanceKernel<D>, A: PairActi
     crate::plan::lower_pair_plan::<D, F, A>(blk.config(), dist, action, tile_len)
 }
 
-/// Run one inner tile pass through the fastest applicable route:
-/// compiled (plan-lowered, closed-form charges) when `ck` is lowered and
-/// the shape is supported, else the fused fast path, else `false` — the
-/// caller interprets op by op. All three routes are bit-identical in
+/// Run one inner tile pass through the compiled route when `ck` is
+/// lowered and the shape is supported. Returns `false` when the caller
+/// must interpret the loop op by op; both routes are bit-identical in
 /// outputs, tally and cache state.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_tile_pass<const D: usize, F: DistanceKernel<D>, A: PairAction>(
+pub(crate) fn try_tile_pass<A: PairAction, const D: usize>(
     w: &mut WarpCtx<'_, '_>,
     ck: Option<&CompiledKernel>,
-    dist: &F,
     action: &A,
     st: &mut A::Block,
-    src: FusedSrc<'_, D>,
+    src: TileSrc<'_, D>,
     len: u32,
-    pred: FusedPred,
+    pred: TilePred,
     own: &[F32x32; D],
     valid: Mask,
 ) -> bool {
-    if let Some(ck) = ck {
-        // `lower_block_plan` already verified the distance shape; the
-        // consumer view re-borrows per warp.
-        if let Some(c) = action.fused_consumer(st, w.warp_id) {
-            if w.compiled_euclidean_tile(ck, src, len, pred, own, c, valid) {
-                return true;
-            }
-        }
+    let Some(ck) = ck else {
+        return false;
+    };
+    // `lower_block_plan` already verified the distance shape; the sink
+    // view re-borrows per warp.
+    match action.tile_sink(st, w.warp_id) {
+        Some(c) => w.compiled_tile_pass(ck, src, len, pred, own, c, valid),
+        None => false,
     }
-    try_fused_pass(w, dist, action, st, src, len, pred, own, valid)
 }
 
 /// Read tile element `j` as a warp broadcast from shared memory (one
@@ -298,7 +258,7 @@ pub(crate) fn intra_block_shared<const D: usize, F: DistanceKernel<D>, A: PairAc
                 // closed-form pass. Declines fall through to the
                 // op-by-op loop below (identical bits either way).
                 if let Some(ckk) = ck {
-                    if let Some(c) = action.fused_consumer(st, w.warp_id) {
+                    if let Some(c) = action.tile_sink(st, w.warp_id) {
                         if w.compiled_intra_regular(
                             ckk,
                             CompiledTile::Shared(tile),

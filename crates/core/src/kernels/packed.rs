@@ -40,9 +40,9 @@
 //! ## Bit-identity
 //!
 //! Each block evaluates exactly the pair multiset of the unpacked
-//! launch it replaces, through the same compiled → fused → op-by-op
-//! route ladder (per-warp valid masks are prefix masks, so the fast
-//! routes engage exactly as they do for a ragged final block). The
+//! launch it replaces, through the same compiled-or-op-by-op routes
+//! (per-warp valid masks are prefix masks, so the compiled passes
+//! engage exactly as they do for a ragged final block). The
 //! sinks are integer accumulators, so "same pair multiset" is already
 //! bit-identity — packed output == unpacked output == all-pairs output,
 //! enforced by `core/tests/grid_identity.rs`.
@@ -205,8 +205,8 @@ where
     A: PairAction,
 {
     /// One shared-tile pass: stage `src[t_start .. t_start + t_len)`
-    /// and pair it against the block's own registers through the
-    /// compiled → fused → op-by-op ladder.
+    /// and pair it against the block's own registers, compiled when the
+    /// plan lowered and op by op otherwise.
     #[allow(clippy::too_many_arguments)]
     fn tile_pass(
         &self,
@@ -233,12 +233,11 @@ where
             if !super::try_tile_pass(
                 w,
                 ck,
-                &self.dist,
                 &self.action,
                 st,
-                gpu_sim::FusedSrc::SharedBroadcast(tile),
+                gpu_sim::TileSrc::SharedBroadcast(tile),
                 t_len,
-                gpu_sim::FusedPred::All,
+                gpu_sim::TilePred::All,
                 reg,
                 valid,
             ) {

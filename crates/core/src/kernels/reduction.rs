@@ -48,20 +48,16 @@ impl Kernel for HistogramReduceKernel {
             let mut acc: U64x32 = [0; WARP_SIZE];
             // The compiled route lowers the whole copy loop — control
             // charge included — to one call (bit-identical tally and L2
-            // stream). On decline, charge the loop control and take the
-            // fused packed reduction, or the op-by-op loop when that
-            // declines too (scalar reference, fast paths off, ragged
-            // masks, out-of-bounds copies).
+            // stream). On decline (scalar reference, compiled route off,
+            // ragged masks, out-of-bounds copies) the op-by-op loop runs.
             if !w.compiled_copy_reduce_u32(private, &gid, h, m, &mut acc, mask) {
                 w.charge_control(m as u64 + 1, mask);
-                if !w.fused_copy_reduce_u32(private, &gid, h, m, &mut acc, mask) {
-                    for copy in 0..m {
-                        let idx: U32x32 = std::array::from_fn(|i| copy * h + gid[i]);
-                        let vals = w.global_load_u32(private, &idx, mask);
-                        w.charge_alu(2, mask); // address + accumulate
-                        for lane in mask.lanes() {
-                            acc[lane] += vals[lane] as u64;
-                        }
+                for copy in 0..m {
+                    let idx: U32x32 = std::array::from_fn(|i| copy * h + gid[i]);
+                    let vals = w.global_load_u32(private, &idx, mask);
+                    w.charge_alu(2, mask); // address + accumulate
+                    for lane in mask.lanes() {
+                        acc[lane] += vals[lane] as u64;
                     }
                 }
             }

@@ -120,15 +120,14 @@ where
                 if !super::try_tile_pass(
                     w,
                     ck.as_ref(),
-                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::FusedSrc::RocBroadcast {
+                    gpu_sim::TileSrc::RocBroadcast {
                         bufs: &self.input.coords,
                         start,
                     },
                     len,
-                    gpu_sim::FusedPred::All,
+                    gpu_sim::TilePred::All,
                     reg,
                     valid,
                 ) {
@@ -158,7 +157,7 @@ where
                             // triangle in one pass, sector stream
                             // replayed in op-by-op order.
                             if let Some(ckk) = ck.as_ref() {
-                                if let Some(c) = self.action.fused_consumer(&mut st, w.warp_id) {
+                                if let Some(c) = self.action.tile_sink(&mut st, w.warp_id) {
                                     if w.compiled_intra_regular(
                                         ckk,
                                         gpu_sim::CompiledTile::Roc(&self.input.coords),
@@ -232,15 +231,14 @@ where
                     if !super::try_tile_pass(
                         w,
                         ck.as_ref(),
-                        &self.dist,
                         &self.action,
                         &mut st,
-                        gpu_sim::FusedSrc::RocBroadcast {
+                        gpu_sim::TileSrc::RocBroadcast {
                             bufs: &self.input.coords,
                             start: block_start,
                         },
                         block_n,
-                        gpu_sim::FusedPred::NotEqual {
+                        gpu_sim::TilePred::NotEqual {
                             gid0: gid[0],
                             base: block_start,
                         },

@@ -106,18 +106,17 @@ where
                     return;
                 }
                 let reg = &own[w.warp_id as usize];
-                // Line 5: for j = 0 to B — a uniform loop, fused into one
-                // interpreter call when the distance/action pair allows.
+                // Line 5: for j = 0 to B — a uniform loop, one compiled
+                // pass when the plan lowered.
                 w.charge_control(len as u64 + 1, valid);
                 if !super::try_tile_pass(
                     w,
                     ck.as_ref(),
-                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::FusedSrc::SharedBroadcast(&tile),
+                    gpu_sim::TileSrc::SharedBroadcast(&tile),
                     len,
-                    gpu_sim::FusedPred::All,
+                    gpu_sim::TilePred::All,
                     reg,
                     valid,
                 ) {
@@ -166,12 +165,11 @@ where
                     if !super::try_tile_pass(
                         w,
                         ck.as_ref(),
-                        &self.dist,
                         &self.action,
                         &mut st,
-                        gpu_sim::FusedSrc::SharedBroadcast(&tile),
+                        gpu_sim::TileSrc::SharedBroadcast(&tile),
                         block_n,
-                        gpu_sim::FusedPred::NotEqual {
+                        gpu_sim::TilePred::NotEqual {
                             gid0: gid[0],
                             base: block_start,
                         },

@@ -121,12 +121,11 @@ where
                 if !super::try_tile_pass(
                     w,
                     ck.as_ref(),
-                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::FusedSrc::SharedBroadcast(&r_tile),
+                    gpu_sim::TileSrc::SharedBroadcast(&r_tile),
                     len,
-                    gpu_sim::FusedPred::All,
+                    gpu_sim::TilePred::All,
                     &lt,
                     valid,
                 ) {
@@ -159,12 +158,11 @@ where
                     if !super::try_tile_pass(
                         w,
                         ck.as_ref(),
-                        &self.dist,
                         &self.action,
                         &mut st,
-                        gpu_sim::FusedSrc::SharedBroadcast(&l_tile),
+                        gpu_sim::TileSrc::SharedBroadcast(&l_tile),
                         block_n,
-                        gpu_sim::FusedPred::NotEqual {
+                        gpu_sim::TilePred::NotEqual {
                             gid0: gid[0],
                             base: block_start,
                         },
@@ -217,7 +215,7 @@ where
                     // Compiled route for the whole triangle; declines
                     // fall through to the divergent loop below.
                     if let Some(ckk) = ck {
-                        if let Some(c) = self.action.fused_consumer(st, w.warp_id) {
+                        if let Some(c) = self.action.tile_sink(st, w.warp_id) {
                             if w.compiled_intra_regular(
                                 ckk,
                                 gpu_sim::CompiledTile::Shared(l_tile),

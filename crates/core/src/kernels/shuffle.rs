@@ -53,7 +53,7 @@ where
     /// `pair_filter(lane_gid, partner_gid) -> bool` predicates which
     /// pairs this fragment may produce (used to skip self-pairs and to
     /// enforce ordering in the intra phase); `pred` is the same predicate
-    /// in the closed form the fused executor needs — the two must agree
+    /// in the closed form the compiled pass needs — the two must agree
     /// on every `(lane, k)`, which keeps both routes bit-identical.
     #[allow(clippy::too_many_arguments)]
     fn fragment(
@@ -66,7 +66,7 @@ where
         frag_start: u32,
         frag_len: u32,
         reg0: &[F32x32; D],
-        pred: gpu_sim::FusedPred,
+        pred: gpu_sim::TilePred,
         pair_filter: impl Fn(u32, u32) -> bool,
     ) {
         // Line 4: regl <- the j-th datum, one element per lane.
@@ -82,10 +82,9 @@ where
         if super::try_tile_pass(
             w,
             ck,
-            &self.dist,
             &self.action,
             st,
-            gpu_sim::FusedSrc::LaneBroadcast(&reg1),
+            gpu_sim::TileSrc::LaneBroadcast(&reg1),
             frag_len,
             pred,
             reg0,
@@ -164,7 +163,7 @@ where
                 let mut frag = 0u32;
                 while frag < len {
                     let fl = (len - frag).min(WARP_SIZE as u32);
-                    let pred = gpu_sim::FusedPred::NotEqual {
+                    let pred = gpu_sim::TilePred::NotEqual {
                         gid0: gid[0],
                         base: start + frag,
                     };
@@ -199,12 +198,12 @@ where
             while frag < block_n {
                 let fl = (block_n - frag).min(WARP_SIZE as u32);
                 let pred = if half {
-                    gpu_sim::FusedPred::LessThan {
+                    gpu_sim::TilePred::LessThan {
                         gid0: gid[0],
                         base: block_start + frag,
                     }
                 } else {
-                    gpu_sim::FusedPred::NotEqual {
+                    gpu_sim::TilePred::NotEqual {
                         gid0: gid[0],
                         base: block_start + frag,
                     }

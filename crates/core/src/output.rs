@@ -21,8 +21,8 @@
 
 use crate::histogram::HistogramSpec;
 use gpu_sim::{
-    BlockCtx, BufF32, BufU32, BufU64, CompiledSinkSpec, F32x32, FusedConsumer, FusedSink, Mask,
-    ShmU32, U32x32, U64x32, WarpCtx, WARP_SIZE,
+    BlockCtx, BufF32, BufU32, BufU64, CompiledSinkSpec, F32x32, Mask, QuerySink, ShmU32, TileSink,
+    U32x32, U64x32, WarpCtx, WARP_SIZE,
 };
 
 /// The paper's output classification (§III-B).
@@ -83,25 +83,20 @@ pub trait PairAction: Sync {
     /// analytic model).
     fn alu_per_pair(&self) -> u64;
 
-    /// A borrowed [`FusedConsumer`] view of warp `warp_id`'s accumulator
-    /// state, when [`PairAction::process`] is one of the shapes
-    /// `WarpCtx::fused_tile_pass` can execute (its per-step charges must
-    /// equal [`PairAction::alu_per_pair`]). `None` — the default — keeps
-    /// the kernel on the op-by-op interpretation route.
-    fn fused_consumer<'s>(
-        &self,
-        _st: &'s mut Self::Block,
-        _warp_id: u32,
-    ) -> Option<FusedConsumer<'s>> {
+    /// A borrowed [`TileSink`] view of warp `warp_id`'s accumulator
+    /// state for `WarpCtx::compiled_tile_pass` (its per-step charges
+    /// must equal [`PairAction::alu_per_pair`]). Implemented exactly by
+    /// the actions that declare a [`PairAction::compiled_sink`]; `None`
+    /// — the default — keeps the kernel on the op-by-op route.
+    fn tile_sink<'s>(&self, _st: &'s mut Self::Block, _warp_id: u32) -> Option<TileSink<'s>> {
         None
     }
 
     /// The action's output-sink shape for plan lowering
     /// (`gpu_sim::CompiledKernel::lower`). Unlike
-    /// [`PairAction::fused_consumer`] this borrows no per-block state —
+    /// [`PairAction::tile_sink`] this borrows no per-block state —
     /// lowering happens once, before any block runs. `None` — the
-    /// default — keeps the plan off the compiled route (fused/op-by-op
-    /// still apply).
+    /// default — keeps the plan on the op-by-op route.
     fn compiled_sink(&self) -> Option<CompiledSinkSpec> {
         None
     }
@@ -169,12 +164,8 @@ impl PairAction for CountWithinRadius {
         2
     }
 
-    fn fused_consumer<'s>(
-        &self,
-        st: &'s mut Self::Block,
-        warp_id: u32,
-    ) -> Option<FusedConsumer<'s>> {
-        Some(FusedConsumer::CountLt {
+    fn tile_sink<'s>(&self, st: &'s mut Self::Block, warp_id: u32) -> Option<TileSink<'s>> {
+        Some(TileSink::CountLt {
             radius: self.radius,
             acc: &mut st[warp_id as usize],
         })
@@ -340,20 +331,6 @@ impl PairAction for KdeAction {
     fn alu_per_pair(&self) -> u64 {
         1
     }
-
-    fn fused_consumer<'s>(
-        &self,
-        st: &'s mut Self::Block,
-        warp_id: u32,
-    ) -> Option<FusedConsumer<'s>> {
-        Some(FusedConsumer::Sum {
-            acc: &mut st[warp_id as usize],
-        })
-    }
-
-    fn compiled_sink(&self) -> Option<CompiledSinkSpec> {
-        Some(CompiledSinkSpec::Sum)
-    }
 }
 
 // ====================================================================
@@ -454,12 +431,8 @@ impl PairAction for SharedHistogramAction {
         2 // bucket computation; the atomic itself is a memory op
     }
 
-    fn fused_consumer<'s>(
-        &self,
-        st: &'s mut Self::Block,
-        _warp_id: u32,
-    ) -> Option<FusedConsumer<'s>> {
-        Some(FusedConsumer::Histogram {
+    fn tile_sink<'s>(&self, st: &'s mut Self::Block, _warp_id: u32) -> Option<TileSink<'s>> {
+        Some(TileSink::Histogram {
             inv_width: self.spec.inv_width(),
             hmax: self.spec.buckets.saturating_sub(1),
             shm: *st,
@@ -556,19 +529,14 @@ impl PairAction for MultiCopyHistogramAction {
                 let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
                 let m = w.mask_lt(&idx, h).and(w.active_threads());
                 if m.any() {
-                    // Sum the copies for these buckets — packed route
-                    // first (one fused call for the whole copy loop,
-                    // bit-identical charges), op-by-op fallback when it
-                    // declines.
+                    // Sum the copies for these buckets.
                     let mut acc = [0u32; WARP_SIZE];
-                    if !w.fused_shared_copy_reduce_u32(st, &idx, h, copies, &mut acc, m) {
-                        for c in 0..copies {
-                            let src: U32x32 = std::array::from_fn(|i| c * h + idx[i]);
-                            let vals = w.shared_load_u32(st, &src, m);
-                            w.charge_alu(1, m);
-                            for lane in m.lanes() {
-                                acc[lane] = acc[lane].wrapping_add(vals[lane]);
-                            }
+                    for c in 0..copies {
+                        let src: U32x32 = std::array::from_fn(|i| c * h + idx[i]);
+                        let vals = w.shared_load_u32(st, &src, m);
+                        w.charge_alu(1, m);
+                        for lane in m.lanes() {
+                            acc[lane] = acc[lane].wrapping_add(vals[lane]);
                         }
                     }
                     let slot: U32x32 = std::array::from_fn(|i| base + idx[i]);
@@ -840,13 +808,12 @@ pub struct MultiHistSink {
 ///
 /// Per-sink behaviour — outputs *and* charges — replicates the
 /// standalone actions exactly ([`CountWithinRadius`],
-/// [`SharedHistogramAction`]), and the fused route drives all sinks from
-/// one `FusedConsumer::Multi` pass, so a batched run stays bit-identical
-/// to issuing each query alone (the differential suites enforce this).
+/// [`SharedHistogramAction`]), so a batched run stays bit-identical to
+/// issuing each query alone (the differential suites enforce this).
 /// The compiled route lowers the same sink list
-/// (`CompiledSinkSpec::Multi`, counts then histograms), so coalesced
-/// SDH batches ride the compiled inter-tile pass; the intra triangle
-/// stays on the fused route.
+/// (`CompiledSinkSpec::Multi`, counts then histograms) and drives all
+/// sinks from one `TileSink::Multi` pass per inter tile; the intra
+/// triangle stays on the op-by-op route.
 #[derive(Debug, Clone, Default)]
 pub struct MultiQueryAction {
     /// Count consumers, fed first (in order).
@@ -923,7 +890,7 @@ impl PairAction for MultiQueryAction {
         value: &F32x32,
         mask: Mask,
     ) {
-        // Sink order here must match `fused_consumer` below: counts
+        // Sink order here must match `tile_sink` below: counts
         // first, then histograms — each body identical to its standalone
         // action's `process`.
         for (cs, acc) in self.counts.iter().zip(st.counts.iter_mut()) {
@@ -990,26 +957,22 @@ impl PairAction for MultiQueryAction {
         2 * (self.counts.len() + self.hists.len()) as u64
     }
 
-    fn fused_consumer<'s>(
-        &self,
-        st: &'s mut Self::Block,
-        warp_id: u32,
-    ) -> Option<FusedConsumer<'s>> {
+    fn tile_sink<'s>(&self, st: &'s mut Self::Block, warp_id: u32) -> Option<TileSink<'s>> {
         let mut sinks = Vec::with_capacity(self.counts.len() + self.hists.len());
         for (cs, acc) in self.counts.iter().zip(st.counts.iter_mut()) {
-            sinks.push(FusedSink::CountLt {
+            sinks.push(QuerySink::CountLt {
                 radius: cs.radius,
                 acc: &mut acc[warp_id as usize],
             });
         }
         for (hs, shm) in self.hists.iter().zip(st.hists.iter()) {
-            sinks.push(FusedSink::Histogram {
+            sinks.push(QuerySink::Histogram {
                 inv_width: hs.spec.inv_width(),
                 hmax: hs.spec.buckets.saturating_sub(1),
                 shm: *shm,
             });
         }
-        Some(FusedConsumer::Multi(sinks))
+        Some(TileSink::Multi(sinks))
     }
 
     fn compiled_sink(&self) -> Option<CompiledSinkSpec> {

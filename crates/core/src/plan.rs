@@ -147,26 +147,25 @@ pub fn feasible_specs(p: &ProblemSpec, cfg: &DeviceConfig, b: u32) -> Vec<Kernel
 /// once before launch instead of re-derived on every warp dispatch.
 ///
 /// Lowering succeeds only when every stage of the plan is expressible in
-/// straight-line form: the distance must be the fusible Euclidean chain
-/// (`DistanceKernel::fusible` + `euclidean_form`) and the action must
-/// declare a [`gpu_sim::CompiledSinkSpec`] via
+/// straight-line form: the distance must declare a
+/// [`DistanceKernel::compiled_form`] (Euclidean or minimum-image
+/// Euclidean), whose ALU charge is its own [`DistanceKernel::cost`], and
+/// the action must declare a [`gpu_sim::CompiledSinkSpec`] via
 /// [`PairAction::compiled_sink`]. Anything else returns `None` and the
-/// kernel runs its fused/op-by-op routes unchanged — as it also does,
-/// tile by tile, whenever a *lowered* plan meets a shape the compiled
-/// passes decline (non-prefix masks, would-fault accesses, load-balanced
-/// intra phases). The declining routes double as the differential oracle
-/// for the compiled one.
+/// kernel runs op by op — as it also does, tile by tile, whenever a
+/// *lowered* plan meets a shape the compiled passes decline (non-prefix
+/// masks, would-fault accesses, load-balanced intra phases). The
+/// op-by-op route doubles as the differential oracle for the compiled
+/// one.
 pub fn lower_pair_plan<const D: usize, F: DistanceKernel<D>, A: PairAction>(
     cfg: &DeviceConfig,
     dist: &F,
     action: &A,
     tile_len: u32,
 ) -> Option<CompiledKernel> {
-    if !dist.fusible() || !dist.euclidean_form() {
-        return None;
-    }
+    let form = dist.compiled_form()?;
     let sink = action.compiled_sink()?;
-    CompiledKernel::lower(cfg, D as u32, tile_len, sink)
+    CompiledKernel::lower(cfg, form, dist.cost(), D as u32, tile_len, sink)
 }
 
 /// Which front end a [`SpatialPlan`] selected.

@@ -1,20 +1,21 @@
-//! Route-matrix differential tests across the tiling kernels.
+//! Route-identity tests across the tiling kernels.
 //!
-//! Every kernel × action pair that routes through `try_tile_pass` is run
-//! on four interpreter routes — the plan compiler (the default), fused
-//! tile passes (`with_compiled(false)`), op-by-op vectorized
-//! (`with_compiled(false).with_fused_tile(false)`), and the scalar
-//! reference — and must produce bit-identical output buffers,
-//! `AccessTally` counters and simulated timing. Host-side `InterpStats`
-//! are the only permitted difference: the fused route must report
-//! `fused_ops > 0` and the compiled route `compiled_ops > 0` wherever
-//! its plan lowers (or exactly zero where it must decline); the
-//! op-by-op and scalar routes report zero for both. The fused and
-//! op-by-op legs pin their route explicitly so these asserts stay armed
-//! now that the compiled route is the preset default.
+//! Every kernel × action pair is run on the three interpreter routes —
+//! the plan compiler (the default), op-by-op vectorized
+//! (`with_compiled(false)`), and the scalar reference — and must produce
+//! bit-identical output buffers, `AccessTally` counters and simulated
+//! timing. Host-side `InterpStats` are the only permitted difference:
+//! the compiled route must report `compiled_ops > 0` wherever its plan
+//! lowers (or exactly zero where it must decline); the op-by-op and
+//! scalar routes report zero.
+//!
+//! The plan compiler lowers two distances: Euclidean and the
+//! minimum-image Euclidean of a periodic box (the molecular-dynamics
+//! RDF). Every other distance — Gaussian RBF, dot product, … — runs op
+//! by op, which the cases at the end pin.
 
 use gpu_sim::{Device, DeviceConfig, KernelRun};
-use tbs_core::distance::{Euclidean, GaussianRbf};
+use tbs_core::distance::{DistanceKernel, DotProduct, Euclidean, GaussianRbf, PeriodicEuclidean};
 use tbs_core::histogram::HistogramSpec;
 use tbs_core::kernels::{
     pair_launch, CrossShmKernel, HistogramReduceKernel, IntraMode, PairScope, RegisterRocKernel,
@@ -24,7 +25,8 @@ use tbs_core::output::{
     CountWithinRadius, KdeAction, MultiCopyHistogramAction, MultiCountSink, MultiHistSink,
     MultiQueryAction, SharedHistogramAction,
 };
-use tbs_core::point::SoaPoints;
+use tbs_core::plan::lower_pair_plan;
+use tbs_core::point::{DeviceSoa, SoaPoints};
 
 const B: u32 = 64;
 
@@ -47,59 +49,38 @@ fn cloud(n: usize) -> SoaPoints<3> {
 /// Device output read back as raw bit words.
 type Bits = Vec<u64>;
 
-fn routes() -> [DeviceConfig; 4] {
+fn routes() -> [DeviceConfig; 3] {
     [
         DeviceConfig::titan_x(), // compiled is the preset default
         DeviceConfig::titan_x().with_compiled(false),
-        DeviceConfig::titan_x()
-            .with_compiled(false)
-            .with_fused_tile(false),
         DeviceConfig::titan_x().with_scalar_reference(true),
     ]
 }
 
 /// Run `go` once per interpreter route and demand bit-identical device
-/// state; returns `[compiled, fused, op-by-op, scalar]` runs for extra
-/// asserts. `expect_compiled` states whether any stage of the plan must
-/// lower (`compiled_ops > 0`) or the compiler must decline the whole
-/// kernel (`compiled_ops == 0`) — either way the outputs stay
-/// bit-identical.
+/// state; returns `[compiled, op-by-op, scalar]` runs for extra asserts.
+/// `expect_compiled` states whether any stage of the plan must lower
+/// (`compiled_ops > 0`) or the compiler must decline the whole kernel
+/// (`compiled_ops == 0`) — either way the outputs stay bit-identical.
 fn assert_routes(
     go: impl Fn(&mut Device) -> (Bits, KernelRun),
     expect_compiled: bool,
-) -> [KernelRun; 4] {
-    let mut results: Vec<(Bits, KernelRun)> = routes()
-        .into_iter()
-        .map(|cfg| go(&mut Device::new(cfg)))
-        .collect();
-    let (bits_s, run_s) = results.pop().unwrap();
-    let (bits_v, run_v) = results.pop().unwrap();
-    let (bits_f, run_f) = results.pop().unwrap();
-    let (bits_c, run_c) = results.pop().unwrap();
-    assert_eq!(bits_f, bits_c, "fused vs compiled output bits");
-    assert_eq!(bits_f, bits_v, "fused vs op-by-op output bits");
-    assert_eq!(bits_f, bits_s, "fused vs scalar output bits");
-    assert_eq!(run_f.tally, run_c.tally, "fused vs compiled tally");
-    assert_eq!(run_f.tally, run_v.tally, "fused vs op-by-op tally");
-    assert_eq!(run_f.tally, run_s.tally, "fused vs scalar tally");
+) -> [KernelRun; 3] {
+    let [(bits_c, run_c), (bits_v, run_v), (bits_s, run_s)] =
+        routes().map(|cfg| go(&mut Device::new(cfg)));
+    assert_eq!(bits_c, bits_v, "compiled vs op-by-op output bits");
+    assert_eq!(bits_c, bits_s, "compiled vs scalar output bits");
+    assert_eq!(run_c.tally, run_v.tally, "compiled vs op-by-op tally");
+    assert_eq!(run_c.tally, run_s.tally, "compiled vs scalar tally");
     assert_eq!(
-        run_f.timing.seconds.to_bits(),
         run_c.timing.seconds.to_bits(),
-        "fused vs compiled timing"
-    );
-    assert_eq!(
-        run_f.timing.seconds.to_bits(),
         run_v.timing.seconds.to_bits(),
-        "fused vs op-by-op timing"
+        "compiled vs op-by-op timing"
     );
     assert_eq!(
-        run_f.timing.seconds.to_bits(),
+        run_c.timing.seconds.to_bits(),
         run_s.timing.seconds.to_bits(),
-        "fused vs scalar timing"
-    );
-    assert!(
-        run_f.interp.fused_ops > 0,
-        "default route must take fused tile passes"
+        "compiled vs scalar timing"
     );
     if expect_compiled {
         assert!(
@@ -112,23 +93,22 @@ fn assert_routes(
             "this plan must decline compilation entirely"
         );
     }
-    for (run, name) in [(&run_f, "fused"), (&run_v, "op-by-op"), (&run_s, "scalar")] {
+    for (run, name) in [(&run_v, "op-by-op"), (&run_s, "scalar")] {
         assert_eq!(run.interp.compiled_ops, 0, "{name} route must not compile");
     }
-    assert_eq!(run_v.interp.fused_ops, 0, "op-by-op route must not fuse");
-    assert_eq!(run_s.interp.fused_ops, 0, "scalar route must not fuse");
-    [run_c, run_f, run_v, run_s]
+    [run_c, run_v, run_s]
 }
 
 /// The common case: the plan lowers, `compiled_ops > 0` on route 0.
-fn assert_identical(go: impl Fn(&mut Device) -> (Bits, KernelRun)) -> [KernelRun; 4] {
+fn assert_identical(go: impl Fn(&mut Device) -> (Bits, KernelRun)) -> [KernelRun; 3] {
     assert_routes(go, true)
 }
 
-/// For plans the compiler must decline whole (non-Euclidean distances
-/// with no tile fetch, unsupported sinks, reduction kernels): the
-/// compiled route still runs bit-identically with `compiled_ops == 0`.
-fn assert_identical_uncompiled(go: impl Fn(&mut Device) -> (Bits, KernelRun)) -> [KernelRun; 4] {
+/// For plans the compiler must decline whole (distances with no
+/// compiled form on a kernel with no tile fetch, reduction kernels):
+/// the compiled route still runs bit-identically with
+/// `compiled_ops == 0`.
+fn assert_identical_uncompiled(go: impl Fn(&mut Device) -> (Bits, KernelRun)) -> [KernelRun; 3] {
     assert_routes(go, false)
 }
 
@@ -143,6 +123,48 @@ fn count_run(
     let k = mk(input, CountWithinRadius { radius: 9.0, out });
     let run = dev.launch(&*k, lc);
     (dev.u64_slice(out).to_vec(), run)
+}
+
+/// A privatized SDH launch of `mk(input, action)`, returning the
+/// per-block private copies as bits.
+fn sdh_run(
+    dev: &mut Device,
+    pts: &SoaPoints<3>,
+    spec: HistogramSpec,
+    mk: impl Fn(DeviceSoa<3>, SharedHistogramAction) -> Box<dyn gpu_sim::Kernel>,
+) -> (Bits, KernelRun) {
+    let input = pts.upload(dev);
+    let lc = pair_launch(input.n, B);
+    let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
+    let k = mk(input, SharedHistogramAction { spec, private });
+    let run = dev.launch(&*k, lc);
+    let bits = dev.u32_slice(private).iter().map(|&x| x as u64).collect();
+    (bits, run)
+}
+
+/// A Register-SHM HalfPairs kernel under `dist`, for [`sdh_run`].
+fn register_shm_sdh<F: DistanceKernel<3> + Copy + 'static>(
+    dist: F,
+) -> impl Fn(DeviceSoa<3>, SharedHistogramAction) -> Box<dyn gpu_sim::Kernel> {
+    move |input, act| {
+        Box::new(RegisterShmKernel::new(
+            input,
+            dist,
+            act,
+            B,
+            PairScope::HalfPairs,
+            IntraMode::Regular,
+        ))
+    }
+}
+
+/// Fold per-block private copies into one histogram.
+fn merged(bits: &Bits, buckets: u32) -> Vec<u64> {
+    let mut out = vec![0u64; buckets as usize];
+    for (i, &v) in bits.iter().enumerate() {
+        out[i % buckets as usize] += v;
+    }
+    out
 }
 
 #[test]
@@ -167,7 +189,7 @@ fn register_shm_count_half_pairs_is_route_identical() {
 fn register_shm_count_all_pairs_is_route_identical() {
     // AllPairs exercises the NotEqual predicate in the intra phase.
     let pts = cloud(200);
-    let [compiled, fused, _, _] = assert_identical(|dev| {
+    let [compiled, _, _] = assert_identical(|dev| {
         count_run(dev, &pts, |input, act| {
             Box::new(RegisterShmKernel::new(
                 input,
@@ -179,13 +201,7 @@ fn register_shm_count_all_pairs_is_route_identical() {
             ))
         })
     });
-    // Both phases fuse: most useful lane work must flow the fused path.
-    assert!(
-        fused.interp.fused_coverage(&fused.tally) > 0.5,
-        "coverage {}",
-        fused.interp.fused_coverage(&fused.tally)
-    );
-    // And the compiled route must lower essentially all of it: tile
+    // The compiled route must lower essentially all of it: tile
     // fetches, inter passes and the NotEqual intra passes.
     assert!(
         compiled.interp.compiled_coverage(&compiled.tally) > 0.5,
@@ -231,7 +247,7 @@ fn shm_shm_count_half_pairs_is_route_identical() {
 #[test]
 fn register_roc_count_all_pairs_is_route_identical() {
     let pts = cloud(200);
-    let [_, fused, _, _] = assert_identical(|dev| {
+    let [compiled, _, _] = assert_identical(|dev| {
         count_run(dev, &pts, |input, act| {
             Box::new(RegisterRocKernel::new(
                 input,
@@ -243,10 +259,10 @@ fn register_roc_count_all_pairs_is_route_identical() {
             ))
         })
     });
-    // The fused ROC path must keep the read-only cache hot — same hit
-    // pattern the op-by-op route produces (the tally equality above
+    // The compiled ROC path must keep the read-only cache hot — same
+    // hit pattern the op-by-op route produces (the tally equality above
     // proves equal; this proves non-trivial).
-    assert!(fused.tally.roc_hit_sectors > fused.tally.roc_miss_sectors);
+    assert!(compiled.tally.roc_hit_sectors > compiled.tally.roc_miss_sectors);
 }
 
 #[test]
@@ -316,50 +332,31 @@ fn cross_count_is_route_identical() {
 
 #[test]
 fn register_shm_histogram_is_route_identical() {
-    // Histogram consumer: per-step shared atomics inside the fused pass.
+    // Histogram sink: per-step shared atomics inside the compiled pass.
     let pts = cloud(200);
-    assert_identical(|dev| {
-        let input = pts.upload(dev);
-        let lc = pair_launch(input.n, B);
-        let spec = HistogramSpec::new(32, 180.0);
-        let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
-        let k = RegisterShmKernel::new(
-            input,
-            Euclidean,
-            SharedHistogramAction { spec, private },
-            B,
-            PairScope::HalfPairs,
-            IntraMode::Regular,
-        );
-        let run = dev.launch(&k, lc);
-        let bits = dev.u32_slice(private).iter().map(|&x| x as u64).collect();
-        (bits, run)
-    });
+    let spec = HistogramSpec::new(32, 180.0);
+    assert_identical(|dev| sdh_run(dev, &pts, spec, register_shm_sdh(Euclidean)));
 }
 
 #[test]
 fn register_roc_histogram_is_route_identical() {
     // The paper's winning SDH configuration: ROC input, SHM output.
     // The compiled histogram sink lowers the ROC inter-tile passes
-    // (sqrt-free bucketing + closed-form scatter accounting); only the
-    // AllPairs intra triangle stays on the fused/op route.
+    // (sqrt-free bucketing + closed-form scatter accounting) and the
+    // NotEqual intra passes.
     let pts = cloud(200);
+    let spec = HistogramSpec::new(32, 180.0);
     assert_identical(|dev| {
-        let input = pts.upload(dev);
-        let lc = pair_launch(input.n, B);
-        let spec = HistogramSpec::new(32, 180.0);
-        let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
-        let k = RegisterRocKernel::new(
-            input,
-            Euclidean,
-            SharedHistogramAction { spec, private },
-            B,
-            PairScope::AllPairs,
-            IntraMode::Regular,
-        );
-        let run = dev.launch(&k, lc);
-        let bits = dev.u32_slice(private).iter().map(|&x| x as u64).collect();
-        (bits, run)
+        sdh_run(dev, &pts, spec, |input, act| {
+            Box::new(RegisterRocKernel::new(
+                input,
+                Euclidean,
+                act,
+                B,
+                PairScope::AllPairs,
+                IntraMode::Regular,
+            ))
+        })
     });
 }
 
@@ -367,8 +364,10 @@ fn register_roc_histogram_is_route_identical() {
 fn histogram_nan_inputs_follow_device_convention_on_all_routes() {
     // NaN coordinates make NaN distances; the device convention
     // (CUDA `__float2uint_rz`) saturates those lanes to bucket 0. The
-    // vectorized fused bucketing must reproduce that bit-for-bit on
-    // every route — and every pair must still bin exactly once.
+    // compiled bucketing must reproduce that bit-for-bit on every route
+    // — and every pair must still bin exactly once. The minimum-image
+    // wrap carries NaN through (`round(NaN)` is NaN), so the periodic
+    // distance must follow the same convention.
     let n = 150usize;
     let mut raw: Vec<[f32; 3]> = (0..n)
         .map(|i| {
@@ -383,37 +382,24 @@ fn histogram_nan_inputs_follow_device_convention_on_all_routes() {
     raw[100][1] = f32::NAN;
     let pts = SoaPoints::from_points(&raw);
     let spec = HistogramSpec::new(32, 180.0);
-    assert_identical(|dev| {
-        let input = pts.upload(dev);
-        let lc = pair_launch(input.n, B);
-        let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
-        let k = RegisterShmKernel::new(
-            input,
-            Euclidean,
-            SharedHistogramAction { spec, private },
-            B,
-            PairScope::HalfPairs,
-            IntraMode::Regular,
-        );
-        let run = dev.launch(&k, lc);
-        let vals = dev.u32_slice(private);
-        let total: u64 = vals.iter().map(|&v| v as u64).sum();
-        let bucket0: u64 = vals
-            .iter()
-            .step_by(spec.buckets as usize)
-            .map(|&v| v as u64)
-            .sum();
+    let check = |(bits, run): (Bits, KernelRun)| {
+        let h = merged(&bits, spec.buckets);
         assert_eq!(
-            total,
+            h.iter().sum::<u64>(),
             (n * (n - 1) / 2) as u64,
             "every half-pair must bin exactly once, NaN or not"
         );
         // Pairs touching the two NaN points: (n-1) + (n-1) - 1.
         assert!(
-            bucket0 >= (2 * (n - 1) - 1) as u64,
+            h[0] >= (2 * (n - 1) - 1) as u64,
             "NaN distances must land in bucket 0"
         );
-        (vals.iter().map(|&x| x as u64).collect(), run)
+        (bits, run)
+    };
+    assert_identical(|dev| check(sdh_run(dev, &pts, spec, register_shm_sdh(Euclidean))));
+    assert_identical(|dev| {
+        let periodic = register_shm_sdh(PeriodicEuclidean::new(100.0));
+        check(sdh_run(dev, &pts, spec, periodic))
     });
 }
 
@@ -422,39 +408,39 @@ fn histogram_bucket_boundary_distances_are_route_identical() {
     // Points on an exact lattice along x with spacing == bucket width:
     // every distance is a whole number of bucket widths, so every
     // `d * inv_width` lands exactly on a bucket edge — the worst case
-    // for any float reassociation in the vectorized bucketing. Also
+    // for any float reassociation in the compiled bucketing. Also
     // exercises the clamp edge: |i-j| >= buckets clamps into the last
-    // bucket.
+    // bucket. In a periodic box of edge n·w the lattice is a ring, and
+    // the minimum image of points k apart is min(k, n−k) widths.
     let n = 120usize;
-    let spec = HistogramSpec::new(32, 160.0); // width = 5.0
-    let raw: Vec<[f32; 3]> = (0..n).map(|i| [i as f32 * 5.0, 0.0, 0.0]).collect();
+    let w = 5.0f32;
+    let spec = HistogramSpec::new(32, 32.0 * w);
+    let raw: Vec<[f32; 3]> = (0..n).map(|i| [i as f32 * w, 0.0, 0.0]).collect();
     let pts = SoaPoints::from_points(&raw);
-    assert_identical(|dev| {
-        let input = pts.upload(dev);
-        let lc = pair_launch(input.n, B);
-        let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
-        let k = RegisterShmKernel::new(
-            input,
-            Euclidean,
-            SharedHistogramAction { spec, private },
-            B,
-            PairScope::HalfPairs,
-            IntraMode::Regular,
-        );
-        let run = dev.launch(&k, lc);
-        let vals = dev.u32_slice(private);
-        // Host truth: pairs at lattice distance k bin into bucket k
-        // (clamped); there are n-k such pairs.
+    let check = |separation: fn(usize, usize) -> usize| {
+        // Host truth: a pair `separation` widths apart bins into that
+        // bucket (clamped).
         let mut expect = vec![0u64; spec.buckets as usize];
-        for k in 1..n {
-            expect[k.min(spec.buckets as usize - 1)] += (n - k) as u64;
+        for i in 0..n {
+            for j in i + 1..n {
+                expect[separation(j - i, n).min(spec.buckets as usize - 1)] += 1;
+            }
         }
-        let mut merged = vec![0u64; spec.buckets as usize];
-        for (i, &v) in vals.iter().enumerate() {
-            merged[i % spec.buckets as usize] += v as u64;
+        move |(bits, run): (Bits, KernelRun)| {
+            assert_eq!(
+                merged(&bits, spec.buckets),
+                expect,
+                "boundary distances binned wrong"
+            );
+            (bits, run)
         }
-        assert_eq!(merged, expect, "boundary distances binned wrong");
-        (vals.iter().map(|&x| x as u64).collect(), run)
+    };
+    let plain = check(|k, _| k);
+    assert_identical(|dev| plain(sdh_run(dev, &pts, spec, register_shm_sdh(Euclidean))));
+    let ring = check(|k, n| k.min(n - k));
+    assert_identical(|dev| {
+        let periodic = register_shm_sdh(PeriodicEuclidean::new(n as f32 * w));
+        ring(sdh_run(dev, &pts, spec, periodic))
     });
 }
 
@@ -462,10 +448,9 @@ fn histogram_bucket_boundary_distances_are_route_identical() {
 fn privatized_reduce_is_route_identical() {
     // The Figure-3 cross-copy reduction behind the *-Out family: the
     // compiled route (one `compiled_copy_reduce_u32` per warp, control
-    // charge folded in) and the packed fused route
-    // (`fused_copy_reduce_u32`) must match the op-by-op copy loop and
-    // the scalar reference bit-for-bit, tally included. The measured
-    // launch is the reduce kernel.
+    // charge folded in) must match the op-by-op copy loop and the
+    // scalar reference bit-for-bit, tally included. The measured launch
+    // is the reduce kernel.
     let pts = cloud(300);
     let spec = HistogramSpec::new(48, 180.0);
     assert_identical(|dev| {
@@ -495,9 +480,9 @@ fn privatized_reduce_is_route_identical() {
 
 #[test]
 fn multicopy_end_block_reduce_is_route_identical() {
-    // MultiCopyHistogramAction's end-of-block merge: the packed
-    // shared-memory reduction (`fused_shared_copy_reduce_u32`) against
-    // its per-copy op-by-op fallback and the scalar reference.
+    // MultiCopyHistogramAction: no compiled sink, so the pairwise
+    // stage and the end-of-block copy merge run op by op; only the tile
+    // fetches compile.
     let pts = cloud(200);
     let spec = HistogramSpec::new(32, 180.0);
     assert_identical(|dev| {
@@ -524,11 +509,12 @@ fn multicopy_end_block_reduce_is_route_identical() {
 
 #[test]
 fn register_shm_kde_gaussian_is_route_identical() {
-    // Sum consumer + a transcendental distance (exp in eval_host). The
-    // non-Euclidean plan declines every tile pass, but the cooperative
-    // tile fetch still compiles — `compiled_ops > 0` from that alone.
+    // KDE: a transcendental distance (exp in eval_host) with no
+    // compiled form, so the plan never lowers and every pair runs op by
+    // op; only the cooperative tile fetch still compiles —
+    // `compiled_ops > 0` from that alone.
     let pts = cloud(200);
-    assert_identical(|dev| {
+    let [compiled, _, _] = assert_identical(|dev| {
         let input = pts.upload(dev);
         let n = input.n;
         let lc = pair_launch(n, B);
@@ -549,6 +535,11 @@ fn register_shm_kde_gaussian_is_route_identical() {
             .collect();
         (bits, run)
     });
+    assert!(
+        compiled.interp.compiled_coverage(&compiled.tally) < 0.05,
+        "tile fetches only (coverage {})",
+        compiled.interp.compiled_coverage(&compiled.tally)
+    );
 }
 
 #[test]
@@ -583,13 +574,12 @@ fn multi_query_mixed_batch_is_route_identical() {
     // The serve layer's coalesced sweep: two count sinks + two histogram
     // sinks fed by one pairwise stage. `MultiQueryAction` lowers the
     // whole sink list (`CompiledSinkSpec::Multi`), so the compiled
-    // inter-tile pass drives all four sinks in one straight-line walk;
-    // the fused route must drive them through one `FusedConsumer::Multi`
-    // pass per tile.
+    // inter-tile pass drives all four sinks in one straight-line walk
+    // (one `TileSink::Multi` pass per tile).
     let pts = cloud(200);
     let spec_a = HistogramSpec::new(32, 180.0);
     let spec_b = HistogramSpec::new(48, 90.0);
-    let [compiled, fused, _, _] = assert_identical(|dev| {
+    let [compiled, _, _] = assert_identical(|dev| {
         let input = pts.upload(dev);
         let lc = pair_launch(input.n, B);
         let c0 = dev.alloc_u64_zeroed(lc.total_threads() as usize);
@@ -633,11 +623,6 @@ fn multi_query_mixed_batch_is_route_identical() {
         (bits, run)
     });
     assert!(
-        fused.interp.fused_coverage(&fused.tally) > 0.5,
-        "multi-sink batches must still flow the fused path (coverage {})",
-        fused.interp.fused_coverage(&fused.tally)
-    );
-    assert!(
         compiled.interp.compiled_coverage(&compiled.tally) > 0.5,
         "multi-sink batches must flow the compiled path (coverage {})",
         compiled.interp.compiled_coverage(&compiled.tally)
@@ -647,8 +632,7 @@ fn multi_query_mixed_batch_is_route_identical() {
 #[test]
 fn multi_query_counts_only_is_route_identical() {
     // A pure 2-PCF batch (many radii, no histograms): Type-I shape, no
-    // shared output allocations, still one sweep feeding every radius
-    // on both fast routes.
+    // shared output allocations, still one sweep feeding every radius.
     let pts = cloud(150);
     assert_identical(|dev| {
         let input = pts.upload(dev);
@@ -761,7 +745,7 @@ fn multi_query_batch_matches_single_query_oracles() {
 #[test]
 fn sub_block_input_is_route_identical() {
     // n = 20 < B: a single ragged block whose only warp is partially
-    // valid — the fused predicate masks must match lane-exact.
+    // valid — the compiled predicate masks must match lane-exact.
     let pts = cloud(20);
     assert_identical(|dev| {
         count_run(dev, &pts, |input, act| {
@@ -772,6 +756,213 @@ fn sub_block_input_is_route_identical() {
                 B,
                 PairScope::AllPairs,
                 IntraMode::Regular,
+            ))
+        })
+    });
+}
+
+// ---------------------------------------------------------------------
+// Minimum-image (periodic) plans — the molecular-dynamics RDF workload
+// ---------------------------------------------------------------------
+
+/// Box edge of the md-rdf-shaped cases.
+const L: f32 = 60.0;
+
+/// Deterministic pseudo-random cloud in the periodic box `[0, L)³`.
+fn box_cloud(n: usize) -> SoaPoints<3> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let pts: Vec<[f32; 3]> = (0..n)
+        .map(|_| {
+            std::array::from_fn(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 10_000) as f32 * (L / 10_000.0)
+            })
+        })
+        .collect();
+    SoaPoints::from_points(&pts)
+}
+
+/// Host truth for a half-pair histogram under `dist`: the device's
+/// bucket chain (multiply, saturating cast, clamp) on `eval_host`.
+fn host_histogram(
+    pts: &SoaPoints<3>,
+    dist: &impl DistanceKernel<3>,
+    spec: HistogramSpec,
+) -> Vec<u64> {
+    let p: Vec<[f32; 3]> = pts.iter().collect();
+    let mut h = vec![0u64; spec.buckets as usize];
+    for i in 0..p.len() {
+        for j in i + 1..p.len() {
+            let d = dist.eval_host(&p[i], &p[j]);
+            h[((d * spec.inv_width()) as u32).min(spec.buckets - 1) as usize] += 1;
+        }
+    }
+    h
+}
+
+#[test]
+fn periodic_sdh_register_shm_is_route_identical() {
+    // md-rdf in miniature: uniform points in a periodic box, 120
+    // buckets up to L/2 (the minimum-image diagonal clamps into the
+    // last bucket), Register-SHM, HalfPairs. Tile fetches, inter-tile
+    // passes and intra triangles all lower.
+    let pts = box_cloud(200);
+    let spec = HistogramSpec::new(120, L / 2.0);
+    let [compiled, _, _] = assert_identical(|dev| {
+        sdh_run(dev, &pts, spec, register_shm_sdh(PeriodicEuclidean::new(L)))
+    });
+    assert!(
+        compiled.interp.compiled_coverage(&compiled.tally) > 0.9,
+        "periodic SDH must run compiled (coverage {})",
+        compiled.interp.compiled_coverage(&compiled.tally)
+    );
+    let mut dev = Device::new(DeviceConfig::titan_x());
+    let (bits, _) = sdh_run(
+        &mut dev,
+        &pts,
+        spec,
+        register_shm_sdh(PeriodicEuclidean::new(L)),
+    );
+    assert_eq!(
+        merged(&bits, spec.buckets),
+        host_histogram(&pts, &PeriodicEuclidean::new(L), spec),
+        "device histogram must equal the eval_host oracle"
+    );
+}
+
+#[test]
+fn periodic_sdh_register_roc_is_route_identical() {
+    // The paper's winning SDH configuration with the periodic distance:
+    // ROC-sourced inter tiles and ROC-gathered intra triangles.
+    let pts = box_cloud(200);
+    let spec = HistogramSpec::new(120, L / 2.0);
+    let [compiled, _, _] = assert_identical(|dev| {
+        sdh_run(dev, &pts, spec, |input, act| {
+            Box::new(RegisterRocKernel::new(
+                input,
+                PeriodicEuclidean::new(L),
+                act,
+                B,
+                PairScope::HalfPairs,
+                IntraMode::Regular,
+            ))
+        })
+    });
+    assert!(
+        compiled.interp.compiled_coverage(&compiled.tally) > 0.9,
+        "periodic ROC SDH must run compiled (coverage {})",
+        compiled.interp.compiled_coverage(&compiled.tally)
+    );
+}
+
+#[test]
+fn periodic_points_straddling_the_box_edge_are_route_identical() {
+    // Half the points hug x = 0, half hug x = L: every cross pair is
+    // close only through the wrap. A count within a radius far below
+    // the plain Euclidean gap must see them, on every route, and match
+    // the host oracle.
+    let n = 150usize;
+    let raw: Vec<[f32; 3]> = (0..n)
+        .map(|i| {
+            let t = (i as f32 * 0.37) % 1.0;
+            let x = if i % 2 == 0 { t } else { L - t };
+            [x, (i as f32 * 1.3) % 4.0, (i as f32 * 0.7) % 4.0]
+        })
+        .collect();
+    let pts = SoaPoints::from_points(&raw);
+    let dist = PeriodicEuclidean::new(L);
+    let radius = 3.0f32;
+    assert_identical(|dev| {
+        let input = pts.upload(dev);
+        let lc = pair_launch(input.n, B);
+        let out = dev.alloc_u64_zeroed(lc.total_threads() as usize);
+        let k = RegisterShmKernel::new(
+            input,
+            dist,
+            CountWithinRadius { radius, out },
+            B,
+            PairScope::HalfPairs,
+            IntraMode::Regular,
+        );
+        let run = dev.launch(&k, lc);
+        let counts = dev.u64_slice(out).to_vec();
+        let mut expect = 0u64;
+        let mut wrapped = 0u64;
+        for i in 0..n {
+            for j in i + 1..n {
+                if dist.eval_host(&raw[i], &raw[j]) < radius {
+                    expect += 1;
+                    wrapped += (i % 2 != j % 2) as u64;
+                }
+            }
+        }
+        assert!(wrapped > 0, "some counted pairs must meet through the wrap");
+        assert_eq!(counts.iter().sum::<u64>(), expect, "wrapped pair count");
+        (counts, run)
+    });
+}
+
+#[test]
+fn periodic_half_box_ties_are_route_identical() {
+    // A lattice with spacing L/4 puts many per-dimension differences at
+    // exactly ±L/2, where `round(Δ/L)` ties (±0.5 rounds away from
+    // zero) — the wrap then lands on ∓L/2, whose square is the same.
+    // Distances also sit exactly on the bucket edges of a histogram
+    // with width L/4.
+    let step = L / 4.0;
+    let mut raw = Vec::new();
+    for a in 0..4 {
+        for b in 0..4 {
+            for c in 0..4 {
+                raw.push([a as f32 * step, b as f32 * step, c as f32 * step]);
+            }
+        }
+    }
+    let pts = SoaPoints::from_points(&raw);
+    let spec = HistogramSpec::new(4, L); // width L/4
+    let dist = PeriodicEuclidean::new(L);
+    assert_eq!(
+        <PeriodicEuclidean as DistanceKernel<3>>::eval_host(&dist, &raw[0], &[L / 2.0, 0.0, 0.0]),
+        L / 2.0,
+        "a half-box difference wraps to exactly L/2"
+    );
+    assert_identical(|dev| {
+        let (bits, run) = sdh_run(dev, &pts, spec, register_shm_sdh(PeriodicEuclidean::new(L)));
+        assert_eq!(
+            merged(&bits, spec.buckets),
+            host_histogram(&pts, &dist, spec),
+            "tie distances binned wrong"
+        );
+        (bits, run)
+    });
+}
+
+#[test]
+fn distances_without_a_compiled_form_never_lower() {
+    // Gaussian RBF and the dot product have no compiled form: their
+    // plans do not lower even with a compilable sink, and on a kernel
+    // with no tile fetch nothing compiles at all.
+    let cfg = DeviceConfig::titan_x();
+    let mut dev = Device::new(cfg.clone());
+    let out = dev.alloc_u64_zeroed(1);
+    let count = CountWithinRadius { radius: 9.0, out };
+    assert!(lower_pair_plan::<3, _, _>(&cfg, &GaussianRbf::new(12.0), &count, B).is_none());
+    assert!(lower_pair_plan::<3, _, _>(&cfg, &DotProduct, &count, B).is_none());
+    assert!(lower_pair_plan::<3, _, _>(&cfg, &PeriodicEuclidean::new(L), &count, B).is_some());
+    let pts = cloud(150);
+    assert_identical_uncompiled(|dev| {
+        count_run(dev, &pts, |input, act| {
+            Box::new(ShuffleKernel::new(
+                input,
+                DotProduct,
+                CountWithinRadius {
+                    radius: 5_000.0,
+                    ..act
+                },
+                B,
+                PairScope::HalfPairs,
             ))
         })
     });

@@ -180,28 +180,20 @@ pub struct DeviceConfig {
     /// differential testing and before/after host-performance
     /// measurement, never for accuracy.
     pub scalar_reference: bool,
-    /// Execute whole inner tile passes through the fused interpreter ops
-    /// (`WarpCtx::fused_tile_pass` and friends) and enable the
-    /// generation-stamped L2/ROC hit memoization. Like
-    /// [`DeviceConfig::scalar_reference`], purely a host-speed knob:
-    /// outputs, tallies, timing and fault blame are bit-identical with it
-    /// on or off. `false` reproduces the PR-2 vectorized op-by-op route.
-    /// Ignored (treated as off) when `scalar_reference` is set.
-    pub fused_tile: bool,
     /// Execute whole kernel plans through the compiled route
     /// (`exec::compiled`): tile fetches, inner tile passes and
     /// intra-block loops run as straight-line host code with their
     /// instruction/byte/sector accounting charged from precomputed
-    /// closed-form tally deltas instead of per-dispatch interpretation.
-    /// Any shape the compiler does not support — and any pass whose
-    /// fault pre-flight fails — falls back to the fused/op-by-op routes,
-    /// which stay bit-identical and serve as the differential oracle.
-    /// Like the other route knobs this is purely a host-speed choice:
-    /// outputs, tallies, timing and fault blame never change. Ignored
-    /// (treated as off) when `scalar_reference` is set. On by default in
-    /// every preset; the differential suites select the op
-    /// (`with_compiled(false).with_fused_tile(false)`) and fused
-    /// (`with_compiled(false)`) oracle routes explicitly.
+    /// closed-form tally deltas instead of per-dispatch interpretation,
+    /// and the L2/ROC caches replay guaranteed hits from
+    /// generation-stamped memos. Any shape the compiler does not
+    /// support — and any pass whose fault pre-flight fails — falls back
+    /// to the op-by-op route, which stays bit-identical and serves as
+    /// the differential oracle. Like `scalar_reference` this is purely a
+    /// host-speed choice: outputs, tallies, timing and fault blame never
+    /// change. Ignored (treated as off) when `scalar_reference` is set.
+    /// On by default in every preset; the differential suites select
+    /// the op-by-op oracle route with `with_compiled(false)`.
     pub compiled: bool,
 }
 
@@ -252,7 +244,6 @@ impl DeviceConfig {
             divergence_penalty_cycles: 10.0,
             exec_mode: ExecMode::Parallel { threads: 0 },
             scalar_reference: false,
-            fused_tile: true,
             compiled: true,
         }
     }
@@ -303,7 +294,6 @@ impl DeviceConfig {
             divergence_penalty_cycles: 14.0,
             exec_mode: ExecMode::Parallel { threads: 0 },
             scalar_reference: false,
-            fused_tile: true,
             compiled: true,
         }
     }
@@ -354,7 +344,6 @@ impl DeviceConfig {
             divergence_penalty_cycles: 16.0,
             exec_mode: ExecMode::Parallel { threads: 0 },
             scalar_reference: false,
-            fused_tile: true,
             compiled: true,
         }
     }
@@ -373,20 +362,10 @@ impl DeviceConfig {
         self
     }
 
-    /// Builder-style toggle of the fused tile-execution layer (see the
-    /// [`DeviceConfig::fused_tile`] field). Host-speed knob only;
-    /// simulation results never change. `false` selects the PR-2
-    /// vectorized op-by-op route.
-    pub fn with_fused_tile(mut self, on: bool) -> Self {
-        self.fused_tile = on;
-        self
-    }
-
     /// Builder-style toggle of the compiled plan-execution layer (see
     /// the [`DeviceConfig::compiled`] field). Host-speed knob only;
     /// simulation results never change. Unsupported shapes fall back to
-    /// the fused route when [`DeviceConfig::fused_tile`] is on, or the
-    /// vectorized op-by-op route otherwise.
+    /// the vectorized op-by-op route.
     pub fn with_compiled(mut self, on: bool) -> Self {
         self.compiled = on;
         self

@@ -49,7 +49,7 @@ pub struct BlockCtx<'a> {
     pub(crate) roc: RocCache,
     pub(crate) shared: SharedSpace,
     pub(crate) tally: AccessTally,
-    /// Host-side interpreter statistics (dispatch counts, fused-op
+    /// Host-side interpreter statistics (dispatch counts, compiled-pass
     /// coverage). Not part of the simulated device state.
     pub(crate) interp: InterpStats,
     pub(crate) cfg: &'a DeviceConfig,
@@ -86,7 +86,7 @@ impl<'a> BlockCtx<'a> {
     ) -> Self {
         let roc = if cfg.scalar_reference {
             RocCache::new_reference(cfg.roc_sectors())
-        } else if cfg.fused_tile || cfg.compiled {
+        } else if cfg.compiled {
             RocCache::new_memoized(cfg.roc_sectors())
         } else {
             RocCache::new(cfg.roc_sectors())
@@ -318,7 +318,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Would [`Self::note_read`] of this buffer abandon speculation?
-    /// The fused tile pass pre-checks this so it never has to unwind
+    /// The compiled passes pre-check this so they never have to unwind
     /// mid-pass.
     pub(crate) fn read_would_abandon(&self, id: u32) -> bool {
         matches!(self.port, GlobalPort::Speculative { .. }) && self.writes.contains(id)

@@ -1,16 +1,11 @@
 //! The plan compiler: whole kernel plans lowered to closed-form host
 //! passes.
 //!
-//! The fused executor (`exec::fused` + `WarpCtx::fused_tile_pass`)
-//! removed the per-*step* interpreter dispatch from the inner tile loop
-//! but still re-derives every tally formula — coalescing sectors,
-//! bank-conflict degrees, scatter contention, predicate overlap — on
-//! every call, and it never covered the three other stages of a tiling
-//! kernel plan: the cooperative tile fetch, the triangular intra-block
-//! phase, and the ROC-sourced intra gathers. Those stages still run
-//! op by op, one interpreter dispatch per warp instruction, and at
-//! realistic sizes (the intra triangle is `B²/2` pairs per block) they
-//! dominate host wall-clock.
+//! Interpreted op by op, a tiling kernel pays one interpreter dispatch
+//! per warp instruction, and every dispatch re-derives its tally charge
+//! — coalescing sectors, bank-conflict degrees, scatter contention,
+//! predicate overlap. At realistic sizes (the intra triangle alone is
+//! `B²/2` pairs per block) that dominates host wall-clock.
 //!
 //! This module *lowers* a `(distance, action, tile shape)` plan once —
 //! [`CompiledKernel::lower`] — into straight-line passes whose tally
@@ -18,13 +13,19 @@
 //!
 //! * [`BlockCtx::compiled_tile_load`] — the whole cooperative
 //!   global→shared tile fetch of every warp in one call.
-//! * [`WarpCtx::compiled_euclidean_tile`] — the inner tile pass
-//!   (the fused executor's scope) with a branch-free sqrt-free count
-//!   loop and closed-form predicate-overlap accounting.
+//! * [`WarpCtx::compiled_tile_pass`] — the inner tile pass (broadcast,
+//!   distance, sink fold × tile length) with a branch-free sqrt-free
+//!   count loop and closed-form predicate-overlap accounting.
 //! * [`WarpCtx::compiled_intra_regular`] — the triangular intra-block
 //!   phase (`IntraMode::Regular`), previously a `divergent_loop` of
 //!   op-by-op iterations, now one call with arithmetic-series charge
 //!   totals.
+//!
+//! Two distance forms lower ([`DistanceForm`]): plain Euclidean and the
+//! minimum-image Euclidean of a periodic box. Both are the same
+//! squared-sum chain — only the per-dimension difference is wrapped —
+//! so the sqrt-free thresholds, the squared bin edges and every sink
+//! are shared. Any other distance runs op by op.
 //!
 //! ## The contract
 //!
@@ -33,13 +34,12 @@
 //! (hit/miss splits, eviction order) and first-fault behavior. Every
 //! pass therefore pre-flights all faults it could hit and returns
 //! `false` **with no side effects** on any unsupported shape — a
-//! non-prefix mask, a foreign consumer, a would-fault access, a
+//! non-prefix mask, a foreign sink, a would-fault access, a
 //! speculation-abandoning read — and the caller falls back to the
-//! fused or op-by-op route, which doubles as the differential oracle.
+//! op-by-op route, which doubles as the differential oracle.
 //!
 //! Only host-side [`crate::tally::InterpStats`] differ between routes
-//! (`compiled_ops` / `compiled_lane_ops` instead of per-op dispatches);
-//! that split is exactly the fused executor's precedent.
+//! (`compiled_ops` / `compiled_lane_ops` instead of per-op dispatches).
 //!
 //! ## Why `s < T` can replace `sqrt(s) < r`
 //!
@@ -53,16 +53,16 @@
 
 use crate::config::DeviceConfig;
 use crate::exec::block::BlockCtx;
-use crate::exec::fused::{FusedConsumer, FusedPred, FusedSink, FusedSrc};
 use crate::exec::mask::Mask;
+use crate::exec::tile::{QuerySink, TilePred, TileSink, TileSrc};
 use crate::exec::warp::{charge_lanes, WarpCtx};
 use crate::mem::{BufF32, ScatterScratch, ShmF32, ShmU32};
 use crate::{F32x32, U32x32, U64x32, WARP_SIZE};
 
 /// The output-sink shape of a lowered plan, declared by the action
-/// (`PairAction::compiled_sink` in `tbs-core`). Mirrors
-/// [`FusedConsumer`] minus the borrowed accumulator state: lowering
-/// happens once per block, before any per-warp state exists.
+/// (`PairAction::compiled_sink` in `tbs-core`). Mirrors [`TileSink`]
+/// minus the borrowed accumulator state: lowering happens once per
+/// block, before any per-warp state exists.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledSinkSpec {
     /// Count pairs with `distance < radius` (2-PCF).
@@ -70,8 +70,6 @@ pub enum CompiledSinkSpec {
         /// Strict comparison radius.
         radius: f32,
     },
-    /// Sum the distance values (KDE).
-    Sum,
     /// Privatized shared-memory histogram (SDH).
     Histogram {
         /// Reciprocal bucket width (`HistogramSpec::inv_width`).
@@ -89,6 +87,55 @@ pub enum CompiledSinkSpec {
         /// Histogram-sink `(inv_width, hmax)` geometry, in sink order.
         hists: Vec<(f32, u32)>,
     },
+}
+
+/// The distance a plan lowers to, declared by the distance function
+/// (`DistanceKernel::compiled_form` in `tbs-core`). Both forms are the
+/// chain *per dimension ascending: `diff = a − b` (wrapped for
+/// `MinimumImage`), `s = diff.mul_add(diff, s)`; then `sqrt(s)`* — so
+/// every sink consumes the same squared sum `s`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DistanceForm {
+    /// Plain Euclidean: `diff = a − b`.
+    Euclidean,
+    /// Minimum-image Euclidean in a periodic box `[0, L)^D`: `diff = a −
+    /// b; diff −= L·round(diff / L)`, with `round` rounding half away
+    /// from zero.
+    MinimumImage {
+        /// Box edge length `L`.
+        box_edge: f32,
+    },
+}
+
+/// One dimension's difference under a [`DistanceForm`], as a type so
+/// each form's loops monomorphize: the Euclidean passes compile exactly
+/// as if the wrap did not exist.
+trait Diff: Copy {
+    fn diff(self, a: f32, b: f32) -> f32;
+}
+
+/// [`DistanceForm::Euclidean`].
+#[derive(Clone, Copy)]
+struct Plain;
+
+impl Diff for Plain {
+    #[inline(always)]
+    fn diff(self, a: f32, b: f32) -> f32 {
+        a - b
+    }
+}
+
+/// [`DistanceForm::MinimumImage`] with box edge `.0` — the exact
+/// operation sequence of `PeriodicEuclidean::eval_host`.
+#[derive(Clone, Copy)]
+struct Wrapped(f32);
+
+impl Diff for Wrapped {
+    #[inline(always)]
+    fn diff(self, a: f32, b: f32) -> f32 {
+        let d = a - b;
+        d - self.0 * (d / self.0).round()
+    }
 }
 
 /// Edge-table cap: a histogram with more buckets than this keeps the
@@ -180,6 +227,8 @@ pub enum CompiledTile<'t, const D: usize> {
 /// `lower` time instead of on every dispatch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
+    /// The lowered distance.
+    form: DistanceForm,
     /// `s < threshold ⟺ s.sqrt() < radius` for all non-negative `s`.
     threshold: f32,
     /// The radius the threshold was derived from; a consumer carrying
@@ -199,7 +248,7 @@ pub struct CompiledKernel {
     wi: u64,
     /// ALU instructions per executed inner step.
     per: u64,
-    /// Histogram sinks per pair (0 for CountLt/Sum, 1 for Histogram,
+    /// Histogram sinks per pair (0 for CountLt, 1 for Histogram,
     /// the hist-partition length for Multi).
     n_hist: u64,
     /// Lowered histogram geometry, in sink order.
@@ -218,7 +267,7 @@ pub struct CompiledKernel {
 /// `radius ≤ 0` or NaN never accepts any `s` (`T = 0`); `radius = +inf`
 /// accepts every finite `s` (`T = +inf`, and `s = +inf` fails both
 /// sides only through the `sqrt` form — see below — so +inf radii keep
-/// the sqrt in [`WarpCtx::compiled_euclidean_tile`]).
+/// the sqrt in [`WarpCtx::compiled_tile_pass`]).
 pub fn sqrt_lt_threshold(radius: f32) -> f32 {
     // The negated form is the point: NaN radii must land in this arm.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -250,11 +299,16 @@ pub fn sqrt_lt_threshold(radius: f32) -> f32 {
 }
 
 impl CompiledKernel {
-    /// Lower a plan. Returns `None` when the compiled route is off (or
-    /// overridden by scalar-reference mode) so call sites can hold an
+    /// Lower a plan: `form` is the distance, `dist_cost` its ALU charge
+    /// per warp evaluation (`DistanceKernel::cost`), `dims` its
+    /// dimension and `full_steps` the plan's tile length. Returns `None`
+    /// when the compiled route is off (or overridden by
+    /// scalar-reference mode) so call sites can hold an
     /// `Option<CompiledKernel>` and skip every compiled attempt.
     pub fn lower(
         cfg: &DeviceConfig,
+        form: DistanceForm,
+        dist_cost: u64,
         dims: u32,
         full_steps: u32,
         sink: CompiledSinkSpec,
@@ -266,10 +320,8 @@ impl CompiledKernel {
             CompiledSinkSpec::CountLt { radius } => radius,
             _ => 0.0,
         };
-        let dist_cost = 2 * dims as u64 + 1; // Euclidean: sub+fma per dim, sqrt
         let (consumer_alu, n_hist) = match &sink {
             CompiledSinkSpec::CountLt { .. } => (2, 0),
-            CompiledSinkSpec::Sum => (1, 0),
             CompiledSinkSpec::Histogram { .. } => (2, 1),
             CompiledSinkSpec::Multi { counts, hists } => (
                 2 * (counts.len() as u64 + hists.len() as u64),
@@ -294,6 +346,7 @@ impl CompiledKernel {
         };
         let per = dist_cost + consumer_alu;
         Some(CompiledKernel {
+            form,
             threshold: sqrt_lt_threshold(radius),
             radius,
             sink,
@@ -315,14 +368,14 @@ impl CompiledKernel {
     }
 
     /// Executed-step counts `(npm, Σ active lanes)` for one inner tile
-    /// pass — the quantities `fused_tile_impl` accumulates step by
+    /// pass — the quantities the op-by-op loop accumulates step by
     /// step, in closed form for the hot shapes and by a cheap mask walk
     /// for predicated ones.
-    fn pass_counts(&self, len: u32, pred: FusedPred, valid: Mask) -> (u64, u64) {
+    fn pass_counts(&self, len: u32, pred: TilePred, valid: Mask) -> (u64, u64) {
         let steps = len as u64;
         let a = valid.count() as u64;
         match pred {
-            FusedPred::All => {
+            TilePred::All => {
                 if len == self.full_steps && a == WARP_SIZE as u64 {
                     (self.full_npm, self.full_sum_apm)
                 } else {
@@ -336,7 +389,7 @@ impl CompiledKernel {
                 let mut npm = 0u64;
                 let mut sum_apm = 0u64;
                 for j in 0..len {
-                    let pm = WarpCtx::fused_pred_mask(pred, j, valid);
+                    let pm = WarpCtx::pred_mask(pred, j, valid);
                     if pm.any() {
                         npm += 1;
                         sum_apm += pm.count() as u64;
@@ -348,7 +401,7 @@ impl CompiledKernel {
     }
 }
 
-/// Resolved per-step view of a [`FusedSrc`] for the compiled compute
+/// Resolved per-step view of a [`TileSrc`] for the compiled compute
 /// loops: column slices plus a start offset, or a register fragment.
 enum SrcView<'s, const D: usize> {
     Cols { cols: [&'s [f32]; D], start: usize },
@@ -365,14 +418,15 @@ impl<'s, const D: usize> SrcView<'s, D> {
     }
 }
 
-/// One lane's Euclidean partial sum against one point — the exact
-/// `Euclidean::eval_host` operation sequence minus the final sqrt:
-/// per dimension ascending, `diff = own - p; s = diff.mul_add(diff, s)`.
+/// One lane's squared sum against one point — the exact `eval_host`
+/// operation sequence of the lowered distance minus the final sqrt:
+/// per dimension ascending, `diff = w.diff(own, p); s =
+/// diff.mul_add(diff, s)`.
 #[inline(always)]
-fn euclid_sumsq<const D: usize>(own: &[f32; D], p: &[f32; D]) -> f32 {
+fn sumsq<W: Diff, const D: usize>(w: W, own: &[f32; D], p: &[f32; D]) -> f32 {
     let mut s = 0.0f32;
     for d in 0..D {
-        let diff = own[d] - p[d];
+        let diff = w.diff(own[d], p[d]);
         s = diff.mul_add(diff, s);
     }
     s
@@ -459,12 +513,13 @@ fn bucket_row_exact(row: &[f32], inv_width: f32, hmax: u32, out: &mut [u32; WARP
 /// This is the innermost loop of every compiled CountLt pass, written so
 /// LLVM can autovectorize it: the columns are re-sliced to exactly the
 /// scanned range (hoisting every bounds check out of the loop), the
-/// per-element arithmetic is the scalar `euclid_sumsq` chain (so each
+/// per-element arithmetic is the scalar [`sumsq`] chain (so each
 /// element's bits match the op-by-op route no matter how wide the
 /// vectorizer goes), and the accumulator is a plain `u32` reduction
 /// (tile ranges never exceed a block, far below `u32::MAX`).
 #[inline(always)]
-fn count_lt_cols<const D: usize>(
+fn count_lt_cols<W: Diff, const D: usize>(
+    w: W,
     own: &[f32; D],
     cols: &[&[f32]; D],
     j0: usize,
@@ -481,7 +536,7 @@ fn count_lt_cols<const D: usize>(
     for j in 0..n {
         let mut s = 0.0f32;
         for d in 0..D {
-            let diff = own[d] - c[d][j];
+            let diff = w.diff(own[d], c[d][j]);
             s = diff.mul_add(diff, s);
         }
         cnt += (s < thr) as u32;
@@ -490,30 +545,56 @@ fn count_lt_cols<const D: usize>(
 }
 
 impl<'b, 'a> WarpCtx<'b, 'a> {
-    /// Compiled inner tile pass: the scope of
-    /// [`WarpCtx::fused_euclidean_tile`], executed from the lowered
-    /// plan. Charges are bit-identical to the fused pass (which is
-    /// bit-identical to op-by-op); the compute loop is lane-major,
-    /// branch-free, and — for the count sink — sqrt-free via the
-    /// lowered threshold.
+    /// Compiled inner tile pass: `len` steps of *broadcast an element
+    /// from `src`, evaluate the lowered distance against each lane's
+    /// `own` point under `pred`, fold the value into `consumer`* in one
+    /// call. Outputs, tally, ROC/L2 cache state and fault behavior are
+    /// bit-identical to the op-by-op loop the tiling kernels otherwise
+    /// interpret (`broadcast → dist.eval → action.process` per step);
+    /// the compute loop is lane-major, branch-free, and — for the count
+    /// sink — sqrt-free via the lowered threshold.
     ///
-    /// Returns `false` with no side effects whenever a precondition
-    /// fails, exactly like the fused pass; additionally declines when
-    /// the consumer does not match the lowered sink (wrong plan). The
-    /// histogram and multi sinks run here too: bucketing goes sqrt-free
-    /// through the lowered squared bin edges where they are exact, and
-    /// the scatter's accounting and data update share one walk
+    /// Returns `false` with no side effects — and the caller runs the
+    /// op-by-op loop, which reproduces the exact fault point — whenever
+    /// a precondition fails: compiled route off or scalar-reference
+    /// mode, a dead block, a zero-length tile, an empty or non-prefix
+    /// `valid` mask, a source or sink that could fault mid-pass, a ROC
+    /// source whose read would abandon speculation, or a consumer that
+    /// does not match the lowered sink (wrong plan). Histogram
+    /// scatters share one accounting-plus-update walk
     /// ([`crate::mem::SharedSpace::scatter_account_update`]) over the
     /// block's persistent scratch.
     #[allow(clippy::too_many_arguments)]
-    pub fn compiled_euclidean_tile<const D: usize>(
+    pub fn compiled_tile_pass<const D: usize>(
         &mut self,
         ck: &CompiledKernel,
-        src: FusedSrc<'_, D>,
+        src: TileSrc<'_, D>,
         len: u32,
-        pred: FusedPred,
+        pred: TilePred,
         own: &[F32x32; D],
-        consumer: FusedConsumer<'_>,
+        consumer: TileSink<'_>,
+        valid: Mask,
+    ) -> bool {
+        match ck.form {
+            DistanceForm::Euclidean => {
+                self.tile_pass_impl(Plain, ck, src, len, pred, own, consumer, valid)
+            }
+            DistanceForm::MinimumImage { box_edge } => {
+                self.tile_pass_impl(Wrapped(box_edge), ck, src, len, pred, own, consumer, valid)
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn tile_pass_impl<W: Diff, const D: usize>(
+        &mut self,
+        w: W,
+        ck: &CompiledKernel,
+        src: TileSrc<'_, D>,
+        len: u32,
+        pred: TilePred,
+        own: &[F32x32; D],
+        consumer: TileSink<'_>,
         valid: Mask,
     ) -> bool {
         if !self.blk.cfg.compiled
@@ -531,11 +612,10 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         // must match the consumer bit for bit, else this is the wrong
         // plan and the pass declines.
         match (&consumer, &ck.sink) {
-            (FusedConsumer::CountLt { radius, .. }, CompiledSinkSpec::CountLt { radius: r })
+            (TileSink::CountLt { radius, .. }, CompiledSinkSpec::CountLt { radius: r })
                 if radius.to_bits() == r.to_bits() => {}
-            (FusedConsumer::Sum { .. }, CompiledSinkSpec::Sum) => {}
             (
-                FusedConsumer::Histogram {
+                TileSink::Histogram {
                     inv_width, hmax, ..
                 },
                 CompiledSinkSpec::Histogram {
@@ -543,17 +623,17 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     hmax: h,
                 },
             ) if inv_width.to_bits() == iw.to_bits() && hmax == h => {}
-            (FusedConsumer::Multi(sinks), CompiledSinkSpec::Multi { counts, hists }) => {
+            (TileSink::Multi(sinks), CompiledSinkSpec::Multi { counts, hists }) => {
                 // The consumer arrives in partition order (counts then
                 // hists, each in declaration order) — the same order
                 // `MultiQueryAction::compiled_sink` lowered.
                 let mut cs = counts.iter();
                 let mut hs = hists.iter();
                 let agree = sinks.iter().all(|s| match s {
-                    FusedSink::CountLt { radius, .. } => {
+                    QuerySink::CountLt { radius, .. } => {
                         cs.next().is_some_and(|r| r.to_bits() == radius.to_bits())
                     }
-                    FusedSink::Histogram {
+                    QuerySink::Histogram {
                         inv_width, hmax, ..
                     } => hs
                         .next()
@@ -565,10 +645,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             }
             _ => return false,
         }
-        // Pre-flight every fault/abandon the pass could hit (same
-        // checks, same order as the fused pass).
+        // Pre-flight every fault/abandon the pass could hit.
         match &src {
-            FusedSrc::SharedBroadcast(tile) => {
+            TileSrc::SharedBroadcast(tile) => {
                 if tile.iter().any(|h| {
                     self.blk
                         .shared
@@ -578,7 +657,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     return false;
                 }
             }
-            FusedSrc::RocBroadcast { bufs, start } => {
+            TileSrc::RocBroadcast { bufs, start } => {
                 let Some(last) = start.checked_add(len - 1) else {
                     return false;
                 };
@@ -591,16 +670,16 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     return false;
                 }
             }
-            FusedSrc::LaneBroadcast(_) => {
+            TileSrc::LaneBroadcast(_) => {
                 if !self.blk.cfg.has_shuffle {
                     return false;
                 }
             }
         }
-        // Histogram bucket memory pre-flights (same checks, same order
-        // as the fused pass): a short array would fault mid-scatter, so
-        // decline side-effect-free and let op-by-op assign exact blame.
-        if let FusedConsumer::Histogram { hmax, shm, .. } = &consumer {
+        // Histogram bucket memory pre-flights: a short array would fault
+        // mid-scatter, so decline side-effect-free and let op-by-op
+        // assign exact blame.
+        if let TileSink::Histogram { hmax, shm, .. } = &consumer {
             if self
                 .blk
                 .shared
@@ -610,9 +689,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 return false;
             }
         }
-        if let FusedConsumer::Multi(sinks) = &consumer {
+        if let TileSink::Multi(sinks) = &consumer {
             for sink in sinks.iter() {
-                if let FusedSink::Histogram { hmax, shm, .. } = sink {
+                if let QuerySink::Histogram { hmax, shm, .. } = sink {
                     if self
                         .blk
                         .shared
@@ -629,16 +708,20 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         let steps = len as u64;
         let dims = D as u64;
 
-        // ---- operand charges, identical to the fused pass ----
+        // ---- operand charges, batched in closed form ----
+        // Every step's broadcast is a prefix-mask single-element access,
+        // so each per-op charge is a constant (a one-element f32
+        // broadcast is always one conflict-free shared transaction);
+        // only the ROC sector stream is stateful.
         match &src {
-            FusedSrc::SharedBroadcast(_) => {
+            TileSrc::SharedBroadcast(_) => {
                 let t = &mut self.blk.tally;
                 charge_lanes(t, steps * dims, a);
                 t.shared_load_instructions += steps * dims;
                 t.shared_transactions += steps * dims;
                 t.shared_bytes += 4 * a * steps * dims;
             }
-            FusedSrc::RocBroadcast { bufs, start } => {
+            TileSrc::RocBroadcast { bufs, start } => {
                 {
                     let t = &mut self.blk.tally;
                     charge_lanes(t, steps * dims, a);
@@ -646,9 +729,17 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     t.roc_bytes += 4 * a * steps * dims;
                 }
                 // The stateful ROC sector stream keeps its op-by-op
-                // order; batched exactly as the fused pass batches it
-                // (generation-stamped run replay — see
-                // `fused_tile_impl` for the residency argument).
+                // order, batched in sector runs: consecutive elements
+                // share a sector (8 f32s per 32-byte sector), so the
+                // op-by-op stream touches each dimension's current
+                // sector `run` times in a row. Probe the first round for
+                // real; if the FIFO's eviction generation is unchanged
+                // afterwards, every probed sector is provably still
+                // resident (residency is monotone within a generation
+                // and hits mutate nothing), so the remaining `run − 1`
+                // rounds replay as hits in bulk. An eviction mid-round
+                // falls back to per-element probes for the rest of the
+                // run.
                 let sb = self.blk.cfg.sector_bytes as u64;
                 let bases: [u64; D] = std::array::from_fn(|d| self.blk.global_base_addr(bufs[d].0));
                 let mut j = 0u64;
@@ -685,13 +776,13 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     let _ = self.blk.global_read_f32s(*b);
                 }
             }
-            FusedSrc::LaneBroadcast(_) => {
+            TileSrc::LaneBroadcast(_) => {
                 let t = &mut self.blk.tally;
                 charge_lanes(t, steps * dims, a);
                 t.shuffle_instructions += steps * dims;
             }
         }
-        let pred_alu = !matches!(pred, FusedPred::All) as u64;
+        let pred_alu = !matches!(pred, TilePred::All) as u64;
         if pred_alu != 0 {
             let t = &mut self.blk.tally;
             charge_lanes(t, steps, a);
@@ -713,26 +804,25 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         // before the view borrows it (the view holds the whole block
         // immutably); restored after the compute match.
         let mut scr = std::mem::take(&mut self.blk.compiled_scratch);
-        // Histogram scatter accounting, accumulated per step in closed
-        // form (Σ multiplicity, Σ bank+contention replays) exactly as
-        // the fused pass accumulates it.
+        // Histogram scatter accounting, accumulated in closed form
+        // (Σ multiplicity, Σ bank+contention replays).
         let mut atom_serial = 0u64;
         let mut atom_txns = 0u64;
         let mut atom_replays = 0u64;
         let view = match &src {
-            FusedSrc::SharedBroadcast(tile) => SrcView::Cols {
+            TileSrc::SharedBroadcast(tile) => SrcView::Cols {
                 cols: std::array::from_fn(|d| self.blk.shared.f32s(tile[d])),
                 start: 0,
             },
-            FusedSrc::RocBroadcast { bufs, start } => SrcView::Cols {
+            TileSrc::RocBroadcast { bufs, start } => SrcView::Cols {
                 cols: std::array::from_fn(|d| self.blk.gmem().f32_slice(bufs[d])),
                 start: *start as usize,
             },
-            FusedSrc::LaneBroadcast(lanes) => SrcView::Lanes(lanes),
+            TileSrc::LaneBroadcast(lanes) => SrcView::Lanes(lanes),
         };
         let nl = valid.count() as usize;
         match consumer {
-            FusedConsumer::CountLt { acc, .. } => {
+            TileSink::CountLt { acc, .. } => {
                 let thr = ck.threshold;
                 // `radius = +inf` accepts +inf distances that the
                 // sqrt-free compare would reject (`inf < inf`); keep
@@ -762,13 +852,13 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     };
                     let hi = start + len as usize;
                     match pred {
-                        FusedPred::All => {
+                        TilePred::All => {
                             for l in 0..nl {
                                 let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                acc[l] += count_lt_cols(&o, &cols, start, hi, thr);
+                                acc[l] += count_lt_cols(w, &o, &cols, start, hi, thr);
                             }
                         }
-                        FusedPred::NotEqual { gid0, base } => {
+                        TilePred::NotEqual { gid0, base } => {
                             // Count everything, then take back each
                             // lane's self-pair term (integer adds
                             // commute; a step whose mask empties
@@ -777,34 +867,34 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                             // identically).
                             for l in 0..nl {
                                 let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                let mut cnt = count_lt_cols(&o, &cols, start, hi, thr);
+                                let mut cnt = count_lt_cols(w, &o, &cols, start, hi, thr);
                                 let j_self = (gid0 as i64 + l as i64) - base as i64;
                                 if (0..len as i64).contains(&j_self) {
-                                    let s = euclid_sumsq(&o, &view.point(j_self as usize));
+                                    let s = sumsq(w, &o, &view.point(j_self as usize));
                                     cnt -= (s < thr) as u64;
                                 }
                                 acc[l] += cnt;
                             }
                         }
-                        FusedPred::LessThan { gid0, base } => {
+                        TilePred::LessThan { gid0, base } => {
                             // Lane l is active from step j0 = gid0+l+1−base.
                             for l in 0..nl {
                                 let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
                                 let j0 = (gid0 as i64 + l as i64 + 1 - base as i64)
                                     .clamp(0, len as i64)
                                     as usize;
-                                acc[l] += count_lt_cols(&o, &cols, start + j0, hi, thr);
+                                acc[l] += count_lt_cols(w, &o, &cols, start + j0, hi, thr);
                             }
                         }
                     }
                 } else {
                     match pred {
-                        FusedPred::All => {
+                        TilePred::All => {
                             for l in 0..nl {
                                 let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
                                 let mut cnt = 0u64;
                                 for j in 0..len as usize {
-                                    let s = euclid_sumsq(&o, &view.point(j));
+                                    let s = sumsq(w, &o, &view.point(j));
                                     cnt += if sqrt_free {
                                         (s < thr) as u64
                                     } else {
@@ -814,7 +904,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                                 acc[l] += cnt;
                             }
                         }
-                        FusedPred::NotEqual { gid0, base } => {
+                        TilePred::NotEqual { gid0, base } => {
                             // Count everything, then take back each lane's
                             // self-pair term (integer adds commute; a step
                             // whose mask empties entirely can only be the
@@ -824,7 +914,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                                 let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
                                 let mut cnt = 0u64;
                                 for j in 0..len as usize {
-                                    let s = euclid_sumsq(&o, &view.point(j));
+                                    let s = sumsq(w, &o, &view.point(j));
                                     cnt += if sqrt_free {
                                         (s < thr) as u64
                                     } else {
@@ -833,7 +923,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                                 }
                                 let j_self = (gid0 as i64 + l as i64) - base as i64;
                                 if (0..len as i64).contains(&j_self) {
-                                    let s = euclid_sumsq(&o, &view.point(j_self as usize));
+                                    let s = sumsq(w, &o, &view.point(j_self as usize));
                                     cnt -= if sqrt_free {
                                         (s < thr) as u64
                                     } else {
@@ -843,7 +933,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                                 acc[l] += cnt;
                             }
                         }
-                        FusedPred::LessThan { gid0, base } => {
+                        TilePred::LessThan { gid0, base } => {
                             // Lane l is active from step j0 = gid0+l+1−base.
                             for l in 0..nl {
                                 let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
@@ -852,7 +942,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                                     as usize;
                                 let mut cnt = 0u64;
                                 for j in j0..len as usize {
-                                    let s = euclid_sumsq(&o, &view.point(j));
+                                    let s = sumsq(w, &o, &view.point(j));
                                     cnt += if sqrt_free {
                                         (s < thr) as u64
                                     } else {
@@ -865,49 +955,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     }
                 }
             }
-            FusedConsumer::Sum { acc } => {
-                // f32 accumulation: per lane the adds stay in ascending
-                // step order, exactly the op-by-op sequence.
-                match pred {
-                    FusedPred::All => {
-                        for l in 0..nl {
-                            let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                            let mut s_acc = acc[l];
-                            for j in 0..len as usize {
-                                s_acc += euclid_sumsq(&o, &view.point(j)).sqrt();
-                            }
-                            acc[l] = s_acc;
-                        }
-                    }
-                    FusedPred::NotEqual { gid0, base } => {
-                        for l in 0..nl {
-                            let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                            let j_self = (gid0 as i64 + l as i64) - base as i64;
-                            let mut s_acc = acc[l];
-                            for j in 0..len as usize {
-                                if j as i64 == j_self {
-                                    continue;
-                                }
-                                s_acc += euclid_sumsq(&o, &view.point(j)).sqrt();
-                            }
-                            acc[l] = s_acc;
-                        }
-                    }
-                    FusedPred::LessThan { gid0, base } => {
-                        for l in 0..nl {
-                            let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                            let j0 = (gid0 as i64 + l as i64 + 1 - base as i64).clamp(0, len as i64)
-                                as usize;
-                            let mut s_acc = acc[l];
-                            for j in j0..len as usize {
-                                s_acc += euclid_sumsq(&o, &view.point(j)).sqrt();
-                            }
-                            acc[l] = s_acc;
-                        }
-                    }
-                }
-            }
-            FusedConsumer::Histogram { shm, .. } => {
+            TileSink::Histogram { shm, .. } => {
                 // Phase A: bucket every step's distance row straight off
                 // the tile view — stack row, no squared-distance spill —
                 // splitting full-warp steps (deferred to one batched
@@ -917,7 +965,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 // pre-flights above ruled out faults, and the accounting
                 // sums and wrapping data adds commute across steps. Per
                 // pair the operation sequence is exactly the op-by-op
-                // chain: `euclid_sumsq` in ascending dimensions, sqrt,
+                // chain: `sumsq` in ascending dimensions, sqrt,
                 // FMUL, saturating cast (exact-geometry rows through the
                 // vectorized cast of `bucket_row_exact` — identical
                 // bits).
@@ -927,9 +975,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 scr.b.clear();
                 scr.p.clear();
                 scr.pn.clear();
-                if matches!(pred, FusedPred::All) && valid.0 == u32::MAX && exact {
+                if matches!(pred, TilePred::All) && valid.0 == u32::MAX && exact {
                     // Unpredicated full-valid pass — the hot shape:
-                    // every step is a full-warp row, so one fused
+                    // every step is a full-warp row, so one combined
                     // distance+bucket loop writes the batch buffer in
                     // place (no distance spill, no per-row copy).
                     scr.b.resize(len as usize * WARP_SIZE, 0);
@@ -939,7 +987,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                         for (l, o) in out.iter_mut().enumerate() {
                             let mut s = 0.0f32;
                             for d in 0..D {
-                                let diff = own[d][l] - p[d];
+                                let diff = w.diff(own[d][l], p[d]);
                                 s = diff.mul_add(diff, s);
                             }
                             *o = floor_bucket_exact(s.sqrt(), inv_width, hf);
@@ -947,7 +995,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     }
                 } else {
                     for j in 0..len {
-                        let pm = Self::fused_pred_mask(pred, j, valid);
+                        let pm = Self::pred_mask(pred, j, valid);
                         if !pm.any() {
                             continue;
                         }
@@ -956,7 +1004,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                         for d in 0..D {
                             let pd = p[d];
                             for (sl, &ol) in srow.iter_mut().zip(own[d].iter()) {
-                                let diff = ol - pd;
+                                let diff = w.diff(ol, pd);
                                 *sl = diff.mul_add(diff, *sl);
                             }
                         }
@@ -1006,9 +1054,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     atom_replays += txns.saturating_sub(1);
                 }
             }
-            FusedConsumer::Multi(mut sinks) => {
+            TileSink::Multi(mut sinks) => {
                 // One distance evaluation per step feeds every sink in
-                // order, exactly like the fused Multi consumer — but the
+                // order, exactly like `MultiQueryAction::process` — the
                 // squared distances stay in a stack row (no spill; the
                 // per-sink compare loops then run over fixed-size
                 // arrays, the shape LLVM vectorizes), count sinks
@@ -1020,8 +1068,8 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 let mut hk = 0usize;
                 for sink in sinks.iter_mut() {
                     match sink {
-                        FusedSink::CountLt { radius, acc } => count_sinks.push((*radius, acc)),
-                        FusedSink::Histogram { shm, .. } => {
+                        QuerySink::CountLt { radius, acc } => count_sinks.push((*radius, acc)),
+                        QuerySink::Histogram { shm, .. } => {
                             hist_sinks.push((hk, *shm));
                             hk += 1;
                         }
@@ -1050,7 +1098,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     scr.pbn[k].clear();
                 }
                 for j in 0..len {
-                    let pm = Self::fused_pred_mask(pred, j, valid);
+                    let pm = Self::pred_mask(pred, j, valid);
                     if !pm.any() {
                         continue;
                     }
@@ -1059,7 +1107,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     for d in 0..D {
                         let pd = p[d];
                         for (sl, &ol) in row.iter_mut().zip(own[d].iter()) {
-                            let diff = ol - pd;
+                            let diff = w.diff(ol, pd);
                             *sl = diff.mul_add(diff, *sl);
                         }
                     }
@@ -1188,7 +1236,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// totals and one lane-major compute sweep. The op-by-op loop it
     /// replaces stays as the differential oracle (and the fallback for
     /// every declined shape: load-balanced intra, non-prefix masks,
-    /// non-Euclidean plans, would-fault tiles).
+    /// multi-query sinks, would-fault tiles).
     ///
     /// `valid` must be the caller's `tid < block_n ∧ active` mask and
     /// `own` the warp's register-resident points, exactly as the
@@ -1201,7 +1249,36 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         block_start: u32,
         block_n: u32,
         own: &[F32x32; D],
-        consumer: FusedConsumer<'_>,
+        consumer: TileSink<'_>,
+        valid: Mask,
+    ) -> bool {
+        match ck.form {
+            DistanceForm::Euclidean => {
+                self.intra_regular_impl(Plain, ck, tile, block_start, block_n, own, consumer, valid)
+            }
+            DistanceForm::MinimumImage { box_edge } => self.intra_regular_impl(
+                Wrapped(box_edge),
+                ck,
+                tile,
+                block_start,
+                block_n,
+                own,
+                consumer,
+                valid,
+            ),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn intra_regular_impl<W: Diff, const D: usize>(
+        &mut self,
+        w: W,
+        ck: &CompiledKernel,
+        tile: CompiledTile<'_, D>,
+        block_start: u32,
+        block_n: u32,
+        own: &[F32x32; D],
+        consumer: TileSink<'_>,
         valid: Mask,
     ) -> bool {
         if !self.blk.cfg.compiled
@@ -1213,11 +1290,10 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             return false;
         }
         match (&consumer, &ck.sink) {
-            (FusedConsumer::CountLt { radius, .. }, CompiledSinkSpec::CountLt { radius: r })
+            (TileSink::CountLt { radius, .. }, CompiledSinkSpec::CountLt { radius: r })
                 if radius.to_bits() == r.to_bits() => {}
-            (FusedConsumer::Sum { .. }, CompiledSinkSpec::Sum) => {}
             (
-                FusedConsumer::Histogram {
+                TileSink::Histogram {
                     inv_width, hmax, ..
                 },
                 CompiledSinkSpec::Histogram {
@@ -1267,7 +1343,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 }
             }
         }
-        if let FusedConsumer::Histogram { hmax, shm, .. } = &consumer {
+        if let TileSink::Histogram { hmax, shm, .. } = &consumer {
             if self
                 .blk
                 .shared
@@ -1351,7 +1427,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             CompiledTile::Roc(_) => (block_start + tid0) as usize,
         };
         match consumer {
-            FusedConsumer::CountLt { acc, .. } => {
+            TileSink::CountLt { acc, .. } => {
                 let cols: [&[f32]; D] = match &tile {
                     CompiledTile::Shared(tile) => {
                         std::array::from_fn(|d| self.blk.shared.f32s(tile[d]))
@@ -1370,7 +1446,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
                     let e0 = (elem0 + l + 1).min(hi);
                     let cnt = if sqrt_free {
-                        count_lt_cols(&o, &cols, e0, hi, thr)
+                        count_lt_cols(w, &o, &cols, e0, hi, thr)
                     } else {
                         // `radius = +inf` needs the sqrt form (see the
                         // inter-tile pass); cold.
@@ -1378,38 +1454,14 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                         #[allow(clippy::needless_range_loop)]
                         for e in e0..hi {
                             let p: [f32; D] = std::array::from_fn(|d| cols[d][e]);
-                            cnt += (euclid_sumsq(&o, &p).sqrt() < ck.radius) as u64;
+                            cnt += (sumsq(w, &o, &p).sqrt() < ck.radius) as u64;
                         }
                         cnt
                     };
                     acc[l] += cnt;
                 }
             }
-            FusedConsumer::Sum { acc } => {
-                let cols: [&[f32]; D] = match &tile {
-                    CompiledTile::Shared(tile) => {
-                        std::array::from_fn(|d| self.blk.shared.f32s(tile[d]))
-                    }
-                    CompiledTile::Roc(bufs) => {
-                        std::array::from_fn(|d| self.blk.gmem().f32_slice(bufs[d]))
-                    }
-                };
-                let hi = match &tile {
-                    CompiledTile::Shared(_) => block_n as usize,
-                    CompiledTile::Roc(_) => (block_start + block_n) as usize,
-                };
-                for l in 0..v as usize {
-                    let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                    let mut s_acc = acc[l];
-                    #[allow(clippy::needless_range_loop)]
-                    for e in (elem0 + l + 1)..hi {
-                        let p: [f32; D] = std::array::from_fn(|d| cols[d][e]);
-                        s_acc += euclid_sumsq(&o, &p).sqrt();
-                    }
-                    acc[l] = s_acc;
-                }
-            }
-            FusedConsumer::Histogram {
+            TileSink::Histogram {
                 inv_width,
                 hmax,
                 shm,
@@ -1420,7 +1472,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 // contributes a_j = min(v, t_max−j) lanes) — this ends
                 // the tile columns' borrow so phase B can scatter into
                 // `self.blk.shared` mutably. Per pair the operation
-                // sequence is exactly the op-by-op chain: `euclid_sumsq`
+                // sequence is exactly the op-by-op chain: `sumsq`
                 // in ascending dimensions, sqrt, FMUL, saturating cast
                 // (the exact-geometry rows go through the vectorized
                 // cast of `bucket_row_exact` — identical bits).
@@ -1448,7 +1500,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                             for ((sl, &ol), &pd) in
                                 srow[..a_j].iter_mut().zip(own[d].iter()).zip(col.iter())
                             {
-                                let diff = ol - pd;
+                                let diff = w.diff(ol, pd);
                                 *sl = diff.mul_add(diff, *sl);
                             }
                         }
@@ -1508,9 +1560,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 t.shared_bytes += 4 * s_total;
             }
             // Multi-sink batches lower for the inter-tile pass only; the
-            // intra triangle keeps them on the fused/op route, so the
+            // intra triangle keeps them on the op-by-op route, so the
             // sink-agreement check above already declined them.
-            FusedConsumer::Multi(_) => unreachable!("multi declines above"),
+            TileSink::Multi(_) => unreachable!("multi declines above"),
         }
 
         let interp = &mut self.blk.interp;
@@ -1696,25 +1748,33 @@ mod tests {
     #[test]
     fn lower_respects_config_gates() {
         let mut cfg = crate::config::DeviceConfig::titan_x();
+        let count = CompiledSinkSpec::CountLt { radius: 25.0 };
+        let lower = |cfg: &DeviceConfig, form, cost| {
+            CompiledKernel::lower(cfg, form, cost, 3, 256, count.clone())
+        };
         cfg.compiled = false;
         assert!(
-            CompiledKernel::lower(&cfg, 3, 256, CompiledSinkSpec::Sum).is_none(),
+            lower(&cfg, DistanceForm::Euclidean, 7).is_none(),
             "compiled off must not lower"
         );
         cfg.compiled = true;
         cfg.scalar_reference = true;
         assert!(
-            CompiledKernel::lower(&cfg, 3, 256, CompiledSinkSpec::Sum).is_none(),
+            lower(&cfg, DistanceForm::Euclidean, 7).is_none(),
             "scalar reference overrides"
         );
         cfg.scalar_reference = false;
-        let ck = CompiledKernel::lower(&cfg, 3, 256, CompiledSinkSpec::CountLt { radius: 25.0 })
-            .expect("lowering");
+        let ck = lower(&cfg, DistanceForm::Euclidean, 7).expect("lowering");
         assert_eq!(ck.full_steps, 256);
         // Euclidean cost 2·3+1 plus the CountLt compare+increment.
         assert_eq!(ck.wi, 9);
         assert_eq!(ck.per, 9);
         assert!(ck.threshold() > 0.0);
+        // The minimum-image form charges the distance's own cost
+        // (5·3+1), not the Euclidean one.
+        let ck = lower(&cfg, DistanceForm::MinimumImage { box_edge: 60.0 }, 16).expect("lowering");
+        assert_eq!(ck.per, 18);
+        assert_eq!(ck.wi, 18);
     }
 
     /// The device's bucket index for a squared distance `s`: one sqrt,
@@ -1827,15 +1887,23 @@ mod tests {
             c.compiled = true;
             c
         };
-        let ck = CompiledKernel::lower(&cfg, 2, 128, CompiledSinkSpec::Sum).unwrap();
+        let ck = CompiledKernel::lower(
+            &cfg,
+            DistanceForm::Euclidean,
+            5,
+            2,
+            128,
+            CompiledSinkSpec::CountLt { radius: 1.0 },
+        )
+        .unwrap();
         // Closed form for the All-pred shapes vs the explicit walk.
         for &(len, nv) in &[(128u32, 32u32), (128, 7), (17, 32), (1, 1)] {
             let valid = Mask::first_n(nv);
-            let (npm, sum) = ck.pass_counts(len, FusedPred::All, valid);
+            let (npm, sum) = ck.pass_counts(len, TilePred::All, valid);
             let mut npm2 = 0;
             let mut sum2 = 0;
             for j in 0..len {
-                let pm = WarpCtx::fused_pred_mask(FusedPred::All, j, valid);
+                let pm = WarpCtx::pred_mask(TilePred::All, j, valid);
                 if pm.any() {
                     npm2 += 1;
                     sum2 += pm.count() as u64;

@@ -67,12 +67,12 @@ struct BlockOutcome {
 
 /// The device-wide L2 for one launch: the legacy body in scalar-reference
 /// mode, the fast body with generation-stamped run memoization when the
-/// fused fast paths are on, the plain fast body otherwise. All three make
+/// compiled route is on, the plain fast body otherwise. All three make
 /// identical hit/miss decisions.
 fn new_l2(cfg: &DeviceConfig) -> L2Cache {
     if cfg.scalar_reference {
         L2Cache::new_reference(cfg.l2_sectors())
-    } else if cfg.fused_tile || cfg.compiled {
+    } else if cfg.compiled {
         L2Cache::new_memoized(cfg.l2_sectors())
     } else {
         L2Cache::new(cfg.l2_sectors())

@@ -13,16 +13,18 @@
 mod block;
 mod compiled;
 pub(crate) mod engine;
-mod fused;
 mod launch;
 mod mask;
+mod tile;
 mod warp;
 
 pub use block::BlockCtx;
-pub use compiled::{sqrt_lt_threshold, CompiledKernel, CompiledSinkSpec, CompiledTile};
-pub use fused::{FusedConsumer, FusedPred, FusedSink, FusedSrc};
+pub use compiled::{
+    sqrt_lt_threshold, CompiledKernel, CompiledSinkSpec, CompiledTile, DistanceForm,
+};
 pub use launch::LaunchConfig;
 pub use mask::Mask;
+pub use tile::{QuerySink, TilePred, TileSink, TileSrc};
 pub use warp::WarpCtx;
 
 use crate::occupancy::Occupancy;
@@ -85,8 +87,9 @@ pub struct KernelRun {
     pub timing: TimingBreakdown,
     /// Profiler-style report (utilizations, bandwidths).
     pub profile: KernelProfile,
-    /// Host-side interpreter statistics (dispatches, fused-op coverage,
-    /// memoization hits). Not part of the simulated device state.
+    /// Host-side interpreter statistics (dispatches, compiled-pass
+    /// coverage, memoization hits). Not part of the simulated device
+    /// state.
     pub interp: InterpStats,
 }
 

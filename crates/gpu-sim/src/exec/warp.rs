@@ -25,9 +25,9 @@
 
 use crate::error::SimError;
 use crate::exec::block::BlockCtx;
-use crate::exec::fused::{FusedConsumer, FusedPred, FusedSink, FusedSrc};
 use crate::exec::mask::Mask;
-use crate::mem::{self, BufF32, BufU32, BufU64, ScatterScratch, ShmF32, ShmU32, ShmU64};
+use crate::exec::tile::TilePred;
+use crate::mem::{self, BufF32, BufU32, BufU64, ShmF32, ShmU32, ShmU64};
 use crate::tally::AccessTally;
 use crate::{F32x32, U32x32, U64x32, WARP_SIZE};
 
@@ -1121,18 +1121,18 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     // ---------------------------------------------------------------
-    // fused tile execution (hot-path interpreter fast path)
+    // compiled-pass helpers
     // ---------------------------------------------------------------
 
-    /// The per-step active mask of a fused tile pass, in closed form.
+    /// The per-step active mask of a compiled tile pass, in closed form.
     /// Exactly the mask the op-by-op loops build with `Mask::from_fn`
     /// over `gid[i] != partner` / `gid[i] < partner`, relying on the
-    /// lane→element contiguity documented on [`FusedPred`].
+    /// lane→element contiguity documented on [`TilePred`].
     #[inline]
-    pub(crate) fn fused_pred_mask(pred: FusedPred, j: u32, valid: Mask) -> Mask {
+    pub(crate) fn pred_mask(pred: TilePred, j: u32, valid: Mask) -> Mask {
         match pred {
-            FusedPred::All => valid,
-            FusedPred::NotEqual { gid0, base } => {
+            TilePred::All => valid,
+            TilePred::NotEqual { gid0, base } => {
                 let l = (base + j).wrapping_sub(gid0);
                 if l < WARP_SIZE as u32 {
                     Mask(valid.0 & !(1u32 << l))
@@ -1140,707 +1140,28 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     valid
                 }
             }
-            FusedPred::LessThan { gid0, base } => {
+            TilePred::LessThan { gid0, base } => {
                 valid.and(Mask::first_n((base + j).saturating_sub(gid0)))
             }
         }
     }
 
-    /// Execute one whole inner tile pass — `len` steps of *broadcast an
-    /// element, evaluate the distance against each lane's own point,
-    /// fold the value into the consumer* — in a single fused call.
+    /// Compiled form of the `*-Out` family's cross-copy reduction loop:
+    /// `copies` iterations of *unit-stride load `buf[c·stride + gid]`,
+    /// address + accumulate ALU, widen into `acc`*, plus the loop-control
+    /// charge (`charge_control(m+1)`), as one call.
     ///
-    /// Semantically identical to the op-by-op loop the tiling kernels
-    /// otherwise interpret (`broadcast → dist.eval → action.process` per
-    /// step): outputs, [`AccessTally`], ROC/L2 cache state and
-    /// first-fault behavior are bit-for-bit the same, which
-    /// `tests/differential.rs` proves. The speedup comes from charging
-    /// the per-step instruction accounting in closed form and running
-    /// flat lane loops with no interpreter dispatch per step.
-    ///
-    /// Returns `true` when the fused fast path ran. Returns `false` —
-    /// with **no** side effects — whenever a precondition fails, and the
-    /// caller must fall back to the op-by-op loop: scalar-reference
-    /// mode, `fused_tile` disabled, a dead block, an empty/non-prefix
-    /// `valid` mask, a zero-length tile, a source or consumer that could
-    /// fault mid-pass (the fallback loop then reproduces the exact
-    /// op-by-op fault point), or a ROC source whose `note_read` would
-    /// abandon speculation.
-    ///
-    /// `eval` receives `(own_point, broadcast_point)` — the same
-    /// argument order as `DistanceKernel::eval_host(a, b)` under
-    /// `dist.eval(w, own_regs, &broadcast, mask)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fused_tile_pass<const D: usize>(
-        &mut self,
-        src: FusedSrc<'_, D>,
-        len: u32,
-        pred: FusedPred,
-        dist_cost: u64,
-        eval: impl Fn(&[f32; D], &[f32; D]) -> f32,
-        own: &[F32x32; D],
-        consumer: FusedConsumer<'_>,
-        valid: Mask,
-    ) -> bool {
-        self.fused_tile_impl::<D, false>(src, len, pred, dist_cost, eval, own, consumer, valid)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fused_tile_impl<const D: usize, const EUCLID: bool>(
-        &mut self,
-        src: FusedSrc<'_, D>,
-        len: u32,
-        pred: FusedPred,
-        dist_cost: u64,
-        eval: impl Fn(&[f32; D], &[f32; D]) -> f32,
-        own: &[F32x32; D],
-        consumer: FusedConsumer<'_>,
-        valid: Mask,
-    ) -> bool {
-        if self.scalar_ref()
-            || !self.blk.cfg.fused_tile
-            || self.blk.dead()
-            || len == 0
-            || !valid.any()
-            || !valid.is_prefix()
-        {
-            return false;
-        }
-        // Pre-flight every fault/abandon the pass could hit, so the body
-        // below can batch its charges without a mid-pass unwind.
-        match &src {
-            FusedSrc::SharedBroadcast(tile) => {
-                if tile.iter().any(|h| {
-                    self.blk
-                        .shared
-                        .check_bounds(h.0, len - 1, "shared f32 load")
-                        .is_err()
-                }) {
-                    return false;
-                }
-            }
-            FusedSrc::RocBroadcast { bufs, start } => {
-                let Some(last) = start.checked_add(len - 1) else {
-                    return false;
-                };
-                if bufs.iter().any(|b| {
-                    self.blk
-                        .check_global_bounds(b.0, last, "roc f32 load")
-                        .is_err()
-                        || self.blk.read_would_abandon(b.0)
-                }) {
-                    return false;
-                }
-            }
-            FusedSrc::LaneBroadcast(_) => {
-                if !self.blk.cfg.has_shuffle {
-                    return false;
-                }
-            }
-        }
-        if let FusedConsumer::Histogram { hmax, shm, .. } = &consumer {
-            if self
-                .blk
-                .shared
-                .check_bounds(shm.0, *hmax, "shared u32 atomicAdd")
-                .is_err()
-            {
-                return false;
-            }
-        }
-        if let FusedConsumer::Multi(sinks) = &consumer {
-            for sink in sinks.iter() {
-                if let FusedSink::Histogram { hmax, shm, .. } = sink {
-                    if self
-                        .blk
-                        .shared
-                        .check_bounds(shm.0, *hmax, "shared u32 atomicAdd")
-                        .is_err()
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-
-        let a = valid.count() as u64;
-        let steps = len as u64;
-        let dims = D as u64;
-
-        // ---- operand charges, batched in closed form ----
-        // Every step's broadcast is a prefix-mask single-element access,
-        // so each per-op charge is a constant; only the ROC sector stream
-        // is stateful and is driven element by element in op-by-op order.
-        match &src {
-            FusedSrc::SharedBroadcast(_) => {
-                let t = &mut self.blk.tally;
-                charge_lanes(t, steps * dims, a);
-                t.shared_load_instructions += steps * dims;
-                // A one-element f32 broadcast is always a single
-                // conflict-free transaction (`SharedSpace::transactions_for`).
-                t.shared_transactions += steps * dims;
-                t.shared_bytes += 4 * a * steps * dims;
-            }
-            FusedSrc::RocBroadcast { bufs, start } => {
-                {
-                    let t = &mut self.blk.tally;
-                    charge_lanes(t, steps * dims, a);
-                    t.roc_load_instructions += steps * dims;
-                    t.roc_bytes += 4 * a * steps * dims;
-                }
-                let sb = self.blk.cfg.sector_bytes as u64;
-                let bases: [u64; D] = std::array::from_fn(|d| self.blk.global_base_addr(bufs[d].0));
-                // Batched sector-run probes: consecutive elements share a
-                // sector (8 f32s per 32-byte sector), so the op-by-op
-                // stream touches each dimension's current sector `run`
-                // times in a row. Probe the first round for real; if the
-                // FIFO's eviction generation is unchanged afterwards,
-                // every probed sector is provably still resident
-                // (residency is monotone within a generation and hits
-                // mutate nothing), so the remaining `run - 1` rounds
-                // replay as hits in bulk. An eviction mid-round falls
-                // back to per-element probes for the rest of the run.
-                let mut j = 0u64;
-                while j < steps {
-                    let e0 = *start as u64 + j;
-                    let mut run = steps - j;
-                    let mut sectors = [0u64; D];
-                    for (s, &base) in sectors.iter_mut().zip(bases.iter()) {
-                        let addr = base + e0 * 4;
-                        *s = addr / sb;
-                        // Elements until this dimension crosses into the
-                        // next sector.
-                        run = run.min(((*s + 1) * sb - addr).div_ceil(4));
-                    }
-                    let gen0 = self.blk.roc.generation();
-                    for &s in sectors.iter() {
-                        self.roc_one_sector(s);
-                    }
-                    if run > 1 {
-                        if self.blk.roc.generation() == gen0 {
-                            let n = (run - 1) * dims;
-                            self.blk.tally.roc_hit_sectors += n;
-                            self.blk.roc.credit_replayed_hits(n);
-                        } else {
-                            for jj in 1..run {
-                                for &base in &bases {
-                                    self.roc_one_sector((base + (e0 + jj) * 4) / sb);
-                                }
-                            }
-                        }
-                    }
-                    j += run;
-                }
-                for b in bufs.iter() {
-                    // Read-set bookkeeping; cannot abandon (pre-checked).
-                    let _ = self.blk.global_read_f32s(*b);
-                }
-            }
-            FusedSrc::LaneBroadcast(_) => {
-                let t = &mut self.blk.tally;
-                charge_lanes(t, steps * dims, a);
-                t.shuffle_instructions += steps * dims;
-            }
-        }
-        // Predicate evaluation: one ALU op per step under `valid`, just
-        // as the op-by-op loops charge before their `pm.any()` guard.
-        let pred_alu = !matches!(pred, FusedPred::All) as u64;
-        if pred_alu != 0 {
-            let t = &mut self.blk.tally;
-            charge_lanes(t, steps, a);
-            t.alu_instructions += steps;
-        }
-
-        // ---- the fused compute loop ----
-        let consumer_alu: u64 = match &consumer {
-            FusedConsumer::CountLt { .. } | FusedConsumer::Histogram { .. } => 2,
-            FusedConsumer::Sum { .. } => 1,
-            // Every sink costs what its single-consumer form costs.
-            FusedConsumer::Multi(sinks) => 2 * sinks.len() as u64,
-        };
-        let n_hist: u64 = match &consumer {
-            FusedConsumer::Histogram { .. } => 1,
-            FusedConsumer::Multi(sinks) => sinks
-                .iter()
-                .filter(|s| matches!(s, FusedSink::Histogram { .. }))
-                .count() as u64,
-            _ => 0,
-        };
-        let mut npm = 0u64; // steps whose predicate mask is non-empty
-        let mut sum_apm = 0u64; // Σ active lanes over those steps
-                                // Histogram scatter accounting, accumulated per step in closed
-                                // form (Σ multiplicity, Σ bank+contention replays).
-        let mut atom_serial = 0u64;
-        let mut atom_txns = 0u64;
-        let mut atom_replays = 0u64;
-        match consumer {
-            FusedConsumer::CountLt { radius, acc } => {
-                let vals = TileVals::resolve(self.blk, &src);
-                for j in 0..len {
-                    let pm = Self::fused_pred_mask(pred, j, valid);
-                    if !pm.any() {
-                        continue;
-                    }
-                    npm += 1;
-                    sum_apm += pm.count() as u64;
-                    let p = vals.point(j as usize);
-                    if EUCLID {
-                        let dv = euclid_dists(own, &p);
-                        if pm.0 == u32::MAX {
-                            // Hit counters are integer adds, so the
-                            // branch-free full-warp form is identical.
-                            for l in 0..WARP_SIZE {
-                                acc[l] += (dv[l] < radius) as u64;
-                            }
-                        } else {
-                            for l in pm.lanes() {
-                                acc[l] += (dv[l] < radius) as u64;
-                            }
-                        }
-                    } else {
-                        for l in pm.lanes() {
-                            let own_p: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                            if eval(&own_p, &p) < radius {
-                                acc[l] += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            FusedConsumer::Sum { acc } => {
-                let vals = TileVals::resolve(self.blk, &src);
-                for j in 0..len {
-                    let pm = Self::fused_pred_mask(pred, j, valid);
-                    if !pm.any() {
-                        continue;
-                    }
-                    npm += 1;
-                    sum_apm += pm.count() as u64;
-                    let p = vals.point(j as usize);
-                    if EUCLID {
-                        // Per lane the adds stay in ascending-`j` order,
-                        // so the f32 accumulation is unchanged.
-                        let dv = euclid_dists(own, &p);
-                        for l in pm.lanes() {
-                            acc[l] += dv[l];
-                        }
-                    } else {
-                        for l in pm.lanes() {
-                            let own_p: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                            acc[l] += eval(&own_p, &p);
-                        }
-                    }
-                }
-            }
-            FusedConsumer::Histogram {
-                inv_width,
-                hmax,
-                shm,
-            } => {
-                // Materialize the broadcast points up front: the scatter
-                // below needs `self.blk.shared` mutably, so the resolved
-                // tile borrow can't be held across the loop the way the
-                // register-accumulator consumers hold it.
-                let pts: Vec<[f32; D]> = {
-                    let vals = TileVals::resolve(self.blk, &src);
-                    (0..len as usize).map(|j| vals.point(j)).collect()
-                };
-                let mut scratch = ScatterScratch::default();
-                for j in 0..len {
-                    let pm = Self::fused_pred_mask(pred, j, valid);
-                    if !pm.any() {
-                        continue;
-                    }
-                    npm += 1;
-                    sum_apm += pm.count() as u64;
-                    let p = pts[j as usize];
-                    // Lane-vectorized bucketing mirroring
-                    // `HistogramSpec::bucket_lanes`: FMUL + F2I-with-clamp
-                    // per lane, where Rust's saturating `as u32` is CUDA's
-                    // `__float2uint_rz` (NaN and negatives go to bucket 0).
-                    // The Euclidean form computes all 32 indices in one
-                    // flat pass — inactive lanes produce garbage that only
-                    // the masked loops below can observe.
-                    let mut bucket = [0u32; WARP_SIZE];
-                    if EUCLID {
-                        let dv = euclid_dists(own, &p);
-                        for (b, &d) in bucket.iter_mut().zip(dv.iter()) {
-                            *b = ((d * inv_width) as u32).min(hmax);
-                        }
-                    } else {
-                        for l in pm.lanes() {
-                            let own_p: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                            let v = eval(&own_p, &p);
-                            bucket[l] = ((v * inv_width) as u32).min(hmax);
-                        }
-                    }
-                    // Closed-form scatter: the atomic's serialization is
-                    // a pure function of the active-lane bucket multiset,
-                    // so compact it and account contention + bank
-                    // conflicts in one pass instead of dispatching a
-                    // simulated 32-lane atomic (`shared_atomic_add_u32`
-                    // charges exactly these quantities; the pre-flight
-                    // bounds check above rules out its fault path).
-                    let mut act = [0u32; WARP_SIZE];
-                    let na = if pm.0 == u32::MAX {
-                        act = bucket;
-                        WARP_SIZE
-                    } else {
-                        let mut na = 0usize;
-                        for l in pm.lanes() {
-                            act[na] = bucket[l];
-                            na += 1;
-                        }
-                        na
-                    };
-                    let (mult, txns) =
-                        self.blk
-                            .shared
-                            .scatter_account(shm.0, &act[..na], &mut scratch);
-                    atom_serial += mult;
-                    atom_txns += txns + mult - 1;
-                    atom_replays += txns.saturating_sub(1);
-                    let data = self.blk.shared.u32s_mut(shm);
-                    for l in pm.lanes() {
-                        data[bucket[l] as usize] = data[bucket[l] as usize].wrapping_add(1);
-                    }
-                }
-            }
-            FusedConsumer::Multi(mut sinks) => {
-                // One distance evaluation per step feeds every sink in
-                // order — exactly what `MultiQueryAction::process` does op
-                // by op. Points are materialized up front for the same
-                // borrow reason as the Histogram consumer above (the
-                // histogram sinks need `self.blk.shared` mutably).
-                let pts: Vec<[f32; D]> = {
-                    let vals = TileVals::resolve(self.blk, &src);
-                    (0..len as usize).map(|j| vals.point(j)).collect()
-                };
-                // Shared across sinks: the counters are zero between
-                // calls, so per-array state never leaks.
-                let mut scratch = ScatterScratch::default();
-                // Partition the sinks once per tile pass: the per-step
-                // loop then walks two homogeneous lists instead of
-                // re-dispatching an enum match per sink per step. Sink
-                // order inside a step is counts-then-hists — exactly how
-                // `MultiQueryAction` lays its sinks out — and every
-                // accumulation is an integer add, so the partition is
-                // bit-identical to walking the mixed list.
-                let mut count_sinks: Vec<(f32, &mut U64x32)> = Vec::new();
-                let mut hist_sinks: Vec<(f32, u32, ShmU32)> = Vec::new();
-                for sink in sinks.iter_mut() {
-                    match sink {
-                        FusedSink::CountLt { radius, acc } => {
-                            count_sinks.push((*radius, acc));
-                        }
-                        FusedSink::Histogram {
-                            inv_width,
-                            hmax,
-                            shm,
-                        } => hist_sinks.push((*inv_width, *hmax, *shm)),
-                    }
-                }
-                // Per-pass u32 hit counters, widened into the u64
-                // accumulators once at the end: a lane gains at most one
-                // hit per step and a tile pass is far shorter than 2^32
-                // steps, so the u32 sums are exact and the final u64
-                // values are bit-identical — while the hot loop runs at
-                // twice the vector width with no widening conversions.
-                let mut cnts: Vec<U32x32> = vec![[0u32; WARP_SIZE]; count_sinks.len()];
-                for j in 0..len {
-                    let pm = Self::fused_pred_mask(pred, j, valid);
-                    if !pm.any() {
-                        continue;
-                    }
-                    npm += 1;
-                    sum_apm += pm.count() as u64;
-                    let p = pts[j as usize];
-                    let mut dv = [0.0f32; WARP_SIZE];
-                    if EUCLID {
-                        dv = euclid_dists(own, &p);
-                    } else {
-                        for l in pm.lanes() {
-                            let own_p: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                            dv[l] = eval(&own_p, &p);
-                        }
-                    }
-                    // Full-warp steps (the bulk: every inter-block tile
-                    // step) take branch-free flat loops per sink, exactly
-                    // like the single-consumer fast paths above — without
-                    // this the per-sink cost dwarfs the shared distance
-                    // evaluation and coalescing k queries saves nothing
-                    // on the host.
-                    if pm.0 == u32::MAX {
-                        for ((r, _), cnt) in count_sinks.iter().zip(cnts.iter_mut()) {
-                            let r = *r;
-                            for l in 0..WARP_SIZE {
-                                cnt[l] += (dv[l] < r) as u32;
-                            }
-                        }
-                    } else {
-                        for ((r, _), cnt) in count_sinks.iter().zip(cnts.iter_mut()) {
-                            for l in pm.lanes() {
-                                cnt[l] += (dv[l] < *r) as u32;
-                            }
-                        }
-                    }
-                    for &(iw, h, shm) in hist_sinks.iter() {
-                        // Same bucket formula and closed-form scatter
-                        // accounting as the single-sink Histogram
-                        // consumer above.
-                        let mut bucket = [0u32; WARP_SIZE];
-                        let mut act = [0u32; WARP_SIZE];
-                        let na;
-                        if pm.0 == u32::MAX {
-                            for (b, &d) in bucket.iter_mut().zip(dv.iter()) {
-                                *b = ((d * iw) as u32).min(h);
-                            }
-                            act = bucket;
-                            na = WARP_SIZE;
-                        } else {
-                            let mut k = 0usize;
-                            for l in pm.lanes() {
-                                let b = ((dv[l] * iw) as u32).min(h);
-                                bucket[l] = b;
-                                act[k] = b;
-                                k += 1;
-                            }
-                            na = k;
-                        }
-                        let (mult, txns) =
-                            self.blk
-                                .shared
-                                .scatter_account(shm.0, &act[..na], &mut scratch);
-                        atom_serial += mult;
-                        atom_txns += txns + mult - 1;
-                        atom_replays += txns.saturating_sub(1);
-                        let data = self.blk.shared.u32s_mut(shm);
-                        if pm.0 == u32::MAX {
-                            for &b in bucket.iter() {
-                                data[b as usize] = data[b as usize].wrapping_add(1);
-                            }
-                        } else {
-                            for l in pm.lanes() {
-                                data[bucket[l] as usize] = data[bucket[l] as usize].wrapping_add(1);
-                            }
-                        }
-                    }
-                }
-                for ((_, acc), cnt) in count_sinks.iter_mut().zip(cnts.iter()) {
-                    for l in 0..WARP_SIZE {
-                        acc[l] += cnt[l] as u64;
-                    }
-                }
-            }
-        }
-
-        // ---- distance + consumer charges, batched in closed form ----
-        // Tally counters commute, so summing per-executed-step charges at
-        // the end is bit-identical to charging them step by step. Each
-        // histogram sink's shared atomic is one further warp instruction
-        // per executed step (a memory op, not ALU); the data-dependent
-        // serialization was accumulated above, summed across sinks.
-        let per = dist_cost + consumer_alu;
-        let wi = per + n_hist;
-        {
-            let t = &mut self.blk.tally;
-            t.warp_instructions += npm * wi;
-            t.useful_lane_ops += wi * sum_apm;
-            t.predicated_lane_slots += wi * (npm * WARP_SIZE as u64 - sum_apm);
-            t.alu_instructions += npm * per;
-            if n_hist != 0 {
-                t.shared_atomics += npm * n_hist;
-                t.shared_atomic_serial += atom_serial;
-                t.shared_transactions += atom_txns;
-                t.shared_bank_replays += atom_replays;
-                t.shared_bytes += 4 * sum_apm * n_hist;
-            }
-        }
-        let interp = &mut self.blk.interp;
-        interp.dispatches += 1;
-        interp.fused_ops += 1;
-        interp.fused_lane_ops += a * steps * (dims + pred_alu) + wi * sum_apm;
-        true
-    }
-
-    /// [`Self::fused_tile_pass`] specialized to the paper's hot chain:
-    /// Euclidean distance (per-dimension `sub` + `fma`, then `sqrt`;
-    /// cost `2·D + 1`, bit-identical to `Euclidean::eval_host`).
-    ///
-    /// The specialization evaluates all 32 lanes of a step with one
-    /// lane-outer pass over the register columns (`euclid_dists`)
-    /// instead of per-lane closure calls, which the compiler turns into
-    /// packed FMA/sqrt — the bulk of the fused route's speedup on the
-    /// 2-PCF/SDH workloads.
-    pub fn fused_euclidean_tile<const D: usize>(
-        &mut self,
-        src: FusedSrc<'_, D>,
-        len: u32,
-        pred: FusedPred,
-        own: &[F32x32; D],
-        consumer: FusedConsumer<'_>,
-        valid: Mask,
-    ) -> bool {
-        self.fused_tile_impl::<D, true>(
-            src,
-            len,
-            pred,
-            2 * D as u64 + 1,
-            // Fallback form of the same chain; the `EUCLID` branches
-            // never call it, but keeping it here documents the exact
-            // scalar sequence `euclid_dists` must reproduce per lane.
-            |a, b| {
-                let mut s = 0.0f32;
-                for d in 0..D {
-                    let diff = a[d] - b[d];
-                    s = diff.mul_add(diff, s);
-                }
-                s.sqrt()
-            },
-            own,
-            consumer,
-            valid,
-        )
-    }
-
-    /// [`Self::fused_tile_pass`] with the privatized shared-histogram
-    /// consumer (the paper's Algorithm 3 SDH update).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fused_hist_tile<const D: usize>(
-        &mut self,
-        src: FusedSrc<'_, D>,
-        len: u32,
-        pred: FusedPred,
-        dist_cost: u64,
-        eval: impl Fn(&[f32; D], &[f32; D]) -> f32,
-        own: &[F32x32; D],
-        inv_width: f32,
-        hmax: u32,
-        shm: ShmU32,
-        valid: Mask,
-    ) -> bool {
-        self.fused_tile_pass(
-            src,
-            len,
-            pred,
-            dist_cost,
-            eval,
-            own,
-            FusedConsumer::Histogram {
-                inv_width,
-                hmax,
-                shm,
-            },
-            valid,
-        )
-    }
-
-    /// Execute the `*-Out` family's cross-copy reduction — `copies`
-    /// iterations of *unit-stride load `buf[c·stride + gid]`, address +
-    /// accumulate ALU, widen into `acc`* — as one fused call.
-    ///
-    /// Bit-identical to the op-by-op loop
-    /// (`global_load_u32` + `charge_alu(2)` + per-lane accumulate per
-    /// copy): every copy still charges 3 warp instructions (2 of them
-    /// ALU), one coalesced load, `4·lanes` bytes, and one ascending
-    /// unit-stride L2 sector run, in copy order. Only the interpreter
-    /// dispatch per operation disappears.
-    ///
-    /// Returns `false` — with no side effects — when a precondition
-    /// fails and the caller must run the op-by-op loop: scalar-reference
-    /// mode, `fused_tile` off, a dead block, fewer than two active lanes
-    /// or a non-prefix mask (the op path's broadcast shape), non-
-    /// contiguous `gid`s, an access that could fault, or a read that
-    /// would abandon speculation.
-    pub fn fused_copy_reduce_u32(
-        &mut self,
-        buf: BufU32,
-        gid: &U32x32,
-        stride: u32,
-        copies: u32,
-        acc: &mut U64x32,
-        mask: Mask,
-    ) -> bool {
-        if self.scalar_ref()
-            || !self.blk.cfg.fused_tile
-            || self.blk.dead()
-            || copies == 0
-            || !mask.is_prefix()
-            || mask.count() < 2
-        {
-            return false;
-        }
-        let n = mask.count() as usize;
-        let first = gid[0] as u64;
-        if !gid[..n]
-            .iter()
-            .enumerate()
-            .all(|(k, &v)| v as u64 == first + k as u64)
-        {
-            return false;
-        }
-        let last = (copies as u64 - 1) * stride as u64 + first + n as u64 - 1;
-        if u32::try_from(last).is_err()
-            || self
-                .blk
-                .check_global_bounds(buf.0, last as u32, "global u32 load")
-                .is_err()
-            || self.blk.read_would_abandon(buf.0)
-        {
-            return false;
-        }
-
-        let a = n as u64;
-        let m = copies as u64;
-        {
-            let t = &mut self.blk.tally;
-            charge_lanes(t, 3 * m, a);
-            t.alu_instructions += 2 * m;
-            t.global_load_instructions += m;
-            t.global_load_bytes += m * 4 * a;
-        }
-        // The stateful L2 stream keeps its op-by-op granularity and
-        // order: one ascending unit-stride sector run per copy.
-        let base = self.blk.global_base_addr(buf.0);
-        let sb = self.blk.cfg.sector_bytes as u64;
-        for c in 0..m {
-            let e0 = c * stride as u64 + first;
-            let s0 = (base + e0 * 4) / sb;
-            let s1 = (base + (e0 + a - 1) * 4) / sb;
-            self.blk.l2_access_run(s0, (s1 - s0 + 1) as u32);
-        }
-        {
-            // Read-set bookkeeping; cannot abandon (pre-checked). The
-            // accumulation runs flat over each copy's contiguous row.
-            let data = self.blk.global_read_u32s(buf);
-            for c in 0..copies {
-                let off = c as usize * stride as usize + first as usize;
-                for (al, &v) in acc[..n].iter_mut().zip(data[off..off + n].iter()) {
-                    *al += v as u64;
-                }
-            }
-        }
-        let interp = &mut self.blk.interp;
-        interp.dispatches += 1;
-        interp.fused_ops += 1;
-        interp.fused_lane_ops += 3 * m * a;
-        true
-    }
-
-    /// Compiled form of the whole reduction copy loop: the scope of
-    /// [`Self::fused_copy_reduce_u32`] *plus* the loop-control charge
-    /// the caller otherwise issues separately (`charge_control(m+1)`),
-    /// lowered to one call when the compiled route is on. Gates on
-    /// `cfg.compiled` instead of `cfg.fused_tile`, so the reduction
-    /// stays compiled when the fused oracle route is selected off.
-    ///
-    /// Tally effects are bit-identical to
-    /// `charge_control(m+1) + fused_copy_reduce_u32` (which is
-    /// bit-identical to the op-by-op loop); only the host-side
-    /// interpreter stats differ (one compiled dispatch instead of two).
+    /// Tally effects are bit-identical to the op-by-op loop: every copy
+    /// still charges 3 warp instructions (2 of them ALU), one coalesced
+    /// load, `4·lanes` bytes, and one ascending unit-stride L2 sector
+    /// run, in copy order. Only the host-side interpreter stats differ
+    /// (one compiled dispatch instead of one per operation).
     /// Returns `false` with no side effects — including the control
-    /// charge — on any declined shape, and the caller runs the
-    /// charge_control + fused/op-by-op path.
+    /// charge — on any declined shape (scalar-reference mode, compiled
+    /// route off, a dead block, fewer than two active lanes or a
+    /// non-prefix mask, non-contiguous `gid`s, an access that could
+    /// fault, or a read that would abandon speculation), and the caller
+    /// runs the op-by-op loop.
     pub fn compiled_copy_reduce_u32(
         &mut self,
         buf: BufU32,
@@ -1917,152 +1238,6 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         interp.compiled_ops += 1;
         interp.compiled_lane_ops += (4 * m + 1) * a;
         true
-    }
-
-    /// Shared-memory sibling of [`Self::fused_copy_reduce_u32`]: the
-    /// multi-copy privatized histogram's end-of-block reduction —
-    /// `copies` iterations of *unit-stride shared load
-    /// `arr[c·stride + idx]`, one accumulate ALU op, wrapping add into
-    /// `acc`* — as one fused call.
-    ///
-    /// Bit-identical to the op-by-op loop (`shared_load_u32` +
-    /// `charge_alu(1)` per copy): each copy charges 2 warp instructions
-    /// (1 ALU), one shared load with its bank-rule transactions, and
-    /// `4·lanes` bytes. Returns `false` with no side effects when the
-    /// fast paths are off, the mask is empty or non-prefix, the `idx`
-    /// lanes are not contiguous, or any copy's row could fault.
-    pub fn fused_shared_copy_reduce_u32(
-        &mut self,
-        arr: ShmU32,
-        idx: &U32x32,
-        stride: u32,
-        copies: u32,
-        acc: &mut U32x32,
-        mask: Mask,
-    ) -> bool {
-        if self.scalar_ref()
-            || !self.blk.cfg.fused_tile
-            || self.blk.dead()
-            || copies == 0
-            || !mask.any()
-            || !mask.is_prefix()
-        {
-            return false;
-        }
-        let n = mask.count() as usize;
-        let first = idx[0] as u64;
-        if !idx[..n]
-            .iter()
-            .enumerate()
-            .all(|(k, &v)| v as u64 == first + k as u64)
-        {
-            return false;
-        }
-        let last = (copies as u64 - 1) * stride as u64 + first + n as u64 - 1;
-        if u32::try_from(last).is_err()
-            || self
-                .blk
-                .shared
-                .check_bounds(arr.0, last as u32, "shared u32 load")
-                .is_err()
-        {
-            return false;
-        }
-
-        let a = n as u64;
-        let m = copies as u64;
-        // Bank transactions per copy: the rows are unit-stride but each
-        // copy's base offset shifts the banks, so ask the counter per
-        // copy (cheap shape fast path) rather than assume.
-        let mut txns_total = 0u64;
-        let mut src = [0u32; WARP_SIZE];
-        for c in 0..copies {
-            let e0 = (c as u64 * stride as u64 + first) as u32;
-            for (k, s) in src[..n].iter_mut().enumerate() {
-                *s = e0 + k as u32;
-            }
-            txns_total += self.blk.shared.transactions_for(arr.0, &src[..n]);
-        }
-        {
-            let t = &mut self.blk.tally;
-            charge_lanes(t, 2 * m, a);
-            t.alu_instructions += m;
-            t.shared_load_instructions += m;
-            t.shared_transactions += txns_total;
-            t.shared_bank_replays += txns_total - m;
-            t.shared_bytes += m * 4 * a;
-        }
-        {
-            let data = self.blk.shared.u32s(arr);
-            for c in 0..copies {
-                let off = c as usize * stride as usize + first as usize;
-                for (al, &v) in acc[..n].iter_mut().zip(data[off..off + n].iter()) {
-                    *al = al.wrapping_add(v);
-                }
-            }
-        }
-        let interp = &mut self.blk.interp;
-        interp.dispatches += 1;
-        interp.fused_ops += 1;
-        interp.fused_lane_ops += 2 * m * a;
-        true
-    }
-}
-
-/// All 32 lanes' Euclidean distances against one broadcast point, as a
-/// dimension-outer pass over the flat register columns. Per lane the
-/// operation sequence — `sub`, `mul_add` per dimension in ascending
-/// order, then `sqrt` — is exactly `Euclidean::eval_host`, so every
-/// lane's result is bit-identical to the scalar closure; the lane-outer
-/// layout only exists so the compiler can vectorize across lanes.
-/// Inactive lanes compute garbage that callers discard under the mask.
-#[inline]
-fn euclid_dists<const D: usize>(own: &[F32x32; D], p: &[f32; D]) -> F32x32 {
-    let mut s = [0.0f32; WARP_SIZE];
-    for d in 0..D {
-        let col = &own[d];
-        let pd = p[d];
-        for (sl, &ol) in s.iter_mut().zip(col.iter()) {
-            let diff = ol - pd;
-            *sl = diff.mul_add(diff, *sl);
-        }
-    }
-    for v in &mut s {
-        *v = v.sqrt();
-    }
-    s
-}
-
-/// Resolved view of a [`FusedSrc`] for the accumulator consumers: borrows
-/// the backing storage once so the per-step loop is a flat slice index.
-enum TileVals<'s, const D: usize> {
-    /// Column slices; step `j` reads element `start + j` of each.
-    Elems { cols: [&'s [f32]; D], start: usize },
-    /// Register fragment; step `j` reads lane `j % 32` of each.
-    Lanes(&'s [F32x32; D]),
-}
-
-impl<'s, const D: usize> TileVals<'s, D> {
-    fn resolve(blk: &'s BlockCtx<'_>, src: &FusedSrc<'s, D>) -> Self {
-        match src {
-            FusedSrc::SharedBroadcast(tile) => TileVals::Elems {
-                cols: std::array::from_fn(|d| blk.shared.f32s(tile[d])),
-                start: 0,
-            },
-            FusedSrc::RocBroadcast { bufs, start } => TileVals::Elems {
-                cols: std::array::from_fn(|d| blk.gmem().f32_slice(bufs[d])),
-                start: *start as usize,
-            },
-            FusedSrc::LaneBroadcast(regs) => TileVals::Lanes(regs),
-        }
-    }
-
-    #[inline]
-    fn point(&self, j: usize) -> [f32; D] {
-        match self {
-            TileVals::Elems { cols, start } => std::array::from_fn(|d| cols[d][start + j]),
-            TileVals::Lanes(regs) => std::array::from_fn(|d| regs[d][j % WARP_SIZE]),
-        }
     }
 }
 

@@ -103,8 +103,8 @@ pub use config::{DeviceConfig, ExecMode, Latencies, Throughputs};
 pub use device::Device;
 pub use error::SimError;
 pub use exec::{
-    sqrt_lt_threshold, BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, FusedConsumer,
-    FusedPred, FusedSink, FusedSrc, Kernel, KernelResources, KernelRun, LaunchConfig, Mask,
+    sqrt_lt_threshold, BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, DistanceForm,
+    Kernel, KernelResources, KernelRun, LaunchConfig, Mask, QuerySink, TilePred, TileSink, TileSrc,
     WarpCtx,
 };
 pub use mem::{BufF32, BufU32, BufU64, ShmF32, ShmU32, ShmU64};
@@ -118,8 +118,9 @@ pub mod prelude {
     pub use crate::config::{DeviceConfig, ExecMode};
     pub use crate::device::Device;
     pub use crate::exec::{
-        BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, FusedConsumer, FusedPred,
-        FusedSink, FusedSrc, Kernel, KernelResources, KernelRun, LaunchConfig, Mask, WarpCtx,
+        BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, DistanceForm, Kernel,
+        KernelResources, KernelRun, LaunchConfig, Mask, QuerySink, TilePred, TileSink, TileSrc,
+        WarpCtx,
     };
     pub use crate::mem::{BufF32, BufU32, BufU64, ShmF32, ShmU32, ShmU64};
     pub use crate::occupancy::Occupancy;

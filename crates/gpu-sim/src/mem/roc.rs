@@ -169,7 +169,7 @@ impl RocCache {
     /// The eviction generation of the fast body (see
     /// [`FifoSet::generation`]): `None` for the reference body. While the
     /// generation is unchanged, residency is monotone — a sector observed
-    /// resident stays resident — which is what lets the fused tile pass
+    /// resident stays resident — which is what lets the compiled tile pass
     /// replay whole arithmetic sector runs as hits.
     pub fn generation(&self) -> Option<u64> {
         match &self.body {
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn bulk_credit_matches_per_sector_replay() {
-        // The fused tile pass probes a sector run's first round for real,
+        // The compiled tile pass probes a sector run's first round for real,
         // then — if the eviction generation is unchanged — credits the
         // remaining rounds in bulk. Drive both protocols over the same
         // element stream and require identical hit/miss totals.

@@ -338,9 +338,9 @@ impl SharedSpace {
     }
 
     /// [`Self::atomic_scatter_accounting`] with caller-owned scratch —
-    /// the fused histogram consumers call this once per tile step, and
-    /// the per-call array zeroing plus chain walks of the stateless path
-    /// dominate a fused SDH sweep's host time. Reusing occupancy
+    /// a histogram sink calls this once per tile step, and the per-call
+    /// array zeroing plus chain walks of the stateless path would
+    /// dominate an SDH sweep's host time. Reusing occupancy
     /// counters across steps (reset via the touched list, never a full
     /// clear) makes the accounting a flat pass over the active lanes.
     /// The result is identical to [`Self::atomic_scatter_accounting`];
@@ -411,7 +411,7 @@ impl SharedSpace {
         (mult, txns)
     }
 
-    /// [`Self::scatter_account`] fused with the histogram data update:
+    /// [`Self::scatter_account`] combined with the histogram data update:
     /// one walk over the active-lane bucket indices yields the
     /// accounting pair *and* applies `data[v] += 1` per lane (batched as
     /// `data[v] += count(v)` per distinct value — wrapping u32 adds
@@ -796,7 +796,7 @@ mod tests {
 
     #[test]
     fn scatter_accounting_matches_split_computation() {
-        // The fused histogram consumer relies on this equivalence: one
+        // The compiled histogram sinks rely on this equivalence: one
         // combined pass == (reference multiplicity scan, transactions_for).
         let max_multiplicity = |vals: &[u32]| -> u64 {
             vals.iter()
@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn scratch_scatter_accounting_matches_stateless_oracle() {
-        // The compiled/fused histogram sinks reuse one `ScatterScratch`
+        // The compiled histogram sinks reuse one `ScatterScratch`
         // across every tile step of a pass; the counters must come back
         // clean between calls (reset via the touched list) and every
         // shape — broadcast, unit stride, pileup, random — must agree

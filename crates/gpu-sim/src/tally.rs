@@ -175,32 +175,28 @@ impl AccessTally {
     }
 }
 
-/// Host-side interpreter statistics: dispatch counts, fused-op coverage
-/// and cache-memoization hit counts.
+/// Host-side interpreter statistics: dispatch counts, compiled-pass
+/// coverage and cache-memoization hit counts.
 ///
 /// Deliberately a separate struct from [`AccessTally`]: the tally models
 /// the *simulated device* and is compared bit-for-bit by the differential
 /// tests, while these counters describe how the *interpreter* executed —
-/// the fused fast path and the unfused op-by-op route produce identical
-/// tallies but very different `InterpStats`.
+/// the compiled route and the op-by-op route produce identical tallies
+/// but very different `InterpStats`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct InterpStats {
     /// Interpreter op dispatches: one per warp-level charge entry
     /// (`charge`/`charge_alu`/`charge_control`), i.e. one per
-    /// individually-interpreted warp instruction. Fused tile passes
+    /// individually-interpreted warp instruction. Compiled passes
     /// charge whole tiles in closed form and so count as few dispatches
     /// for many warp instructions.
     pub dispatches: u64,
-    /// Fused tile passes executed on the fast path.
-    pub fused_ops: u64,
-    /// Useful lane ops covered by fused fast passes (compare against
-    /// `AccessTally::useful_lane_ops` for coverage).
-    pub fused_lane_ops: u64,
     /// Compiled (plan-lowered) passes executed: whole tile loads, inner
     /// tile passes and intra-block triangles run as straight-line host
     /// code with closed-form charges.
     pub compiled_ops: u64,
-    /// Useful lane ops covered by compiled passes.
+    /// Useful lane ops covered by compiled passes (compare against
+    /// `AccessTally::useful_lane_ops` for coverage).
     pub compiled_lane_ops: u64,
     /// L2 + ROC sectors whose hit was replayed from a generation-stamped
     /// memo without probing the FIFO table.
@@ -214,22 +210,17 @@ impl InterpStats {
     /// Accumulate another stats block into this one.
     pub fn merge(&mut self, o: &InterpStats) {
         self.dispatches += o.dispatches;
-        self.fused_ops += o.fused_ops;
-        self.fused_lane_ops += o.fused_lane_ops;
         self.compiled_ops += o.compiled_ops;
         self.compiled_lane_ops += o.compiled_lane_ops;
         self.memo_replayed_sectors += o.memo_replayed_sectors;
         self.memo_probed_sectors += o.memo_probed_sectors;
     }
 
-    /// Fraction of useful lane ops executed by fused passes, given the
-    /// run's tally. 0.0 when nothing ran.
-    pub fn fused_coverage(&self, tally: &AccessTally) -> f64 {
-        if tally.useful_lane_ops == 0 {
-            0.0
-        } else {
-            self.fused_lane_ops as f64 / tally.useful_lane_ops as f64
-        }
+    /// Always 0.0: there is no fused route — every lane op runs
+    /// compiled or op by op. Kept for reports that print a
+    /// fused-coverage column, so they read an honest zero.
+    pub fn fused_coverage(&self, _tally: &AccessTally) -> f64 {
+        0.0
     }
 
     /// Fraction of useful lane ops executed by compiled (plan-lowered)

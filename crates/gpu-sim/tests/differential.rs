@@ -14,56 +14,119 @@ use gpu_sim::prelude::*;
 use gpu_sim::SimError;
 use proptest::prelude::*;
 
-/// CI exec-engine override: `TBS_DIFF_EXEC=sequential|parallel` pins
-/// every device this suite builds to one execution engine, so the whole
-/// differential contract is exercised under both the sequential and the
-/// speculative parallel block executor (`threads: 2` forces the real
-/// speculate/commit path even on a single-core host). Unset, devices
-/// keep [`DeviceConfig`]'s own default. The torture proptest keeps its
-/// explicit per-case mode axis regardless.
+/// The CI matrix pins, parsed from the environment.
 ///
-/// `TBS_DIFF_ROUTE=op|fused|compiled` is the interpreter-route axis of
-/// the same matrix: it re-points every *default-route* device (compiled
-/// on, fused tiles on, not the scalar reference) at the named route, so
-/// CI can sweep {op-by-op, fused, compiled} × {sequential, parallel}.
-/// Devices that explicitly selected a non-default route — the op-by-op
-/// (`with_compiled(false).with_fused_tile(false)`), fused
-/// (`with_compiled(false)`) and scalar legs of each differential — are
-/// never touched, which keeps every bit-identity comparison meaningful
-/// under any pin. Those explicit legs keep their route-*engagement*
-/// asserts armed under every pin; only the default device's asserts
-/// (compiled engagement) stand down when the environment re-points it,
-/// guarded by [`route_pinned`].
-fn exec_override(cfg: DeviceConfig) -> DeviceConfig {
-    let cfg = match std::env::var("TBS_DIFF_EXEC").as_deref() {
-        Ok("sequential") => cfg.with_exec_mode(ExecMode::Sequential),
-        Ok("parallel") => cfg.with_exec_mode(ExecMode::Parallel { threads: 2 }),
-        _ => cfg,
+/// `TBS_DIFF_EXEC=sequential|parallel` pins every device this suite
+/// builds to one execution engine, so the whole differential contract
+/// is exercised under both the sequential and the speculative parallel
+/// block executor (`threads: 2` forces the real speculate/commit path
+/// even on a single-core host). Unset, devices keep [`DeviceConfig`]'s
+/// own default. The torture proptest keeps its explicit per-case mode
+/// axis regardless.
+///
+/// `TBS_DIFF_ROUTE=op|compiled` is the interpreter-route axis of the
+/// same matrix: `op` re-points every *default-route* device (compiled
+/// on, not the scalar reference) at the op-by-op route, so CI sweeps
+/// {op-by-op, compiled} × {sequential, parallel}; `compiled` (or unset)
+/// keeps the default. Devices that explicitly selected a non-default
+/// route — the op-by-op (`with_compiled(false)`) and scalar legs of
+/// each differential — are never touched, which keeps every
+/// bit-identity comparison meaningful under any pin.
+///
+/// Any other value of either variable panics with the accepted set: a
+/// typo must not silently test the default route.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DiffEnv {
+    exec: Option<ExecMode>,
+    /// `TBS_DIFF_ROUTE=op`: default-route devices run op by op.
+    op_route: bool,
+}
+
+fn parse_diff_env(exec: Option<&str>, route: Option<&str>) -> DiffEnv {
+    let exec = match exec {
+        None => None,
+        Some("sequential") => Some(ExecMode::Sequential),
+        Some("parallel") => Some(ExecMode::Parallel { threads: 2 }),
+        Some(v) => panic!("TBS_DIFF_EXEC={v:?} is not one of: sequential, parallel"),
     };
-    if cfg.scalar_reference || !cfg.fused_tile || !cfg.compiled {
-        return cfg; // an explicitly chosen route: leave it alone
-    }
-    match std::env::var("TBS_DIFF_ROUTE").as_deref() {
-        Ok("op") => cfg.with_compiled(false).with_fused_tile(false),
-        Ok("fused") => cfg.with_compiled(false),
-        _ => cfg, // "compiled" (and unset) keep the default route
+    let op_route = match route {
+        None | Some("compiled") => false,
+        Some("op") => true,
+        Some(v) => panic!("TBS_DIFF_ROUTE={v:?} is not one of: op, compiled"),
+    };
+    DiffEnv { exec, op_route }
+}
+
+fn diff_env() -> DiffEnv {
+    let var = |k| std::env::var(k).ok();
+    parse_diff_env(
+        var("TBS_DIFF_EXEC").as_deref(),
+        var("TBS_DIFF_ROUTE").as_deref(),
+    )
+}
+
+/// Apply the [`DiffEnv`] pins to a device config.
+fn exec_override(cfg: DeviceConfig) -> DeviceConfig {
+    let env = diff_env();
+    let cfg = match env.exec {
+        Some(mode) => cfg.with_exec_mode(mode),
+        None => cfg,
+    };
+    if env.op_route && cfg.compiled && !cfg.scalar_reference {
+        cfg.with_compiled(false)
+    } else {
+        cfg
     }
 }
 
-/// True when `TBS_DIFF_ROUTE` re-points the default-route devices away
-/// from their default, in which case which executor engages on *those*
-/// devices is pinned by the environment and the default-device
-/// engagement asserts must stand down (identity asserts all still
-/// apply). `TBS_DIFF_ROUTE=compiled` names the default route, so it
-/// keeps them armed — the CI matrix's compiled leg proves compilation
-/// actually engaged rather than silently falling back. The explicit op
-/// and fused legs of each differential never read the environment, so
-/// their engagement asserts stay armed regardless.
+/// True when `TBS_DIFF_ROUTE=op` re-points the default-route devices
+/// at the op-by-op route: their compiled-engagement asserts must then
+/// stand down (identity asserts all still apply). The CI matrix's
+/// compiled leg keeps them armed, proving compilation actually engaged
+/// rather than silently falling back.
 fn route_pinned() -> bool {
-    matches!(
-        std::env::var("TBS_DIFF_ROUTE").as_deref(),
-        Ok(v) if v != "compiled"
-    )
+    diff_env().op_route
+}
+
+#[test]
+fn diff_env_accepts_the_matrix_values() {
+    assert_eq!(
+        parse_diff_env(None, None),
+        DiffEnv {
+            exec: None,
+            op_route: false
+        }
+    );
+    assert_eq!(
+        parse_diff_env(Some("sequential"), Some("op")),
+        DiffEnv {
+            exec: Some(ExecMode::Sequential),
+            op_route: true
+        }
+    );
+    assert_eq!(
+        parse_diff_env(Some("parallel"), Some("compiled")),
+        DiffEnv {
+            exec: Some(ExecMode::Parallel { threads: 2 }),
+            op_route: false
+        }
+    );
+}
+
+#[test]
+fn diff_env_rejects_unknown_values_naming_the_accepted_set() {
+    for (exec, route, needle) in [
+        (Some("paralel"), None, "sequential, parallel"),
+        (None, Some("fused"), "op, compiled"),
+        (None, Some(""), "op, compiled"),
+    ] {
+        let err = std::panic::catch_unwind(|| parse_diff_env(exec, route))
+            .expect_err("unknown pin values must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic message is a formatted String");
+        assert!(msg.contains(needle), "{msg:?} must name {needle:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -577,10 +640,10 @@ fn zero_thread_launch_is_identical_noop() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused tile passes: the batched executor vs its op-by-op mirror
+// Compiled tile passes vs their op-by-op mirror
 // ---------------------------------------------------------------------------
 
-/// Which operand source the probe drives through the fused executor.
+/// Which operand source the probe drives through the compiled pass.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum ProbeSrc {
     Shared,
@@ -588,7 +651,7 @@ enum ProbeSrc {
     Lane,
 }
 
-/// Which closed-form predicate the probe hands to the fused pass.
+/// Which closed-form predicate the probe hands to the compiled pass.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum ProbePred {
     All,
@@ -596,9 +659,9 @@ enum ProbePred {
     LessThan,
 }
 
-/// Which output consumer the probe drives: per-lane register tallies
+/// Which output sink the probe drives: per-lane register tallies
 /// (`CountLt`) or a privatized shared histogram with the given bucket
-/// count (`Hist`), whose fused route replaces the simulated per-step
+/// count (`Hist`), whose compiled route replaces the simulated per-step
 /// shared atomic with closed-form scatter accounting.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum ProbeOut {
@@ -621,24 +684,28 @@ struct ProbeSpec {
     n: u32,
     /// Points in the coordinate buffers.
     n_pts: u32,
-    /// Tile length handed to the fused pass.
+    /// Tile length handed to the compiled pass.
     len: u32,
     /// Shared-tile allocation length (< `len` forces the fallback to
-    /// fault on an OOB shared read the fused pre-check must also see).
+    /// fault on an OOB shared read the compiled pre-check must also
+    /// see).
     tile_len: u32,
     /// Tile base element.
     start: u32,
     radius: f32,
+    /// The lowered distance: plain Euclidean, or the minimum image in a
+    /// periodic box of this edge.
+    box_edge: Option<f32>,
     src: ProbeSrc,
     pred: ProbePred,
     /// ANDed into each warp's valid mask — forces empty / non-prefix
-    /// masks onto the fused entry point.
+    /// masks onto the compiled entry point.
     squeeze: Option<u32>,
     /// Output stage: register tallies or a privatized histogram.
     out: ProbeOut,
     /// Shared-histogram allocation override (< `buckets` forces the
-    /// compiled and fused sink pre-flights to decline so the op-by-op
-    /// scatter faults at the exact offending bucket).
+    /// compiled sink pre-flight to decline so the op-by-op scatter
+    /// faults at the exact offending bucket).
     hist_alloc: Option<u32>,
     /// Poison this coordinate index with NaN in both dimensions:
     /// NaN distances must ride the sinks bit-identically (saturating
@@ -646,12 +713,42 @@ struct ProbeSpec {
     poison: Option<u32>,
 }
 
-/// A miniature Register-SHM-style inner loop with D = 2: one fused
-/// Euclidean `CountLt` tile pass per warp, with the exact op-by-op
-/// sequence the tiling kernels interpret as the fallback. A run where
-/// fusion is declined (mask shape, OOB source, `fused_tile` off, scalar
+impl ProbeSpec {
+    fn form(&self) -> DistanceForm {
+        match self.box_edge {
+            None => DistanceForm::Euclidean,
+            Some(box_edge) => DistanceForm::MinimumImage { box_edge },
+        }
+    }
+
+    /// The op-by-op distance (`Euclidean::eval_host` or
+    /// `PeriodicEuclidean::eval_host` for D = 2) and its ALU cost.
+    fn dist(&self, a: [f32; 2], b: [f32; 2]) -> f32 {
+        let mut s = 0.0f32;
+        for d in 0..2 {
+            let mut diff = a[d] - b[d];
+            if let Some(l) = self.box_edge {
+                diff -= l * (diff / l).round();
+            }
+            s = diff.mul_add(diff, s);
+        }
+        s.sqrt()
+    }
+
+    fn dist_cost(&self) -> u64 {
+        match self.box_edge {
+            None => 2 * 2 + 1,
+            Some(_) => 5 * 2 + 1,
+        }
+    }
+}
+
+/// A miniature Register-SHM-style inner loop with D = 2: one compiled
+/// tile pass per warp, with the exact op-by-op sequence the tiling
+/// kernels interpret as the fallback. A run where compilation is
+/// declined (mask shape, OOB source, compiled route off, scalar
 /// reference) must stay bit-identical to a run where it engages.
-struct FusedProbeKernel {
+struct TileProbeKernel {
     spec: ProbeSpec,
     coords: [BufF32; 2],
     out: BufU64,
@@ -659,19 +756,9 @@ struct FusedProbeKernel {
     hist_out: BufU32,
 }
 
-fn euclid2(a: &[f32; 2], b: &[f32; 2]) -> f32 {
-    // Must match `fused_euclidean_tile`'s eval (sub + fma, then sqrt).
-    let mut s = 0.0f32;
-    for d in 0..2 {
-        let diff = a[d] - b[d];
-        s = diff.mul_add(diff, s);
-    }
-    s.sqrt()
-}
-
-impl Kernel for FusedProbeKernel {
+impl Kernel for TileProbeKernel {
     fn name(&self) -> &'static str {
-        "fused_probe"
+        "tile_probe"
     }
 
     fn resources(&self) -> KernelResources {
@@ -704,8 +791,8 @@ impl Kernel for FusedProbeKernel {
             blk.syncthreads();
         }
 
-        // Privatized histogram staging for the `Hist` consumer:
-        // allocate and cooperatively zero it, exactly like
+        // Privatized histogram staging for the `Hist` sink: allocate
+        // and cooperatively zero it, exactly like
         // `SharedHistogramAction::begin_block`. A `hist_alloc` override
         // under-sizes the allocation (the zero/flush loops stay in
         // bounds; only the scatter faults).
@@ -739,7 +826,7 @@ impl Kernel for FusedProbeKernel {
             ProbeOut::CountLt => CompiledSinkSpec::CountLt { radius: p.radius },
             ProbeOut::Hist(_) => CompiledSinkSpec::Histogram { inv_width, hmax },
         };
-        let ck = CompiledKernel::lower(blk.config(), 2, p.len, sink);
+        let ck = CompiledKernel::lower(blk.config(), p.form(), p.dist_cost(), 2, p.len, sink);
 
         blk.for_each_warp(|w| {
             let gid = w.global_thread_ids();
@@ -754,7 +841,7 @@ impl Kernel for FusedProbeKernel {
             });
 
             // Lane source: one coalesced load per lane, like the shuffle
-            // kernel's fragment prologue (outside the fused region).
+            // kernel's fragment prologue (outside the compiled region).
             let lane = w.lane_ids();
             let reg1: [F32x32; 2] = if p.src == ProbeSrc::Lane {
                 let idx: U32x32 = std::array::from_fn(|i| p.start + lane[i]);
@@ -765,62 +852,48 @@ impl Kernel for FusedProbeKernel {
             };
 
             let pred = match p.pred {
-                ProbePred::All => FusedPred::All,
-                ProbePred::NotEqual => FusedPred::NotEqual {
+                ProbePred::All => TilePred::All,
+                ProbePred::NotEqual => TilePred::NotEqual {
                     gid0: gid[0],
                     base: p.start,
                 },
-                ProbePred::LessThan => FusedPred::LessThan {
+                ProbePred::LessThan => TilePred::LessThan {
                     gid0: gid[0],
                     base: p.start,
                 },
             };
             let src = match p.src {
-                ProbeSrc::Shared => FusedSrc::SharedBroadcast(&tile),
-                ProbeSrc::Roc => FusedSrc::RocBroadcast {
+                ProbeSrc::Shared => TileSrc::SharedBroadcast(&tile),
+                ProbeSrc::Roc => TileSrc::RocBroadcast {
                     bufs: &self.coords,
                     start: p.start,
                 },
-                ProbeSrc::Lane => FusedSrc::LaneBroadcast(&reg1),
+                ProbeSrc::Lane => TileSrc::LaneBroadcast(&reg1),
             };
 
             w.charge_control(p.len as u64 + 1, valid);
             let a = &mut acc[w.warp_id as usize];
-            // Route order exactly as the tiling kernels: compiled,
-            // then fused, then the op-by-op mirror below.
+            // Route order exactly as the tiling kernels: compiled, then
+            // the op-by-op mirror below.
             if let Some(ckk) = ck.as_ref() {
-                let consumer = match p.out {
-                    ProbeOut::CountLt => FusedConsumer::CountLt {
+                let sink = match p.out {
+                    ProbeOut::CountLt => TileSink::CountLt {
                         radius: p.radius,
                         acc: &mut *a,
                     },
-                    ProbeOut::Hist(_) => FusedConsumer::Histogram {
+                    ProbeOut::Hist(_) => TileSink::Histogram {
                         inv_width,
                         hmax,
                         shm: shist.expect("Hist probe allocates its histogram"),
                     },
                 };
-                if w.compiled_euclidean_tile(ckk, src, p.len, pred, &own, consumer, valid) {
+                if w.compiled_tile_pass(ckk, src, p.len, pred, &own, sink, valid) {
                     return;
                 }
             }
-            let consumer = match p.out {
-                ProbeOut::CountLt => FusedConsumer::CountLt {
-                    radius: p.radius,
-                    acc: &mut *a,
-                },
-                ProbeOut::Hist(_) => FusedConsumer::Histogram {
-                    inv_width,
-                    hmax,
-                    shm: shist.expect("Hist probe allocates its histogram"),
-                },
-            };
-            if w.fused_euclidean_tile(src, p.len, pred, &own, consumer, valid) {
-                return;
-            }
 
             // The op-by-op mirror — the exact sequence the tiling
-            // kernels interpret when fusion is unavailable.
+            // kernels interpret when compilation is unavailable.
             for j in 0..p.len {
                 let rj: [F32x32; 2] = match p.src {
                     ProbeSrc::Shared => {
@@ -844,11 +917,12 @@ impl Kernel for FusedProbeKernel {
                 if !pm.any() {
                     continue;
                 }
-                // Euclidean::eval ≡ cost ALU charge + per-lane host math.
-                w.charge_alu(2 * 2 + 1, pm);
+                // DistanceKernel::eval ≡ cost ALU charge + per-lane host
+                // math.
+                w.charge_alu(p.dist_cost(), pm);
                 let dval: F32x32 = std::array::from_fn(|i| {
                     if pm.lane(i) {
-                        euclid2(&[own[0][i], own[1][i]], &[rj[0][i], rj[1][i]])
+                        p.dist([own[0][i], own[1][i]], [rj[0][i], rj[1][i]])
                     } else {
                         0.0
                     }
@@ -867,8 +941,8 @@ impl Kernel for FusedProbeKernel {
                         // SharedHistogramAction::process —
                         // `bucket_lanes` (2 ALU, CUDA saturate-to-zero
                         // cast + clamp) and one simulated shared atomic
-                        // whose data-dependent serialization the fused
-                        // route must reproduce in closed form.
+                        // whose data-dependent serialization the
+                        // compiled route must reproduce in closed form.
                         w.charge_alu(2, pm);
                         let bucket: U32x32 = std::array::from_fn(|i| {
                             if pm.lane(i) {
@@ -935,7 +1009,7 @@ fn run_probe(cfg: DeviceConfig, spec: ProbeSpec) -> Result<(Vec<u64>, KernelRun)
     let lc = LaunchConfig::for_n_threads(spec.n.max(1), 64);
     let out = dev.alloc_u64_zeroed(lc.total_threads() as usize);
     let hist_out = dev.alloc_u32_zeroed((lc.grid_dim * spec.out.buckets()).max(1) as usize);
-    let kernel = FusedProbeKernel {
+    let kernel = TileProbeKernel {
         spec,
         coords,
         out,
@@ -947,38 +1021,40 @@ fn run_probe(cfg: DeviceConfig, spec: ProbeSpec) -> Result<(Vec<u64>, KernelRun)
     Ok((o, run))
 }
 
-/// Run a probe on the fused, default (compiled), op-by-op and scalar
-/// routes; demand bit-identical outputs, tallies and timing; return the
-/// `[fused, default]` runs for engagement asserts. The fused and
-/// op-by-op legs are *explicit* (`with_compiled(false)`), so their
-/// route asserts hold under every `TBS_DIFF_ROUTE` pin; only the
-/// default leg is environment-overridable.
-fn probe_identical(spec: ProbeSpec) -> [KernelRun; 2] {
-    let (of, rf) = run_probe(DeviceConfig::titan_x().with_compiled(false), spec).unwrap();
-    let (oc, rc) = run_probe(DeviceConfig::titan_x(), spec).unwrap();
-    let (ov, rv) = run_probe(
-        DeviceConfig::titan_x()
-            .with_compiled(false)
-            .with_fused_tile(false),
-        spec,
-    )
-    .unwrap();
-    let (os, rs) = run_probe(DeviceConfig::titan_x().with_scalar_reference(true), spec).unwrap();
-    assert_eq!(of, oc, "fused vs compiled outputs ({spec:?})");
-    assert_eq!(of, ov, "fused vs op-by-op outputs ({spec:?})");
-    assert_eq!(of, os, "fused vs scalar outputs ({spec:?})");
-    assert_eq!(rf.tally, rc.tally, "fused vs compiled tally ({spec:?})");
-    assert_eq!(rf.tally, rv.tally, "fused vs op-by-op tally ({spec:?})");
-    assert_eq!(rf.tally, rs.tally, "fused vs scalar tally ({spec:?})");
-    assert_eq!(rf.timing.seconds.to_bits(), rc.timing.seconds.to_bits());
-    assert_eq!(rf.timing.seconds.to_bits(), rv.timing.seconds.to_bits());
-    assert_eq!(rf.timing.seconds.to_bits(), rs.timing.seconds.to_bits());
-    assert_eq!(rf.interp.compiled_ops, 0, "fused leg must not compile");
-    assert_eq!(rv.interp.fused_ops, 0);
-    assert_eq!(rs.interp.fused_ops, 0);
-    assert_eq!(rv.interp.compiled_ops, 0);
-    assert_eq!(rs.interp.compiled_ops, 0);
-    [rf, rc]
+/// The three routes a probe runs on: the default (compiled) device —
+/// the only one the environment may re-point — then the explicit
+/// op-by-op and scalar-reference legs.
+fn probe_routes() -> [DeviceConfig; 3] {
+    [
+        DeviceConfig::titan_x(),
+        DeviceConfig::titan_x().with_compiled(false),
+        DeviceConfig::titan_x().with_scalar_reference(true),
+    ]
+}
+
+/// Run a probe on the default (compiled), op-by-op and scalar routes;
+/// demand bit-identical outputs, tallies and timing; return the default
+/// run for engagement asserts. The explicit op-by-op and scalar legs
+/// must never compile, under every `TBS_DIFF_ROUTE` pin.
+fn probe_identical(spec: ProbeSpec) -> KernelRun {
+    let [(oc, rc), (ov, rv), (os, rs)] = probe_routes().map(|cfg| run_probe(cfg, spec).unwrap());
+    assert_eq!(oc, ov, "compiled vs op-by-op outputs ({spec:?})");
+    assert_eq!(oc, os, "compiled vs scalar outputs ({spec:?})");
+    assert_eq!(rc.tally, rv.tally, "compiled vs op-by-op tally ({spec:?})");
+    assert_eq!(rc.tally, rs.tally, "compiled vs scalar tally ({spec:?})");
+    assert_eq!(rc.timing.seconds.to_bits(), rv.timing.seconds.to_bits());
+    assert_eq!(rc.timing.seconds.to_bits(), rs.timing.seconds.to_bits());
+    assert_eq!(rv.interp.compiled_ops, 0, "op-by-op leg must not compile");
+    assert_eq!(rs.interp.compiled_ops, 0, "scalar leg must not compile");
+    rc
+}
+
+/// First-fault blame of a probe on all three routes, asserted equal.
+fn probe_blame(spec: ProbeSpec, what: &str) -> Option<SimError> {
+    let [ce, ve, se] = probe_routes().map(|cfg| run_probe(cfg, spec).err());
+    assert_eq!(ce, ve, "{what}: compiled blame differs from op-by-op");
+    assert_eq!(ce, se, "{what}: compiled blame differs from scalar");
+    ce
 }
 
 fn base_spec() -> ProbeSpec {
@@ -989,6 +1065,7 @@ fn base_spec() -> ProbeSpec {
         tile_len: 48,
         start: 40,
         radius: 9.0,
+        box_edge: None,
         src: ProbeSrc::Shared,
         pred: ProbePred::All,
         squeeze: None,
@@ -1000,28 +1077,29 @@ fn base_spec() -> ProbeSpec {
 
 #[test]
 fn fused_probe_engages_for_every_source_and_predicate() {
-    for src in [ProbeSrc::Shared, ProbeSrc::Roc, ProbeSrc::Lane] {
-        for pred in [ProbePred::All, ProbePred::NotEqual, ProbePred::LessThan] {
-            let mut spec = base_spec();
-            spec.src = src;
-            spec.pred = pred;
-            if src == ProbeSrc::Lane {
-                spec.len = 24; // lane tiles are at most one warp wide
-            }
-            let [rf, rc] = probe_identical(spec);
-            assert!(
-                rf.interp.fused_ops > 0,
-                "{src:?}/{pred:?} must take the fused path"
-            );
-            if !route_pinned() {
-                assert!(
-                    rc.interp.compiled_ops > 0,
-                    "{src:?}/{pred:?} must lower on the compiled route"
-                );
-                assert_eq!(
-                    rc.interp.fused_ops, 0,
-                    "{src:?}/{pred:?} compiled route must not fall back"
-                );
+    // Both lowered distance forms: plain Euclidean, and a periodic box
+    // small enough (the probe's coordinates span ~60) that the
+    // minimum-image wrap changes most distances.
+    for box_edge in [None, Some(13.0f32)] {
+        for out in [ProbeOut::CountLt, ProbeOut::Hist(32)] {
+            for src in [ProbeSrc::Shared, ProbeSrc::Roc, ProbeSrc::Lane] {
+                for pred in [ProbePred::All, ProbePred::NotEqual, ProbePred::LessThan] {
+                    let mut spec = base_spec();
+                    spec.box_edge = box_edge;
+                    spec.out = out;
+                    spec.src = src;
+                    spec.pred = pred;
+                    if src == ProbeSrc::Lane {
+                        spec.len = 24; // lane tiles are at most one warp wide
+                    }
+                    let rc = probe_identical(spec);
+                    if !route_pinned() {
+                        assert!(
+                            rc.interp.compiled_ops > 0,
+                            "{box_edge:?}/{out:?}/{src:?}/{pred:?} must lower on the compiled route"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1029,94 +1107,67 @@ fn fused_probe_engages_for_every_source_and_predicate() {
 
 #[test]
 fn fused_declines_ragged_and_sub_warp_masks_identically() {
-    // Live-thread raggedness keeps valid a prefix: still fused (and
-    // still compiled).
+    // Live-thread raggedness keeps valid a prefix: still compiled.
     let mut spec = base_spec();
     spec.n = 100; // last warp holds 4 live lanes
-    let [rf, rc] = probe_identical(spec);
-    assert!(rf.interp.fused_ops > 0, "prefix ragged warps must fuse");
+    let rc = probe_identical(spec);
     if !route_pinned() {
         assert!(rc.interp.compiled_ops > 0, "prefix ragged warps must lower");
     }
 
-    // A non-prefix valid mask must decline — bit-identically, on the
-    // compiled route too.
+    // A non-prefix valid mask must decline — bit-identically.
     spec.n = 128;
     spec.squeeze = Some(0xFFFF_FFF7); // hole at lane 3
-    let [rf, rc] = probe_identical(spec);
-    assert_eq!(rf.interp.fused_ops, 0, "non-prefix masks must not fuse");
+    let rc = probe_identical(spec);
     assert_eq!(rc.interp.compiled_ops, 0, "non-prefix masks must not lower");
 }
 
 #[test]
 fn fused_is_a_noop_on_empty_masks_and_empty_tiles() {
-    // Empty valid mask: the fused entry must return false with no side
-    // effects; both routes then run the (empty-mask) op-by-op loop.
+    // Empty valid mask: the compiled entry must return false with no
+    // side effects; every route then runs the (empty-mask) op-by-op
+    // loop.
     let mut spec = base_spec();
     spec.squeeze = Some(0);
-    let [rf, rc] = probe_identical(spec);
-    assert_eq!(rf.interp.fused_ops, 0);
-    assert_eq!(rc.interp.compiled_ops, 0);
+    assert_eq!(probe_identical(spec).interp.compiled_ops, 0);
 
     // Zero-length tile: nothing to do on any route.
     let mut spec = base_spec();
     spec.len = 0;
     spec.tile_len = 1; // keep a non-empty shared allocation
-    let [rf, rc] = probe_identical(spec);
-    assert_eq!(rf.interp.fused_ops, 0);
-    assert_eq!(rc.interp.compiled_ops, 0);
+    assert_eq!(probe_identical(spec).interp.compiled_ops, 0);
 }
 
 #[test]
 fn fused_oob_blame_matches_op_by_op_exactly() {
-    // Shared source: tile shorter than the pass — the fused *and*
-    // compiled pre-checks must decline so the fallback faults at the
-    // exact op-by-op step, with identical blame.
+    // Shared source: tile shorter than the pass — the compiled
+    // pre-check must decline so the fallback faults at the exact
+    // op-by-op step, with identical blame.
     let mut spec = base_spec();
     spec.tile_len = 20; // reads j = 20.. fault
-    let fe = run_probe(DeviceConfig::titan_x().with_compiled(false), spec).err();
-    let ce = run_probe(DeviceConfig::titan_x(), spec).err();
-    let ve = run_probe(
-        DeviceConfig::titan_x()
-            .with_compiled(false)
-            .with_fused_tile(false),
-        spec,
-    )
-    .err();
-    let se = run_probe(DeviceConfig::titan_x().with_scalar_reference(true), spec).err();
-    assert!(fe.is_some(), "short shared tile must fault");
-    assert_eq!(fe, ce, "compiled-route blame differs from fused");
-    assert_eq!(fe, ve, "fused-route blame differs from op-by-op");
-    assert_eq!(fe, se, "fused-route blame differs from scalar");
+    assert!(
+        probe_blame(spec, "short shared tile").is_some(),
+        "short shared tile must fault"
+    );
 
     // ROC source: tile range runs past the coordinate buffers.
     let mut spec = base_spec();
     spec.src = ProbeSrc::Roc;
     spec.start = 100; // 100 + 48 > 128 points
-    let fe = run_probe(DeviceConfig::titan_x().with_compiled(false), spec).err();
-    let ce = run_probe(DeviceConfig::titan_x(), spec).err();
-    let ve = run_probe(
-        DeviceConfig::titan_x()
-            .with_compiled(false)
-            .with_fused_tile(false),
-        spec,
-    )
-    .err();
-    let se = run_probe(DeviceConfig::titan_x().with_scalar_reference(true), spec).err();
-    assert!(fe.is_some(), "OOB ROC tile must fault");
-    assert_eq!(fe, ce, "compiled-route blame differs from fused");
-    assert_eq!(fe, ve);
-    assert_eq!(fe, se);
+    assert!(
+        probe_blame(spec, "OOB ROC tile").is_some(),
+        "OOB ROC tile must fault"
+    );
 }
 
 // ---------------------------------------------------------------------------
-// Fused scatter accounting vs the op-by-op simulated shared atomic
+// Compiled scatter accounting vs the op-by-op simulated shared atomic
 // ---------------------------------------------------------------------------
 
 #[test]
 fn fused_scatter_conflict_accounting_matches_op_by_op() {
-    // The fused Histogram consumer replaces the simulated per-step
-    // shared atomic with `SharedSpace::atomic_scatter_accounting`; the
+    // The compiled Histogram sink replaces the simulated per-step
+    // shared atomic with closed-form scatter accounting; the
     // serialization, transaction and bank-replay counters (and the
     // histogram contents) must agree bit-for-bit with the op-by-op and
     // scalar routes on every conflict shape — from a single-bucket
@@ -1127,25 +1178,20 @@ fn fused_scatter_conflict_accounting_matches_op_by_op() {
             let mut spec = base_spec();
             spec.out = ProbeOut::Hist(buckets);
             spec.pred = pred;
-            let [rf, rc] = probe_identical(spec);
-            assert!(
-                rf.interp.fused_ops > 0,
-                "hist({buckets})/{pred:?} must take the fused path"
-            );
+            let rc = probe_identical(spec);
             if !route_pinned() {
                 // The compiled histogram sink covers every bucket count
-                // and predicate here — no fused fallback.
+                // and predicate here — no op-by-op fallback.
                 assert!(
                     rc.interp.compiled_ops > 0,
                     "hist({buckets})/{pred:?} must lower on the compiled route"
                 );
-                assert_eq!(rc.interp.fused_ops, 0);
             }
-            assert!(rf.tally.shared_atomics > 0, "hist({buckets}) must scatter");
+            assert!(rc.tally.shared_atomics > 0, "hist({buckets}) must scatter");
             if buckets == 1 {
                 // Pileup sanity: every active lane lands on the same
                 // word, so serialization must exceed the atomic count.
-                assert!(rf.tally.shared_atomic_serial > rf.tally.shared_atomics);
+                assert!(rc.tally.shared_atomic_serial > rc.tally.shared_atomics);
             }
         }
     }
@@ -1153,20 +1199,19 @@ fn fused_scatter_conflict_accounting_matches_op_by_op() {
 
 #[test]
 fn fused_scatter_declines_to_op_by_op_atomics_identically() {
-    // A ragged prefix mask still fuses — closed-form accounting covers
-    // the partial warp.
+    // A ragged prefix mask still compiles — closed-form accounting
+    // covers the partial warp.
     let mut spec = base_spec();
     spec.out = ProbeOut::Hist(32);
     spec.n = 100; // last warp holds 4 live lanes
-    let [rf, rc] = probe_identical(spec);
-    assert!(rf.interp.fused_ops > 0, "prefix ragged warps must fuse");
+    let rc = probe_identical(spec);
     if !route_pinned() {
         assert!(
             rc.interp.compiled_ops > 0,
             "ragged-prefix histogram sinks must lower"
         );
     }
-    assert!(rf.tally.shared_atomics > 0);
+    assert!(rc.tally.shared_atomics > 0);
 
     // A non-prefix squeeze declines the whole pass, so the op-by-op
     // simulated atomics must reproduce exactly what the closed form
@@ -1174,41 +1219,31 @@ fn fused_scatter_declines_to_op_by_op_atomics_identically() {
     // `probe_identical` enforces this against the other routes).
     spec.n = 128;
     spec.squeeze = Some(0x0F0F_0F0F);
-    let [rf, rc] = probe_identical(spec);
+    let rc = probe_identical(spec);
     assert_eq!(
-        rf.interp.fused_ops, 0,
+        rc.interp.compiled_ops, 0,
         "non-prefix masks must scatter op-by-op"
     );
-    assert_eq!(rc.interp.compiled_ops, 0);
-    assert!(rf.tally.shared_atomics > 0);
+    assert!(rc.tally.shared_atomics > 0);
 }
 
 #[test]
 fn compiled_sink_oob_bucket_blame_matches_op_by_op() {
     // The shared histogram is allocated smaller than the bucket range,
-    // so scatters past the allocation fault. The compiled and fused
-    // sink pre-flights (`check_bounds(shm, hmax)`) must decline
+    // so scatters past the allocation fault. The compiled sink
+    // pre-flight (`check_bounds(shm, hmax)`) must decline
     // side-effect-free and hand the pass to the op-by-op loop, whose
     // simulated shared atomic faults at the exact offending bucket —
-    // identical op-by-op blame on all four routes.
+    // identical op-by-op blame on every route.
     for alloc in [1u32, 8, 31] {
         let mut spec = base_spec();
         spec.out = ProbeOut::Hist(32);
         spec.hist_alloc = Some(alloc);
-        let fe = run_probe(DeviceConfig::titan_x().with_compiled(false), spec).err();
-        let ce = run_probe(DeviceConfig::titan_x(), spec).err();
-        let ve = run_probe(
-            DeviceConfig::titan_x()
-                .with_compiled(false)
-                .with_fused_tile(false),
-            spec,
-        )
-        .err();
-        let se = run_probe(DeviceConfig::titan_x().with_scalar_reference(true), spec).err();
-        assert!(fe.is_some(), "alloc={alloc}: short histogram must fault");
-        assert_eq!(fe, ce, "alloc={alloc}: compiled blame differs from fused");
-        assert_eq!(fe, ve, "alloc={alloc}: fused blame differs from op-by-op");
-        assert_eq!(fe, se, "alloc={alloc}: fused blame differs from scalar");
+        let what = format!("alloc={alloc}");
+        assert!(
+            probe_blame(spec, &what).is_some(),
+            "{what}: short histogram must fault"
+        );
     }
 }
 
@@ -1220,21 +1255,24 @@ fn compiled_sink_nan_distances_are_route_identical() {
     // bit-for-bit: NaN fails every radius compare (CountLt adds
     // nothing) and saturates to bucket 0 (`__float2uint_rz`), while the
     // broadcast detector's compare chain must fail closed onto the
-    // general path.
-    for out in [ProbeOut::CountLt, ProbeOut::Hist(32)] {
-        let mut spec = base_spec();
-        spec.out = out;
-        spec.poison = Some(45); // inside the tile range [40, 88)
-        let [rf, rc] = probe_identical(spec);
-        assert!(rf.interp.fused_ops > 0, "{out:?}: NaN tile must still fuse");
-        if !route_pinned() {
-            assert!(
-                rc.interp.compiled_ops > 0,
-                "{out:?}: NaN tile must still lower"
-            );
-        }
-        if let ProbeOut::Hist(_) = out {
-            assert!(rf.tally.shared_atomics > 0);
+    // general path. The minimum-image wrap must carry NaN through
+    // (`round(NaN)` is NaN) on both forms.
+    for box_edge in [None, Some(13.0f32)] {
+        for out in [ProbeOut::CountLt, ProbeOut::Hist(32)] {
+            let mut spec = base_spec();
+            spec.box_edge = box_edge;
+            spec.out = out;
+            spec.poison = Some(45); // inside the tile range [40, 88)
+            let rc = probe_identical(spec);
+            if !route_pinned() {
+                assert!(
+                    rc.interp.compiled_ops > 0,
+                    "{box_edge:?}/{out:?}: NaN tile must still lower"
+                );
+            }
+            if let ProbeOut::Hist(_) = out {
+                assert!(rc.tally.shared_atomics > 0);
+            }
         }
     }
 }
