@@ -34,7 +34,7 @@
 //! `core/tests/grid_identity.rs`.
 
 use crate::driver::PairwisePlan;
-use gpu_sim::{Device, SimError};
+use gpu_sim::{AccessTally, Device, KernelRun, SimError};
 use std::collections::BTreeMap;
 use tbs_core::distance::{DistanceKernel, Euclidean};
 use tbs_core::grid::{
@@ -120,7 +120,7 @@ impl<const D: usize> GriddedCatalog<D> {
 }
 
 /// Aggregate profile of a grid-pruned execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GriddedRun {
     /// Intra-cell launches of the per-cell-pair route.
     pub intra_launches: u32,
@@ -133,6 +133,13 @@ pub struct GriddedRun {
     pub population_classes: u32,
     /// Total simulated kernel seconds across all launches.
     pub seconds: f64,
+    /// The launches' simulated-device tallies, merged.
+    pub tally: AccessTally,
+    /// Tile-pass rows (one partner against a warp) that compiled passes
+    /// culled as provably out of every sink's range
+    /// (`InterpStats::culled_rows`); on a histogram sweep, a subset of
+    /// the `tally.shared_atomics` rows.
+    pub culled_rows: u64,
     /// Pruning accounting of the candidate-pair enumeration.
     pub stats: PruneStats,
 }
@@ -145,7 +152,25 @@ impl GriddedRun {
             packed_launches: 0,
             population_classes: 0,
             seconds: 0.0,
+            tally: AccessTally::default(),
+            culled_rows: 0,
             stats,
+        }
+    }
+
+    /// Fold one launch's simulated time, tally and culled rows in.
+    fn add_launch(&mut self, kr: &KernelRun) {
+        self.seconds += kr.timing.seconds;
+        self.tally.merge(&kr.tally);
+        self.culled_rows += kr.interp.culled_rows;
+    }
+
+    /// Share of a histogram sweep's rows (`tally.shared_atomics`) that
+    /// were culled; 0 when no histogram row ran.
+    pub fn culled_row_frac(&self) -> f64 {
+        match self.tally.shared_atomics {
+            0 => 0.0,
+            rows => self.culled_rows as f64 / rows as f64,
         }
     }
 
@@ -367,7 +392,7 @@ fn packed_count_sweep<const D: usize>(
                 .iter()
                 .sum::<u64>();
             run.packed_launches += 1;
-            run.seconds += kr.timing.seconds;
+            run.add_launch(&kr);
         }
     }
     Ok(count)
@@ -415,7 +440,7 @@ fn packed_histogram_sweep<const D: usize>(
                 host[i % spec.buckets as usize] += c as u64;
             }
             run.packed_launches += 1;
-            run.seconds += kr.timing.seconds;
+            run.add_launch(&kr);
         }
     }
     Ok(bins.finalize(&Histogram::from_counts(host)))
@@ -497,7 +522,7 @@ pub fn gridded_count_within_routed<const D: usize>(
                 } else {
                     run.cross_launches += 1;
                 }
-                run.seconds += kr.timing.seconds;
+                run.add_launch(&kr);
             }
             count
         }
@@ -577,7 +602,7 @@ pub fn gridded_count_within_multi<const D: usize>(
                     .sum::<u64>();
             }
             run.packed_launches += 1;
-            run.seconds += kr.timing.seconds;
+            run.add_launch(&kr);
         }
     }
     Ok((counts, run))
@@ -623,7 +648,7 @@ fn histogram_per_cell_pair<const D: usize>(
         } else {
             run.cross_launches += 1;
         }
-        run.seconds += kr.timing.seconds;
+        run.add_launch(&kr);
     }
     Ok(bins.finalize(&Histogram::from_counts(host)))
 }

@@ -113,7 +113,11 @@ pub struct ServerStats {
     pub batches: u64,
     /// Queries that shared a sweep with at least one other query.
     pub coalesced_queries: u64,
-    /// Shard tasks launched across all workers.
+    /// Sweep work orders sent to workers: one per self/cross shard
+    /// task of a coalesced dense sweep, plus one per gridded order (a
+    /// dataset group's gridded count-withins run as one packed sweep on
+    /// one worker). Solo queries (kNN and other per-query routes) are
+    /// not counted.
     pub tasks: u64,
     /// Worker cache probes that found their entry.
     pub cache_hits: u64,
@@ -587,6 +591,7 @@ impl Dispatcher {
                 })
                 .collect();
             self.stats.batches += 1;
+            self.stats.tasks += 1;
             if gridded.len() > 1 {
                 self.stats.coalesced_queries += gridded.len() as u64;
             }

@@ -199,13 +199,20 @@ fn gridded_queries_coalesce_and_stay_exact() {
             "the whole gridded burst must share one sweep"
         );
         assert_eq!(after.coalesced_queries - before.coalesced_queries, 5);
+        assert_eq!(
+            after.tasks - before.tasks,
+            1,
+            "a gridded order is one task: {after:?}"
+        );
         for (q, got) in queries.iter().zip(&batched) {
             assert_eq!(got, &oracle(&pts, q), "oracle mismatch for {q:?}");
             let solo = h.submit("d", q.clone()).expect("solo");
             assert_eq!(got, &solo, "batched vs solo mismatch for {q:?}");
         }
-        // Solo repeats ride the covering catalog built for the burst.
+        // Solo repeats ride the covering catalog built for the burst,
+        // one gridded order (task) each.
         let final_stats = h.stats().expect("stats");
+        assert_eq!(final_stats.tasks - after.tasks, radii.len() as u64);
         assert!(
             final_stats.cache_hits >= 5,
             "repeat gridded queries must reuse the covering grid: {final_stats:?}"

@@ -67,6 +67,7 @@ fn main() {
             .with("packed_launches", s.packed_launches)
             .with("population_classes", s.population_classes)
             .with("pruned_pair_fraction", s.pruned_fraction)
+            .with("culled_row_frac", s.culled_row_frac)
             .with("build_s", s.build_s)
             .with("grid_s", s.grid_s)
             .with("unpacked_s", s.unpacked_s)

@@ -28,16 +28,23 @@
 //! `packed_vs_unpacked.n262144 ≥ 2` — launch packing must beat the
 //! per-cell-pair route — and `model_agreement ≥ 1` at the gate sizes
 //! (the SpatialPlan model's pick matches the measured winner).
+//!
+//! Each size also runs a bounded radial histogram (10 bins to r_max)
+//! on the packed route and reports `culled_row_frac`: the share of its
+//! histogram rows (one partner against a warp) that compiled passes
+//! culled as provably landing in the overflow bucket. The row count is
+//! deterministic, so the functional gate floors it at CI size
+//! ([`build_cull_report`]): a change that silently stops culling fails.
 
 use std::time::Instant;
 
 use crate::report::{Cell, Report, ReportError, SeriesTable};
 use gpu_sim::{Device, DeviceConfig};
 use tbs_apps::{
-    gridded_count_within, gridded_count_within_routed, pcf_gpu, GriddedCatalog, GriddedRoute,
-    PairwisePlan,
+    gridded_count_within, gridded_count_within_routed, gridded_radial_histogram, pcf_gpu,
+    GriddedCatalog, GriddedRoute, PairwisePlan,
 };
-use tbs_core::grid::GridOptions;
+use tbs_core::grid::{GridOptions, RadialBins};
 use tbs_core::plan::{choose_spatial_plan, ProblemOutput, ProblemSpec, SpatialRoute};
 use tbs_cpu::grid_pcf_device_reference;
 use tbs_datagen::uniform_points;
@@ -135,6 +142,9 @@ pub struct GridSample {
     pub population_classes: u64,
     /// Fraction of the N(N−1)/2 pair mass culled before any kernel ran.
     pub pruned_fraction: f64,
+    /// Share of a radial histogram's rows culled inside compiled passes
+    /// ([`measure_culled_row_frac`]).
+    pub culled_row_frac: f64,
     /// The [`choose_spatial_plan`] analytic model's predicted speedup.
     pub model_speedup: f64,
     /// Whether the model routed to the grid. On the *modeled* GPU the
@@ -168,6 +178,55 @@ impl GridSample {
     pub fn model_agrees(&self) -> bool {
         self.model_picks_grid == (self.speedup() > 1.0)
     }
+}
+
+/// Share of the rows of a packed radial histogram (10 bins to the
+/// reference radius) over `cat` that compiled passes culled as
+/// provably landing in the overflow bucket. Deterministic for a given
+/// catalog.
+pub fn measure_culled_row_frac(dev: &mut Device, cat: &GriddedCatalog<3>) -> f64 {
+    let bins = RadialBins::new(10, R_MAX);
+    gridded_radial_histogram(dev, cat, bins, PairwisePlan::register_shm(BLOCK))
+        .expect("gridded histogram")
+        .run
+        .culled_row_frac()
+}
+
+/// The functional-gate report: [`measure_culled_row_frac`] on the reference
+/// uniform catalog at each of `sizes`, without any wall-clock legs.
+pub fn build_cull_report(sizes: &[usize]) -> Result<Report, ReportError> {
+    if sizes.is_empty() {
+        return Err(ReportError::EmptySeries {
+            what: "gridpath cull size list".to_string(),
+        });
+    }
+    let mut rep = Report::new(
+        "gridpath_cull",
+        "Row culling — share of histogram rows culled in compiled passes",
+    )
+    .with_context(&format!(
+        "uniform catalog in a {BOX}^3 box, packed radial histogram of 10 bins \
+         to r={R_MAX}, target {TARGET_PTS} pts/cell, compiled route"
+    ));
+    let mut t = SeriesTable::new("sizes", &["N", "culled"]);
+    for &n in sizes {
+        let pts = uniform_points::<3>(n, BOX, SEED);
+        let mut dev = device();
+        let cat = GriddedCatalog::build_self(&mut dev, &pts, R_MAX, &grid_options());
+        let frac = measure_culled_row_frac(&mut dev, &cat);
+        t.row(vec![
+            Cell::int(n as u64),
+            Cell::num(frac, format!("{:.1}%", frac * 100.0)),
+        ]);
+        rep.metric(&format!("culled_row_frac.n{n}"), frac, "frac")?;
+    }
+    rep.push_table(t);
+    rep.push_note(
+        "culled = histogram rows (one partner against a warp's active lanes)\n\
+         whose partner lies at least the overflow edge from the warp's bounding\n\
+         box, charged in closed form instead of bucketed and walked.",
+    );
+    Ok(rep)
 }
 
 /// Measure the all-pairs route once at `n` (compiled interpreter).
@@ -219,6 +278,7 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
         res.count, unpacked.count,
         "packed count diverged from the per-cell-pair route at N={n}"
     );
+    let culled_row_frac = measure_culled_row_frac(&mut dev, &cat);
     eprintln!(
         "gridpath N={n}: per-cell-pair {unpacked_s:.3}s ({} launches, packed {:.1}x)",
         unpacked.run.launches(),
@@ -291,6 +351,7 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
         packed_launches: u64::from(res.run.packed_launches),
         population_classes: u64::from(res.run.population_classes),
         pruned_fraction: stats.pruned_fraction(),
+        culled_row_frac,
         model_speedup: spatial.predicted_speedup(),
         model_picks_grid: spatial.route == SpatialRoute::Grid,
         all_pairs_s,
@@ -339,6 +400,7 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             "classes",
             "launches",
             "pruned",
+            "culled",
             "build_s",
             "grid_s",
             "unpacked_s",
@@ -359,6 +421,10 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             Cell::num(
                 s.pruned_fraction,
                 format!("{:.1}%", s.pruned_fraction * 100.0),
+            ),
+            Cell::num(
+                s.culled_row_frac,
+                format!("{:.1}%", s.culled_row_frac * 100.0),
             ),
             Cell::num(s.build_s, format!("{:.3}", s.build_s)),
             Cell::num(s.grid_s, format!("{:.3}", s.grid_s)),
@@ -396,6 +462,11 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
         )?;
         rep.metric(&format!("grid_s.n{}", s.n), s.grid_s, "s")?;
         rep.metric(
+            &format!("culled_row_frac.n{}", s.n),
+            s.culled_row_frac,
+            "frac",
+        )?;
+        rep.metric(
             &format!("packed_vs_unpacked.n{}", s.n),
             s.packed_vs_unpacked(),
             "x",
@@ -416,6 +487,8 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
          catalog one launch per cell pair, and packed_x is their ratio. Counts\n\
          are bit-identical across the packed route, the per-cell-pair route,\n\
          the all-pairs route and the CPU grid oracle wherever each is measured.\n\
+         culled is the share of a 10-bin radial histogram's rows that compiled\n\
+         passes culled as provably landing in the overflow bucket.\n\
          allpairs_s\n\
          values prefixed '~' are quadratic projections from the anchor size —\n\
          measuring a ~200 s O(N^2) route on every sweep is the footgun the grid\n\

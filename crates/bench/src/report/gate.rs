@@ -252,6 +252,11 @@ pub fn gate_groups() -> &'static [GateGroup] {
         spec("ext_ls.rr_mass_over_expected", Band::range(1.0, 1.0)),
         spec("ext_ls.xi_clustered_peak", Band::rel_min(0.5, 5.0)),
         spec("ext_ls.xi_uniform_tail_absmax", Band::max(0.5)),
+        // Row culling in compiled histogram passes (deterministic row
+        // counts): most rows of a gridded radial histogram put their
+        // whole warp in the overflow bucket and must be culled (0.867
+        // measured), or the grid route silently pays for them again.
+        spec("gridpath_cull.culled_row_frac.n65536", Band::min(0.85)),
     ];
     const HOST: &[GateSpec] = &[
         // Wall-clock floors — deliberately ~2× under the slowest
@@ -261,7 +266,10 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // `vectorized_speedup` the op-by-op fast paths alone.
         spec("sim_hotpath.speedup.n16384", Band::min(20.0)),
         spec("sim_hotpath.vectorized_speedup.n16384", Band::min(1.3)),
-        spec("sim_hotpath.lane_ops_per_s.n16384", Band::min(5e6)),
+        // Absolute throughput of the compiled route: a quarter of the
+        // lowest of five gate runs on a 2-vCPU host (7.8e10), so a 100×
+        // slowdown fails.
+        spec("sim_hotpath.lane_ops_per_s.n16384", Band::min(1.9e10)),
         // The plan-compiled route must stay a genuine multiplier over
         // the op-by-op vectorized route on the Type-I hot path.
         spec("sim_hotpath.compiled_vs_vectorized.n16384", Band::min(6.0)),
@@ -394,6 +402,7 @@ pub fn functional_reports() -> Result<Vec<Report>, ReportError> {
         ext_multicopy::build_report(1024, 128)?,
         ext_multigpu::build_report(2048, 64)?,
         ext_ls::build_report(768, 2048, 8)?,
+        gridpath::build_cull_report(&[65_536])?,
     ])
 }
 

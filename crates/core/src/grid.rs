@@ -152,7 +152,9 @@ impl<const D: usize> GridGeometry<D> {
         // extent.
         let target = opts.target_points_per_cell.max(1) as u64;
         let budget = (n as u64 / target).max(1).min(opts.max_cells.max(1) as u64);
-        while dims.iter().product::<u64>() > budget {
+        // Saturating: per-axis counts reach extent / r_cull, whose plain
+        // product overflows u64 past ~2.6e6 per axis in 3-D.
+        while dims.iter().fold(1u64, |p, &c| p.saturating_mul(c)) > budget {
             let widest = (0..D).max_by_key(|&d| dims[d]).unwrap();
             if dims[widest] == 1 {
                 break;
@@ -618,6 +620,22 @@ mod tests {
         }
         // Occupancy clamp: no more than ~n/target cells.
         assert!(g.num_cells() as f64 <= 4096.0 / 512.0 * 8.0 + 1.0);
+    }
+
+    #[test]
+    fn fit_survives_extent_over_radius_of_1e7_per_axis() {
+        // 1e7 cells per axis by the radius rule: a plain 3-D cell-count
+        // product (1e21) overflows u64, the sizing loop must not.
+        let pts = SoaPoints::<3>::from_points(&[[0.0, 0.0, 0.0], [1e7, 1e7, 1e7], [5e6, 2e6, 7e6]]);
+        let opts = GridOptions {
+            target_points_per_cell: 1,
+            max_cells: 1 << 20,
+        };
+        let g = GridGeometry::fit(&[&pts], 1.0, &opts);
+        assert!(g.num_cells() >= 1 && g.num_cells() <= opts.max_cells as usize);
+        for d in 0..3 {
+            assert!(g.edge[d] >= g.r_cull, "edge {} < r_cull", g.edge[d]);
+        }
     }
 
     #[test]

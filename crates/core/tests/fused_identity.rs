@@ -967,3 +967,282 @@ fn distances_without_a_compiled_form_never_lower() {
         })
     });
 }
+
+// ---------------------------------------------------------------------
+// Row culling: rows whose partner lies at least the overflow edge from
+// the warp's bounding box are charged in closed form on the compiled
+// route. Outputs, tallies and timing must not move.
+// ---------------------------------------------------------------------
+
+/// `n` xorshift points in the box `lo + [0, side)³`, sorted by x so
+/// consecutive lanes (one warp) sit close together, as the grid's
+/// cell-ordered catalogs do.
+fn box_pts(n: usize, lo: [f32; 3], side: [f32; 3], seed: u64) -> Vec<[f32; 3]> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
+    let mut pts: Vec<[f32; 3]> = (0..n)
+        .map(|_| {
+            std::array::from_fn(|d| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                lo[d] + (x % 10_000) as f32 * 1e-4 * side[d]
+            })
+        })
+        .collect();
+    pts.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    pts
+}
+
+/// A Cross-SHM privatized SDH of `left` against `right` under `dist`.
+fn cross_sdh<F: DistanceKernel<3> + Copy + 'static>(
+    dev: &mut Device,
+    left: &[[f32; 3]],
+    right: &[[f32; 3]],
+    spec: HistogramSpec,
+    dist: F,
+) -> (Bits, KernelRun) {
+    let dl = SoaPoints::from_points(left).upload(dev);
+    let dr = SoaPoints::from_points(right).upload(dev);
+    let lc = pair_launch(dl.n, B);
+    let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
+    let k = CrossShmKernel::new(dl, dr, dist, SharedHistogramAction { spec, private }, B);
+    let run = dev.launch(&k, lc);
+    let bits = dev.u32_slice(private).iter().map(|&x| x as u64).collect();
+    (bits, run)
+}
+
+/// The overflow edge of [`HistogramSpec::new(8, 20.0)`] is 17.5: a
+/// partner that far from a warp's box lands every lane in bucket 7.
+fn cull_spec() -> HistogramSpec {
+    HistogramSpec::new(8, 20.0)
+}
+
+/// Rows culled on the compiled route and histogram rows executed
+/// (`shared_atomics`), after checking the oracle routes culled none.
+fn culled_of(runs: &[KernelRun; 3]) -> (u64, u64) {
+    assert_eq!(runs[1].interp.culled_rows, 0, "op-by-op must not cull");
+    assert_eq!(runs[2].interp.culled_rows, 0, "scalar must not cull");
+    (runs[0].interp.culled_rows, runs[0].tally.shared_atomics)
+}
+
+#[test]
+fn culled_passes_are_route_identical_with_all_some_and_no_rows_culled() {
+    let spec = cull_spec();
+    let left = box_pts(96, [0.0; 3], [10.0; 3], 1);
+    // Far: every partner ≥ 50 from the left box. Spread: along x over
+    // the whole box, so near partners survive and far ones cull. Near:
+    // inside the left box, so no partner clears the 17.5 edge.
+    let far = box_pts(100, [60.0; 3], [10.0; 3], 2);
+    let spread = box_pts(150, [0.0; 3], [100.0, 10.0, 10.0], 3);
+    let near = box_pts(80, [0.0; 3], [10.0; 3], 4);
+    for (right, expect) in [(&far, "all"), (&spread, "some"), (&near, "none")] {
+        let runs = assert_identical(|dev| cross_sdh(dev, &left, right, spec, Euclidean));
+        let (culled, rows) = culled_of(&runs);
+        match expect {
+            "all" => assert_eq!(culled, rows, "every row must cull"),
+            "some" => assert!(0 < culled && culled < rows, "{culled} of {rows}"),
+            _ => assert_eq!(culled, 0, "no row may cull"),
+        }
+    }
+}
+
+#[test]
+fn culled_partial_prefix_warps_are_route_identical() {
+    // 45 own points: warp 1 runs 13 lanes. 70 partners: the second tile
+    // is 6 long. Culled rows add 13 (not 32) lanes to the overflow
+    // bucket and charge 13-fold serialization.
+    let spec = cull_spec();
+    let left = box_pts(45, [0.0; 3], [10.0; 3], 5);
+    let far = box_pts(70, [60.0; 3], [10.0; 3], 6);
+    let spread = box_pts(70, [0.0; 3], [100.0, 10.0, 10.0], 7);
+    let runs = assert_identical(|dev| {
+        let (bits, run) = cross_sdh(dev, &left, &far, spec, Euclidean);
+        let h = merged(&bits, spec.buckets);
+        assert_eq!(
+            h[7],
+            45 * 70,
+            "every far pair bins into the overflow bucket"
+        );
+        (bits, run)
+    });
+    let (culled, rows) = culled_of(&runs);
+    assert_eq!(culled, rows);
+    let runs = assert_identical(|dev| cross_sdh(dev, &left, &spread, spec, Euclidean));
+    let (culled, rows) = culled_of(&runs);
+    assert!(0 < culled && culled < rows, "{culled} of {rows}");
+}
+
+#[test]
+fn partners_one_ulp_either_side_of_the_cull_threshold_are_route_identical() {
+    // Own lanes all at the origin (a point box), partners on the x axis:
+    // the bound is g² = fl(x·x). x1 is the first f32 whose bound reaches
+    // the threshold, x0 the one below it; only x1's row may cull, and
+    // both rows still bin into the overflow bucket.
+    let spec = cull_spec();
+    let cfg = DeviceConfig::titan_x();
+    let mut dev = Device::new(cfg.clone());
+    let private = dev.alloc_u32_zeroed(spec.buckets as usize);
+    let act = SharedHistogramAction { spec, private };
+    let thr = lower_pair_plan::<3, _, _>(&cfg, &Euclidean, &act, B)
+        .expect("histogram plan lowers")
+        .cull_threshold()
+        .expect("Euclidean histogram plan culls");
+    let g = |x: f32| x.mul_add(x, 0.0);
+    let mut x1 = thr.sqrt();
+    while g(x1) >= thr {
+        x1 = f32::from_bits(x1.to_bits() - 1);
+    }
+    while g(x1) < thr {
+        x1 = f32::from_bits(x1.to_bits() + 1);
+    }
+    let x0 = f32::from_bits(x1.to_bits() - 1);
+    assert!(g(x0) < thr && g(x1) >= thr);
+    let left = vec![[0.0f32; 3]; 32];
+    let right = vec![[x0, 0.0, 0.0], [x1, 0.0, 0.0]];
+    let runs = assert_identical(|dev| {
+        let (bits, run) = cross_sdh(dev, &left, &right, spec, Euclidean);
+        assert_eq!(merged(&bits, spec.buckets)[7], 64);
+        (bits, run)
+    });
+    assert_eq!(culled_of(&runs), (1, 2), "exactly the x1 row culls");
+}
+
+#[test]
+fn nan_partners_are_never_culled() {
+    // A NaN coordinate makes the bound NaN: the row is kept and its
+    // lanes take the device's NaN → bucket 0 convention.
+    let spec = cull_spec();
+    let left = box_pts(32, [0.0; 3], [10.0; 3], 8);
+    let mut right = box_pts(20, [60.0; 3], [10.0; 3], 9);
+    right.push([f32::NAN, 65.0, 65.0]);
+    right.push([65.0, 65.0, f32::NAN]);
+    let runs = assert_identical(|dev| {
+        let (bits, run) = cross_sdh(dev, &left, &right, spec, Euclidean);
+        assert_eq!(merged(&bits, spec.buckets)[0], 64, "NaN rows bin to 0");
+        (bits, run)
+    });
+    assert_eq!(culled_of(&runs), (20, 22), "only the finite rows cull");
+}
+
+#[test]
+fn non_finite_own_lanes_decline_the_cull() {
+    // One infinite lane in warp 0, one NaN lane in warp 1: neither
+    // warp has a finite bounding box, so neither culls.
+    let spec = cull_spec();
+    let mut left = box_pts(64, [0.0; 3], [10.0; 3], 10);
+    left[3] = [f32::INFINITY, 1.0, 1.0];
+    left[40] = [1.0, f32::NAN, 1.0];
+    let far = box_pts(50, [60.0; 3], [10.0; 3], 11);
+    let runs = assert_identical(|dev| cross_sdh(dev, &left, &far, spec, Euclidean));
+    assert_eq!(culled_of(&runs).0, 0);
+}
+
+#[test]
+fn single_bucket_histograms_never_cull() {
+    // hmax = 0: the overflow edge is 0, so there is no threshold to
+    // clear (every pair bins to bucket 0 on every route regardless).
+    let spec = HistogramSpec::new(1, 20.0);
+    let cfg = DeviceConfig::titan_x();
+    let mut dev = Device::new(cfg.clone());
+    let private = dev.alloc_u32_zeroed(1);
+    let act = SharedHistogramAction { spec, private };
+    let ck = lower_pair_plan::<3, _, _>(&cfg, &Euclidean, &act, B).expect("lowers");
+    assert_eq!(ck.cull_threshold(), None);
+    let left = box_pts(64, [0.0; 3], [10.0; 3], 12);
+    let far = box_pts(50, [60.0; 3], [10.0; 3], 13);
+    let runs = assert_identical(|dev| cross_sdh(dev, &left, &far, spec, Euclidean));
+    assert_eq!(culled_of(&runs).0, 0);
+}
+
+#[test]
+fn culled_multi_sink_passes_are_route_identical() {
+    // Two count sinks with and without two histogram sinks: a culled row
+    // adds nothing to the counts and its lanes to each histogram's
+    // overflow bucket. The mixed batch's threshold is the largest
+    // overflow edge (24 for 5 bins to 30), above the count thresholds;
+    // the counts-only batch culls past its largest radius.
+    let left = box_pts(64, [0.0; 3], [10.0; 3], 14);
+    let right = box_pts(150, [0.0; 3], [100.0, 10.0, 10.0], 15);
+    let specs = [cull_spec(), HistogramSpec::new(5, 30.0)];
+    for n_hists in [2usize, 0] {
+        let runs = assert_identical(|dev| {
+            let dl = SoaPoints::from_points(&left).upload(dev);
+            let dr = SoaPoints::from_points(&right).upload(dev);
+            let lc = pair_launch(dl.n, B);
+            let counts: Vec<MultiCountSink> = [3.0, 12.0]
+                .map(|radius| MultiCountSink {
+                    radius,
+                    out: dev.alloc_u64_zeroed(lc.total_threads() as usize),
+                })
+                .into();
+            let hists: Vec<MultiHistSink> = specs[..n_hists]
+                .iter()
+                .map(|&spec| MultiHistSink {
+                    spec,
+                    private: dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize),
+                })
+                .collect();
+            let action = MultiQueryAction {
+                counts: counts.clone(),
+                hists: hists.clone(),
+            };
+            let k = CrossShmKernel::new(dl, dr, Euclidean, action, B);
+            let run = dev.launch(&k, lc);
+            let mut bits: Bits = Vec::new();
+            for c in &counts {
+                bits.extend(dev.u64_slice(c.out));
+            }
+            for h in &hists {
+                bits.extend(dev.u32_slice(h.private).iter().map(|&x| x as u64));
+            }
+            (bits, run)
+        });
+        let (culled, atomics) = culled_of(&runs);
+        assert!(culled > 0, "{n_hists} histogram sinks: nothing culled");
+        if n_hists > 0 {
+            let rows = atomics / n_hists as u64;
+            assert!(culled < rows, "{culled} of {rows}");
+        }
+    }
+}
+
+#[test]
+fn periodic_plans_never_cull() {
+    // The minimum-image difference has no bounding-box bound: the plan
+    // lowers without a cull threshold, and far partners stay walked.
+    let spec = cull_spec();
+    let periodic = PeriodicEuclidean::new(100.0);
+    let cfg = DeviceConfig::titan_x();
+    let mut dev = Device::new(cfg.clone());
+    let private = dev.alloc_u32_zeroed(spec.buckets as usize);
+    let act = SharedHistogramAction { spec, private };
+    let ck = lower_pair_plan::<3, _, _>(&cfg, &periodic, &act, B).expect("lowers");
+    assert_eq!(ck.cull_threshold(), None);
+    let left = box_pts(64, [0.0; 3], [10.0; 3], 16);
+    let far = box_pts(50, [60.0; 3], [10.0; 3], 17);
+    let runs = assert_identical(|dev| cross_sdh(dev, &left, &far, spec, periodic));
+    assert_eq!(culled_of(&runs).0, 0);
+}
+
+#[test]
+fn culled_roc_sdh_passes_are_route_identical() {
+    // ROC-broadcast tiles (Register-ROC) on an x-sorted line of points,
+    // so whole warps sit far from later tiles. (The shuffle kernel's
+    // lane-broadcast passes all carry a predicate and never cull; the
+    // gpu-sim tile probe covers culled lane-broadcast passes.)
+    let spec = cull_spec();
+    let pts = SoaPoints::from_points(&box_pts(300, [0.0; 3], [100.0, 5.0, 5.0], 18));
+    let runs = assert_identical(|dev| {
+        sdh_run(dev, &pts, spec, |input, act| {
+            Box::new(RegisterRocKernel::new(
+                input,
+                Euclidean,
+                act,
+                B,
+                PairScope::HalfPairs,
+                IntraMode::Regular,
+            ))
+        })
+    });
+    assert!(culled_of(&runs).0 > 0, "ROC passes must cull");
+}

@@ -30,18 +30,32 @@ use tbs_cpu::{
 const BOX: f32 = 100.0;
 
 /// The catalog layouts the grid must handle: smooth, heavily skewed,
-/// and the degenerate single-cell pile-up.
+/// Gaussian blobs (the clustered Landy–Szalay catalog shape) and the
+/// degenerate single-cell pile-up.
 #[derive(Debug, Clone, Copy)]
 enum Layout {
     Uniform,
     Clustered,
+    Blobs,
     OnePoint,
+}
+
+/// Four Gaussian blobs (σ = 4) in the box.
+fn blobs(n: usize, seed: u64) -> SoaPoints<3> {
+    let centers = [
+        [25.0, 25.0, 25.0],
+        [75.0, 25.0, 60.0],
+        [30.0, 70.0, 70.0],
+        [70.0, 75.0, 30.0],
+    ];
+    tbs_datagen::gaussian_blobs(n, BOX, &centers, &[4.0; 4], seed)
 }
 
 fn catalog(layout: Layout, n: usize, seed: u64) -> SoaPoints<3> {
     match layout {
         Layout::Uniform => tbs_datagen::uniform_points(n, BOX, seed),
         Layout::Clustered => tbs_datagen::clustered_points(n, BOX, 7, 2.5, seed),
+        Layout::Blobs => blobs(n, seed),
         // Every point in one spot: one cell holds everything, all
         // others are empty.
         Layout::OnePoint => SoaPoints::from_points(&vec![[3.0, 4.0, 5.0]; n]),
@@ -49,7 +63,12 @@ fn catalog(layout: Layout, n: usize, seed: u64) -> SoaPoints<3> {
 }
 
 fn layout_strategy() -> impl Strategy<Value = Layout> {
-    prop::sample::select(vec![Layout::Uniform, Layout::Clustered, Layout::OnePoint])
+    prop::sample::select(vec![
+        Layout::Uniform,
+        Layout::Clustered,
+        Layout::Blobs,
+        Layout::OnePoint,
+    ])
 }
 
 proptest! {
@@ -177,7 +196,10 @@ proptest! {
         prop_assert_eq!(multi[0], packed.count);
     }
 
-    /// Three-way histogram identity on the same layouts.
+    /// Three-way histogram identity on the same layouts, plus route
+    /// identity of the packed sweep: the compiled route (which culls
+    /// overflow rows) and the op-by-op route produce the same
+    /// histogram, tallies and simulated time.
     #[test]
     fn packed_histogram_equals_per_cell_pair_and_all_pairs(
         n in 2usize..640,
@@ -204,6 +226,14 @@ proptest! {
         let all = sdh_gpu(&mut dev2, &pts, rb.device_spec(), plan, SdhOutputMode::Privatized)
             .expect("all-pairs launch");
         prop_assert_eq!(&packed.histogram, &rb.finalize(&all.histogram));
+        let mut dev_op = Device::new(DeviceConfig::titan_x().with_compiled(false));
+        let cat_op = GriddedCatalog::build_self(&mut dev_op, &pts, r_max, &opts);
+        let op = gridded_radial_histogram_routed(&mut dev_op, &cat_op, rb, plan, GriddedRoute::Packed)
+            .expect("op-by-op packed launch");
+        prop_assert_eq!(&packed.histogram, &op.histogram);
+        prop_assert_eq!(&packed.run.tally, &op.run.tally);
+        prop_assert_eq!(packed.run.seconds.to_bits(), op.run.seconds.to_bits());
+        prop_assert_eq!(op.run.culled_rows, 0);
     }
 
     /// Candidate enumeration invariants for arbitrary layouts: no cell
@@ -349,6 +379,35 @@ fn sparse_grids_with_empty_cells_are_exact() {
     assert_eq!(
         grid_pcf_reference(&pts, 3.0, &opts),
         pcf_reference(&pts, 3.0)
+    );
+}
+
+/// Row culling fires on a clustered catalog: most rows of the packed
+/// radial histogram put the whole warp in the overflow bucket, and the
+/// compiled sweep culls them without moving the histogram, the tallies
+/// or the simulated time.
+#[test]
+fn packed_histogram_culls_overflow_rows_on_blobs() {
+    let pts = blobs(4096, 7);
+    let rb = RadialBins::new(10, 5.0);
+    let plan = PairwisePlan::register_shm(256);
+    let opts = GridOptions::default();
+    let run = |cfg: DeviceConfig| {
+        let mut dev = Device::new(cfg);
+        let cat = GriddedCatalog::build_self(&mut dev, &pts, 5.0, &opts);
+        gridded_radial_histogram(&mut dev, &cat, rb, plan).expect("packed launch")
+    };
+    let compiled = run(DeviceConfig::titan_x());
+    let op = run(DeviceConfig::titan_x().with_compiled(false));
+    assert_eq!(compiled.histogram, op.histogram);
+    assert_eq!(compiled.run.tally, op.run.tally);
+    assert_eq!(compiled.run.seconds.to_bits(), op.run.seconds.to_bits());
+    assert_eq!(op.run.culled_rows, 0);
+    assert!(
+        compiled.run.culled_row_frac() > 0.5,
+        "culled {} of {} rows",
+        compiled.run.culled_rows,
+        compiled.run.tally.shared_atomics
     );
 }
 

@@ -111,6 +111,10 @@ pub enum DistanceForm {
 /// each form's loops monomorphize: the Euclidean passes compile exactly
 /// as if the wrap did not exist.
 trait Diff: Copy {
+    /// Whether a warp's bounding box bounds this difference from below,
+    /// so that rows can be culled ([`cull_survivors`]). `false`
+    /// compiles the culling branches out of the form's passes.
+    const CULLS: bool;
     fn diff(self, a: f32, b: f32) -> f32;
 }
 
@@ -119,6 +123,7 @@ trait Diff: Copy {
 struct Plain;
 
 impl Diff for Plain {
+    const CULLS: bool = true;
     #[inline(always)]
     fn diff(self, a: f32, b: f32) -> f32 {
         a - b
@@ -131,6 +136,7 @@ impl Diff for Plain {
 struct Wrapped(f32);
 
 impl Diff for Wrapped {
+    const CULLS: bool = false;
     #[inline(always)]
     fn diff(self, a: f32, b: f32) -> f32 {
         let d = a - b;
@@ -256,6 +262,10 @@ pub struct CompiledKernel {
     /// Per count sink: `(radius, sqrt_lt_threshold(radius))`, in sink
     /// order (Multi only; the single CountLt sink uses `threshold`).
     count_thresholds: Vec<(f32, f32)>,
+    /// Row-cull threshold on a partner's squared gap to the warp's
+    /// bounding box ([`cull_threshold`]); `None` when the plan never
+    /// culls.
+    cull_thr: Option<f32>,
 }
 
 /// Smallest `T` such that `s < T ⟺ s.sqrt() < radius` for every
@@ -345,6 +355,10 @@ impl CompiledKernel {
             _ => Vec::new(),
         };
         let per = dist_cost + consumer_alu;
+        let cull_thr = match sink {
+            CompiledSinkSpec::CountLt { .. } => None,
+            _ => cull_threshold(form, &hists, &count_thresholds),
+        };
         Some(CompiledKernel {
             form,
             threshold: sqrt_lt_threshold(radius),
@@ -359,12 +373,20 @@ impl CompiledKernel {
             n_hist,
             hists,
             count_thresholds,
+            cull_thr,
         })
     }
 
     /// The sqrt-free comparison threshold (exposed for tests).
     pub fn threshold(&self) -> f32 {
         self.threshold
+    }
+
+    /// The row-cull threshold on a partner's squared gap to the warp's
+    /// bounding box, `None` when the plan never culls (exposed for
+    /// tests).
+    pub fn cull_threshold(&self) -> Option<f32> {
+        self.cull_thr
     }
 
     /// Executed-step counts `(npm, Σ active lanes)` for one inner tile
@@ -459,6 +481,9 @@ pub struct CompiledScratch {
     p: Vec<u32>,
     /// Per partial step, its active-lane count (indexes `p`).
     pn: Vec<u32>,
+    /// Steps of a histogram or multi-sink pass that survive row
+    /// culling ([`cull_survivors`]), ascending.
+    keep: Vec<u32>,
     /// Persistent per-bank chain state for the merged scatter walk.
     scatter: ScatterScratch,
 }
@@ -544,6 +569,123 @@ fn count_lt_cols<W: Diff, const D: usize>(
     cnt as u64
 }
 
+/// Relative margin between a plan's overflow edge `T` and its row-cull
+/// threshold `(1 + CULL_MARGIN)·T`.
+const CULL_MARGIN: f32 = 1e-3;
+
+/// The row-cull threshold of a histogram or multi-sink plan: a tile row
+/// whose partner's squared gap `g²` to the warp's bounding box reaches
+/// it lands every active lane in the overflow bucket `hmax` of every
+/// histogram sink and below no count sink's radius. `T` is the largest
+/// overflow edge `edges[hmax]` and sqrt-free count threshold; the
+/// threshold is `(1 + CULL_MARGIN)·T`. `None` — never cull — for the
+/// minimum-image form (its wrapped differences have no box bound), a
+/// histogram sink without an exact edge table, or a `T` that is zero,
+/// subnormal or non-finite (a `+inf` count radius included).
+fn cull_threshold(
+    form: DistanceForm,
+    hists: &[LoweredHist],
+    count_thresholds: &[(f32, f32)],
+) -> Option<f32> {
+    if form != DistanceForm::Euclidean || hists.iter().any(|h| h.edges.is_empty()) {
+        return None;
+    }
+    let t = hists
+        .iter()
+        .map(|h| h.edges[h.hmax as usize])
+        .chain(count_thresholds.iter().map(|&(_, t)| t))
+        .fold(0.0f32, f32::max);
+    let thr = t * (1.0 + CULL_MARGIN);
+    (t.is_normal() && thr.is_finite()).then_some(thr)
+}
+
+/// One full-warp histogram row: lane `l`'s exact bucket of its squared
+/// distance to partner `p` (the `sumsq` chain, sqrt, then
+/// [`floor_bucket_exact`]).
+#[inline(always)]
+fn bucket_row_full<W: Diff, const D: usize>(
+    w: W,
+    own: &[F32x32; D],
+    p: &[f32; D],
+    inv_width: f32,
+    hf: f32,
+    out: &mut [u32],
+) {
+    for (l, o) in out.iter_mut().enumerate() {
+        let mut s = 0.0f32;
+        for d in 0..D {
+            let diff = w.diff(own[d][l], p[d]);
+            s = diff.mul_add(diff, s);
+        }
+        *o = floor_bucket_exact(s.sqrt(), inv_width, hf);
+    }
+}
+
+/// Row culling for an unpredicated Euclidean tile pass: fills `keep`
+/// with the steps some active lane could bucket below the overflow
+/// bucket and returns `true` when at least one step was culled (on
+/// `false` the caller runs every step and `keep` is meaningless).
+///
+/// Each partner `p` gets a lower bound `g²` on every active lane's
+/// squared distance from the bounding box `[lo, hi]` of the `nl` active
+/// own lanes, evaluated with the distance chain's own operations: per
+/// dimension ascending, `gap = max(lo − p, p − hi)` floored at zero and
+/// `g = gap.mul_add(gap, g)`. For a lane `o` in the box, `|o − p| ≥
+/// gap` holds exactly, rounding is monotone, so `|fl(o − p)| ≥
+/// fl(gap)`, and each fma step keeps the lane's running sum `≥ g`. A
+/// NaN partner coordinate makes `g²` NaN, so its row is kept. A
+/// non-finite own lane declines the cull entirely, and so does a
+/// lane-broadcast source (every shipped pass over one is predicated).
+// `!(g >= thr)` is deliberate: NaN bounds must keep their row.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn cull_survivors<const D: usize>(
+    view: &SrcView<'_, D>,
+    len: u32,
+    own: &[F32x32; D],
+    nl: usize,
+    thr: f32,
+    keep: &mut Vec<u32>,
+) -> bool {
+    let &SrcView::Cols { cols, start } = view else {
+        return false;
+    };
+    let mut lo = [0.0f32; D];
+    let mut hi = [0.0f32; D];
+    for d in 0..D {
+        let lanes = &own[d][..nl];
+        if !lanes.iter().all(|x| x.is_finite()) {
+            return false;
+        }
+        lo[d] = lanes.iter().copied().fold(f32::INFINITY, f32::min);
+        hi[d] = lanes.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    }
+    let len = len as usize;
+    keep.clear();
+    // Chunked so the bound computes vectorized, dimension-outer (each
+    // element still accumulates in ascending dimensions).
+    const CHUNK: usize = 64;
+    let c: [&[f32]; D] = std::array::from_fn(|d| &cols[d][start..start + len]);
+    let mut j0 = 0;
+    while j0 < len {
+        let n = CHUNK.min(len - j0);
+        let mut g = [0.0f32; CHUNK];
+        for d in 0..D {
+            for (gj, &p) in g[..n].iter_mut().zip(&c[d][j0..j0 + n]) {
+                let x = (lo[d] - p).max(p - hi[d]);
+                let gap = if x < 0.0 { 0.0 } else { x };
+                *gj = gap.mul_add(gap, *gj);
+            }
+        }
+        for (k, &gj) in g[..n].iter().enumerate() {
+            if !(gj >= thr) {
+                keep.push((j0 + k) as u32);
+            }
+        }
+        j0 += n;
+    }
+    keep.len() < len
+}
+
 impl<'b, 'a> WarpCtx<'b, 'a> {
     /// Compiled inner tile pass: `len` steps of *broadcast an element
     /// from `src`, evaluate the lowered distance against each lane's
@@ -563,7 +705,10 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// does not match the lowered sink (wrong plan). Histogram
     /// scatters share one accounting-plus-update walk
     /// ([`crate::mem::SharedSpace::scatter_account_update`]) over the
-    /// block's persistent scratch.
+    /// block's persistent scratch. Unpredicated Euclidean histogram and
+    /// multi-sink passes skip the rows that provably land every lane in
+    /// the overflow bucket (see `cull_survivors`) and charge them in
+    /// closed form ([`crate::mem::SharedSpace::scatter_broadcast_rows`]).
     #[allow(clippy::too_many_arguments)]
     pub fn compiled_tile_pass<const D: usize>(
         &mut self,
@@ -821,6 +966,20 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             TileSrc::LaneBroadcast(lanes) => SrcView::Lanes(lanes),
         };
         let nl = valid.count() as usize;
+        // Row culling: under the unpredicated pass, steps that provably
+        // land every active lane in the overflow bucket drop out of
+        // `scr.keep` and are charged in closed form after the walks.
+        let culled = match ck.cull_thr {
+            Some(thr) if W::CULLS && matches!(pred, TilePred::All) => {
+                cull_survivors(&view, len, own, nl, thr, &mut scr.keep)
+            }
+            _ => false,
+        };
+        let culled_rows = if culled {
+            (len as usize - scr.keep.len()) as u64
+        } else {
+            0
+        };
         match consumer {
             TileSink::CountLt { acc, .. } => {
                 let thr = ck.threshold;
@@ -980,55 +1139,64 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     // every step is a full-warp row, so one combined
                     // distance+bucket loop writes the batch buffer in
                     // place (no distance spill, no per-row copy).
-                    scr.b.resize(len as usize * WARP_SIZE, 0);
                     let hf = hmax as f32;
-                    for (j, out) in scr.b.chunks_exact_mut(WARP_SIZE).enumerate() {
-                        let p = view.point(j);
-                        for (l, o) in out.iter_mut().enumerate() {
-                            let mut s = 0.0f32;
-                            for d in 0..D {
-                                let diff = w.diff(own[d][l], p[d]);
-                                s = diff.mul_add(diff, s);
-                            }
-                            *o = floor_bucket_exact(s.sqrt(), inv_width, hf);
+                    if culled {
+                        scr.b.resize(scr.keep.len() * WARP_SIZE, 0);
+                        for (out, &j) in scr.b.chunks_exact_mut(WARP_SIZE).zip(&scr.keep) {
+                            bucket_row_full(w, own, &view.point(j as usize), inv_width, hf, out);
+                        }
+                    } else {
+                        scr.b.resize(len as usize * WARP_SIZE, 0);
+                        for (j, out) in scr.b.chunks_exact_mut(WARP_SIZE).enumerate() {
+                            bucket_row_full(w, own, &view.point(j), inv_width, hf, out);
                         }
                     }
                 } else {
-                    for j in 0..len {
-                        let pm = Self::pred_mask(pred, j, valid);
-                        if !pm.any() {
-                            continue;
-                        }
-                        let p = view.point(j as usize);
-                        let mut srow = [0.0f32; WARP_SIZE];
-                        for d in 0..D {
-                            let pd = p[d];
-                            for (sl, &ol) in srow.iter_mut().zip(own[d].iter()) {
-                                let diff = w.diff(ol, pd);
-                                *sl = diff.mul_add(diff, *sl);
+                    let step =
+                        |j: u32, b: &mut Vec<u32>, p_out: &mut Vec<u32>, pn: &mut Vec<u32>| {
+                            let pm = Self::pred_mask(pred, j, valid);
+                            if !pm.any() {
+                                return;
                             }
+                            let p = view.point(j as usize);
+                            let mut srow = [0.0f32; WARP_SIZE];
+                            for d in 0..D {
+                                let pd = p[d];
+                                for (sl, &ol) in srow.iter_mut().zip(own[d].iter()) {
+                                    let diff = w.diff(ol, pd);
+                                    *sl = diff.mul_add(diff, *sl);
+                                }
+                            }
+                            if pm.0 == u32::MAX && exact {
+                                let mut tmp = [0u32; WARP_SIZE];
+                                bucket_row_exact(&srow, inv_width, hmax, &mut tmp);
+                                b.extend_from_slice(&tmp);
+                                return;
+                            }
+                            // Partial-warp (or degenerate-geometry) step:
+                            // the scalar cast chain over the active lanes.
+                            let n0 = p_out.len();
+                            if pm.0 == u32::MAX {
+                                p_out.extend(
+                                    srow.iter()
+                                        .map(|&s| ((s.sqrt() * inv_width) as u32).min(hmax)),
+                                );
+                            } else {
+                                p_out.extend(
+                                    pm.lanes()
+                                        .map(|l| ((srow[l].sqrt() * inv_width) as u32).min(hmax)),
+                                );
+                            }
+                            pn.push((p_out.len() - n0) as u32);
+                        };
+                    if culled {
+                        for &j in &scr.keep {
+                            step(j, &mut scr.b, &mut scr.p, &mut scr.pn);
                         }
-                        if pm.0 == u32::MAX && exact {
-                            let mut tmp = [0u32; WARP_SIZE];
-                            bucket_row_exact(&srow, inv_width, hmax, &mut tmp);
-                            scr.b.extend_from_slice(&tmp);
-                            continue;
+                    } else {
+                        for j in 0..len {
+                            step(j, &mut scr.b, &mut scr.p, &mut scr.pn);
                         }
-                        // Partial-warp (or degenerate-geometry) step:
-                        // the scalar cast chain over the active lanes.
-                        let n0 = scr.p.len();
-                        if pm.0 == u32::MAX {
-                            scr.p.extend(
-                                srow.iter()
-                                    .map(|&s| ((s.sqrt() * inv_width) as u32).min(hmax)),
-                            );
-                        } else {
-                            scr.p.extend(
-                                pm.lanes()
-                                    .map(|l| ((srow[l].sqrt() * inv_width) as u32).min(hmax)),
-                            );
-                        }
-                        scr.pn.push((scr.p.len() - n0) as u32);
                     }
                 }
                 // Phase B: the batched walk over the full-warp rows,
@@ -1052,6 +1220,15 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     atom_serial += mult;
                     atom_txns += txns + mult - 1;
                     atom_replays += txns.saturating_sub(1);
+                }
+                if culled_rows != 0 {
+                    let (s_c, t_c, r_c) =
+                        self.blk
+                            .shared
+                            .scatter_broadcast_rows(shm, hmax, culled_rows, nl as u64);
+                    atom_serial += s_c;
+                    atom_txns += t_c;
+                    atom_replays += r_c;
                 }
             }
             TileSink::Multi(mut sinks) => {
@@ -1097,84 +1274,94 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     scr.pbs[k].clear();
                     scr.pbn[k].clear();
                 }
-                for j in 0..len {
-                    let pm = Self::pred_mask(pred, j, valid);
-                    if !pm.any() {
-                        continue;
-                    }
-                    let p = view.point(j as usize);
-                    let mut row = [0.0f32; WARP_SIZE];
-                    for d in 0..D {
-                        let pd = p[d];
-                        for (sl, &ol) in row.iter_mut().zip(own[d].iter()) {
-                            let diff = w.diff(ol, pd);
-                            *sl = diff.mul_add(diff, *sl);
+                let mut step =
+                    |j: u32, bs: &mut [Vec<u32>], pbs: &mut [Vec<u32>], pbn: &mut [Vec<u32>]| {
+                        let pm = Self::pred_mask(pred, j, valid);
+                        if !pm.any() {
+                            return;
                         }
-                    }
-                    let mut drow = [0.0f32; WARP_SIZE];
-                    if need_drow {
-                        for (d, &s) in drow.iter_mut().zip(row.iter()) {
-                            *d = s.sqrt();
-                        }
-                    }
-                    if pm.0 == u32::MAX {
-                        for (&(r, thr, use_sqrt), cnt) in cthr.iter().zip(cnts.iter_mut()) {
-                            if use_sqrt {
-                                for l in 0..WARP_SIZE {
-                                    cnt[l] += (drow[l] < r) as u32;
-                                }
-                            } else {
-                                for l in 0..WARP_SIZE {
-                                    cnt[l] += (row[l] < thr) as u32;
-                                }
+                        let p = view.point(j as usize);
+                        let mut row = [0.0f32; WARP_SIZE];
+                        for d in 0..D {
+                            let pd = p[d];
+                            for (sl, &ol) in row.iter_mut().zip(own[d].iter()) {
+                                let diff = w.diff(ol, pd);
+                                *sl = diff.mul_add(diff, *sl);
                             }
                         }
-                    } else {
-                        for (&(r, thr, use_sqrt), cnt) in cthr.iter().zip(cnts.iter_mut()) {
-                            for l in pm.lanes() {
-                                cnt[l] += if use_sqrt {
-                                    (drow[l] < r) as u32
-                                } else {
-                                    (row[l] < thr) as u32
-                                };
+                        let mut drow = [0.0f32; WARP_SIZE];
+                        if need_drow {
+                            for (d, &s) in drow.iter_mut().zip(row.iter()) {
+                                *d = s.sqrt();
                             }
                         }
-                    }
-                    for (k, _) in hist_sinks.iter().enumerate() {
-                        let lh = &ck.hists[k];
-                        let (iw, h) = (lh.inv_width, lh.hmax);
-                        if pm.0 == u32::MAX && !lh.edges.is_empty() {
-                            // Full-warp step with exact geometry: the
-                            // vectorized magic-number floor (identical
-                            // bits — see `floor_bucket_exact`, here
-                            // applied to the already-sqrt'd row),
-                            // deferred to the sink's batched scatter
-                            // walk below.
-                            let hf = h as f32;
-                            let mut tmp = [0u32; WARP_SIZE];
-                            for (b, &d) in tmp.iter_mut().zip(drow.iter()) {
-                                *b = floor_bucket_exact(d, iw, hf);
-                            }
-                            scr.bs[k].extend_from_slice(&tmp);
-                            continue;
-                        }
-                        // Partial or inexact step: deferred like the
-                        // batched rows (the view still borrows the
-                        // block's memory here, and the walks commute —
-                        // pre-flights already ruled out faults).
                         if pm.0 == u32::MAX {
-                            for &d in drow.iter() {
-                                scr.pbs[k].push(((d * iw) as u32).min(h));
+                            for (&(r, thr, use_sqrt), cnt) in cthr.iter().zip(cnts.iter_mut()) {
+                                if use_sqrt {
+                                    for l in 0..WARP_SIZE {
+                                        cnt[l] += (drow[l] < r) as u32;
+                                    }
+                                } else {
+                                    for l in 0..WARP_SIZE {
+                                        cnt[l] += (row[l] < thr) as u32;
+                                    }
+                                }
                             }
-                            scr.pbn[k].push(WARP_SIZE as u32);
                         } else {
-                            let mut na = 0u32;
-                            for l in pm.lanes() {
-                                scr.pbs[k].push(((drow[l] * iw) as u32).min(h));
-                                na += 1;
+                            for (&(r, thr, use_sqrt), cnt) in cthr.iter().zip(cnts.iter_mut()) {
+                                for l in pm.lanes() {
+                                    cnt[l] += if use_sqrt {
+                                        (drow[l] < r) as u32
+                                    } else {
+                                        (row[l] < thr) as u32
+                                    };
+                                }
                             }
-                            scr.pbn[k].push(na);
                         }
+                        for (k, _) in hist_sinks.iter().enumerate() {
+                            let lh = &ck.hists[k];
+                            let (iw, h) = (lh.inv_width, lh.hmax);
+                            if pm.0 == u32::MAX && !lh.edges.is_empty() {
+                                // Full-warp step with exact geometry: the
+                                // vectorized magic-number floor (identical
+                                // bits — see `floor_bucket_exact`, here
+                                // applied to the already-sqrt'd row),
+                                // deferred to the sink's batched scatter
+                                // walk below.
+                                let hf = h as f32;
+                                let mut tmp = [0u32; WARP_SIZE];
+                                for (b, &d) in tmp.iter_mut().zip(drow.iter()) {
+                                    *b = floor_bucket_exact(d, iw, hf);
+                                }
+                                bs[k].extend_from_slice(&tmp);
+                                continue;
+                            }
+                            // Partial or inexact step: deferred like the
+                            // batched rows (the view still borrows the
+                            // block's memory here, and the walks commute —
+                            // pre-flights already ruled out faults).
+                            if pm.0 == u32::MAX {
+                                for &d in drow.iter() {
+                                    pbs[k].push(((d * iw) as u32).min(h));
+                                }
+                                pbn[k].push(WARP_SIZE as u32);
+                            } else {
+                                let mut na = 0u32;
+                                for l in pm.lanes() {
+                                    pbs[k].push(((drow[l] * iw) as u32).min(h));
+                                    na += 1;
+                                }
+                                pbn[k].push(na);
+                            }
+                        }
+                    };
+                if culled {
+                    for &j in &scr.keep {
+                        step(j, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
+                    }
+                } else {
+                    for j in 0..len {
+                        step(j, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
                     }
                 }
                 for (k, &(_, shm)) in hist_sinks.iter().enumerate() {
@@ -1198,6 +1385,17 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                         atom_txns += txns + mult - 1;
                         atom_replays += txns.saturating_sub(1);
                         off += na;
+                    }
+                    if culled_rows != 0 {
+                        let (s_c, t_c, r_c) = self.blk.shared.scatter_broadcast_rows(
+                            shm,
+                            ck.hists[k].hmax,
+                            culled_rows,
+                            nl as u64,
+                        );
+                        atom_serial += s_c;
+                        atom_txns += t_c;
+                        atom_replays += r_c;
                     }
                 }
                 for ((_, acc), cnt) in count_sinks.iter_mut().zip(cnts.iter()) {
@@ -1225,6 +1423,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         interp.dispatches += 1;
         interp.compiled_ops += 1;
         interp.compiled_lane_ops += a * steps * (dims + pred_alu) + ck.wi * sum_apm;
+        interp.culled_rows += culled_rows;
         true
     }
 

@@ -640,6 +640,29 @@ impl SharedSpace {
         (serial, txns_sum, replays)
     }
 
+    /// `rows` warp steps whose `lanes` active lanes all scatter into
+    /// bucket `v`, in closed form: the same data update and charge sums
+    /// `(serial, transactions, replays)` as
+    /// [`Self::scatter_account_update_rows`] or
+    /// [`Self::scatter_account_update`] on each such step. A one-word
+    /// broadcast is one transaction with `lanes`-fold serialization, so
+    /// each step adds `lanes` to serial and to transactions
+    /// (`1 + lanes − 1`) and nothing to replays.
+    pub fn scatter_broadcast_rows(
+        &mut self,
+        h: ShmU32,
+        v: u32,
+        rows: u64,
+        lanes: u64,
+    ) -> (u64, u64, u64) {
+        let n = rows * lanes;
+        let data = self.u32s_mut(h);
+        // Wrapping adds commute: n single-lane adds equal one add of n
+        // modulo 2³².
+        data[v as usize] = data[v as usize].wrapping_add(n as u32);
+        (n, n, 0)
+    }
+
     /// [`Self::atomic_scatter_accounting`] for one-word elements, the
     /// histogram hot path: with `wpe == 1` an element *is* its word, so
     /// one pass over per-bank entry chains yields both the same-address
@@ -988,6 +1011,35 @@ mod tests {
             // accounting comparison above is apples to apples; the
             // data must also agree since both saw the same rows.
             assert_eq!(s.u32s(a), s.u32s(b), "batched updates diverge");
+        }
+    }
+
+    #[test]
+    fn scatter_broadcast_rows_matches_the_walks() {
+        // Closed-form same-bucket rows must equal the batched full-warp
+        // walk and the per-step walk of partial rows, with the data
+        // update wrapping like the per-lane adds.
+        for banks in [32u32, 16] {
+            let mut s = SharedSpace::new(banks);
+            let a = s.alloc_u32(64);
+            let b = s.alloc_u32(64);
+            let mut scratch = ScatterScratch::default();
+            s.u32s_mut(a)[9] = u32::MAX - 40;
+            s.u32s_mut(b)[9] = u32::MAX - 40;
+            let rows = vec![9u32; 3 * WARP_SIZE];
+            assert_eq!(
+                s.scatter_broadcast_rows(b, 9, 3, WARP_SIZE as u64),
+                s.scatter_account_update_rows(a, &rows, &mut scratch)
+            );
+            let mut expect = (0u64, 0u64, 0u64);
+            for _ in 0..4 {
+                let (mult, txns) = s.scatter_account_update(a, &[9u32; 5], &mut scratch);
+                expect.0 += mult;
+                expect.1 += txns + mult - 1;
+                expect.2 += txns.saturating_sub(1);
+            }
+            assert_eq!(s.scatter_broadcast_rows(b, 9, 4, 5), expect);
+            assert_eq!(s.u32s(a), s.u32s(b), "banks {banks}");
         }
     }
 

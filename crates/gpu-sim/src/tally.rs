@@ -198,6 +198,12 @@ pub struct InterpStats {
     /// Useful lane ops covered by compiled passes (compare against
     /// `AccessTally::useful_lane_ops` for coverage).
     pub compiled_lane_ops: u64,
+    /// Tile-pass rows (one partner against a warp's active lanes) that
+    /// compiled histogram and multi-sink passes culled: rows provably
+    /// landing every lane in each histogram's overflow bucket and
+    /// outside every count radius, charged in closed form instead of
+    /// being evaluated, bucketed and walked.
+    pub culled_rows: u64,
     /// L2 + ROC sectors whose hit was replayed from a generation-stamped
     /// memo without probing the FIFO table.
     pub memo_replayed_sectors: u64,
@@ -212,6 +218,7 @@ impl InterpStats {
         self.dispatches += o.dispatches;
         self.compiled_ops += o.compiled_ops;
         self.compiled_lane_ops += o.compiled_lane_ops;
+        self.culled_rows += o.culled_rows;
         self.memo_replayed_sectors += o.memo_replayed_sectors;
         self.memo_probed_sectors += o.memo_probed_sectors;
     }

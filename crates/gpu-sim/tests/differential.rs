@@ -1106,6 +1106,43 @@ fn fused_probe_engages_for_every_source_and_predicate() {
 }
 
 #[test]
+fn tile_probe_culls_overflow_rows_identically() {
+    // A small radius shrinks the histogram (overflow edge 7.75): most
+    // partners sit that far from a warp's lanes, so unpredicated passes
+    // over tile columns cull their rows, for full and ragged warps,
+    // with a NaN partner kept — all bit-identical to the op-by-op walk.
+    // Lane-broadcast passes never cull.
+    for src in [ProbeSrc::Shared, ProbeSrc::Roc, ProbeSrc::Lane] {
+        for (n, poison) in [(128, None), (100, Some(45))] {
+            let mut spec = base_spec();
+            spec.radius = 2.0;
+            spec.out = ProbeOut::Hist(32);
+            spec.src = src;
+            spec.n = n;
+            spec.poison = poison;
+            if src == ProbeSrc::Lane {
+                spec.len = 24;
+            }
+            let culled = probe_identical(spec).interp.culled_rows;
+            if src == ProbeSrc::Lane {
+                assert_eq!(culled, 0, "{spec:?}");
+            } else if !route_pinned() {
+                assert!(culled > 0, "{spec:?} must cull");
+            }
+        }
+    }
+    // Predicated and periodic passes never cull.
+    for (pred, box_edge) in [(ProbePred::NotEqual, None), (ProbePred::All, Some(13.0f32))] {
+        let mut spec = base_spec();
+        spec.radius = 2.0;
+        spec.out = ProbeOut::Hist(32);
+        spec.pred = pred;
+        spec.box_edge = box_edge;
+        assert_eq!(probe_identical(spec).interp.culled_rows, 0, "{spec:?}");
+    }
+}
+
+#[test]
 fn fused_declines_ragged_and_sub_warp_masks_identically() {
     // Live-thread raggedness keeps valid a prefix: still compiled.
     let mut spec = base_spec();
