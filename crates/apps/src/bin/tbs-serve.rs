@@ -306,7 +306,8 @@ fn handle_line(h: &ServerHandle, line: &str) -> Option<Json> {
                     .with("cache_hits", s.cache_hits)
                     .with("cache_misses", s.cache_misses)
                     .with("cache_hit_rate", s.cache_hit_rate())
-                    .with("sim_seconds", s.sim_seconds),
+                    .with("sim_seconds", s.sim_seconds)
+                    .with("device_bytes", s.device_bytes),
             ),
             Err(e) => Some(error(e.to_string())),
         },

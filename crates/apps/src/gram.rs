@@ -41,6 +41,17 @@ pub fn gram_gpu<const D: usize, K: DistanceKernel<D> + Copy>(
     k: K,
     plan: PairwisePlan,
 ) -> Result<GramResult, SimError> {
+    dev.scoped(|dev| gram_gpu_body(dev, pts, k, plan))
+}
+
+/// The body of [`gram_gpu`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn gram_gpu_body<const D: usize, K: DistanceKernel<D> + Copy>(
+    dev: &mut Device,
+    pts: &SoaPoints<D>,
+    k: K,
+    plan: PairwisePlan,
+) -> Result<GramResult, SimError> {
     let input = pts.upload(dev);
     let n = input.n;
     let out = dev.alloc_f32_zeroed((n as usize) * (n as usize));

@@ -470,6 +470,18 @@ pub fn gridded_count_within_routed<const D: usize>(
     plan: PairwisePlan,
     route: GriddedRoute,
 ) -> Result<GriddedCountResult, SimError> {
+    dev.scoped(|dev| gridded_count_within_routed_body(dev, cat, radius, plan, route))
+}
+
+/// The body of [`gridded_count_within_routed`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn gridded_count_within_routed_body<const D: usize>(
+    dev: &mut Device,
+    cat: &GriddedCatalog<D>,
+    radius: f32,
+    plan: PairwisePlan,
+    route: GriddedRoute,
+) -> Result<GriddedCountResult, SimError> {
     assert!(
         radius <= cat.grid.geom.r_max,
         "count radius {radius} exceeds the grid's r_max {}",
@@ -536,6 +548,17 @@ pub fn gridded_count_within_routed<const D: usize>(
 /// `r_max`; `counts[i]` is bit-identical to
 /// [`gridded_count_within`] at `radii[i]`.
 pub fn gridded_count_within_multi<const D: usize>(
+    dev: &mut Device,
+    cat: &GriddedCatalog<D>,
+    radii: &[f32],
+    _plan: PairwisePlan,
+) -> Result<(Vec<u64>, GriddedRun), SimError> {
+    dev.scoped(|dev| gridded_count_within_multi_body(dev, cat, radii, _plan))
+}
+
+/// The body of [`gridded_count_within_multi`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn gridded_count_within_multi_body<const D: usize>(
     dev: &mut Device,
     cat: &GriddedCatalog<D>,
     radii: &[f32],
@@ -674,6 +697,18 @@ pub fn gridded_radial_histogram_routed<const D: usize>(
     plan: PairwisePlan,
     route: GriddedRoute,
 ) -> Result<GriddedHistogramResult, SimError> {
+    dev.scoped(|dev| gridded_radial_histogram_routed_body(dev, cat, bins, plan, route))
+}
+
+/// The body of [`gridded_radial_histogram_routed`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn gridded_radial_histogram_routed_body<const D: usize>(
+    dev: &mut Device,
+    cat: &GriddedCatalog<D>,
+    bins: RadialBins,
+    plan: PairwisePlan,
+    route: GriddedRoute,
+) -> Result<GriddedHistogramResult, SimError> {
     assert!(
         bins.r_max <= cat.grid.geom.r_max,
         "histogram r_max {} exceeds the grid's r_max {}",
@@ -720,6 +755,21 @@ pub fn gridded_cross_radial_histogram<const D: usize>(
 
 /// [`gridded_cross_radial_histogram`] on an explicit route.
 pub fn gridded_cross_radial_histogram_routed<const D: usize>(
+    dev: &mut Device,
+    left: &GriddedCatalog<D>,
+    right: &GriddedCatalog<D>,
+    bins: RadialBins,
+    plan: PairwisePlan,
+    route: GriddedRoute,
+) -> Result<GriddedHistogramResult, SimError> {
+    dev.scoped(|dev| {
+        gridded_cross_radial_histogram_routed_body(dev, left, right, bins, plan, route)
+    })
+}
+
+/// The body of [`gridded_cross_radial_histogram_routed`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn gridded_cross_radial_histogram_routed_body<const D: usize>(
     dev: &mut Device,
     left: &GriddedCatalog<D>,
     right: &GriddedCatalog<D>,

@@ -37,6 +37,19 @@ pub fn distance_join_gpu<const D: usize>(
     aggregated: bool,
     plan: PairwisePlan,
 ) -> Result<JoinResult, SimError> {
+    dev.scoped(|dev| distance_join_gpu_body(dev, pts, radius, capacity, aggregated, plan))
+}
+
+/// The body of [`distance_join_gpu`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn distance_join_gpu_body<const D: usize>(
+    dev: &mut Device,
+    pts: &SoaPoints<D>,
+    radius: f32,
+    capacity: u32,
+    aggregated: bool,
+    plan: PairwisePlan,
+) -> Result<JoinResult, SimError> {
     let input = pts.upload(dev);
     let cursor = dev.alloc_u32_zeroed(1);
     let out_left = dev.alloc_u32(vec![u32::MAX; capacity as usize]);
@@ -70,6 +83,22 @@ pub fn distance_join_gpu<const D: usize>(
 /// *two* tables; the self-join above is the special case R = S). Runs on
 /// the bipartite [`CrossShmKernel`](tbs_core::kernels::CrossShmKernel).
 pub fn distance_join_two_gpu<const D: usize>(
+    dev: &mut Device,
+    left: &SoaPoints<D>,
+    right: &SoaPoints<D>,
+    radius: f32,
+    capacity: u32,
+    aggregated: bool,
+    block_size: u32,
+) -> Result<JoinResult, SimError> {
+    dev.scoped(|dev| {
+        distance_join_two_gpu_body(dev, left, right, radius, capacity, aggregated, block_size)
+    })
+}
+
+/// The body of [`distance_join_two_gpu`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn distance_join_two_gpu_body<const D: usize>(
     dev: &mut Device,
     left: &SoaPoints<D>,
     right: &SoaPoints<D>,

@@ -27,6 +27,17 @@ pub fn kde_gpu<const D: usize>(
     sigma: f32,
     plan: PairwisePlan,
 ) -> Result<KdeResult, SimError> {
+    dev.scoped(|dev| kde_gpu_body(dev, pts, sigma, plan))
+}
+
+/// The body of [`kde_gpu`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn kde_gpu_body<const D: usize>(
+    dev: &mut Device,
+    pts: &SoaPoints<D>,
+    sigma: f32,
+    plan: PairwisePlan,
+) -> Result<KdeResult, SimError> {
     let input = pts.upload(dev);
     let n = input.n;
     let lc = pair_launch(n, plan.block_size);

@@ -29,6 +29,16 @@ pub fn knn_gpu<const D: usize, const K: usize>(
     pts: &SoaPoints<D>,
     plan: PairwisePlan,
 ) -> Result<KnnResult<K>, SimError> {
+    dev.scoped(|dev| knn_gpu_body(dev, pts, plan))
+}
+
+/// The body of [`knn_gpu`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn knn_gpu_body<const D: usize, const K: usize>(
+    dev: &mut Device,
+    pts: &SoaPoints<D>,
+    plan: PairwisePlan,
+) -> Result<KnnResult<K>, SimError> {
     let input = pts.upload(dev);
     let n = input.n;
     let lc = pair_launch(n, plan.block_size);

@@ -34,6 +34,17 @@ pub fn pcf_gpu<const D: usize>(
     radius: f32,
     plan: PairwisePlan,
 ) -> Result<PcfResult, SimError> {
+    dev.scoped(|dev| pcf_gpu_body(dev, pts, radius, plan))
+}
+
+/// The body of [`pcf_gpu`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn pcf_gpu_body<const D: usize>(
+    dev: &mut Device,
+    pts: &SoaPoints<D>,
+    radius: f32,
+    plan: PairwisePlan,
+) -> Result<PcfResult, SimError> {
     let input = pts.upload(dev);
     let lc = pair_launch(input.n, plan.block_size);
     let out = dev.alloc_u64_zeroed(lc.total_threads() as usize);
@@ -85,6 +96,19 @@ impl LsPairCounts {
 /// with one shared grid geometry fit over both catalogs (required for
 /// the bipartite DR pass and convenient for the other two).
 pub fn ls_pair_counts<const D: usize>(
+    dev: &mut Device,
+    data: &SoaPoints<D>,
+    rand: &SoaPoints<D>,
+    bins: RadialBins,
+    plan: PairwisePlan,
+    opts: &GridOptions,
+) -> Result<LsPairCounts, SimError> {
+    dev.scoped(|dev| ls_pair_counts_body(dev, data, rand, bins, plan, opts))
+}
+
+/// The body of [`ls_pair_counts`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn ls_pair_counts_body<const D: usize>(
     dev: &mut Device,
     data: &SoaPoints<D>,
     rand: &SoaPoints<D>,

@@ -64,6 +64,22 @@ pub fn sdh_gpu_with<const D: usize, F>(
 where
     F: tbs_core::distance::DistanceKernel<D> + Copy,
 {
+    dev.scoped(|dev| sdh_gpu_with_body(dev, pts, dist, spec, plan, output))
+}
+
+/// The body of [`sdh_gpu_with`]: the caller's [`Device::scoped`]
+/// frees what it allocates, however it returns.
+fn sdh_gpu_with_body<const D: usize, F>(
+    dev: &mut Device,
+    pts: &SoaPoints<D>,
+    dist: F,
+    spec: HistogramSpec,
+    plan: PairwisePlan,
+    output: SdhOutputMode,
+) -> Result<SdhResult, SimError>
+where
+    F: tbs_core::distance::DistanceKernel<D> + Copy,
+{
     let input = pts.upload(dev);
     let lc = pair_launch(input.n, plan.block_size);
     match output {

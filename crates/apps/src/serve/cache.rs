@@ -6,10 +6,11 @@
 //! CI sizes. Each cache is keyed by the dataset's *generation* — a
 //! counter the dispatcher bumps on re-registration — so the invalidation
 //! rule is simply "a new generation evicts every entry of the old one".
-//! Evicted entries release host bookkeeping immediately; the simulated
-//! device never frees allocations (like a real allocator without a
-//! `free`), which is fine for a cache whose entries are meant to live as
-//! long as the dataset does.
+//! Eviction frees the evicted entries' device buffers along with their
+//! host bookkeeping, so a worker's device holds only the current
+//! generation of each dataset it has served. Within a generation,
+//! entries live as long as the dataset does (one shard split per shard
+//! count, one grid per radius that no cached grid covers).
 
 use crate::gridded::GriddedCatalog;
 use crate::multi_gpu::chunk_ranges;
@@ -44,7 +45,7 @@ impl WorkerCache {
         pts: &SoaPoints<3>,
         shards: usize,
     ) -> &[DeviceSoa<3>] {
-        self.evict_stale(key);
+        self.evict_stale(dev, key);
         let full = (key.0.clone(), key.1, shards);
         if self.shards.contains_key(&full) {
             self.hits += 1;
@@ -68,7 +69,7 @@ impl WorkerCache {
         pts: &SoaPoints<3>,
         radius: f32,
     ) -> &GriddedCatalog<3> {
-        self.evict_stale(key);
+        self.evict_stale(dev, key);
         let full = (key.0.clone(), key.1, radius.to_bits());
         if self.grids.contains_key(&full) {
             self.hits += 1;
@@ -98,7 +99,7 @@ impl WorkerCache {
         pts: &SoaPoints<3>,
         radius: f32,
     ) -> &GriddedCatalog<3> {
-        self.evict_stale(key);
+        self.evict_stale(dev, key);
         let exact = (key.0.clone(), key.1, radius.to_bits());
         if self.grids.contains_key(&exact) {
             self.hits += 1;
@@ -120,12 +121,26 @@ impl WorkerCache {
     }
 
     /// Drop every entry of `key.0` whose generation differs from
-    /// `key.1` (the re-registration invalidation rule).
-    fn evict_stale(&mut self, key: &DatasetKey) {
-        self.shards
-            .retain(|(name, gen, _), _| name != &key.0 || *gen == key.1);
-        self.grids
-            .retain(|(name, gen, _), _| name != &key.0 || *gen == key.1);
+    /// `key.1` (the re-registration invalidation rule), freeing its
+    /// device buffers.
+    fn evict_stale(&mut self, dev: &mut Device, key: &DatasetKey) {
+        let live = |name: &String, gen: &u64| name != &key.0 || *gen == key.1;
+        self.shards.retain(|(name, gen, _), uploads| {
+            live(name, gen) || {
+                for u in uploads.iter() {
+                    u.free(dev).expect("cache entries own their uploads");
+                }
+                false
+            }
+        });
+        self.grids.retain(|(name, gen, _), cat| {
+            live(name, gen) || {
+                cat.device()
+                    .free(dev)
+                    .expect("cache entries own their catalogs");
+                false
+            }
+        });
     }
 }
 
@@ -147,11 +162,15 @@ mod tests {
         // A different shard split is its own entry.
         cache.shard_uploads(&mut dev, &key, &pts, 3);
         assert_eq!((cache.hits, cache.misses), (1, 2));
-        // A new generation evicts both old entries.
+        let one_copy = 3 * 64 * 4;
+        assert_eq!(dev.allocated_bytes(), 2 * one_copy);
+        // A new generation evicts both old entries and frees their
+        // device buffers.
         let key1 = ("d".to_string(), 1);
         cache.shard_uploads(&mut dev, &key1, &pts, 2);
         assert_eq!((cache.hits, cache.misses), (1, 3));
         assert_eq!(cache.shards.len(), 1);
+        assert_eq!(dev.allocated_bytes(), one_copy);
         // The old generation is gone: re-requesting it rebuilds.
         cache.shard_uploads(&mut dev, &key, &pts, 2);
         assert_eq!((cache.hits, cache.misses), (1, 4));
@@ -189,5 +208,10 @@ mod tests {
         assert_eq!((cache.hits, cache.misses), (1, 1));
         cache.grid(&mut dev, &key, &pts, 20.0);
         assert_eq!((cache.hits, cache.misses), (1, 2));
+        assert_eq!(dev.allocated_bytes(), 2 * 3 * 128 * 4);
+        // A new generation frees both stale catalogs.
+        cache.grid(&mut dev, &("d".to_string(), 1), &pts, 10.0);
+        assert_eq!(cache.grids.len(), 1);
+        assert_eq!(dev.allocated_bytes(), 3 * 128 * 4);
     }
 }

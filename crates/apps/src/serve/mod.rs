@@ -65,7 +65,7 @@ use tbs_core::kernels::{
     pair_launch, CrossShmKernel, HistogramReduceKernel, PairScope, RegisterShmKernel,
 };
 use tbs_core::output::{MultiCountSink, MultiHistSink, MultiQueryAction};
-use tbs_core::point::SoaPoints;
+use tbs_core::point::{DeviceSoa, SoaPoints};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -125,6 +125,11 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Total simulated kernel seconds across all workers.
     pub sim_seconds: f64,
+    /// Live bytes on the workers' simulated devices, summed over
+    /// workers as of each one's latest reply: the cached shard uploads
+    /// and grids of the current dataset generations (an order's
+    /// temporaries are freed before it replies).
+    pub device_bytes: u64,
 }
 
 impl ServerStats {
@@ -178,7 +183,14 @@ impl ServerHandle {
     /// Register (or replace) dataset `name`; returns its generation.
     /// Re-registration bumps the generation, which evicts every cached
     /// shard upload and gridded catalog of the old revision.
+    ///
+    /// Every coordinate must be finite; a dataset with a NaN or infinite
+    /// coordinate is refused with [`ServeError::BadDataset`] and the
+    /// server keeps whatever was registered under `name` before.
     pub fn register_dataset(&self, name: &str, pts: SoaPoints<3>) -> Result<u64, ServeError> {
+        if !(0..3).all(|d| pts.coord(d).iter().all(|x| x.is_finite())) {
+            return Err(ServeError::BadDataset("coordinates must be finite"));
+        }
         let (reply, rx) = channel();
         self.tx
             .send(Request::Register {
@@ -249,15 +261,11 @@ struct TasksOut {
     /// Per histogram sink, merged over this worker's tasks.
     hists: Vec<Histogram>,
     sim_seconds: f64,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 struct SoloOut {
     result: QueryResult,
     sim_seconds: f64,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 /// Result of one worker's coalesced gridded sweep.
@@ -265,8 +273,30 @@ struct GriddedOut {
     /// One count per requested radius, in request order.
     counts: Vec<u64>,
     sim_seconds: f64,
+}
+
+/// A worker's answer to one order: the outcome plus the worker's own
+/// counters, sent on success and failure alike.
+struct WorkerReply<T> {
+    out: Result<T, String>,
+    /// Cache probes made by this order.
     cache_hits: u64,
     cache_misses: u64,
+    /// Live bytes on the worker's device once the order is done.
+    device_bytes: u64,
+}
+
+impl<T> WorkerReply<T> {
+    /// Wrap `out`, counting the cache probes made since the cache read
+    /// `probes0` (hits, misses).
+    fn new(out: Result<T, String>, dev: &Device, cache: &WorkerCache, probes0: (u64, u64)) -> Self {
+        WorkerReply {
+            out,
+            cache_hits: cache.hits - probes0.0,
+            cache_misses: cache.misses - probes0.1,
+            device_bytes: dev.allocated_bytes(),
+        }
+    }
 }
 
 enum WorkOrder {
@@ -279,7 +309,7 @@ enum WorkOrder {
         counts: Vec<f32>,
         hists: Vec<HistogramSpec>,
         plan: PairwisePlan,
-        reply: Sender<Result<TasksOut, String>>,
+        reply: Sender<WorkerReply<TasksOut>>,
     },
     /// Every gridded count-within of one dataset group, coalesced into
     /// a single packed sweep over the cached catalog (one count sink
@@ -289,7 +319,7 @@ enum WorkOrder {
         pts: Arc<SoaPoints<3>>,
         radii: Vec<f32>,
         plan: PairwisePlan,
-        reply: Sender<Result<GriddedOut, String>>,
+        reply: Sender<WorkerReply<GriddedOut>>,
     },
     /// A non-batchable query, run monolithic on this worker.
     Solo {
@@ -297,7 +327,7 @@ enum WorkOrder {
         pts: Arc<SoaPoints<3>>,
         query: Query,
         plan: PairwisePlan,
-        reply: Sender<Result<SoloOut, String>>,
+        reply: Sender<WorkerReply<SoloOut>>,
     },
 }
 
@@ -397,6 +427,8 @@ struct Dispatcher {
     worker_txs: Vec<Sender<WorkOrder>>,
     datasets: HashMap<String, Dataset>,
     stats: ServerStats,
+    /// Each worker's live device bytes, as of its latest reply.
+    device_bytes: Vec<u64>,
     next_gen: u64,
     rr: usize,
 }
@@ -412,6 +444,7 @@ impl Dispatcher {
     fn new(cfg: ServeConfig, worker_txs: Vec<Sender<WorkOrder>>) -> Self {
         Dispatcher {
             cfg,
+            device_bytes: vec![0; worker_txs.len()],
             worker_txs,
             datasets: HashMap::new(),
             stats: ServerStats::default(),
@@ -575,7 +608,7 @@ impl Dispatcher {
                 a.slot.fill(Err(ServeError::Closed));
                 continue;
             }
-            solo_waits.push((a.slot, rx));
+            solo_waits.push((a.slot, wid, rx));
         }
 
         // Gridded count-withins coalesce into ONE packed sweep over the
@@ -613,7 +646,7 @@ impl Dispatcher {
                 reply,
             };
             if self.worker_txs[wid].send(order).is_ok() {
-                gridded_wait = Some((gridded, rx));
+                gridded_wait = Some((gridded, wid, rx));
             } else {
                 for a in gridded {
                     a.slot.fill(Err(ServeError::Closed));
@@ -653,7 +686,7 @@ impl Dispatcher {
                     reply,
                 };
                 if self.worker_txs[wid].send(order).is_ok() {
-                    waits.push(rx);
+                    waits.push((wid, rx));
                 }
             }
 
@@ -666,21 +699,18 @@ impl Dispatcher {
                 .map(|s| Histogram::zeroed(s.buckets))
                 .collect();
             let mut failure: Option<ServeError> = None;
-            for rx in waits {
-                match rx.recv() {
-                    Ok(Ok(out)) => {
+            for (wid, rx) in waits {
+                match self.receive(wid, &rx) {
+                    Ok(out) => {
                         for (acc, c) in counts.iter_mut().zip(&out.counts) {
                             *acc += c;
                         }
                         for (acc, h) in hists.iter_mut().zip(&out.hists) {
                             acc.merge(h);
                         }
-                        self.stats.cache_hits += out.cache_hits;
-                        self.stats.cache_misses += out.cache_misses;
                         self.stats.sim_seconds += out.sim_seconds;
                     }
-                    Ok(Err(e)) => failure = Some(ServeError::Sim(e)),
-                    Err(_) => failure = Some(ServeError::Closed),
+                    Err(e) => failure = Some(e),
                 }
             }
             match failure {
@@ -698,42 +728,42 @@ impl Dispatcher {
             }
         }
 
-        if let Some((gridded, rx)) = gridded_wait {
-            match rx.recv() {
-                Ok(Ok(out)) => {
-                    self.stats.cache_hits += out.cache_hits;
-                    self.stats.cache_misses += out.cache_misses;
+        if let Some((gridded, wid, rx)) = gridded_wait {
+            match self.receive(wid, &rx) {
+                Ok(out) => {
                     self.stats.sim_seconds += out.sim_seconds;
                     for (a, c) in gridded.into_iter().zip(out.counts) {
                         a.slot.fill(Ok(QueryResult::Counts(vec![c])));
                     }
                 }
-                Ok(Err(e)) => {
-                    let e = ServeError::Sim(e);
+                Err(e) => {
                     for a in gridded {
                         a.slot.fill(Err(e.clone()));
-                    }
-                }
-                Err(_) => {
-                    for a in gridded {
-                        a.slot.fill(Err(ServeError::Closed));
                     }
                 }
             }
         }
 
-        for (slot, rx) in solo_waits {
-            match rx.recv() {
-                Ok(Ok(out)) => {
-                    self.stats.cache_hits += out.cache_hits;
-                    self.stats.cache_misses += out.cache_misses;
+        for (slot, wid, rx) in solo_waits {
+            match self.receive(wid, &rx) {
+                Ok(out) => {
                     self.stats.sim_seconds += out.sim_seconds;
                     slot.fill(Ok(out.result));
                 }
-                Ok(Err(e)) => slot.fill(Err(ServeError::Sim(e))),
-                Err(_) => slot.fill(Err(ServeError::Closed)),
+                Err(e) => slot.fill(Err(e)),
             }
         }
+    }
+
+    /// Wait for worker `wid`'s reply, fold its counters into the stats
+    /// and return the order's outcome.
+    fn receive<T>(&mut self, wid: usize, rx: &Receiver<WorkerReply<T>>) -> Result<T, ServeError> {
+        let r = rx.recv().map_err(|_| ServeError::Closed)?;
+        self.stats.cache_hits += r.cache_hits;
+        self.stats.cache_misses += r.cache_misses;
+        self.device_bytes[wid] = r.device_bytes;
+        self.stats.device_bytes = self.device_bytes.iter().sum();
+        r.out.map_err(ServeError::Sim)
     }
 }
 
@@ -745,6 +775,7 @@ fn worker_loop(device: DeviceConfig, rx: Receiver<WorkOrder>) {
     let mut dev = Device::new(device);
     let mut cache = WorkerCache::default();
     while let Ok(order) = rx.recv() {
+        let probes0 = (cache.hits, cache.misses);
         match order {
             WorkOrder::Tasks {
                 key,
@@ -756,16 +787,10 @@ fn worker_loop(device: DeviceConfig, rx: Receiver<WorkOrder>) {
                 plan,
                 reply,
             } => {
-                let (h0, m0) = (cache.hits, cache.misses);
                 let out = run_tasks(
                     &mut dev, &mut cache, &key, &pts, shards, &tasks, &counts, &hists, plan,
-                )
-                .map(|mut out| {
-                    out.cache_hits = cache.hits - h0;
-                    out.cache_misses = cache.misses - m0;
-                    out
-                });
-                let _ = reply.send(out);
+                );
+                let _ = reply.send(WorkerReply::new(out, &dev, &cache, probes0));
             }
             WorkOrder::Gridded {
                 key,
@@ -774,14 +799,8 @@ fn worker_loop(device: DeviceConfig, rx: Receiver<WorkOrder>) {
                 plan,
                 reply,
             } => {
-                let (h0, m0) = (cache.hits, cache.misses);
-                let out =
-                    run_gridded(&mut dev, &mut cache, &key, &pts, &radii, plan).map(|mut out| {
-                        out.cache_hits = cache.hits - h0;
-                        out.cache_misses = cache.misses - m0;
-                        out
-                    });
-                let _ = reply.send(out);
+                let out = run_gridded(&mut dev, &mut cache, &key, &pts, &radii, plan);
+                let _ = reply.send(WorkerReply::new(out, &dev, &cache, probes0));
             }
             WorkOrder::Solo {
                 key,
@@ -790,14 +809,8 @@ fn worker_loop(device: DeviceConfig, rx: Receiver<WorkOrder>) {
                 plan,
                 reply,
             } => {
-                let (h0, m0) = (cache.hits, cache.misses);
-                let out =
-                    run_solo(&mut dev, &mut cache, &key, &pts, &query, plan).map(|mut out| {
-                        out.cache_hits = cache.hits - h0;
-                        out.cache_misses = cache.misses - m0;
-                        out
-                    });
-                let _ = reply.send(out);
+                let out = run_solo(&mut dev, &mut cache, &key, &pts, &query, plan);
+                let _ = reply.send(WorkerReply::new(out, &dev, &cache, probes0));
             }
         }
     }
@@ -824,73 +837,88 @@ fn run_tasks(
         counts: vec![0; counts.len()],
         hists: hists.iter().map(|s| Histogram::zeroed(s.buckets)).collect(),
         sim_seconds: 0.0,
-        cache_hits: 0,
-        cache_misses: 0,
     };
     for task in tasks {
         let (a, b) = match *task {
             SdhTask::SelfJoin { chunk } => (uploads[chunk], None),
             SdhTask::CrossJoin { left, right } => (uploads[left], Some(uploads[right])),
         };
-        let lc = pair_launch(a.n, plan.block_size.min(a.n.max(32)));
-        let count_bufs: Vec<_> = counts
-            .iter()
-            .map(|_| dev.alloc_u64_zeroed(lc.total_threads() as usize))
-            .collect();
-        let hist_bufs: Vec<_> = hists
-            .iter()
-            .map(|s| dev.alloc_u32_zeroed((lc.grid_dim * s.buckets) as usize))
-            .collect();
-        let action = MultiQueryAction {
-            counts: counts
-                .iter()
-                .zip(&count_bufs)
-                .map(|(&radius, &out)| MultiCountSink { radius, out })
-                .collect(),
-            hists: hists
-                .iter()
-                .zip(&hist_bufs)
-                .map(|(&spec, &private)| MultiHistSink { spec, private })
-                .collect(),
-        };
-        let run = match b {
-            None => dev.try_launch(
-                &RegisterShmKernel::new(
-                    a,
-                    Euclidean,
-                    action,
-                    lc.block_dim,
-                    PairScope::HalfPairs,
-                    plan.intra,
-                ),
-                lc,
-            ),
-            Some(b) => dev.try_launch(
-                &CrossShmKernel::new(a, b, Euclidean, action, lc.block_dim),
-                lc,
-            ),
-        }
-        .map_err(|e| e.to_string())?;
-        out.sim_seconds += run.timing.seconds;
-        for (acc, &buf) in out.counts.iter_mut().zip(&count_bufs) {
-            *acc += dev.u64_slice(buf).iter().sum::<u64>();
-        }
-        for ((acc, spec), &private) in out.hists.iter_mut().zip(hists).zip(&hist_bufs) {
-            let hout = dev.alloc_u64_zeroed(spec.buckets as usize);
-            let reduce = HistogramReduceKernel {
-                private,
-                out: hout,
-                buckets: spec.buckets,
-                copies: lc.grid_dim,
-            };
-            let rrun = dev
-                .try_launch(&reduce, reduce.launch_config(256))
-                .map_err(|e| e.to_string())?;
-            out.sim_seconds += rrun.timing.seconds;
-            acc.merge(&Histogram::from_counts(dev.u64_slice(hout).to_vec()));
-        }
+        dev.scoped(|dev| run_task(dev, a, b, counts, hists, plan, &mut out))?;
     }
     Ok(out)
+}
+
+/// One shard task of [`run_tasks`]: launch, sum the count sinks and
+/// reduce the histogram sinks into `out`. The caller's
+/// [`Device::scoped`] frees the task's buffers, however it returns.
+#[allow(clippy::too_many_arguments)]
+fn run_task(
+    dev: &mut Device,
+    a: DeviceSoa<3>,
+    b: Option<DeviceSoa<3>>,
+    counts: &[f32],
+    hists: &[HistogramSpec],
+    plan: PairwisePlan,
+    out: &mut TasksOut,
+) -> Result<(), String> {
+    let lc = pair_launch(a.n, plan.block_size.min(a.n.max(32)));
+    let count_bufs: Vec<_> = counts
+        .iter()
+        .map(|_| dev.alloc_u64_zeroed(lc.total_threads() as usize))
+        .collect();
+    let hist_bufs: Vec<_> = hists
+        .iter()
+        .map(|s| dev.alloc_u32_zeroed((lc.grid_dim * s.buckets) as usize))
+        .collect();
+    let action = MultiQueryAction {
+        counts: counts
+            .iter()
+            .zip(&count_bufs)
+            .map(|(&radius, &out)| MultiCountSink { radius, out })
+            .collect(),
+        hists: hists
+            .iter()
+            .zip(&hist_bufs)
+            .map(|(&spec, &private)| MultiHistSink { spec, private })
+            .collect(),
+    };
+    let run = match b {
+        None => dev.try_launch(
+            &RegisterShmKernel::new(
+                a,
+                Euclidean,
+                action,
+                lc.block_dim,
+                PairScope::HalfPairs,
+                plan.intra,
+            ),
+            lc,
+        ),
+        Some(b) => dev.try_launch(
+            &CrossShmKernel::new(a, b, Euclidean, action, lc.block_dim),
+            lc,
+        ),
+    }
+    .map_err(|e| e.to_string())?;
+    out.sim_seconds += run.timing.seconds;
+    for (acc, &buf) in out.counts.iter_mut().zip(&count_bufs) {
+        *acc += dev.u64_slice(buf).iter().sum::<u64>();
+    }
+    for ((acc, spec), &private) in out.hists.iter_mut().zip(hists).zip(&hist_bufs) {
+        let hout = dev.alloc_u64_zeroed(spec.buckets as usize);
+        let reduce = HistogramReduceKernel {
+            private,
+            out: hout,
+            buckets: spec.buckets,
+            copies: lc.grid_dim,
+        };
+        let rrun = dev
+            .try_launch(&reduce, reduce.launch_config(256))
+            .map_err(|e| e.to_string())?;
+        out.sim_seconds += rrun.timing.seconds;
+        acc.merge(&Histogram::from_counts(dev.u64_slice(hout).to_vec()));
+    }
+    Ok(())
 }
 
 /// A dataset group's gridded count-withins, coalesced: ONE covering
@@ -913,8 +941,6 @@ fn run_gridded(
     Ok(GriddedOut {
         counts,
         sim_seconds: run.seconds,
-        cache_hits: 0,
-        cache_misses: 0,
     })
 }
 
@@ -934,8 +960,6 @@ fn run_solo(
             Ok(SoloOut {
                 result: QueryResult::Counts(out.counts),
                 sim_seconds: out.sim_seconds,
-                cache_hits: 0,
-                cache_misses: 0,
             })
         }
         Query::Knn { k } => {
@@ -954,8 +978,6 @@ fn run_solo(
                         distances: got.distances.iter().map(|a| a.to_vec()).collect(),
                     },
                     sim_seconds: got.run.timing.seconds,
-                    cache_hits: 0,
-                    cache_misses: 0,
                 })
             }
             match k {

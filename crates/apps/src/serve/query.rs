@@ -128,6 +128,8 @@ pub enum ServeError {
     UnknownDataset(String),
     /// Query parameters failed admission validation.
     BadQuery(&'static str),
+    /// A dataset failed registration validation.
+    BadDataset(&'static str),
     /// A simulated kernel fault surfaced while executing the query.
     Sim(String),
     /// The server loop is gone (shut down while the request was queued).
@@ -139,6 +141,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownDataset(name) => write!(f, "unknown dataset {name:?}"),
             ServeError::BadQuery(why) => write!(f, "bad query: {why}"),
+            ServeError::BadDataset(why) => write!(f, "bad dataset: {why}"),
             ServeError::Sim(e) => write!(f, "simulated fault: {e}"),
             ServeError::Closed => write!(f, "server closed"),
         }

@@ -323,3 +323,189 @@ fn reregistration_serves_fresh_data() {
         assert_eq!(stats.datasets, 1, "same name re-registered");
     });
 }
+
+/// A registration with a non-finite coordinate is refused with a typed
+/// error, keeps the dataset's previous revision, and leaves every
+/// worker serving.
+#[test]
+fn non_finite_datasets_are_refused_at_registration() {
+    let good = tbs_datagen::uniform_points::<3>(96, BOX, 5);
+    Server::run(ServeConfig::default().with_workers(2), |h| {
+        h.register_dataset("d", good.clone()).expect("register");
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut pts = good.clone();
+            pts.push([1.0, bad, 2.0]);
+            for name in ["d", "fresh"] {
+                let got = h.register_dataset(name, pts.clone());
+                assert!(matches!(got, Err(ServeError::BadDataset(_))), "{got:?}");
+            }
+        }
+        assert!(matches!(
+            h.submit("fresh", Query::Knn { k: 1 }),
+            Err(ServeError::UnknownDataset(_))
+        ));
+        // The gridded route bins the points, which is where a NaN used
+        // to take a worker down.
+        for gridded in [true, false] {
+            let q = Query::CountWithin {
+                radius: 9.0,
+                gridded,
+            };
+            assert_eq!(h.submit("d", q.clone()).expect("served"), oracle(&good, &q));
+        }
+        assert_eq!(h.stats().expect("stats").datasets, 1);
+    });
+}
+
+/// The soak's datasets: `(name, size, layout)`. Every revision of a
+/// dataset keeps its size, so a round's caches hold the same bytes.
+const SOAK_SETS: [(&str, usize, Layout); 2] = [
+    ("uni", 160, Layout::Uniform),
+    ("clu", 128, Layout::Clustered),
+];
+
+/// The largest radius the soak asks for; the warm-up caches a grid at it.
+const SOAK_R: f32 = 24.0;
+
+/// Register every soak dataset at `revision`, then run the warm-up
+/// orders (one dense sweep on every worker, one gridded catalog at
+/// [`SOAK_R`]) and check their answers.
+fn soak_warm_up(h: &tbs_apps::serve::ServerHandle, revision: u64) -> Vec<SoaPoints<3>> {
+    SOAK_SETS
+        .iter()
+        .enumerate()
+        .map(|(i, &(name, n, layout))| {
+            let pts = catalog(layout, n, 1000 * revision + i as u64);
+            h.register_dataset(name, pts.clone()).expect("register");
+            for gridded in [false, true] {
+                let q = Query::CountWithin {
+                    radius: SOAK_R,
+                    gridded,
+                };
+                assert_eq!(
+                    h.submit(name, q.clone()).expect("warm-up"),
+                    oracle(&pts, &q)
+                );
+            }
+            pts
+        })
+        .collect()
+}
+
+/// The `i`-th soak query: kinds and datasets rotate, and every radius
+/// (and SDH width) is new, so gridded queries keep building catalogs.
+fn soak_query(i: usize, total: usize) -> Query {
+    let r = 1.0 + (SOAK_R - 1.0) * i as f32 / total as f32;
+    match i % 6 {
+        0 => Query::PairCounts {
+            radii: vec![r, r * 0.5],
+        },
+        1 => Query::Sdh {
+            buckets: 4 + (i % 29) as u32,
+            width: r / 4.0,
+        },
+        2 => Query::CountWithin {
+            radius: r,
+            gridded: false,
+        },
+        3 | 4 => Query::CountWithin {
+            radius: r,
+            gridded: true,
+        },
+        _ => Query::Knn {
+            k: 1 + (i % 3) as u32,
+        },
+    }
+}
+
+fn soak_oracle(pts: &SoaPoints<3>, q: &Query) -> QueryResult {
+    fn knn<const K: usize>(pts: &SoaPoints<3>) -> QueryResult {
+        let (nbrs, dists) = tbs_apps::knn_reference::<3, K>(pts);
+        QueryResult::Knn {
+            neighbors: nbrs.iter().map(|a| a.to_vec()).collect(),
+            distances: dists.iter().map(|a| a.to_vec()).collect(),
+        }
+    }
+    match q {
+        Query::Knn { k: 1 } => knn::<1>(pts),
+        Query::Knn { k: 2 } => knn::<2>(pts),
+        Query::Knn { k: 3 } => knn::<3>(pts),
+        q => oracle(pts, q),
+    }
+}
+
+/// Soak the service: `rounds` rounds in which two concurrent clients
+/// each send `ops` mixed queries (singly and in pairs) with distinct
+/// radii, after which every dataset is re-registered and warmed up
+/// again. Every reply must equal its oracle, and once each round's
+/// warm-up is done the workers' live device bytes must be back at
+/// their level after the first warm-up: temporaries and evicted cache
+/// entries are all freed.
+fn soak(rounds: usize, ops: usize) {
+    let total = rounds * 2 * ops;
+    Server::run(ServeConfig::default().with_workers(2), |h| {
+        let mut current = soak_warm_up(&h, 0);
+        let level = h.stats().expect("stats").device_bytes;
+        assert!(level > 0, "the warm-up caches uploads");
+        let mut sent = h.stats().expect("stats").queries;
+        for round in 0..rounds {
+            let current_ref = &current;
+            let answered: usize = std::thread::scope(|s| {
+                let clients: Vec<_> = (0..2)
+                    .map(|c| {
+                        let h = h.clone();
+                        s.spawn(move || {
+                            let mut answered = 0;
+                            let mut j = 0;
+                            while j < ops {
+                                let i = (round * 2 + c) * ops + j;
+                                let (name, _, _) = SOAK_SETS[i % SOAK_SETS.len()];
+                                let pts = &current_ref[i % SOAK_SETS.len()];
+                                let pair = j + 1 < ops && i.is_multiple_of(5);
+                                let qs: Vec<Query> = (i..i + 1 + pair as usize)
+                                    .map(|i| soak_query(i, total))
+                                    .collect();
+                                let got = if pair {
+                                    h.submit_batch(name, qs.clone()).expect("batch")
+                                } else {
+                                    vec![h.submit(name, qs[0].clone()).expect("query")]
+                                };
+                                assert_eq!(got.len(), qs.len());
+                                for (q, r) in qs.iter().zip(&got) {
+                                    assert_eq!(r, &soak_oracle(pts, q), "round {round}: {q:?}");
+                                }
+                                answered += qs.len();
+                                j += qs.len();
+                            }
+                            answered
+                        })
+                    })
+                    .collect();
+                clients.into_iter().map(|c| c.join().expect("client")).sum()
+            });
+            assert_eq!(answered, 2 * ops);
+            current = soak_warm_up(&h, round as u64 + 1);
+            let stats = h.stats().expect("stats");
+            sent += (answered + 2 * SOAK_SETS.len()) as u64;
+            assert_eq!(stats.queries, sent, "every query is answered once");
+            assert_eq!(
+                stats.device_bytes, level,
+                "round {round}: device memory must return to its warm-up level"
+            );
+        }
+    });
+}
+
+/// The soak at default-suite size: a few hundred queries.
+#[test]
+fn soak_keeps_device_memory_flat() {
+    soak(6, 20);
+}
+
+/// The soak at full size, about 10k queries; run in release:
+/// `cargo test --release -p tbs-apps --test it_serve -- --ignored`.
+#[test]
+#[ignore]
+fn soak_keeps_device_memory_flat_over_ten_thousand_queries() {
+    soak(160, 30);
+}

@@ -106,6 +106,14 @@ pub struct DeviceSoa<const D: usize> {
     pub n: u32,
 }
 
+impl<const D: usize> DeviceSoa<D> {
+    /// Free the coordinate buffers. Refused with
+    /// [`gpu_sim::SimError::FreedBuffer`] if they were already freed.
+    pub fn free(self, dev: &mut Device) -> Result<(), gpu_sim::SimError> {
+        self.coords.into_iter().try_for_each(|b| dev.free(b))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 use crate::config::DeviceConfig;
 use crate::error::SimError;
 use crate::exec::{engine, Kernel, KernelRun, LaunchConfig};
-use crate::mem::{BufF32, BufU32, BufU64, GlobalMem};
+use crate::mem::{BufF32, BufU32, BufU64, DeviceBuffer, GlobalMem};
 use crate::occupancy::occupancy;
 use crate::profile::KernelProfile;
 use crate::tally::{AccessTally, InterpStats};
@@ -11,10 +11,12 @@ use crate::timing::TimingModel;
 
 /// A simulated GPU.
 ///
-/// Allocate buffers, launch kernels, read results back — the same
-/// lifecycle as a CUDA context. Kernel launches are *functional*: they
-/// really compute, and the returned [`KernelRun`] carries the measured
-/// access tally, occupancy, simulated timing and a profiler-style report.
+/// Allocate buffers, launch kernels, read results back, free — the
+/// same lifecycle as a CUDA context. Kernel launches are *functional*:
+/// they really compute, and the returned [`KernelRun`] carries the
+/// measured access tally, occupancy, simulated timing and a
+/// profiler-style report. Temporaries belong in a [`Device::scoped`]
+/// call, which frees them however it returns.
 pub struct Device {
     cfg: DeviceConfig,
     global: GlobalMem,
@@ -90,9 +92,30 @@ impl Device {
         self.global.u32_slice_mut(b).copy_from_slice(data);
     }
 
-    /// Total bytes currently allocated in global memory.
+    /// Total bytes of the live buffers in global memory.
     pub fn allocated_bytes(&self) -> u64 {
         self.global.allocated_bytes()
+    }
+
+    /// Free a buffer (`cudaFree`). Its host storage is released and
+    /// every copy of the handle goes stale: a kernel access through it
+    /// faults, and a second free is refused with
+    /// [`SimError::FreedBuffer`]. Simulated addresses are never reused,
+    /// so freeing changes no later launch's tally or timing.
+    pub fn free(&mut self, b: impl DeviceBuffer) -> Result<(), SimError> {
+        self.global.free(b)
+    }
+
+    /// Run `f` on this device, then free every buffer `f` allocated
+    /// that is still live — on every return path, `Ok` or `Err` alike.
+    /// Buffers allocated before the call are untouched, so scopes nest
+    /// and [`Device::allocated_bytes`] reads the same before and after.
+    /// Handles allocated inside must not escape `f`'s result.
+    pub fn scoped<R>(&mut self, f: impl FnOnce(&mut Device) -> R) -> R {
+        let mark = self.global.alloc_mark();
+        let out = f(self);
+        self.global.free_since(mark);
+        out
     }
 
     /// Launch a kernel, propagating simulated faults as errors.
@@ -443,5 +466,164 @@ mod tests {
         let k = CountKernel { out };
         dev.launch(&k, LaunchConfig::new(10, 256));
         assert_eq!(dev.u64_slice(out)[0], 10 * 256);
+    }
+
+    /// Run [`MixedKernel`] on `dev`, returning outputs, tally and the
+    /// simulated seconds' bits.
+    fn mixed_on(dev: &mut Device) -> (Vec<f32>, Vec<u64>, AccessTally, u64) {
+        let n = 4096u32;
+        dev.scoped(|dev| {
+            let input = dev.alloc_f32((0..n).map(|i| (i as f32).sin()).collect());
+            let out = dev.alloc_f32_zeroed(n as usize);
+            let hist = dev.alloc_u64_zeroed(7);
+            let k = MixedKernel {
+                input,
+                out,
+                hist,
+                n,
+            };
+            let run = dev.launch(&k, LaunchConfig::for_n_threads(n, 128));
+            (
+                dev.f32_slice(out).to_vec(),
+                dev.u64_slice(hist).to_vec(),
+                run.tally,
+                run.timing.seconds.to_bits(),
+            )
+        })
+    }
+
+    #[test]
+    fn launch_through_a_freed_buffer_faults_without_touching_the_slots_new_owner() {
+        use crate::config::ExecMode;
+        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 3 }] {
+            let cfg = DeviceConfig::titan_x().with_exec_mode(mode);
+            // A stale input: the slot now holds a different buffer.
+            let mut dev = Device::new(cfg.clone());
+            let input = dev.alloc_f32(vec![1.0; 256]);
+            dev.free(input).unwrap();
+            let reused = dev.alloc_f32(vec![7.0; 256]);
+            assert_eq!(reused.0.slot, input.0.slot, "the slot is reused");
+            let (out, hist) = (dev.alloc_f32_zeroed(256), dev.alloc_u64_zeroed(7));
+            let k = MixedKernel {
+                input,
+                out,
+                hist,
+                n: 256,
+            };
+            let err = dev.try_launch(&k, LaunchConfig::for_n_threads(256, 128));
+            assert!(
+                matches!(&err, Err(SimError::FreedBuffer { what }) if what == "global f32 load"),
+                "{mode:?}: {err:?}"
+            );
+            assert!(dev.f32_slice(out).iter().all(|&x| x == 0.0), "{mode:?}");
+            // A stale output: the new owner of the slot is not written.
+            let mut dev = Device::new(cfg);
+            let out = dev.alloc_f32_zeroed(64);
+            dev.free(out).unwrap();
+            let reused = dev.alloc_f32(vec![5.0; 64]);
+            let k = FillKernel {
+                out,
+                n: 64,
+                value: 9.0,
+            };
+            let err = dev.try_launch(&k, LaunchConfig::for_n_threads(64, 32));
+            assert!(
+                matches!(&err, Err(SimError::FreedBuffer { what }) if what == "global f32 store"),
+                "{mode:?}: {err:?}"
+            );
+            assert!(dev.f32_slice(reused).iter().all(|&x| x == 5.0), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn double_free_is_refused_and_frees_nothing_else() {
+        let mut dev = Device::new(DeviceConfig::titan_x());
+        let a = dev.alloc_u32(vec![1; 10]);
+        let keep = dev.alloc_u64(vec![2; 3]);
+        dev.free(a).unwrap();
+        let bytes = dev.allocated_bytes();
+        assert!(matches!(dev.free(a), Err(SimError::FreedBuffer { .. })));
+        // The slot's next owner survives a stale free too.
+        let b = dev.alloc_u32(vec![3; 10]);
+        assert_eq!(b.0.slot, a.0.slot);
+        assert!(matches!(dev.free(a), Err(SimError::FreedBuffer { .. })));
+        assert_eq!(dev.allocated_bytes(), bytes + 40);
+        assert_eq!(dev.u32_slice(b), &[3; 10]);
+        assert_eq!(dev.u64_slice(keep), &[2; 3]);
+    }
+
+    #[test]
+    fn allocated_bytes_falls_by_exactly_the_freed_bytes() {
+        let mut dev = Device::new(DeviceConfig::titan_x());
+        let a = dev.alloc_f32_zeroed(10);
+        let b = dev.alloc_u64_zeroed(3);
+        let c = dev.alloc_u32_zeroed(1);
+        assert_eq!(dev.allocated_bytes(), 40 + 24 + 4);
+        dev.free(b).unwrap();
+        assert_eq!(dev.allocated_bytes(), 40 + 4);
+        dev.free(a).unwrap();
+        dev.free(c).unwrap();
+        assert_eq!(dev.allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn launches_are_identical_across_unrelated_allocations_and_frees() {
+        use crate::config::ExecMode;
+        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+            let cfg = DeviceConfig::titan_x().with_exec_mode(mode);
+            let fresh = mixed_on(&mut Device::new(cfg.clone()));
+            let mut dev = Device::new(cfg);
+            // Odd sizes shift every later base address; frees leave
+            // holes and vacant slots behind.
+            let bufs: Vec<_> = (1..40).map(|i| dev.alloc_f32_zeroed(i * 37)).collect();
+            for b in bufs.iter().step_by(2) {
+                dev.free(*b).unwrap();
+            }
+            let live = dev.alloc_u64_zeroed(1000);
+            assert_eq!(mixed_on(&mut dev), fresh, "{mode:?}");
+            dev.free(live).unwrap();
+            assert_eq!(mixed_on(&mut dev), fresh, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn scoped_frees_its_allocations_on_every_return_path() {
+        let mut dev = Device::new(DeviceConfig::titan_x());
+        let outer = dev.alloc_f32(vec![1.0; 8]);
+        let before = dev.allocated_bytes();
+        let got: Result<u64, SimError> = dev.scoped(|dev| {
+            let out = dev.alloc_f32_zeroed(1000);
+            let inner = dev.scoped(|dev| {
+                dev.alloc_u64_zeroed(5);
+                dev.allocated_bytes()
+            });
+            assert_eq!(dev.allocated_bytes(), before + 4000, "inner scope freed");
+            dev.free(out)?;
+            dev.try_launch(
+                &FillKernel {
+                    out,
+                    n: 1,
+                    value: 0.0,
+                },
+                LaunchConfig::new(1, 32),
+            )?;
+            Ok(inner)
+        });
+        assert!(matches!(got, Err(SimError::FreedBuffer { .. })));
+        assert_eq!(dev.allocated_bytes(), before);
+        let err = dev.scoped(|dev| {
+            let out = dev.alloc_f32_zeroed(64);
+            dev.try_launch(
+                &FillKernel {
+                    out,
+                    n: 64,
+                    value: 1.0,
+                },
+                LaunchConfig::new(1, 4096),
+            )
+        });
+        assert!(matches!(err, Err(SimError::InvalidLaunch { .. })));
+        assert_eq!(dev.allocated_bytes(), before);
+        assert_eq!(dev.f32_slice(outer), &[1.0; 8]);
     }
 }

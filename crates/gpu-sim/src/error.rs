@@ -16,6 +16,9 @@ pub enum SimError {
         index: usize,
         len: usize,
     },
+    /// An access to, or a second free of, a device buffer that was
+    /// already freed (`cudaErrorIllegalAddress` / `cudaErrorInvalidValue`).
+    FreedBuffer { what: String },
     /// The launch configuration violates a device limit.
     InvalidLaunch { reason: String },
     /// A block allocated more shared memory than the per-block limit.
@@ -35,6 +38,7 @@ impl fmt::Display for SimError {
                     "out-of-bounds access to {what}: index {index} >= len {len}"
                 )
             }
+            SimError::FreedBuffer { what } => write!(f, "{what}: device buffer was already freed"),
             SimError::InvalidLaunch { reason } => write!(f, "invalid launch: {reason}"),
             SimError::SharedMemOverflow { requested, limit } => write!(
                 f,

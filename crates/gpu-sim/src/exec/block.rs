@@ -7,7 +7,8 @@ use crate::exec::mask::Mask;
 use crate::exec::warp::WarpCtx;
 use crate::mem::replay::{BufSet, SectorTrace, WriteOp};
 use crate::mem::{
-    BufF32, BufU32, BufU64, GlobalMem, L2Cache, RocCache, SharedSpace, ShmF32, ShmU32, ShmU64,
+    BufF32, BufId, BufU32, BufU64, GlobalMem, L2Cache, RocCache, SharedSpace, ShmF32, ShmU32,
+    ShmU64,
 };
 use crate::tally::{AccessTally, InterpStats};
 use crate::{F32x32, U32x32, U64x32, WARP_SIZE};
@@ -271,14 +272,14 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Base byte address of buffer `id`.
-    pub(crate) fn global_base_addr(&self, id: u32) -> u64 {
+    pub(crate) fn global_base_addr(&self, id: BufId) -> u64 {
         self.gmem().base_addr(id)
     }
 
     /// Bounds-check a global element access.
     pub(crate) fn check_global_bounds(
         &self,
-        id: u32,
+        id: BufId,
         idx: u32,
         what: &str,
     ) -> Result<(), SimError> {
@@ -320,13 +321,13 @@ impl<'a> BlockCtx<'a> {
     /// Would [`Self::note_read`] of this buffer abandon speculation?
     /// The compiled passes pre-check this so they never have to unwind
     /// mid-pass.
-    pub(crate) fn read_would_abandon(&self, id: u32) -> bool {
-        matches!(self.port, GlobalPort::Speculative { .. }) && self.writes.contains(id)
+    pub(crate) fn read_would_abandon(&self, id: BufId) -> bool {
+        matches!(self.port, GlobalPort::Speculative { .. }) && self.writes.contains(id.slot)
     }
 
-    fn note_read(&mut self, id: u32) {
-        self.reads.insert(id);
-        if matches!(self.port, GlobalPort::Speculative { .. }) && self.writes.contains(id) {
+    fn note_read(&mut self, id: BufId) {
+        self.reads.insert(id.slot);
+        if matches!(self.port, GlobalPort::Speculative { .. }) && self.writes.contains(id.slot) {
             // Read-after-own-write: the snapshot is stale for this buffer.
             self.abandon_speculation();
         }
@@ -358,7 +359,7 @@ impl<'a> BlockCtx<'a> {
         vals: &F32x32,
         mask: Mask,
     ) {
-        self.writes.insert(buf.0);
+        self.writes.insert(buf.0.slot);
         match &mut self.port {
             GlobalPort::Direct { global, .. } => {
                 let data = global.f32_slice_mut(buf);
@@ -369,7 +370,7 @@ impl<'a> BlockCtx<'a> {
             GlobalPort::Speculative { rec, .. } => {
                 for lane in mask.lanes() {
                     rec.log.push(WriteOp::StoreF32 {
-                        buf: buf.0,
+                        buf: buf.0.slot,
                         idx: idx[lane],
                         val: vals[lane],
                     });
@@ -386,7 +387,7 @@ impl<'a> BlockCtx<'a> {
         vals: &U32x32,
         mask: Mask,
     ) {
-        self.writes.insert(buf.0);
+        self.writes.insert(buf.0.slot);
         match &mut self.port {
             GlobalPort::Direct { global, .. } => {
                 let data = global.u32_slice_mut(buf);
@@ -397,7 +398,7 @@ impl<'a> BlockCtx<'a> {
             GlobalPort::Speculative { rec, .. } => {
                 for lane in mask.lanes() {
                     rec.log.push(WriteOp::StoreU32 {
-                        buf: buf.0,
+                        buf: buf.0.slot,
                         idx: idx[lane],
                         val: vals[lane],
                     });
@@ -414,7 +415,7 @@ impl<'a> BlockCtx<'a> {
         vals: &U64x32,
         mask: Mask,
     ) {
-        self.writes.insert(buf.0);
+        self.writes.insert(buf.0.slot);
         match &mut self.port {
             GlobalPort::Direct { global, .. } => {
                 let data = global.u64_slice_mut(buf);
@@ -425,7 +426,7 @@ impl<'a> BlockCtx<'a> {
             GlobalPort::Speculative { rec, .. } => {
                 for lane in mask.lanes() {
                     rec.log.push(WriteOp::StoreU64 {
-                        buf: buf.0,
+                        buf: buf.0.slot,
                         idx: idx[lane],
                         val: vals[lane],
                     });
@@ -443,7 +444,7 @@ impl<'a> BlockCtx<'a> {
         vals: &U64x32,
         mask: Mask,
     ) {
-        self.writes.insert(buf.0);
+        self.writes.insert(buf.0.slot);
         match &mut self.port {
             GlobalPort::Direct { global, .. } => {
                 let data = global.u64_slice_mut(buf);
@@ -455,7 +456,7 @@ impl<'a> BlockCtx<'a> {
             GlobalPort::Speculative { rec, .. } => {
                 for lane in mask.lanes() {
                     rec.log.push(WriteOp::AddU64 {
-                        buf: buf.0,
+                        buf: buf.0.slot,
                         idx: idx[lane],
                         val: vals[lane],
                     });
@@ -475,7 +476,7 @@ impl<'a> BlockCtx<'a> {
         vals: &U32x32,
         mask: Mask,
     ) -> U32x32 {
-        self.writes.insert(buf.0);
+        self.writes.insert(buf.0.slot);
         match &mut self.port {
             GlobalPort::Direct { global, .. } => {
                 let data = global.u32_slice_mut(buf);

@@ -107,7 +107,7 @@ pub use exec::{
     Kernel, KernelResources, KernelRun, LaunchConfig, Mask, QuerySink, TilePred, TileSink, TileSrc,
     WarpCtx,
 };
-pub use mem::{BufF32, BufU32, BufU64, ShmF32, ShmU32, ShmU64};
+pub use mem::{BufF32, BufId, BufU32, BufU64, DeviceBuffer, ShmF32, ShmU32, ShmU64};
 pub use occupancy::{Occupancy, OccupancyLimiter};
 pub use profile::KernelProfile;
 pub use tally::{AccessTally, InterpStats};

@@ -15,7 +15,7 @@ pub(crate) mod replay;
 pub mod roc;
 pub mod shared;
 
-pub use global::{BufF32, BufU32, BufU64, GlobalMem};
+pub use global::{BufF32, BufId, BufU32, BufU64, DeviceBuffer, GlobalMem};
 pub use l2::L2Cache;
 pub use roc::RocCache;
 pub use shared::{ScatterScratch, SharedSpace, ShmF32, ShmU32, ShmU64};

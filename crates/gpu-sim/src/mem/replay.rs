@@ -20,7 +20,8 @@ use crate::mem::L2Cache;
 use crate::tally::AccessTally;
 
 /// One logged global-memory mutation (4-byte-aligned payloads keep the
-/// log at 16 bytes per op).
+/// log at 16 bytes per op). `buf` is the buffer's handle slot, checked
+/// live when the op was logged; nothing is freed during a launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum WriteOp {
     StoreF32 {
