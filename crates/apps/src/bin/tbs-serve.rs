@@ -22,6 +22,10 @@
 //!   {"cmd":"shutdown"}
 //!   ```
 //!
+//!   `gen` registers `n` ≤ 2^24 uniform points in `[0, extent)^3`; a
+//!   larger `n`, or an extent that is not finite and positive as an
+//!   `f32`, gets an error reply and registers nothing.
+//!
 //!   Query objects: `pair_counts {radii}`, `sdh {buckets, width}`,
 //!   `count_within {radius, gridded?}`, `knn {k}`. Each request gets one
 //!   JSON reply line (`{"ok":...}` or `{"error":...}`).
@@ -231,13 +235,10 @@ fn handle_line(h: &ServerHandle, line: &str) -> Option<Json> {
     };
     match cmd.as_str() {
         "gen" => {
-            let name = match req.get("name").and_then(Json::as_str) {
-                Some(n) => n.to_string(),
-                None => return Some(error("gen: missing \"name\"")),
+            let (name, n, extent, seed) = match gen_args(&req) {
+                Ok(args) => args,
+                Err(e) => return Some(error(e)),
             };
-            let n = req.get("n").and_then(Json::as_u64).unwrap_or(4096) as usize;
-            let extent = req.get("extent").and_then(Json::as_f64).unwrap_or(100.0) as f32;
-            let seed = req.get("seed").and_then(Json::as_u64).unwrap_or(1);
             let pts = tbs_datagen::uniform_points::<3>(n, extent, seed);
             match h.register_dataset(&name, pts) {
                 Ok(generation) => Some(
@@ -314,6 +315,37 @@ fn handle_line(h: &ServerHandle, line: &str) -> Option<Json> {
         "shutdown" => None,
         other => Some(error(format!("unknown cmd {other:?}"))),
     }
+}
+
+/// The most points one `gen` request may ask for: 2^24 points, 192 MiB
+/// of 3-D coordinates.
+const MAX_GEN_POINTS: u64 = 1 << 24;
+
+/// A `gen` request's `(name, n, extent, seed)`, checked before anything
+/// is allocated: `n` is a whole number of at most [`MAX_GEN_POINTS`],
+/// and `extent`, taken as an `f32`, is finite and positive.
+fn gen_args(req: &Json) -> Result<(String, usize, f32, u64), String> {
+    let name = req
+        .get("name")
+        .and_then(Json::as_str)
+        .ok_or("gen: missing \"name\"")?;
+    let n = match req.get("n") {
+        None => 4096,
+        Some(v) => v.as_u64().filter(|&n| n <= MAX_GEN_POINTS).ok_or(format!(
+            "gen: \"n\" must be a whole number of points, at most {MAX_GEN_POINTS}"
+        ))?,
+    };
+    let extent = match req.get("extent") {
+        None => 100.0,
+        Some(v) => v.as_f64().ok_or("gen: \"extent\" must be a number")? as f32,
+    };
+    if !(extent.is_finite() && extent > 0.0) {
+        return Err(format!(
+            "gen: \"extent\" must be finite and positive as an f32, got {extent}"
+        ));
+    }
+    let seed = req.get("seed").and_then(Json::as_u64).unwrap_or(1);
+    Ok((name.to_string(), n as usize, extent, seed))
 }
 
 fn parse_query(j: &Json) -> Result<Query, String> {

@@ -1,40 +1,34 @@
 //! The grid-pruned executor: lowers the surviving cell pairs of a
 //! [`tbs_core::grid::UniformGrid`] onto the paper's tiled kernels.
 //!
-//! Two execution routes share one catalog and one exactness contract:
-//!
-//! * **Packed** (default) — the surviving cell pairs become
-//!   [`PackedSegment`] descriptors, grouped into *population classes*
-//!   (power-of-two buckets of the left-slice length), with one
-//!   [`tbs_core::plan::choose_plan`] call per class picking the class's
-//!   block size. Each class runs as a handful of
-//!   [`PackedPairKernel`] launches (capped at
-//!   [`MAX_PACKED_BLOCKS_PER_LAUNCH`] blocks each), so a gridded sweep
-//!   costs O(population classes) launches instead of O(cell pairs).
-//! * **PerCellPair** — the pre-packing behavior: one launch per
-//!   surviving cell pair (a single-segment packed launch, which is
-//!   block-for-block the Algorithm-3 / Cross-SHM launch it replaces).
-//!   Kept as the packed route's differential oracle and for
-//!   launch-granularity experiments.
+//! The surviving cell pairs become [`PackedSegment`] descriptors,
+//! grouped into *population classes* (power-of-two buckets of the
+//! left-slice length), with one [`tbs_core::plan::choose_plan`] call per
+//! class picking the class's block size. Each class runs as a handful of
+//! [`PackedPairKernel`] launches (capped at
+//! [`MAX_PACKED_BLOCKS_PER_LAUNCH`] blocks each), so a gridded sweep
+//! costs O(population classes) launches instead of O(cell pairs). Every
+//! entry point runs through one launch loop (`packed_sweep`) and
+//! supplies only its action and its host-side fold.
 //!
 //! The catalog itself is uploaded **once** as a single device SoA in
 //! CSR cell order; every cell is a `(start, len)` view into it, so
 //! building a catalog costs `D` uploads total instead of `D` per
 //! non-empty cell.
 //!
-//! Both routes reuse one device output buffer across every launch — the
+//! A sweep reuses one device output buffer across every launch — the
 //! Type-I count action and the Type-II privatized histogram action
 //! *store* (not accumulate) their per-block regions in `end_block`, so
 //! a single buffer sized for the largest launch serves them all, with
 //! the host merging after each launch.
 //!
-//! The bit-identity contract (packed == per-cell-pair == all-pairs,
-//! exactly) is argued in [`tbs_core::grid`] and
+//! The bit-identity contract (packed == all-pairs == the CPU grid
+//! oracle, exactly) is argued in [`tbs_core::grid`] and
 //! [`tbs_core::kernels::packed`] and enforced by
 //! `core/tests/grid_identity.rs`.
 
 use crate::driver::PairwisePlan;
-use gpu_sim::{AccessTally, Device, KernelRun, SimError};
+use gpu_sim::{AccessTally, BufU64, Device, KernelRun, LaunchConfig, SimError};
 use std::collections::BTreeMap;
 use tbs_core::distance::{DistanceKernel, Euclidean};
 use tbs_core::grid::{
@@ -44,7 +38,7 @@ use tbs_core::grid::{
 use tbs_core::histogram::Histogram;
 use tbs_core::kernels::{num_blocks, PackedLayout, PackedPairKernel, PackedSegment};
 use tbs_core::output::{
-    CountWithinRadius, MultiCountSink, MultiQueryAction, SharedHistogramAction,
+    CountWithinRadius, MultiCountSink, MultiQueryAction, PairAction, SharedHistogramAction,
 };
 use tbs_core::plan::{choose_plan, ProblemOutput, ProblemSpec};
 use tbs_core::point::{DeviceSoa, SoaPoints};
@@ -52,17 +46,6 @@ use tbs_core::point::{DeviceSoa, SoaPoints};
 pub use tbs_core::plan::{
     estimate_packed_launches, MAX_PACKED_BLOCKS_PER_LAUNCH, PACKED_CLASS_ESTIMATE,
 };
-
-/// How the gridded executor maps cell pairs onto launches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GriddedRoute {
-    /// Segmented multi-cell-pair launches, one per population-class
-    /// chunk (the default).
-    #[default]
-    Packed,
-    /// One launch per surviving cell pair (the packed route's oracle).
-    PerCellPair,
-}
 
 /// A point catalog binned into a grid and uploaded **once**: the whole
 /// CSR-ordered point set is one device SoA and each cell is a
@@ -122,14 +105,9 @@ impl<const D: usize> GriddedCatalog<D> {
 /// Aggregate profile of a grid-pruned execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GriddedRun {
-    /// Intra-cell launches of the per-cell-pair route.
-    pub intra_launches: u32,
-    /// Inter-cell launches of the per-cell-pair route.
-    pub cross_launches: u32,
-    /// Segmented multi-cell-pair launches of the packed route.
+    /// Segmented multi-cell-pair launches.
     pub packed_launches: u32,
-    /// Population classes the packed route planned (0 on the
-    /// per-cell-pair route).
+    /// Population classes the sweep planned.
     pub population_classes: u32,
     /// Total simulated kernel seconds across all launches.
     pub seconds: f64,
@@ -147,8 +125,6 @@ pub struct GriddedRun {
 impl GriddedRun {
     fn new(stats: PruneStats) -> Self {
         GriddedRun {
-            intra_launches: 0,
-            cross_launches: 0,
             packed_launches: 0,
             population_classes: 0,
             seconds: 0.0,
@@ -176,7 +152,7 @@ impl GriddedRun {
 
     /// Total launches.
     pub fn launches(&self) -> u32 {
-        self.intra_launches + self.cross_launches + self.packed_launches
+        self.packed_launches
     }
 }
 
@@ -282,24 +258,24 @@ fn class_launches(plan: &ClassPlan) -> u64 {
         .max(1)
 }
 
-/// Chunk one class's segments into launches of at most
+/// Chunk one class's segments into launch layouts of at most
 /// [`MAX_PACKED_BLOCKS_PER_LAUNCH`] blocks (a single oversized segment
 /// still launches alone — the cap bounds buffers, not correctness).
-fn class_chunks(plan: &ClassPlan) -> Vec<Vec<PackedSegment>> {
+fn class_chunks(plan: &ClassPlan) -> Vec<PackedLayout> {
     let mut chunks = Vec::new();
     let mut cur = Vec::new();
     let mut cur_blocks = 0u64;
     for &s in &plan.segments {
         let b = num_blocks(s.left_len, plan.block_size) as u64;
         if !cur.is_empty() && cur_blocks + b > MAX_PACKED_BLOCKS_PER_LAUNCH as u64 {
-            chunks.push(std::mem::take(&mut cur));
+            chunks.push(PackedLayout::new(std::mem::take(&mut cur), plan.block_size));
             cur_blocks = 0;
         }
         cur.push(s);
         cur_blocks += b;
     }
     if !cur.is_empty() {
-        chunks.push(cur);
+        chunks.push(PackedLayout::new(cur, plan.block_size));
     }
     chunks
 }
@@ -344,201 +320,163 @@ pub fn planned_packed_launches<const D: usize>(
 }
 
 // ====================================================================
-// packed executors
+// the packed sweep
 // ====================================================================
 
-/// Run one packed count sweep over pre-planned classes, reusing `out`
-/// (sized for the largest chunk) across launches.
-fn packed_count_sweep<const D: usize>(
-    dev: &mut Device,
-    points: DeviceSoa<D>,
-    right: DeviceSoa<D>,
-    classes: &[ClassPlan],
-    radius: f32,
-    run: &mut GriddedRun,
-) -> Result<u64, SimError> {
-    run.population_classes = classes.len() as u32;
-    // One shared buffer sized for the largest launch: the count action
-    // *stores* per-thread in `end_block`, so every slot below the
-    // launch's thread count is overwritten before the host sums it.
-    let max_threads = classes
-        .iter()
-        .flat_map(|c| {
-            class_chunks(c).into_iter().map(move |chunk| {
-                chunk
-                    .iter()
-                    .map(|s| num_blocks(s.left_len, c.block_size) as u64)
-                    .sum::<u64>()
-                    * c.block_size as u64
-            })
-        })
-        .max()
-        .unwrap_or(0);
-    let out = dev.alloc_u64_zeroed(max_threads as usize);
-    let mut count = 0u64;
-    for class in classes {
-        for chunk in class_chunks(class) {
-            let layout = PackedLayout::new(chunk, class.block_size);
-            let lc = layout.launch_config();
-            let k = PackedPairKernel::new(
-                points,
-                right,
-                Euclidean,
-                CountWithinRadius { radius, out },
-                layout,
-            );
-            let kr = dev.try_launch(&k, lc)?;
-            count += dev.u64_slice(out)[..lc.total_threads() as usize]
-                .iter()
-                .sum::<u64>();
-            run.packed_launches += 1;
-            run.add_launch(&kr);
-        }
-    }
-    Ok(count)
+/// The largest launch of a sweep, in blocks and in threads (the two
+/// maxima may come from different launches): what its reused output
+/// buffers are sized for.
+#[derive(Debug, Clone, Copy)]
+struct SweepBounds {
+    blocks: u64,
+    threads: u64,
 }
 
-/// Run one packed privatized-histogram sweep over pre-planned classes.
-fn packed_histogram_sweep<const D: usize>(
-    dev: &mut Device,
-    points: DeviceSoa<D>,
-    right: DeviceSoa<D>,
-    classes: &[ClassPlan],
-    bins: RadialBins,
-    run: &mut GriddedRun,
-) -> Result<Histogram, SimError> {
-    run.population_classes = classes.len() as u32;
-    let spec = bins.device_spec();
-    let max_blocks = classes
+/// An action a packed sweep launches, with the host-side fold of each
+/// launch's output. Every such action *stores* (not accumulates) its
+/// per-block region in `end_block`, so one buffer sized for the largest
+/// launch serves every launch: each slot a launch's fold reads was
+/// written by that launch.
+trait SweepAction: PairAction + Clone {
+    /// What the folds accumulate into.
+    type Host;
+
+    /// A zeroed accumulator.
+    fn host(&self) -> Self::Host;
+
+    /// Add the output of the launch `lc` that just ran to `host`.
+    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut Self::Host);
+}
+
+/// Sum of a launch's live per-thread counts.
+fn live_count(dev: &Device, out: BufU64, lc: LaunchConfig) -> u64 {
+    dev.u64_slice(out)[..lc.total_threads() as usize]
         .iter()
-        .flat_map(|c| {
-            class_chunks(c).into_iter().map(move |chunk| {
-                chunk
-                    .iter()
-                    .map(|s| num_blocks(s.left_len, c.block_size) as u64)
-                    .sum::<u64>()
-            })
-        })
-        .max()
-        .unwrap_or(0);
-    let private = dev.alloc_u32_zeroed((max_blocks.max(1) * spec.buckets as u64) as usize);
-    let mut host = vec![0u64; spec.buckets as usize];
-    for class in classes {
-        for chunk in class_chunks(class) {
-            let layout = PackedLayout::new(chunk, class.block_size);
-            let lc = layout.launch_config();
-            let k = PackedPairKernel::new(
-                points,
-                right,
-                Euclidean,
-                SharedHistogramAction { spec, private },
-                layout,
-            );
-            let kr = dev.try_launch(&k, lc)?;
-            let copies = &dev.u32_slice(private)[..(lc.grid_dim * spec.buckets) as usize];
-            for (i, &c) in copies.iter().enumerate() {
-                host[i % spec.buckets as usize] += c as u64;
-            }
-            run.packed_launches += 1;
-            run.add_launch(&kr);
+        .sum()
+}
+
+impl SweepAction for CountWithinRadius {
+    type Host = u64;
+
+    fn host(&self) -> u64 {
+        0
+    }
+
+    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut u64) {
+        *host += live_count(dev, self.out, lc);
+    }
+}
+
+/// Count sinks only: one count per radius.
+impl SweepAction for MultiQueryAction {
+    type Host = Vec<u64>;
+
+    fn host(&self) -> Vec<u64> {
+        vec![0; self.counts.len()]
+    }
+
+    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut Vec<u64>) {
+        for (c, sink) in host.iter_mut().zip(&self.counts) {
+            *c += live_count(dev, sink.out, lc);
         }
     }
-    Ok(bins.finalize(&Histogram::from_counts(host)))
+}
+
+impl SweepAction for SharedHistogramAction {
+    type Host = Vec<u64>;
+
+    fn host(&self) -> Vec<u64> {
+        vec![0; self.spec.buckets as usize]
+    }
+
+    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut Vec<u64>) {
+        let copies = &dev.u32_slice(self.private)[..(lc.grid_dim * self.spec.buckets) as usize];
+        for (i, &c) in copies.iter().enumerate() {
+            host[i % self.spec.buckets as usize] += c as u64;
+        }
+    }
+}
+
+/// The one launch loop behind every gridded entry point. Plans the
+/// population classes of `segments` (`buckets` is a histogram sweep's
+/// bucket count), chunks each class once, lets `action` allocate the
+/// output buffers for the largest launch, then launches every chunk in
+/// class order and folds its output into the returned accumulator and
+/// its profile into `run`.
+fn packed_sweep<const D: usize, A: SweepAction>(
+    dev: &mut Device,
+    left: DeviceSoa<D>,
+    right: DeviceSoa<D>,
+    segments: Vec<PackedSegment>,
+    buckets: Option<u32>,
+    run: &mut GriddedRun,
+    action: impl FnOnce(&mut Device, SweepBounds) -> A,
+) -> Result<A::Host, SimError> {
+    let dist_cost = <Euclidean as DistanceKernel<D>>::cost(&Euclidean);
+    let classes = plan_classes(dev, segments, D as u32, dist_cost, buckets);
+    run.population_classes = classes.len() as u32;
+    let layouts: Vec<PackedLayout> = classes.iter().flat_map(class_chunks).collect();
+    let bounds = SweepBounds {
+        blocks: layouts
+            .iter()
+            .map(|l| l.num_blocks() as u64)
+            .max()
+            .unwrap_or(0),
+        threads: layouts
+            .iter()
+            .map(|l| l.launch_config().total_threads())
+            .max()
+            .unwrap_or(0),
+    };
+    let action = action(dev, bounds);
+    let mut host = action.host();
+    for layout in layouts {
+        let lc = layout.launch_config();
+        let k = PackedPairKernel::new(left, right, Euclidean, action.clone(), layout);
+        let kr = dev.try_launch(&k, lc)?;
+        action.fold(dev, lc, &mut host);
+        run.packed_launches += 1;
+        run.add_launch(&kr);
+    }
+    Ok(host)
 }
 
 // ====================================================================
 // public entry points
 // ====================================================================
 
-/// Count pairs of `cat` with distance `< radius` on the default
-/// (packed) route. `radius` must not exceed the grid's `r_max`.
+/// The packed segments of a self-join sweep over `cat`, and a run
+/// holding the enumeration's pruning stats.
+fn self_join_work<const D: usize>(cat: &GriddedCatalog<D>) -> (Vec<PackedSegment>, GriddedRun) {
+    let pairs = candidate_pairs(&cat.grid);
+    let run = GriddedRun::new(prune_stats(&cat.grid, &pairs));
+    (self_join_segments(cat, &pairs), run)
+}
+
+/// Count pairs of `cat` with distance `< radius`, visiting only the
+/// surviving cell pairs. `radius` must not exceed the grid's `r_max`.
+/// `_plan` is ignored: each population class plans its own block size.
 pub fn gridded_count_within<const D: usize>(
     dev: &mut Device,
     cat: &GriddedCatalog<D>,
     radius: f32,
-    plan: PairwisePlan,
-) -> Result<GriddedCountResult, SimError> {
-    gridded_count_within_routed(dev, cat, radius, plan, GriddedRoute::Packed)
-}
-
-/// Count pairs of `cat` with distance `< radius`, visiting only the
-/// surviving cell pairs, on an explicit [`GriddedRoute`].
-pub fn gridded_count_within_routed<const D: usize>(
-    dev: &mut Device,
-    cat: &GriddedCatalog<D>,
-    radius: f32,
-    plan: PairwisePlan,
-    route: GriddedRoute,
-) -> Result<GriddedCountResult, SimError> {
-    dev.scoped(|dev| gridded_count_within_routed_body(dev, cat, radius, plan, route))
-}
-
-/// The body of [`gridded_count_within_routed`]: the caller's [`Device::scoped`]
-/// frees what it allocates, however it returns.
-fn gridded_count_within_routed_body<const D: usize>(
-    dev: &mut Device,
-    cat: &GriddedCatalog<D>,
-    radius: f32,
-    plan: PairwisePlan,
-    route: GriddedRoute,
+    _plan: PairwisePlan,
 ) -> Result<GriddedCountResult, SimError> {
     assert!(
         radius <= cat.grid.geom.r_max,
         "count radius {radius} exceeds the grid's r_max {}",
         cat.grid.geom.r_max
     );
-    let pairs = candidate_pairs(&cat.grid);
-    let stats = prune_stats(&cat.grid, &pairs);
-    let mut run = GriddedRun::new(stats);
-    let segments = self_join_segments(cat, &pairs);
+    let (segments, mut run) = self_join_work(cat);
     let points = cat.device();
-    let count = match route {
-        GriddedRoute::Packed => {
-            let classes = plan_classes(
-                dev,
-                segments,
-                D as u32,
-                <Euclidean as DistanceKernel<D>>::cost(&Euclidean),
-                None,
-            );
-            packed_count_sweep(dev, points, points, &classes, radius, &mut run)?
-        }
-        GriddedRoute::PerCellPair => {
-            // One single-segment launch per cell pair — block-for-block
-            // the Algorithm-3 / Cross-SHM launch the packed route
-            // replaces.
-            let b = plan.block_size;
-            let max_threads = segments
-                .iter()
-                .map(|s| num_blocks(s.left_len, b) as u64 * b as u64)
-                .max()
-                .unwrap_or(0);
-            let out = dev.alloc_u64_zeroed(max_threads as usize);
-            let mut count = 0u64;
-            for s in segments {
-                let layout = PackedLayout::new(vec![s], b);
-                let lc = layout.launch_config();
-                let k = PackedPairKernel::new(
-                    points,
-                    points,
-                    Euclidean,
-                    CountWithinRadius { radius, out },
-                    layout,
-                );
-                let kr = dev.try_launch(&k, lc)?;
-                count += dev.u64_slice(out)[..lc.total_threads() as usize]
-                    .iter()
-                    .sum::<u64>();
-                if s.intra {
-                    run.intra_launches += 1;
-                } else {
-                    run.cross_launches += 1;
-                }
-                run.add_launch(&kr);
+    let count = dev.scoped(|dev| {
+        packed_sweep(dev, points, points, segments, None, &mut run, |dev, max| {
+            CountWithinRadius {
+                radius,
+                out: dev.alloc_u64_zeroed(max.threads as usize),
             }
-            count
-        }
-    };
+        })
+    })?;
     Ok(GriddedCountResult { count, run })
 }
 
@@ -546,19 +484,8 @@ fn gridded_count_within_routed_body<const D: usize>(
 /// distance is evaluated once and fed to one count sink per radius (the
 /// serve layer's gridded coalescing). All radii must be ≤ the grid's
 /// `r_max`; `counts[i]` is bit-identical to
-/// [`gridded_count_within`] at `radii[i]`.
+/// [`gridded_count_within`] at `radii[i]`. `_plan` is ignored.
 pub fn gridded_count_within_multi<const D: usize>(
-    dev: &mut Device,
-    cat: &GriddedCatalog<D>,
-    radii: &[f32],
-    _plan: PairwisePlan,
-) -> Result<(Vec<u64>, GriddedRun), SimError> {
-    dev.scoped(|dev| gridded_count_within_multi_body(dev, cat, radii, _plan))
-}
-
-/// The body of [`gridded_count_within_multi`]: the caller's [`Device::scoped`]
-/// frees what it allocates, however it returns.
-fn gridded_count_within_multi_body<const D: usize>(
     dev: &mut Device,
     cat: &GriddedCatalog<D>,
     radii: &[f32],
@@ -571,143 +498,66 @@ fn gridded_count_within_multi_body<const D: usize>(
             cat.grid.geom.r_max
         );
     }
-    let pairs = candidate_pairs(&cat.grid);
-    let stats = prune_stats(&cat.grid, &pairs);
-    let mut run = GriddedRun::new(stats);
+    let (segments, mut run) = self_join_work(cat);
     if radii.is_empty() {
         return Ok((Vec::new(), run));
     }
-    let segments = self_join_segments(cat, &pairs);
     let points = cat.device();
-    let classes = plan_classes(
-        dev,
-        segments,
-        D as u32,
-        <Euclidean as DistanceKernel<D>>::cost(&Euclidean),
-        None,
-    );
-    run.population_classes = classes.len() as u32;
-    let max_threads = classes
-        .iter()
-        .flat_map(|c| {
-            class_chunks(c).into_iter().map(move |chunk| {
-                chunk
-                    .iter()
-                    .map(|s| num_blocks(s.left_len, c.block_size) as u64)
-                    .sum::<u64>()
-                    * c.block_size as u64
-            })
-        })
-        .max()
-        .unwrap_or(0);
-    let outs: Vec<_> = radii
-        .iter()
-        .map(|_| dev.alloc_u64_zeroed(max_threads as usize))
-        .collect();
-    let mut counts = vec![0u64; radii.len()];
-    for class in &classes {
-        for chunk in class_chunks(class) {
-            let layout = PackedLayout::new(chunk, class.block_size);
-            let lc = layout.launch_config();
-            let action = MultiQueryAction {
+    let counts = dev.scoped(|dev| {
+        packed_sweep(dev, points, points, segments, None, &mut run, |dev, max| {
+            MultiQueryAction {
                 counts: radii
                     .iter()
-                    .zip(&outs)
-                    .map(|(&radius, &out)| MultiCountSink { radius, out })
+                    .map(|&radius| MultiCountSink {
+                        radius,
+                        out: dev.alloc_u64_zeroed(max.threads as usize),
+                    })
                     .collect(),
                 hists: Vec::new(),
-            };
-            let k = PackedPairKernel::new(points, points, Euclidean, action, layout);
-            let kr = dev.try_launch(&k, lc)?;
-            for (c, &out) in counts.iter_mut().zip(&outs) {
-                *c += dev.u64_slice(out)[..lc.total_threads() as usize]
-                    .iter()
-                    .sum::<u64>();
             }
-            run.packed_launches += 1;
-            run.add_launch(&kr);
-        }
-    }
+        })
+    })?;
     Ok((counts, run))
 }
 
-/// Shared per-cell-pair launch loop for self- and cross-pair radial
-/// histograms (the packed route's oracle).
-fn histogram_per_cell_pair<const D: usize>(
+/// A packed privatized-histogram sweep over `segments`, finalized to
+/// `bins` (overflow discarded).
+fn histogram_sweep<const D: usize>(
     dev: &mut Device,
-    segments: &[PackedSegment],
     left: DeviceSoa<D>,
     right: DeviceSoa<D>,
+    segments: Vec<PackedSegment>,
     bins: RadialBins,
-    plan: PairwisePlan,
     run: &mut GriddedRun,
 ) -> Result<Histogram, SimError> {
     let spec = bins.device_spec();
-    let b = plan.block_size;
-    let max_blocks = segments
-        .iter()
-        .map(|s| num_blocks(s.left_len, b) as u64)
-        .max()
-        .unwrap_or(0);
-    let private = dev.alloc_u32_zeroed((max_blocks.max(1) * spec.buckets as u64) as usize);
-    let mut host = vec![0u64; spec.buckets as usize];
-    for &s in segments {
-        let layout = PackedLayout::new(vec![s], b);
-        let lc = layout.launch_config();
-        let k = PackedPairKernel::new(
+    let host = dev.scoped(|dev| {
+        packed_sweep(
+            dev,
             left,
             right,
-            Euclidean,
-            SharedHistogramAction { spec, private },
-            layout,
-        );
-        let kr = dev.try_launch(&k, lc)?;
-        let copies = &dev.u32_slice(private)[..(lc.grid_dim * spec.buckets) as usize];
-        for (i, &c) in copies.iter().enumerate() {
-            host[i % spec.buckets as usize] += c as u64;
-        }
-        if s.intra {
-            run.intra_launches += 1;
-        } else {
-            run.cross_launches += 1;
-        }
-        run.add_launch(&kr);
-    }
+            segments,
+            Some(spec.buckets),
+            run,
+            |dev, max| SharedHistogramAction {
+                spec,
+                private: dev.alloc_u32_zeroed((max.blocks.max(1) * spec.buckets as u64) as usize),
+            },
+        )
+    })?;
     Ok(bins.finalize(&Histogram::from_counts(host)))
 }
 
 /// Bounded radial histogram (DD- or RR-style self pair counts) of `cat`
-/// over `bins` on the default (packed) route. The retained bins are
-/// bit-identical to the all-pairs route run with
-/// [`RadialBins::device_spec`] and finalized the same way.
+/// over `bins`. The retained bins are bit-identical to the all-pairs
+/// route run with [`RadialBins::device_spec`] and finalized the same
+/// way. `_plan` is ignored: each population class plans its own block
+/// size.
 pub fn gridded_radial_histogram<const D: usize>(
     dev: &mut Device,
     cat: &GriddedCatalog<D>,
     bins: RadialBins,
-    plan: PairwisePlan,
-) -> Result<GriddedHistogramResult, SimError> {
-    gridded_radial_histogram_routed(dev, cat, bins, plan, GriddedRoute::Packed)
-}
-
-/// [`gridded_radial_histogram`] on an explicit route.
-pub fn gridded_radial_histogram_routed<const D: usize>(
-    dev: &mut Device,
-    cat: &GriddedCatalog<D>,
-    bins: RadialBins,
-    plan: PairwisePlan,
-    route: GriddedRoute,
-) -> Result<GriddedHistogramResult, SimError> {
-    dev.scoped(|dev| gridded_radial_histogram_routed_body(dev, cat, bins, plan, route))
-}
-
-/// The body of [`gridded_radial_histogram_routed`]: the caller's [`Device::scoped`]
-/// frees what it allocates, however it returns.
-fn gridded_radial_histogram_routed_body<const D: usize>(
-    dev: &mut Device,
-    cat: &GriddedCatalog<D>,
-    bins: RadialBins,
-    plan: PairwisePlan,
-    route: GriddedRoute,
+    _plan: PairwisePlan,
 ) -> Result<GriddedHistogramResult, SimError> {
     assert!(
         bins.r_max <= cat.grid.geom.r_max,
@@ -715,67 +565,22 @@ fn gridded_radial_histogram_routed_body<const D: usize>(
         bins.r_max,
         cat.grid.geom.r_max
     );
-    let pairs = candidate_pairs(&cat.grid);
-    let stats = prune_stats(&cat.grid, &pairs);
-    let mut run = GriddedRun::new(stats);
-    let segments = self_join_segments(cat, &pairs);
+    let (segments, mut run) = self_join_work(cat);
     let points = cat.device();
-    let buckets = bins.device_spec().buckets;
-    let histogram = match route {
-        GriddedRoute::Packed => {
-            let classes = plan_classes(
-                dev,
-                segments,
-                D as u32,
-                <Euclidean as DistanceKernel<D>>::cost(&Euclidean),
-                Some(buckets),
-            );
-            packed_histogram_sweep(dev, points, points, &classes, bins, &mut run)?
-        }
-        GriddedRoute::PerCellPair => {
-            histogram_per_cell_pair(dev, &segments, points, points, bins, plan, &mut run)?
-        }
-    };
+    let histogram = histogram_sweep(dev, points, points, segments, bins, &mut run)?;
     Ok(GriddedHistogramResult { histogram, run })
 }
 
 /// Bounded radial histogram of *cross* pairs (DR-style: every ordered
-/// `left × right` pair counted once) on the default (packed) route.
-/// Both catalogs must share a geometry (bin them with one
-/// [`GridGeometry::fit`] over both sets).
+/// `left × right` pair counted once). Both catalogs must share a
+/// geometry (bin them with one [`GridGeometry::fit`] over both sets).
+/// `_plan` is ignored: each population class plans its own block size.
 pub fn gridded_cross_radial_histogram<const D: usize>(
     dev: &mut Device,
     left: &GriddedCatalog<D>,
     right: &GriddedCatalog<D>,
     bins: RadialBins,
-    plan: PairwisePlan,
-) -> Result<GriddedHistogramResult, SimError> {
-    gridded_cross_radial_histogram_routed(dev, left, right, bins, plan, GriddedRoute::Packed)
-}
-
-/// [`gridded_cross_radial_histogram`] on an explicit route.
-pub fn gridded_cross_radial_histogram_routed<const D: usize>(
-    dev: &mut Device,
-    left: &GriddedCatalog<D>,
-    right: &GriddedCatalog<D>,
-    bins: RadialBins,
-    plan: PairwisePlan,
-    route: GriddedRoute,
-) -> Result<GriddedHistogramResult, SimError> {
-    dev.scoped(|dev| {
-        gridded_cross_radial_histogram_routed_body(dev, left, right, bins, plan, route)
-    })
-}
-
-/// The body of [`gridded_cross_radial_histogram_routed`]: the caller's [`Device::scoped`]
-/// frees what it allocates, however it returns.
-fn gridded_cross_radial_histogram_routed_body<const D: usize>(
-    dev: &mut Device,
-    left: &GriddedCatalog<D>,
-    right: &GriddedCatalog<D>,
-    bins: RadialBins,
-    plan: PairwisePlan,
-    route: GriddedRoute,
+    _plan: PairwisePlan,
 ) -> Result<GriddedHistogramResult, SimError> {
     assert!(
         bins.r_max <= left.grid.geom.r_max,
@@ -784,11 +589,10 @@ fn gridded_cross_radial_histogram_routed_body<const D: usize>(
         left.grid.geom.r_max
     );
     let pairs = candidate_cross_pairs(&left.grid, &right.grid);
-    let stats = cross_prune_stats(&left.grid, &right.grid, &pairs);
-    let mut run = GriddedRun::new(stats);
+    let mut run = GriddedRun::new(cross_prune_stats(&left.grid, &right.grid, &pairs));
     // Ordered rectangles between two catalogs: never intra, even for
     // equal cell indices.
-    let segments: Vec<PackedSegment> = pairs
+    let segments = pairs
         .iter()
         .map(|p| {
             let (ls, ll) = left.cell_view(p.a);
@@ -796,28 +600,7 @@ fn gridded_cross_radial_histogram_routed_body<const D: usize>(
             PackedSegment::cross(ls, ll, rs, rl)
         })
         .collect();
-    let buckets = bins.device_spec().buckets;
-    let histogram = match route {
-        GriddedRoute::Packed => {
-            let classes = plan_classes(
-                dev,
-                segments,
-                D as u32,
-                <Euclidean as DistanceKernel<D>>::cost(&Euclidean),
-                Some(buckets),
-            );
-            packed_histogram_sweep(dev, left.device(), right.device(), &classes, bins, &mut run)?
-        }
-        GriddedRoute::PerCellPair => histogram_per_cell_pair(
-            dev,
-            &segments,
-            left.device(),
-            right.device(),
-            bins,
-            plan,
-            &mut run,
-        )?,
-    };
+    let histogram = histogram_sweep(dev, left.device(), right.device(), segments, bins, &mut run)?;
     Ok(GriddedHistogramResult { histogram, run })
 }
 
@@ -861,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_per_cell_pair_routes_are_identical() {
+    fn packed_count_matches_all_pairs_in_few_launches() {
         let pts = tbs_datagen::clustered_points::<3>(1800, BOX, 5, 4.0, 11);
         let plan = PairwisePlan::register_shm(64);
         let mut dev = Device::new(DeviceConfig::titan_x());
@@ -874,15 +657,14 @@ mod tests {
                 max_cells: 1 << 20,
             },
         );
-        let packed = gridded_count_within_routed(&mut dev, &cat, 8.0, plan, GriddedRoute::Packed)
-            .expect("launch");
-        let unpacked =
-            gridded_count_within_routed(&mut dev, &cat, 8.0, plan, GriddedRoute::PerCellPair)
-                .expect("launch");
-        assert_eq!(packed.count, unpacked.count);
+        let packed = gridded_count_within(&mut dev, &cat, 8.0, plan).expect("launch");
+        let mut dev2 = Device::new(DeviceConfig::titan_x());
+        let all = pcf_gpu(&mut dev2, &pts, 8.0, plan).expect("launch");
+        assert_eq!(packed.count, all.count);
         assert!(packed.run.packed_launches > 0);
-        assert_eq!(unpacked.run.packed_launches, 0);
-        assert!(packed.run.launches() < unpacked.run.launches());
+        // Fewer launches than one per non-empty cell pair.
+        let segments = self_join_segments(&cat, &candidate_pairs(&cat.grid));
+        assert!((packed.run.launches() as usize) < segments.len());
         // Launch budget: within ~10× the population classes.
         assert!(
             packed.run.launches() <= 10 * packed.run.population_classes.max(1),
@@ -950,11 +732,6 @@ mod tests {
         .expect("launch");
         assert_eq!(got.histogram, bins.finalize(&all.histogram));
         assert!(got.run.seconds > 0.0);
-        // Route parity on the same catalog.
-        let per_pair =
-            gridded_radial_histogram_routed(&mut dev, &cat, bins, plan, GriddedRoute::PerCellPair)
-                .expect("launch");
-        assert_eq!(got.histogram, per_pair.histogram);
     }
 
     #[test]
@@ -978,41 +755,33 @@ mod tests {
         )
         .expect("launch");
         assert_eq!(got.histogram.total(), 700 * 900);
-        // Both routes agree on a pruned cross geometry too.
+        // A pruned cross geometry bins exactly what the CPU union
+        // identity does, in fewer launches than cell pairs.
         let a2 = tbs_datagen::uniform_points::<3>(600, BOX, 15);
         let b2 = tbs_datagen::uniform_points::<3>(800, BOX, 16);
         let bins2 = RadialBins::new(8, 12.0);
-        let geom2 = GridGeometry::fit(
-            &[&a2, &b2],
-            12.0,
-            &GridOptions {
-                target_points_per_cell: 64,
-                max_cells: 1 << 20,
-            },
-        );
+        let opts2 = GridOptions {
+            target_points_per_cell: 64,
+            max_cells: 1 << 20,
+        };
+        let geom2 = GridGeometry::fit(&[&a2, &b2], 12.0, &opts2);
         let ca2 = GriddedCatalog::build(&mut dev, geom2.clone(), &a2);
         let cb2 = GriddedCatalog::build(&mut dev, geom2, &b2);
-        let plan = PairwisePlan::register_shm(64);
-        let p = gridded_cross_radial_histogram_routed(
+        let p = gridded_cross_radial_histogram(
             &mut dev,
             &ca2,
             &cb2,
             bins2,
-            plan,
-            GriddedRoute::Packed,
+            PairwisePlan::register_shm(64),
         )
         .expect("launch");
-        let u = gridded_cross_radial_histogram_routed(
-            &mut dev,
-            &ca2,
-            &cb2,
-            bins2,
-            plan,
-            GriddedRoute::PerCellPair,
-        )
-        .expect("launch");
-        assert_eq!(p.histogram, u.histogram);
-        assert!(p.run.launches() < u.run.launches());
+        assert!(p.run.stats.pruned_fraction() > 0.3, "{:?}", p.run.stats);
+        assert_eq!(
+            p.histogram,
+            tbs_cpu::grid_cross_radial_reference(&a2, &b2, bins2, &opts2)
+        );
+        let cell_pairs = candidate_cross_pairs(&ca2.grid, &cb2.grid).len();
+        assert!((p.run.launches() as usize) < cell_pairs);
     }
 
     #[test]

@@ -50,10 +50,8 @@ pub use driver::{launch_pairwise, PairwisePlan};
 pub use gram::{gram_gpu, GramResult};
 pub use gridded::{
     estimate_packed_launches, gridded_count_within, gridded_count_within_multi,
-    gridded_count_within_routed, gridded_cross_radial_histogram,
-    gridded_cross_radial_histogram_routed, gridded_radial_histogram,
-    gridded_radial_histogram_routed, GriddedCatalog, GriddedCountResult, GriddedHistogramResult,
-    GriddedRoute, GriddedRun, MAX_PACKED_BLOCKS_PER_LAUNCH,
+    gridded_cross_radial_histogram, gridded_radial_histogram, GriddedCatalog, GriddedCountResult,
+    GriddedHistogramResult, GriddedRun, MAX_PACKED_BLOCKS_PER_LAUNCH,
 };
 pub use join::{
     distance_join_gpu, distance_join_reference, distance_join_two_gpu, distance_join_two_reference,

@@ -9,10 +9,10 @@
 
 use gpu_sim::{Device, DeviceConfig, SimError};
 use tbs_apps::{
-    distance_join_gpu, distance_join_two_gpu, gram_gpu, gridded_count_within_multi,
-    gridded_count_within_routed, gridded_cross_radial_histogram_routed,
-    gridded_radial_histogram_routed, kde_gpu, knn_gpu, ls_pair_counts, pcf_gpu, rdf_gpu,
-    rdf_gpu_periodic, sdh_gpu_with, GriddedCatalog, GriddedRoute, PairwisePlan, SdhOutputMode,
+    distance_join_gpu, distance_join_two_gpu, gram_gpu, gridded_count_within,
+    gridded_count_within_multi, gridded_cross_radial_histogram, gridded_radial_histogram, kde_gpu,
+    knn_gpu, ls_pair_counts, pcf_gpu, rdf_gpu, rdf_gpu_periodic, sdh_gpu_with, GriddedCatalog,
+    PairwisePlan, SdhOutputMode,
 };
 use tbs_core::distance::{Euclidean, GaussianRbf, PeriodicEuclidean};
 use tbs_core::grid::{GridGeometry, GridOptions, RadialBins};
@@ -121,28 +121,25 @@ fn gridded_entry_points_free_their_temporaries() {
     check("ls_pair_counts", |dev| {
         ls_pair_counts(dev, &data, &rand, bins, plan(), &opts).map(drop)
     });
-    for route in [GriddedRoute::Packed, GriddedRoute::PerCellPair] {
-        // The catalogs are the caller's: built outside the call, they
-        // stay; only the sweep's own buffers must go.
-        let call = |dev: &mut Device| {
-            let geom = GridGeometry::fit(&[&data, &rand], bins.r_max, &opts);
-            let dcat = GriddedCatalog::build(dev, geom.clone(), &data);
-            let rcat = GriddedCatalog::build(dev, geom, &rand);
-            let held = dev.allocated_bytes();
-            let got = [
-                gridded_count_within_routed(dev, &dcat, 4.0, plan(), route).map(drop),
-                gridded_radial_histogram_routed(dev, &dcat, bins, plan(), route).map(drop),
-                gridded_cross_radial_histogram_routed(dev, &dcat, &rcat, bins, plan(), route)
-                    .map(drop),
-                gridded_count_within_multi(dev, &dcat, &[2.0, 4.0, 6.0], plan()).map(drop),
-            ];
-            assert_eq!(dev.allocated_bytes(), held, "{route:?} sweep leaked");
-            dcat.device().free(dev)?;
-            rcat.device().free(dev)?;
-            got.into_iter()
-                .collect::<Result<Vec<()>, SimError>>()
-                .map(drop)
-        };
-        check("gridded sweeps", call);
-    }
+    // The catalogs are the caller's: built outside the call, they stay;
+    // only the sweep's own buffers must go.
+    let call = |dev: &mut Device| {
+        let geom = GridGeometry::fit(&[&data, &rand], bins.r_max, &opts);
+        let dcat = GriddedCatalog::build(dev, geom.clone(), &data);
+        let rcat = GriddedCatalog::build(dev, geom, &rand);
+        let held = dev.allocated_bytes();
+        let got = [
+            gridded_count_within(dev, &dcat, 4.0, plan()).map(drop),
+            gridded_radial_histogram(dev, &dcat, bins, plan()).map(drop),
+            gridded_cross_radial_histogram(dev, &dcat, &rcat, bins, plan()).map(drop),
+            gridded_count_within_multi(dev, &dcat, &[2.0, 4.0, 6.0], plan()).map(drop),
+        ];
+        assert_eq!(dev.allocated_bytes(), held, "gridded sweep leaked");
+        dcat.device().free(dev)?;
+        rcat.device().free(dev)?;
+        got.into_iter()
+            .collect::<Result<Vec<()>, SimError>>()
+            .map(drop)
+    };
+    check("gridded sweeps", call);
 }

@@ -18,31 +18,29 @@
 //! `hotpath_baseline --budget-secs`. The `gridpath_baseline` bin's
 //! `--full` flag measures N = 1048576 all-pairs directly.
 //!
-//! Both gridded routes are measured on the same catalog: the default
-//! **packed** route (segmented multi-cell-pair launches, O(population
-//! classes) launches) and the **per-cell-pair** oracle route (one
-//! launch per surviving cell pair), with counts asserted bit-identical
-//! in-run. The perf gate pins four hard floors (group `host`):
-//! `grid_vs_allpairs.n1048576 ≥ 10` — the headline ≥10× win —
-//! `pruned_pair_fraction.n262144 ≥ 0.9` at the reference r_max,
-//! `packed_vs_unpacked.n262144 ≥ 2` — launch packing must beat the
-//! per-cell-pair route — and `model_agreement ≥ 1` at the gate sizes
-//! (the SpatialPlan model's pick matches the measured winner).
+//! The grid route runs packed launches (segmented multi-cell-pair
+//! launches, O(population classes) launches). The perf gate pins three
+//! hard floors (group `host`): `grid_vs_allpairs.n1048576 ≥ 10` — the
+//! headline ≥10× win — `pruned_pair_fraction.n262144 ≥ 0.9` at the
+//! reference r_max, and `model_agreement ≥ 1` at the gate sizes (the
+//! SpatialPlan model's pick matches the measured winner).
 //!
 //! Each size also runs a bounded radial histogram (10 bins to r_max)
-//! on the packed route and reports `culled_row_frac`: the share of its
-//! histogram rows (one partner against a warp) that compiled passes
-//! culled as provably landing in the overflow bucket. The row count is
-//! deterministic, so the functional gate floors it at CI size
-//! ([`build_cull_report`]): a change that silently stops culling fails.
+//! and reports `culled_row_frac`: the share of its histogram rows (one
+//! partner against a warp) that compiled passes culled as provably
+//! landing in the overflow bucket. The row, launch and class counts of
+//! that sweep are deterministic, so the functional gate floors the cull
+//! and pins the launches and classes exactly at CI size
+//! ([`build_cull_report`]): a change that silently stops culling, or
+//! that packs into more launches, fails.
 
 use std::time::Instant;
 
 use crate::report::{Cell, Report, ReportError, SeriesTable};
 use gpu_sim::{Device, DeviceConfig};
 use tbs_apps::{
-    gridded_count_within, gridded_count_within_routed, gridded_radial_histogram, pcf_gpu,
-    GriddedCatalog, GriddedRoute, PairwisePlan,
+    gridded_count_within, gridded_radial_histogram, pcf_gpu, GriddedCatalog, GriddedRun,
+    PairwisePlan,
 };
 use tbs_core::grid::{GridOptions, RadialBins};
 use tbs_core::plan::{choose_spatial_plan, ProblemOutput, ProblemSpec, SpatialRoute};
@@ -56,9 +54,10 @@ pub const BOX: f32 = 100.0;
 pub const SEED: u64 = 23;
 pub const BLOCK: u32 = 1024;
 
-/// Points per cell the sizing rule aims for. ~512 balances candidate
-/// fraction (∝ target/N) against per-cell-pair launch overhead
-/// (∝ N/target) on this host.
+/// Points per cell the sizing rule aims for. ~512 was chosen to balance
+/// candidate fraction (∝ target/N) against per-cell-pair launch
+/// overhead (∝ N/target) before launch packing; it has not been
+/// re-measured since (ROADMAP item 6).
 pub const TARGET_PTS: u32 = 512;
 
 /// The reference grid options every measurement uses.
@@ -127,23 +126,19 @@ pub struct GridSample {
     pub count: u64,
     /// Wall-clock of binning + the one-shot SoA upload alone.
     pub build_s: f64,
-    /// Total grid-route wall-clock on the default packed route: build +
-    /// every packed launch.
+    /// Total grid-route wall-clock: build + every packed launch.
     pub grid_s: f64,
-    /// Total grid-route wall-clock on the per-cell-pair oracle route:
-    /// the same build cost + one launch per surviving cell pair.
-    pub unpacked_s: f64,
     pub cells: u64,
     pub occupied_cells: u64,
     pub launches: u64,
-    /// Launches the packed route actually issued (≤ ~10× classes).
+    /// Packed launches actually issued (≤ ~10× classes).
     pub packed_launches: u64,
     /// Distinct cell-population classes the packer planned for.
     pub population_classes: u64,
     /// Fraction of the N(N−1)/2 pair mass culled before any kernel ran.
     pub pruned_fraction: f64,
     /// Share of a radial histogram's rows culled inside compiled passes
-    /// ([`measure_culled_row_frac`]).
+    /// ([`cull_sweep`]).
     pub culled_row_frac: f64,
     /// The [`choose_spatial_plan`] analytic model's predicted speedup.
     pub model_speedup: f64,
@@ -168,11 +163,6 @@ impl GridSample {
         self.all_pairs_best() / self.grid_s
     }
 
-    /// The launch-packing win: per-cell-pair over packed wall-clock.
-    pub fn packed_vs_unpacked(&self) -> f64 {
-        self.unpacked_s / self.grid_s
-    }
-
     /// Whether the SpatialPlan model's pick matches the measured winner
     /// (grid iff the measured grid route beats all-pairs wall-clock).
     pub fn model_agrees(&self) -> bool {
@@ -180,20 +170,18 @@ impl GridSample {
     }
 }
 
-/// Share of the rows of a packed radial histogram (10 bins to the
-/// reference radius) over `cat` that compiled passes culled as
-/// provably landing in the overflow bucket. Deterministic for a given
-/// catalog.
-pub fn measure_culled_row_frac(dev: &mut Device, cat: &GriddedCatalog<3>) -> f64 {
+/// The profile of a packed radial histogram (10 bins to the reference
+/// radius) over `cat`: its culled-row share, launches and population
+/// classes. Deterministic for a given catalog.
+pub fn cull_sweep(dev: &mut Device, cat: &GriddedCatalog<3>) -> GriddedRun {
     let bins = RadialBins::new(10, R_MAX);
     gridded_radial_histogram(dev, cat, bins, PairwisePlan::register_shm(BLOCK))
         .expect("gridded histogram")
         .run
-        .culled_row_frac()
 }
 
-/// The functional-gate report: [`measure_culled_row_frac`] on the reference
-/// uniform catalog at each of `sizes`, without any wall-clock legs.
+/// The functional-gate report: [`cull_sweep`] on the reference uniform
+/// catalog at each of `sizes`, without any wall-clock legs.
 pub fn build_cull_report(sizes: &[usize]) -> Result<Report, ReportError> {
     if sizes.is_empty() {
         return Err(ReportError::EmptySeries {
@@ -208,23 +196,30 @@ pub fn build_cull_report(sizes: &[usize]) -> Result<Report, ReportError> {
         "uniform catalog in a {BOX}^3 box, packed radial histogram of 10 bins \
          to r={R_MAX}, target {TARGET_PTS} pts/cell, compiled route"
     ));
-    let mut t = SeriesTable::new("sizes", &["N", "culled"]);
+    let mut t = SeriesTable::new("sizes", &["N", "culled", "classes", "launches"]);
     for &n in sizes {
         let pts = uniform_points::<3>(n, BOX, SEED);
         let mut dev = device();
         let cat = GriddedCatalog::build_self(&mut dev, &pts, R_MAX, &grid_options());
-        let frac = measure_culled_row_frac(&mut dev, &cat);
+        let run = cull_sweep(&mut dev, &cat);
+        let frac = run.culled_row_frac();
+        let (classes, launches) = (run.population_classes, run.packed_launches);
         t.row(vec![
             Cell::int(n as u64),
             Cell::num(frac, format!("{:.1}%", frac * 100.0)),
+            Cell::int(classes.into()),
+            Cell::int(launches.into()),
         ]);
         rep.metric(&format!("culled_row_frac.n{n}"), frac, "frac")?;
+        rep.metric(&format!("packed_launches.n{n}"), launches.into(), "count")?;
+        rep.metric(&format!("population_classes.n{n}"), classes.into(), "count")?;
     }
     rep.push_table(t);
     rep.push_note(
         "culled = histogram rows (one partner against a warp's active lanes)\n\
          whose partner lies at least the overflow edge from the warp's bounding\n\
-         box, charged in closed form instead of bucketed and walked.",
+         box, charged in closed form instead of bucketed and walked. classes\n\
+         and launches are the sweep's population classes and packed launches.",
     );
     Ok(rep)
 }
@@ -253,7 +248,7 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
     let grid_s = t.elapsed().as_secs_f64();
     let stats = res.run.stats;
     eprintln!(
-        "gridpath N={n}: packed grid {grid_s:.3}s (build {build_s:.3}s, {} launches over {} \
+        "gridpath N={n}: grid {grid_s:.3}s (build {build_s:.3}s, {} launches over {} \
          population classes, {}/{} cells, {:.1}% of pairs pruned)",
         res.run.launches(),
         res.run.population_classes,
@@ -262,28 +257,7 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
         stats.pruned_fraction() * 100.0
     );
 
-    // The per-cell-pair oracle route on the *same* catalog: both routes
-    // pay the same build, so the ratio isolates the launch packing.
-    let t = Instant::now();
-    let unpacked = gridded_count_within_routed(
-        &mut dev,
-        &cat,
-        R_MAX,
-        PairwisePlan::register_shm(BLOCK),
-        GriddedRoute::PerCellPair,
-    )
-    .expect("per-cell-pair launch");
-    let unpacked_s = build_s + t.elapsed().as_secs_f64();
-    assert_eq!(
-        res.count, unpacked.count,
-        "packed count diverged from the per-cell-pair route at N={n}"
-    );
-    let culled_row_frac = measure_culled_row_frac(&mut dev, &cat);
-    eprintln!(
-        "gridpath N={n}: per-cell-pair {unpacked_s:.3}s ({} launches, packed {:.1}x)",
-        unpacked.run.launches(),
-        unpacked_s / grid_s
-    );
+    let culled_row_frac = cull_sweep(&mut dev, &cat).culled_row_frac();
 
     if cfg.oracle {
         eprintln!("gridpath N={n}: CPU grid oracle cross-check...");
@@ -344,7 +318,6 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
         count: res.count,
         build_s,
         grid_s,
-        unpacked_s,
         cells: stats.cells as u64,
         occupied_cells: stats.occupied_cells as u64,
         launches: u64::from(res.run.launches()),
@@ -403,8 +376,6 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             "culled",
             "build_s",
             "grid_s",
-            "unpacked_s",
-            "packed_x",
             "allpairs_s",
             "speedup",
             "model_x",
@@ -428,11 +399,6 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             ),
             Cell::num(s.build_s, format!("{:.3}", s.build_s)),
             Cell::num(s.grid_s, format!("{:.3}", s.grid_s)),
-            Cell::num(s.unpacked_s, format!("{:.3}", s.unpacked_s)),
-            Cell::num(
-                s.packed_vs_unpacked(),
-                format!("{:.1}x", s.packed_vs_unpacked()),
-            ),
             match s.all_pairs_s {
                 Some(v) => Cell::num(v, format!("{v:.3}")),
                 None => Cell::num(
@@ -466,11 +432,6 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             s.culled_row_frac,
             "frac",
         )?;
-        rep.metric(
-            &format!("packed_vs_unpacked.n{}", s.n),
-            s.packed_vs_unpacked(),
-            "x",
-        )?;
         rep.metric(&format!("model_speedup.n{}", s.n), s.model_speedup, "x")?;
         rep.metric(
             &format!("model_agreement.n{}", s.n),
@@ -482,11 +443,10 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
     rep.push_note(
         "wall clock of the same compiled interpreter executing only the candidate\n\
          cell pairs the min-distance cull leaves alive, vs the monolithic all-pairs\n\
-         launch. grid_s is the default packed route (segmented multi-cell-pair\n\
-         launches, O(population classes) launches); unpacked_s reruns the same\n\
-         catalog one launch per cell pair, and packed_x is their ratio. Counts\n\
-         are bit-identical across the packed route, the per-cell-pair route,\n\
-         the all-pairs route and the CPU grid oracle wherever each is measured.\n\
+         launch. grid_s runs packed launches (segmented multi-cell-pair\n\
+         launches, O(population classes) launches). Counts are bit-identical\n\
+         across the grid route, the all-pairs route and the CPU grid oracle\n\
+         wherever each is measured.\n\
          culled is the share of a 10-bin radial histogram's rows that compiled\n\
          passes culled as provably landing in the overflow bucket.\n\
          allpairs_s\n\

@@ -257,6 +257,18 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // whole warp in the overflow bucket and must be culled (0.867
         // measured), or the grid route silently pays for them again.
         spec("gridpath_cull.culled_row_frac.n65536", Band::min(0.85)),
+        // Launch packing, counted exactly on the same sweep: every
+        // candidate cell pair maps onto one segmented launch per
+        // (population class, 4096-block chunk). A planner or packer
+        // change that adds launches or classes moves these.
+        spec(
+            "gridpath_cull.packed_launches.n65536",
+            Band::range(2.0, 2.0),
+        ),
+        spec(
+            "gridpath_cull.population_classes.n65536",
+            Band::range(2.0, 2.0),
+        ),
     ];
     const HOST: &[GateSpec] = &[
         // Wall-clock floors — deliberately ~2× under the slowest
@@ -302,12 +314,6 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // min-distance cull must discard ≥90 % of the pair mass at
         // N = 262144 with the reference r_max.
         spec("sim_gridpath.pruned_pair_fraction.n262144", Band::min(0.9)),
-        // Launch packing: mapping every candidate cell pair onto one
-        // segmented launch per (population class, 4096-block chunk)
-        // must stay a genuine multiplier over one launch per cell pair
-        // on the same catalog (~4× observed at N = 262144; floored at
-        // the PR's ≥2× claim).
-        spec("sim_gridpath.packed_vs_unpacked.n262144", Band::min(2.0)),
         // The SpatialPlan analytic model's pick must match the measured
         // winner at both gate sizes (1.0 = agrees; deterministic given
         // the measured wall-clocks — a mispriced per-launch floor shows

@@ -62,9 +62,9 @@ pub const R_CULL_MARGIN: f64 = 1e-5;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridOptions {
     /// Soft lower bound on the average occupancy of a cell. Smaller
-    /// cells prune more pairs but multiply kernel launches; the sizing
-    /// rule refuses to create more than ~`n / target_points_per_cell`
-    /// cells so per-launch overhead stays amortized.
+    /// cells prune more pairs but multiply cell pairs, each a packed
+    /// segment with its own overhead; the sizing rule refuses to create
+    /// more than ~`n / target_points_per_cell` cells.
     pub target_points_per_cell: u32,
     /// Hard cap on total cells (memory guard for adversarial
     /// `r_max / extent` ratios).
@@ -74,8 +74,10 @@ pub struct GridOptions {
 impl Default for GridOptions {
     fn default() -> Self {
         GridOptions {
-            // ~2 blocks of paper-default work per cell pair: big enough
-            // to amortize a simulated launch, small enough to prune.
+            // ~2 blocks of paper-default work per cell pair, chosen when
+            // every cell pair paid its own launch. Packing removed that
+            // cost and the value has not been re-measured since
+            // (ROADMAP item 6).
             target_points_per_cell: 512,
             max_cells: 1 << 20,
         }

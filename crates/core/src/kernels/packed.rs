@@ -39,13 +39,15 @@
 //!
 //! ## Bit-identity
 //!
-//! Each block evaluates exactly the pair multiset of the unpacked
-//! launch it replaces, through the same compiled-or-op-by-op routes
-//! (per-warp valid masks are prefix masks, so the compiled passes
-//! engage exactly as they do for a ragged final block). The
-//! sinks are integer accumulators, so "same pair multiset" is already
-//! bit-identity — packed output == unpacked output == all-pairs output,
-//! enforced by `core/tests/grid_identity.rs`.
+//! Each block evaluates exactly the pair multiset of the block of the
+//! Algorithm-3 / Cross-SHM launch over its segment alone, through the
+//! same compiled-or-op-by-op routes (per-warp valid masks are prefix
+//! masks, so the compiled passes engage exactly as they do for a ragged
+//! final block). The sinks are integer accumulators, so "same pair
+//! multiset" is already bit-identity — packed output == all-pairs
+//! output == the CPU grid oracle, enforced by
+//! `core/tests/grid_identity.rs`; a one-segment launch is pinned to
+//! Register-SHM bit for bit by this module's tests.
 
 use crate::distance::DistanceKernel;
 use crate::kernels::IntraMode;

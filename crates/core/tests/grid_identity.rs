@@ -13,18 +13,19 @@ use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 use tbs_apps::sdh::{sdh_gpu, SdhOutputMode};
 use tbs_apps::{
-    gridded_count_within, gridded_count_within_multi, gridded_count_within_routed,
-    gridded_radial_histogram, gridded_radial_histogram_routed, pcf_gpu, GriddedCatalog,
-    GriddedRoute, PairwisePlan,
+    gridded_count_within, gridded_count_within_multi, gridded_cross_radial_histogram,
+    gridded_radial_histogram, pcf_gpu, GriddedCatalog, PairwisePlan,
 };
 use tbs_core::distance::Euclidean;
-use tbs_core::grid::{candidate_pairs, prune_stats, GridOptions, RadialBins, UniformGrid};
+use tbs_core::grid::{
+    candidate_pairs, prune_stats, GridGeometry, GridOptions, RadialBins, UniformGrid,
+};
 use tbs_core::kernels::{PackedLayout, PackedPairKernel, PackedSegment};
 use tbs_core::output::CountWithinRadius;
 use tbs_core::point::SoaPoints;
 use tbs_cpu::{
-    grid_pcf_device_reference, grid_pcf_reference, grid_radial_reference, pcf_reference,
-    sdh_reference,
+    grid_cross_radial_reference, grid_pcf_device_reference, grid_pcf_reference,
+    grid_radial_reference, pcf_reference, sdh_reference,
 };
 
 const BOX: f32 = 100.0;
@@ -162,14 +163,15 @@ proptest! {
         prop_assert_eq!(grid.histogram, rb.finalize(&all.histogram));
     }
 
-    /// Three-way count identity: the packed segmented route, the
-    /// per-cell-pair route, and the monolithic all-pairs launch agree
-    /// bit for bit — across clustered/degenerate layouts, one-point
-    /// cells (`target = 1`), and cell populations sitting exactly on,
-    /// one below, and one above block-size multiples (targets 64, 127,
-    /// 128, 129 against the packed planner's 128-minimum blocks).
+    /// Packed count identity: the packed segmented sweep and the
+    /// monolithic all-pairs launch agree bit for bit — across
+    /// clustered/degenerate layouts, one-point cells (`target = 1`), and
+    /// cell populations sitting exactly on, one below, and one above
+    /// block-size multiples (targets 64, 127, 128, 129 against the packed
+    /// planner's 128-minimum blocks) — and a multi-radius sweep is the
+    /// same bits again.
     #[test]
-    fn packed_route_equals_per_cell_pair_and_all_pairs(
+    fn packed_route_equals_all_pairs_and_multi(
         n in 0usize..1024,
         r_max in prop::sample::select(vec![4.0f32, 12.0, 150.0]),
         target in prop::sample::select(vec![1u32, 64, 127, 128, 129]),
@@ -181,27 +183,21 @@ proptest! {
         let opts = GridOptions { target_points_per_cell: target, max_cells: 1 << 20 };
         let mut dev = Device::new(DeviceConfig::titan_x());
         let cat = GriddedCatalog::build_self(&mut dev, &pts, r_max, &opts);
-        let packed = gridded_count_within_routed(&mut dev, &cat, r_max, plan, GriddedRoute::Packed)
-            .expect("packed launch");
-        let unpacked =
-            gridded_count_within_routed(&mut dev, &cat, r_max, plan, GriddedRoute::PerCellPair)
-                .expect("per-cell-pair launch");
-        prop_assert_eq!(packed.count, unpacked.count);
+        let packed = gridded_count_within(&mut dev, &cat, r_max, plan).expect("packed launch");
         let mut dev2 = Device::new(DeviceConfig::titan_x());
         let all = pcf_gpu(&mut dev2, &pts, r_max, plan).expect("all-pairs launch");
         prop_assert_eq!(packed.count, all.count);
-        // A multi-radius packed sweep is the same bits again.
         let (multi, _) = gridded_count_within_multi(&mut dev, &cat, &[r_max], plan)
             .expect("multi launch");
         prop_assert_eq!(multi[0], packed.count);
     }
 
-    /// Three-way histogram identity on the same layouts, plus route
-    /// identity of the packed sweep: the compiled route (which culls
-    /// overflow rows) and the op-by-op route produce the same
+    /// Packed histogram identity on the same layouts: the packed sweep
+    /// equals the all-pairs privatized SDH, and the compiled route (which
+    /// culls overflow rows) and the op-by-op route produce the same
     /// histogram, tallies and simulated time.
     #[test]
-    fn packed_histogram_equals_per_cell_pair_and_all_pairs(
+    fn packed_histogram_equals_all_pairs_on_both_routes(
         n in 2usize..640,
         r_max in prop::sample::select(vec![5.0f32, 15.0, 180.0]),
         bins in prop::sample::select(vec![4u32, 24]),
@@ -215,25 +211,55 @@ proptest! {
         let opts = GridOptions { target_points_per_cell: target, max_cells: 1 << 20 };
         let mut dev = Device::new(DeviceConfig::titan_x());
         let cat = GriddedCatalog::build_self(&mut dev, &pts, r_max, &opts);
-        let packed =
-            gridded_radial_histogram_routed(&mut dev, &cat, rb, plan, GriddedRoute::Packed)
-                .expect("packed launch");
-        let unpacked =
-            gridded_radial_histogram_routed(&mut dev, &cat, rb, plan, GriddedRoute::PerCellPair)
-                .expect("per-cell-pair launch");
-        prop_assert_eq!(&packed.histogram, &unpacked.histogram);
+        let packed = gridded_radial_histogram(&mut dev, &cat, rb, plan).expect("packed launch");
         let mut dev2 = Device::new(DeviceConfig::titan_x());
         let all = sdh_gpu(&mut dev2, &pts, rb.device_spec(), plan, SdhOutputMode::Privatized)
             .expect("all-pairs launch");
         prop_assert_eq!(&packed.histogram, &rb.finalize(&all.histogram));
         let mut dev_op = Device::new(DeviceConfig::titan_x().with_compiled(false));
         let cat_op = GriddedCatalog::build_self(&mut dev_op, &pts, r_max, &opts);
-        let op = gridded_radial_histogram_routed(&mut dev_op, &cat_op, rb, plan, GriddedRoute::Packed)
+        let op = gridded_radial_histogram(&mut dev_op, &cat_op, rb, plan)
             .expect("op-by-op packed launch");
         prop_assert_eq!(&packed.histogram, &op.histogram);
         prop_assert_eq!(&packed.run.tally, &op.run.tally);
         prop_assert_eq!(packed.run.seconds.to_bits(), op.run.seconds.to_bits());
         prop_assert_eq!(op.run.culled_rows, 0);
+    }
+
+    /// Pruned cross-histogram identity (DR): the packed sweep over two
+    /// catalogs on one geometry equals the CPU union identity
+    /// `ref(D ∪ R) − ref(D) − ref(R)`, on the compiled and the op-by-op
+    /// route alike, with the same tallies and simulated time.
+    #[test]
+    fn packed_cross_histogram_equals_union_identity(
+        nd in 0usize..640,
+        nr in 0usize..640,
+        r_max in prop::sample::select(vec![5.0f32, 15.0, 180.0]),
+        bins in prop::sample::select(vec![4u32, 24]),
+        target in prop::sample::select(vec![1u32, 64, 128]),
+        d_layout in layout_strategy(),
+        r_layout in layout_strategy(),
+        seed in 0u64..1_000,
+    ) {
+        let (d, r) = (catalog(d_layout, nd, seed), catalog(r_layout, nr, seed ^ 0x5eed));
+        let rb = RadialBins::new(bins, r_max);
+        let plan = PairwisePlan::register_shm(64);
+        let opts = GridOptions { target_points_per_cell: target, max_cells: 1 << 20 };
+        let want = grid_cross_radial_reference(&d, &r, rb, &opts);
+        let run = |cfg: DeviceConfig| {
+            let mut dev = Device::new(cfg);
+            let geom = GridGeometry::fit(&[&d, &r], r_max, &opts);
+            let dcat = GriddedCatalog::build(&mut dev, geom.clone(), &d);
+            let rcat = GriddedCatalog::build(&mut dev, geom, &r);
+            gridded_cross_radial_histogram(&mut dev, &dcat, &rcat, rb, plan)
+                .expect("packed cross launch")
+        };
+        let compiled = run(DeviceConfig::titan_x());
+        let op = run(DeviceConfig::titan_x().with_compiled(false));
+        prop_assert_eq!(&compiled.histogram, &want);
+        prop_assert_eq!(&op.histogram, &want);
+        prop_assert_eq!(&compiled.run.tally, &op.run.tally);
+        prop_assert_eq!(compiled.run.seconds.to_bits(), op.run.seconds.to_bits());
     }
 
     /// Candidate enumeration invariants for arbitrary layouts: no cell

@@ -129,6 +129,25 @@ pub fn grid_radial_reference<const D: usize>(
     bins.finalize(&h)
 }
 
+/// Grid-pruned bounded radial histogram of the ordered cross pairs
+/// `a × b` (DR-style), by the union identity
+/// `ref(a ∪ b) − ref(a) − ref(b)`: every pair of the union is a pair of
+/// `a`, a pair of `b` or exactly one cross pair.
+pub fn grid_cross_radial_reference<const D: usize>(
+    a: &SoaPoints<D>,
+    b: &SoaPoints<D>,
+    bins: RadialBins,
+    opts: &GridOptions,
+) -> Histogram {
+    let mut union = a.clone();
+    for p in b.iter() {
+        union.push(p);
+    }
+    let [u, ra, rb] = [&union, a, b].map(|pts| grid_radial_reference(pts, bins, opts));
+    let counts = u.counts().iter().zip(ra.counts().iter().zip(rb.counts()));
+    Histogram::from_counts(counts.map(|(u, (x, y))| u - x - y).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,5 +218,26 @@ mod tests {
         let _ = spec; // bucket 0 holds everything in the radial case:
         let h = grid_radial_reference(&pts, RadialBins::new(4, 1.0), &GridOptions::default());
         assert_eq!(h.counts()[0], 64 * 63 / 2);
+    }
+    #[test]
+    fn cross_reference_bins_every_ordered_cross_pair_once() {
+        let a = tbs_datagen::clustered_points::<3>(300, 100.0, 4, 3.0, 5);
+        let b = tbs_datagen::uniform_points::<3>(200, 100.0, 6);
+        let bins = RadialBins::new(6, 15.0);
+        let spec = bins.device_spec();
+        let mut direct = Histogram::zeroed(spec.buckets);
+        for p in a.iter() {
+            for q in b.iter() {
+                direct.add(spec.bucket_of(dist_sq(p, q).sqrt()));
+            }
+        }
+        let opts = GridOptions {
+            target_points_per_cell: 16,
+            max_cells: 1 << 20,
+        };
+        assert_eq!(
+            grid_cross_radial_reference(&a, &b, bins, &opts),
+            bins.finalize(&direct)
+        );
     }
 }

@@ -39,7 +39,10 @@ pub mod schedule;
 pub mod sdh;
 
 pub use blocked::{sdh_blocked, BlockedSdhConfig};
-pub use grid::{grid_pcf_device_reference, grid_pcf_reference, grid_radial_reference};
+pub use grid::{
+    grid_cross_radial_reference, grid_pcf_device_reference, grid_pcf_reference,
+    grid_radial_reference,
+};
 pub use model::CpuModel;
 pub use pcf::{count_within_reference, pcf_parallel, pcf_reference};
 pub use schedule::Schedule;
