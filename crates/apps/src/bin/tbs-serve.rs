@@ -348,6 +348,16 @@ fn gen_args(req: &Json) -> Result<(String, usize, f32, u64), String> {
     Ok((name.to_string(), n as usize, extent, seed))
 }
 
+/// A required non-negative integer field that must fit a `u32`: a wider
+/// value is refused, never wrapped.
+fn u32_field(j: &Json, ty: &str, key: &str) -> Result<u32, String> {
+    let v = j
+        .get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{ty}: missing \"{key}\""))?;
+    u32::try_from(v).map_err(|_| format!("{ty}: \"{key}\" must be at most {}, got {v}", u32::MAX))
+}
+
 fn parse_query(j: &Json) -> Result<Query, String> {
     match j.get("type").and_then(Json::as_str) {
         Some("pair_counts") => {
@@ -361,10 +371,7 @@ fn parse_query(j: &Json) -> Result<Query, String> {
             Ok(Query::PairCounts { radii })
         }
         Some("sdh") => Ok(Query::Sdh {
-            buckets: j
-                .get("buckets")
-                .and_then(Json::as_u64)
-                .ok_or("sdh: missing \"buckets\"")? as u32,
+            buckets: u32_field(j, "sdh", "buckets")?,
             width: j
                 .get("width")
                 .and_then(Json::as_f64)
@@ -375,12 +382,15 @@ fn parse_query(j: &Json) -> Result<Query, String> {
                 .get("radius")
                 .and_then(Json::as_f64)
                 .ok_or("count_within: missing \"radius\"")? as f32,
-            gridded: j.get("gridded").and_then(Json::as_bool).unwrap_or(false),
+            gridded: match j.get("gridded") {
+                None => false,
+                Some(g) => g
+                    .as_bool()
+                    .ok_or("count_within: \"gridded\" must be a boolean")?,
+            },
         }),
         Some("knn") => Ok(Query::Knn {
-            k: j.get("k")
-                .and_then(Json::as_u64)
-                .ok_or("knn: missing \"k\"")? as u32,
+            k: u32_field(j, "knn", "k")?,
         }),
         Some(other) => Err(format!("unknown query type {other:?}")),
         None => Err("query object needs a \"type\"".to_string()),

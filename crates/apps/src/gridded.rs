@@ -8,17 +8,18 @@
 //! [`PackedPairKernel`] launches (capped at
 //! [`MAX_PACKED_BLOCKS_PER_LAUNCH`] blocks each), so a gridded sweep
 //! costs O(population classes) launches instead of O(cell pairs). Every
-//! entry point runs through one launch loop (`packed_sweep`) and
-//! supplies only its action and its host-side fold.
+//! entry point runs through one launch loop (`packed_sweep`) driving a
+//! [`MultiQueryAction`] — its count sinks and histogram sinks are the
+//! entry point's outputs — and supplies only the sink list.
 //!
 //! The catalog itself is uploaded **once** as a single device SoA in
 //! CSR cell order; every cell is a `(start, len)` view into it, so
 //! building a catalog costs `D` uploads total instead of `D` per
 //! non-empty cell.
 //!
-//! A sweep reuses one device output buffer across every launch — the
-//! Type-I count action and the Type-II privatized histogram action
-//! *store* (not accumulate) their per-block regions in `end_block`, so
+//! A sweep reuses one device output buffer per sink across every
+//! launch — count sinks and privatized histogram sinks *store* (not
+//! accumulate) their per-thread or per-block regions in `end_block`, so
 //! a single buffer sized for the largest launch serves them all, with
 //! the host merging after each launch.
 //!
@@ -28,7 +29,7 @@
 //! `core/tests/grid_identity.rs`.
 
 use crate::driver::PairwisePlan;
-use gpu_sim::{AccessTally, BufU64, Device, KernelRun, LaunchConfig, SimError};
+use gpu_sim::{AccessTally, Device, KernelRun, SimError};
 use std::collections::BTreeMap;
 use tbs_core::distance::{DistanceKernel, Euclidean};
 use tbs_core::grid::{
@@ -37,9 +38,7 @@ use tbs_core::grid::{
 };
 use tbs_core::histogram::Histogram;
 use tbs_core::kernels::{num_blocks, PackedLayout, PackedPairKernel, PackedSegment};
-use tbs_core::output::{
-    CountWithinRadius, MultiCountSink, MultiQueryAction, PairAction, SharedHistogramAction,
-};
+use tbs_core::output::{MultiCountSink, MultiHistSink, MultiQueryAction};
 use tbs_core::plan::{choose_plan, ProblemOutput, ProblemSpec};
 use tbs_core::point::{DeviceSoa, SoaPoints};
 
@@ -116,7 +115,7 @@ pub struct GriddedRun {
     /// Tile-pass rows (one partner against a warp) that compiled passes
     /// culled as provably out of every sink's range
     /// (`InterpStats::culled_rows`); on a histogram sweep, a subset of
-    /// the `tally.shared_atomics` rows.
+    /// the `tally.shared_atomics` rows. Count sweeps never cull.
     pub culled_rows: u64,
     /// Pruning accounting of the candidate-pair enumeration.
     pub stats: PruneStats,
@@ -332,86 +331,29 @@ struct SweepBounds {
     threads: u64,
 }
 
-/// An action a packed sweep launches, with the host-side fold of each
-/// launch's output. Every such action *stores* (not accumulates) its
-/// per-block region in `end_block`, so one buffer sized for the largest
-/// launch serves every launch: each slot a launch's fold reads was
-/// written by that launch.
-trait SweepAction: PairAction + Clone {
-    /// What the folds accumulate into.
-    type Host;
-
-    /// A zeroed accumulator.
-    fn host(&self) -> Self::Host;
-
-    /// Add the output of the launch `lc` that just ran to `host`.
-    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut Self::Host);
-}
-
-/// Sum of a launch's live per-thread counts.
-fn live_count(dev: &Device, out: BufU64, lc: LaunchConfig) -> u64 {
-    dev.u64_slice(out)[..lc.total_threads() as usize]
-        .iter()
-        .sum()
-}
-
-impl SweepAction for CountWithinRadius {
-    type Host = u64;
-
-    fn host(&self) -> u64 {
-        0
-    }
-
-    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut u64) {
-        *host += live_count(dev, self.out, lc);
-    }
-}
-
-/// Count sinks only: one count per radius.
-impl SweepAction for MultiQueryAction {
-    type Host = Vec<u64>;
-
-    fn host(&self) -> Vec<u64> {
-        vec![0; self.counts.len()]
-    }
-
-    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut Vec<u64>) {
-        for (c, sink) in host.iter_mut().zip(&self.counts) {
-            *c += live_count(dev, sink.out, lc);
-        }
-    }
-}
-
-impl SweepAction for SharedHistogramAction {
-    type Host = Vec<u64>;
-
-    fn host(&self) -> Vec<u64> {
-        vec![0; self.spec.buckets as usize]
-    }
-
-    fn fold(&self, dev: &Device, lc: LaunchConfig, host: &mut Vec<u64>) {
-        let copies = &dev.u32_slice(self.private)[..(lc.grid_dim * self.spec.buckets) as usize];
-        for (i, &c) in copies.iter().enumerate() {
-            host[i % self.spec.buckets as usize] += c as u64;
-        }
-    }
+/// What a packed sweep's folds accumulate: one count per count sink and
+/// one histogram per histogram sink of its [`MultiQueryAction`].
+struct SweepTotals {
+    counts: Vec<u64>,
+    hists: Vec<Vec<u64>>,
 }
 
 /// The one launch loop behind every gridded entry point. Plans the
 /// population classes of `segments` (`buckets` is a histogram sweep's
 /// bucket count), chunks each class once, lets `action` allocate the
-/// output buffers for the largest launch, then launches every chunk in
-/// class order and folds its output into the returned accumulator and
-/// its profile into `run`.
-fn packed_sweep<const D: usize, A: SweepAction>(
+/// sink buffers for the largest launch, then launches every chunk in
+/// class order and folds its output into the returned totals and its
+/// profile into `run`. Every slot a launch's fold reads was written by
+/// that launch (see the module doc on buffer reuse).
+fn packed_sweep<const D: usize>(
     dev: &mut Device,
     left: DeviceSoa<D>,
     right: DeviceSoa<D>,
     segments: Vec<PackedSegment>,
     buckets: Option<u32>,
     run: &mut GriddedRun,
-    action: impl FnOnce(&mut Device, SweepBounds) -> A,
-) -> Result<A::Host, SimError> {
+    action: impl FnOnce(&mut Device, SweepBounds) -> MultiQueryAction,
+) -> Result<SweepTotals, SimError> {
     let dist_cost = <Euclidean as DistanceKernel<D>>::cost(&Euclidean);
     let classes = plan_classes(dev, segments, D as u32, dist_cost, buckets);
     run.population_classes = classes.len() as u32;
@@ -429,16 +371,36 @@ fn packed_sweep<const D: usize, A: SweepAction>(
             .unwrap_or(0),
     };
     let action = action(dev, bounds);
-    let mut host = action.host();
+    let mut totals = SweepTotals {
+        counts: vec![0; action.counts.len()],
+        hists: action
+            .hists
+            .iter()
+            .map(|hs| vec![0; hs.spec.buckets as usize])
+            .collect(),
+    };
     for layout in layouts {
         let lc = layout.launch_config();
         let k = PackedPairKernel::new(left, right, Euclidean, action.clone(), layout);
         let kr = dev.try_launch(&k, lc)?;
-        action.fold(dev, lc, &mut host);
+        for (c, sink) in totals.counts.iter_mut().zip(&action.counts) {
+            *c += dev.u64_slice(sink.out)[..lc.total_threads() as usize]
+                .iter()
+                .sum::<u64>();
+        }
+        for (h, sink) in totals.hists.iter_mut().zip(&action.hists) {
+            let b = sink.spec.buckets as usize;
+            for (i, &c) in dev.u32_slice(sink.private)[..lc.grid_dim as usize * b]
+                .iter()
+                .enumerate()
+            {
+                h[i % b] += c as u64;
+            }
+        }
         run.packed_launches += 1;
         run.add_launch(&kr);
     }
-    Ok(host)
+    Ok(totals)
 }
 
 // ====================================================================
@@ -454,30 +416,21 @@ fn self_join_work<const D: usize>(cat: &GriddedCatalog<D>) -> (Vec<PackedSegment
 }
 
 /// Count pairs of `cat` with distance `< radius`, visiting only the
-/// surviving cell pairs. `radius` must not exceed the grid's `r_max`.
-/// `_plan` is ignored: each population class plans its own block size.
+/// surviving cell pairs: the one-radius case of
+/// [`gridded_count_within_multi`]. `radius` must not exceed the grid's
+/// `r_max`. `_plan` is ignored: each population class plans its own
+/// block size.
 pub fn gridded_count_within<const D: usize>(
     dev: &mut Device,
     cat: &GriddedCatalog<D>,
     radius: f32,
     _plan: PairwisePlan,
 ) -> Result<GriddedCountResult, SimError> {
-    assert!(
-        radius <= cat.grid.geom.r_max,
-        "count radius {radius} exceeds the grid's r_max {}",
-        cat.grid.geom.r_max
-    );
-    let (segments, mut run) = self_join_work(cat);
-    let points = cat.device();
-    let count = dev.scoped(|dev| {
-        packed_sweep(dev, points, points, segments, None, &mut run, |dev, max| {
-            CountWithinRadius {
-                radius,
-                out: dev.alloc_u64_zeroed(max.threads as usize),
-            }
-        })
-    })?;
-    Ok(GriddedCountResult { count, run })
+    let (counts, run) = gridded_count_within_multi(dev, cat, &[radius], _plan)?;
+    Ok(GriddedCountResult {
+        count: counts[0],
+        run,
+    })
 }
 
 /// Count pairs of `cat` under **many radii in one packed sweep**: every
@@ -503,7 +456,7 @@ pub fn gridded_count_within_multi<const D: usize>(
         return Ok((Vec::new(), run));
     }
     let points = cat.device();
-    let counts = dev.scoped(|dev| {
+    let totals = dev.scoped(|dev| {
         packed_sweep(dev, points, points, segments, None, &mut run, |dev, max| {
             MultiQueryAction {
                 counts: radii
@@ -517,7 +470,7 @@ pub fn gridded_count_within_multi<const D: usize>(
             }
         })
     })?;
-    Ok((counts, run))
+    Ok((totals.counts, run))
 }
 
 /// A packed privatized-histogram sweep over `segments`, finalized to
@@ -531,7 +484,7 @@ fn histogram_sweep<const D: usize>(
     run: &mut GriddedRun,
 ) -> Result<Histogram, SimError> {
     let spec = bins.device_spec();
-    let host = dev.scoped(|dev| {
+    let mut totals = dev.scoped(|dev| {
         packed_sweep(
             dev,
             left,
@@ -539,13 +492,17 @@ fn histogram_sweep<const D: usize>(
             segments,
             Some(spec.buckets),
             run,
-            |dev, max| SharedHistogramAction {
-                spec,
-                private: dev.alloc_u32_zeroed((max.blocks.max(1) * spec.buckets as u64) as usize),
+            |dev, max| MultiQueryAction {
+                counts: Vec::new(),
+                hists: vec![MultiHistSink {
+                    spec,
+                    private: dev
+                        .alloc_u32_zeroed((max.blocks.max(1) * spec.buckets as u64) as usize),
+                }],
             },
         )
     })?;
-    Ok(bins.finalize(&Histogram::from_counts(host)))
+    Ok(bins.finalize(&Histogram::from_counts(totals.hists.remove(0))))
 }
 
 /// Bounded radial histogram (DD- or RR-style self pair counts) of `cat`

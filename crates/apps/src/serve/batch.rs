@@ -3,9 +3,18 @@
 //!
 //! A [`SinkPlan`] flattens a group of batchable queries into the sink
 //! lists a [`tbs_core::output::MultiQueryAction`] consumes — count sinks
-//! first, histogram sinks after, exactly the order the compiled
-//! `TileSink::Multi` pass feeds them — plus per-query routes to
-//! demultiplex the merged sink outputs back into [`QueryResult`]s.
+//! first, histogram sinks after, exactly the order the compiled passes
+//! feed them — plus per-query routes to demultiplex the merged sink
+//! outputs back into [`QueryResult`]s.
+//!
+//! Every histogram sink keeps a private copy in each block's shared
+//! memory, beside the kernel's point tiles, so a group's histogram sinks
+//! may not fit one launch together even when each fits alone. The plan
+//! therefore splits them into *sweeps*: consecutive runs of histogram
+//! sinks whose private copies fit the shared-memory budget it is given,
+//! the first sweep also feeding every count sink. A histogram too large
+//! to fit even alone is refused at admission
+//! ([`super::hist_fits`]), so every sweep launches.
 //! Coalescing is *output-level only*: every sink sees the identical
 //! distance stream the standalone query would see, which is why a
 //! batched answer is bit-identical to a sequential one (enforced by
@@ -25,6 +34,7 @@
 //! the histogram each duplicate would have computed alone.
 
 use super::query::{Query, QueryResult};
+use std::ops::Range;
 use tbs_core::histogram::{Histogram, HistogramSpec};
 
 /// Where one query's results live inside a [`SinkPlan`]'s merged sink
@@ -52,14 +62,21 @@ pub(crate) struct SinkPlan {
     pub counts: Vec<f32>,
     /// Geometries of the histogram sinks, in sink order.
     pub hists: Vec<HistogramSpec>,
+    /// The sweeps that run the plan: consecutive ranges of `hists` whose
+    /// private histograms fit the budget together. The first sweep also
+    /// feeds every count sink; there is always at least one.
+    pub sweeps: Vec<Range<usize>>,
     /// One route per query, in admission order.
     pub routes: Vec<QueryRoute>,
 }
 
 impl SinkPlan {
     /// Flatten `queries` (all batchable, already validated) into sink
-    /// lists + routes.
-    pub fn plan(queries: &[Query]) -> SinkPlan {
+    /// lists + routes, and split the histogram sinks into sweeps whose
+    /// private copies take at most `hist_budget` bytes of a block's
+    /// shared memory (a single sink over budget still gets a sweep of
+    /// its own).
+    pub fn plan(queries: &[Query], hist_budget: u64) -> SinkPlan {
         let mut plan = SinkPlan::default();
         for q in queries {
             match q {
@@ -96,6 +113,18 @@ impl SinkPlan {
                 Query::Knn { .. } => unreachable!("kNN is never batched"),
             }
         }
+        let mut start = 0;
+        let mut bytes = 0u64;
+        for (i, h) in plan.hists.iter().enumerate() {
+            let b = 4 * h.buckets as u64;
+            if i > start && bytes + b > hist_budget {
+                plan.sweeps.push(start..i);
+                start = i;
+                bytes = 0;
+            }
+            bytes += b;
+        }
+        plan.sweeps.push(start..plan.hists.len());
         plan
     }
 
@@ -143,7 +172,7 @@ mod tests {
                 width: 1.0,
             },
         ];
-        let plan = SinkPlan::plan(&queries);
+        let plan = SinkPlan::plan(&queries, u64::MAX);
         assert_eq!(plan.counts, vec![1.0, 2.0, 5.0]);
         assert_eq!(plan.hists.len(), 2);
         assert_eq!(plan.sinks(), 5);
@@ -175,6 +204,33 @@ mod tests {
     }
 
     #[test]
+    fn histogram_sinks_split_into_sweeps_that_fit_the_budget() {
+        let sdh = |buckets| Query::Sdh {
+            buckets,
+            width: 1.0,
+        };
+        let queries = vec![
+            Query::CountWithin {
+                radius: 5.0,
+                gridded: false,
+            },
+            sdh(6000),
+            sdh(6001),
+            sdh(100),
+            sdh(12_000),
+        ];
+        // 48 KiB of shared memory less a 256-point 3-D tile.
+        let plan = SinkPlan::plan(&queries, 49_152 - 3_072);
+        assert_eq!(plan.sweeps, vec![0..1, 1..3, 3..4]);
+        assert_eq!(plan.counts, vec![5.0]);
+        // No histogram: one sweep of counts.
+        let plan = SinkPlan::plan(&queries[..1], 0);
+        assert_eq!(plan.sweeps, vec![0..0]);
+        // Everything fits: one sweep.
+        assert_eq!(SinkPlan::plan(&queries, u64::MAX).sweeps, vec![0..4]);
+    }
+
+    #[test]
     fn identical_sdh_specs_share_one_sink() {
         let popular = Query::Sdh {
             buckets: 64,
@@ -193,7 +249,7 @@ mod tests {
             },
             popular.clone(),
         ];
-        let plan = SinkPlan::plan(&queries);
+        let plan = SinkPlan::plan(&queries, u64::MAX);
         // Three duplicates collapse onto sink 0; the distinct-width
         // query keeps its own sink.
         assert_eq!(plan.hists.len(), 2);

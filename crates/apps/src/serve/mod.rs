@@ -45,7 +45,20 @@ pub use query::{Query, QueryResult, ServeError};
 /// so benchmarks and capacity planning see the sweep the service
 /// actually runs rather than the naive one-sink-per-query count.
 pub fn planned_sinks(queries: &[Query]) -> usize {
-    SinkPlan::plan(queries).sinks()
+    SinkPlan::plan(queries, u64::MAX).sinks()
+}
+
+/// Shared-memory bytes a block of the dense sweep has left for private
+/// histograms beside its point tiles (Register-SHM self joins and the
+/// bipartite cross kernel both hold one `block_size`-point 3-D tile).
+fn hist_budget(cfg: &ServeConfig) -> u64 {
+    (cfg.device.shared_mem_per_block as u64).saturating_sub(cfg.plan.block_size as u64 * 4 * 3)
+}
+
+/// Whether a histogram of `buckets` fits a sweep of its own under `cfg`
+/// — the admission rule for SDH queries.
+fn hist_fits(cfg: &ServeConfig, buckets: u32) -> bool {
+    4 * buckets as u64 <= hist_budget(cfg)
 }
 
 use crate::driver::PairwisePlan;
@@ -56,6 +69,7 @@ use cache::{DatasetKey, WorkerCache};
 use gpu_sim::{Device, DeviceConfig};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -300,7 +314,8 @@ impl<T> WorkerReply<T> {
 }
 
 enum WorkOrder {
-    /// Run `tasks` of the sharded sweep feeding `counts`/`hists` sinks.
+    /// Run `tasks` of the sharded sweep feeding `counts`/`hists` sinks,
+    /// one launch per range of `sweeps`.
     Tasks {
         key: DatasetKey,
         pts: Arc<SoaPoints<3>>,
@@ -308,6 +323,7 @@ enum WorkOrder {
         tasks: Vec<SdhTask>,
         counts: Vec<f32>,
         hists: Vec<HistogramSpec>,
+        sweeps: Vec<Range<usize>>,
         plan: PairwisePlan,
         reply: Sender<WorkerReply<TasksOut>>,
     },
@@ -572,7 +588,13 @@ impl Dispatcher {
             .datasets
             .get(dataset)
             .ok_or_else(|| ServeError::UnknownDataset(dataset.to_string()))?;
-        query.validate(ds.pts.len())
+        query.validate(ds.pts.len())?;
+        match *query {
+            Query::Sdh { buckets, .. } if !hist_fits(&self.cfg, buckets) => Err(
+                ServeError::BadQuery("SDH histogram does not fit a block's shared memory"),
+            ),
+            _ => Ok(()),
+        }
     }
 
     /// Execute one dataset's admitted queries: one coalesced sweep for
@@ -657,7 +679,7 @@ impl Dispatcher {
         // The coalesced sweep: flatten sinks, shard, LPT, merge.
         if !batchable.is_empty() {
             let queries: Vec<Query> = batchable.iter().map(|a| a.query.clone()).collect();
-            let plan = SinkPlan::plan(&queries);
+            let plan = SinkPlan::plan(&queries, hist_budget(&self.cfg));
             debug_assert!(plan.sinks() > 0, "batchable queries always add sinks");
             let shards = self.cfg.shards.clamp(1, n.max(1));
             let sizes: Vec<usize> = chunk_ranges(n, shards).iter().map(|r| r.len()).collect();
@@ -682,6 +704,7 @@ impl Dispatcher {
                     tasks: dev_tasks,
                     counts: plan.counts.clone(),
                     hists: plan.hists.clone(),
+                    sweeps: plan.sweeps.clone(),
                     plan: self.cfg.plan,
                     reply,
                 };
@@ -784,11 +807,13 @@ fn worker_loop(device: DeviceConfig, rx: Receiver<WorkOrder>) {
                 tasks,
                 counts,
                 hists,
+                sweeps,
                 plan,
                 reply,
             } => {
                 let out = run_tasks(
-                    &mut dev, &mut cache, &key, &pts, shards, &tasks, &counts, &hists, plan,
+                    &mut dev, &mut cache, &key, &pts, shards, &tasks, &counts, &hists, &sweeps,
+                    plan,
                 );
                 let _ = reply.send(WorkerReply::new(out, &dev, &cache, probes0));
             }
@@ -817,9 +842,11 @@ fn worker_loop(device: DeviceConfig, rx: Receiver<WorkOrder>) {
 }
 
 /// One worker's share of a coalesced sweep: for each assigned shard
-/// task, launch the multi-sink action (self joins on Register-SHM,
-/// cross joins on the bipartite SHM kernel), reduce each histogram
-/// sink's private copies on-device, and accumulate host-side.
+/// task and each of the sink plan's `sweeps` (see [`batch::SinkPlan`]),
+/// launch the multi-sink action
+/// (self joins on Register-SHM, cross joins on the bipartite SHM
+/// kernel), reduce each histogram sink's private copies on-device, and
+/// accumulate host-side.
 #[allow(clippy::too_many_arguments)]
 fn run_tasks(
     dev: &mut Device,
@@ -830,6 +857,7 @@ fn run_tasks(
     tasks: &[SdhTask],
     counts: &[f32],
     hists: &[HistogramSpec],
+    sweeps: &[Range<usize>],
     plan: PairwisePlan,
 ) -> Result<TasksOut, String> {
     let uploads = cache.shard_uploads(dev, key, pts, shards).to_vec();
@@ -843,40 +871,54 @@ fn run_tasks(
             SdhTask::SelfJoin { chunk } => (uploads[chunk], None),
             SdhTask::CrossJoin { left, right } => (uploads[left], Some(uploads[right])),
         };
-        dev.scoped(|dev| run_task(dev, a, b, counts, hists, plan, &mut out))?;
+        for (i, range) in sweeps.iter().enumerate() {
+            // The first sweep feeds every count sink.
+            let radii = if i == 0 { counts } else { &[] };
+            let specs = &hists[range.clone()];
+            let (c, h) = (
+                &mut out.counts[..radii.len()],
+                &mut out.hists[range.clone()],
+            );
+            let secs = &mut out.sim_seconds;
+            dev.scoped(|dev| run_task(dev, a, b, radii, specs, plan, c, h, secs))?;
+        }
     }
     Ok(out)
 }
 
-/// One shard task of [`run_tasks`]: launch, sum the count sinks and
-/// reduce the histogram sinks into `out`. The caller's
-/// [`Device::scoped`] frees the task's buffers, however it returns.
+/// One launch of [`run_tasks`]: one shard task feeding count sinks at
+/// `radii` and histogram sinks of `specs`, adding their outputs into
+/// `counts` and (reduced) `hists` and the simulated time into
+/// `sim_seconds`. The caller's
+/// [`Device::scoped`] frees the launch's buffers, however it returns.
 #[allow(clippy::too_many_arguments)]
 fn run_task(
     dev: &mut Device,
     a: DeviceSoa<3>,
     b: Option<DeviceSoa<3>>,
-    counts: &[f32],
-    hists: &[HistogramSpec],
+    radii: &[f32],
+    specs: &[HistogramSpec],
     plan: PairwisePlan,
-    out: &mut TasksOut,
+    counts: &mut [u64],
+    hists: &mut [Histogram],
+    sim_seconds: &mut f64,
 ) -> Result<(), String> {
     let lc = pair_launch(a.n, plan.block_size.min(a.n.max(32)));
-    let count_bufs: Vec<_> = counts
+    let count_bufs: Vec<_> = radii
         .iter()
         .map(|_| dev.alloc_u64_zeroed(lc.total_threads() as usize))
         .collect();
-    let hist_bufs: Vec<_> = hists
+    let hist_bufs: Vec<_> = specs
         .iter()
         .map(|s| dev.alloc_u32_zeroed((lc.grid_dim * s.buckets) as usize))
         .collect();
     let action = MultiQueryAction {
-        counts: counts
+        counts: radii
             .iter()
             .zip(&count_bufs)
             .map(|(&radius, &out)| MultiCountSink { radius, out })
             .collect(),
-        hists: hists
+        hists: specs
             .iter()
             .zip(&hist_bufs)
             .map(|(&spec, &private)| MultiHistSink { spec, private })
@@ -900,11 +942,11 @@ fn run_task(
         ),
     }
     .map_err(|e| e.to_string())?;
-    out.sim_seconds += run.timing.seconds;
-    for (acc, &buf) in out.counts.iter_mut().zip(&count_bufs) {
+    *sim_seconds += run.timing.seconds;
+    for (acc, &buf) in counts.iter_mut().zip(&count_bufs) {
         *acc += dev.u64_slice(buf).iter().sum::<u64>();
     }
-    for ((acc, spec), &private) in out.hists.iter_mut().zip(hists).zip(&hist_bufs) {
+    for ((acc, spec), &private) in hists.iter_mut().zip(specs).zip(&hist_bufs) {
         let hout = dev.alloc_u64_zeroed(spec.buckets as usize);
         let reduce = HistogramReduceKernel {
             private,
@@ -915,7 +957,7 @@ fn run_task(
         let rrun = dev
             .try_launch(&reduce, reduce.launch_config(256))
             .map_err(|e| e.to_string())?;
-        out.sim_seconds += rrun.timing.seconds;
+        *sim_seconds += rrun.timing.seconds;
         acc.merge(&Histogram::from_counts(dev.u64_slice(hout).to_vec()));
     }
     Ok(())

@@ -306,6 +306,52 @@ fn admission_errors_are_atomic_and_precise() {
     });
 }
 
+/// Two SDH queries whose private histograms each fit a block's shared
+/// memory beside the point tile, but not together, still answer exactly
+/// when coalesced: the batcher splits them into two sweeps. A histogram
+/// too large to fit even alone is refused at admission.
+#[test]
+fn large_histograms_split_into_sweeps_and_oversized_ones_are_refused() {
+    let pts = tbs_datagen::uniform_points::<3>(2048, BOX, 21);
+    // 6000 and 6001 buckets: 24000 + 24004 B of histograms, plus a
+    // 256-point tile (3072 B), exceed the 48 KiB block limit together.
+    let sdh = |buckets| Query::Sdh {
+        buckets,
+        width: 0.02,
+    };
+    let (a, b) = (sdh(6000), sdh(6001));
+    Server::run(ServeConfig::default(), |h| {
+        h.register_dataset("d", pts.clone()).expect("register");
+        for q in [&a, &b] {
+            assert_eq!(h.submit("d", q.clone()).expect("alone"), oracle(&pts, q));
+        }
+        let before = h.stats().expect("stats");
+        let got = h
+            .submit_batch("d", vec![a.clone(), b.clone()])
+            .expect("batched");
+        assert_eq!(got, vec![oracle(&pts, &a), oracle(&pts, &b)]);
+        let after = h.stats().expect("stats");
+        assert_eq!(after.batches, before.batches + 1, "one coalesced batch");
+        // 11521 buckets (46084 B) cannot fit beside the tile even alone.
+        for q in [sdh(11_521), sdh(u32::MAX)] {
+            let got = h.submit("d", q.clone());
+            assert!(
+                matches!(got, Err(ServeError::BadQuery(_))),
+                "{q:?}: {got:?}"
+            );
+        }
+        // 11520 buckets (46080 B) fill the budget exactly.
+        let edge = Query::Sdh {
+            buckets: 11_520,
+            width: 0.01,
+        };
+        assert_eq!(
+            h.submit("d", edge.clone()).expect("fits"),
+            oracle(&pts, &edge)
+        );
+    });
+}
+
 /// Re-registering a dataset swaps the data *and* invalidates every
 /// worker cache: answers reflect the new points immediately.
 #[test]

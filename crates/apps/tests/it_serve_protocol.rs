@@ -1,6 +1,7 @@
 //! The `tbs-serve` line protocol, driven through the binary's stdin and
 //! stdout: a `gen` with arguments it cannot honour gets an error reply,
-//! registers nothing, and the session keeps answering.
+//! registers nothing, and the session keeps answering; so does a query
+//! whose fields do not fit their types.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -58,10 +59,18 @@ fn gen_refuses_bad_arguments_and_the_session_keeps_answering() {
         r#"{"cmd":"gen","name":"a","n":16,"extent":10.0,"seed":3}"#,
         r#"{"cmd":"query","dataset":"a","query":{"type":"pair_counts","radii":[5.0]}}"#,
         r#"{"cmd":"stats"}"#,
+        // Integers past u32 are refused, never wrapped (2^32 + 4 would
+        // answer as 4 buckets, 2^32 + 1 as k = 1).
+        r#"{"cmd":"query","dataset":"a","query":{"type":"sdh","buckets":4294967300,"width":4.0}}"#,
+        r#"{"cmd":"query","dataset":"a","query":{"type":"knn","k":4294967297}}"#,
+        // A non-boolean flag is refused, not read as false.
+        r#"{"cmd":"query","dataset":"a","query":{"type":"count_within","radius":5.0,"gridded":"yes"}}"#,
+        r#"{"cmd":"stats"}"#,
+        r#"{"cmd":"query","dataset":"a","query":{"type":"count_within","radius":5.0,"gridded":true}}"#,
         r#"{"cmd":"shutdown"}"#,
     ]);
     assert!(clean, "tbs-serve must exit cleanly");
-    assert_eq!(replies.len(), 11, "{replies:?}");
+    assert_eq!(replies.len(), 16, "{replies:?}");
     for reply in &replies[..4] {
         assert!(refusal(reply).contains("\"extent\""), "{reply:?}");
     }
@@ -89,4 +98,28 @@ fn gen_refuses_bad_arguments_and_the_session_keeps_answering() {
         "the points must be spread, not piled up"
     );
     assert_eq!(datasets(&replies[10]), Some(1));
+
+    assert!(
+        refusal(&replies[11]).contains("\"buckets\""),
+        "{:?}",
+        replies[11]
+    );
+    assert!(refusal(&replies[12]).contains("\"k\""), "{:?}", replies[12]);
+    assert!(
+        refusal(&replies[13]).contains("\"gridded\""),
+        "{:?}",
+        replies[13]
+    );
+    let queries = |r: &Json| r.get("queries").and_then(Json::as_u64);
+    assert_eq!(
+        queries(&replies[14]),
+        queries(&replies[10]),
+        "a refused query reached the service"
+    );
+    let gridded = replies[15]
+        .get("result")
+        .and_then(|r| r.get("counts"))
+        .and_then(Json::as_arr)
+        .expect("gridded count");
+    assert_eq!(gridded[0].as_u64(), Some(want));
 }

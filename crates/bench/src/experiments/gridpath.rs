@@ -238,7 +238,7 @@ pub fn measure_all_pairs(n: usize) -> (f64, u64) {
 /// bit-identical).
 pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSample {
     let pts = uniform_points::<3>(n, BOX, SEED);
-    eprintln!("gridpath N={n}: binning + per-cell upload...");
+    eprintln!("gridpath N={n}: binning + one SoA catalog upload...");
     let mut dev = device();
     let t = Instant::now();
     let cat = GriddedCatalog::build_self(&mut dev, &pts, R_MAX, &grid_options());

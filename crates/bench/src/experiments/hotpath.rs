@@ -34,8 +34,11 @@ use std::time::Instant;
 use crate::report::{Cell, Report, ReportError, SeriesTable};
 use gpu_sim::config::ExecMode;
 use gpu_sim::{AccessTally, Device, DeviceConfig, InterpStats};
-use tbs_apps::{pcf_gpu, sdh_gpu, PairwisePlan, SdhOutputMode};
+use tbs_apps::{launch_pairwise, pcf_gpu, sdh_gpu, PairwisePlan, SdhOutputMode};
+use tbs_core::distance::Euclidean;
 use tbs_core::histogram::{Histogram, HistogramSpec};
+use tbs_core::kernels::PairScope;
+use tbs_core::output::{MultiCountSink, MultiHistSink, MultiQueryAction};
 use tbs_datagen::uniform_points;
 
 /// Workload constants, fixed so every measurement is comparable.
@@ -489,6 +492,50 @@ fn measure_workload(
 /// Build the host-throughput report over the given sizes — both
 /// workloads (2-PCF and SDH) at every size. Wall-clock numbers are
 /// machine-dependent; the gate only pins floors on them.
+/// Compiled coverage of a mixed sink list on the hot-path plan: one
+/// count sink at [`RADIUS`] and one [`sdh_spec`] histogram sink, fed by
+/// one Register-SHM HalfPairs sweep at block [`BLOCK`] over `n` points
+/// (the serve layer's coalesced shape). Deterministic, not wall-clock:
+/// a sink list whose inter tiles or intra triangles fall back to op by
+/// op shows up as lost coverage.
+pub fn build_sink_list_report(n: usize) -> Result<Report, ReportError> {
+    let pts = uniform_points::<3>(n, BOX, SEED);
+    let mut dev = Device::new(DeviceConfig::titan_x());
+    let input = pts.upload(&mut dev);
+    let lc = tbs_core::kernels::pair_launch(input.n, BLOCK);
+    let spec = sdh_spec();
+    let action = MultiQueryAction {
+        counts: vec![MultiCountSink {
+            radius: RADIUS,
+            out: dev.alloc_u64_zeroed(lc.total_threads() as usize),
+        }],
+        hists: vec![MultiHistSink {
+            spec,
+            private: dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize),
+        }],
+    };
+    let run = launch_pairwise(
+        &mut dev,
+        input,
+        Euclidean,
+        action,
+        PairwisePlan::register_shm(BLOCK),
+        PairScope::HalfPairs,
+    )
+    .expect("launch");
+    let mut rep =
+        Report::new("sim_sinks", "Compiled coverage of a mixed sink list").with_context(&format!(
+            "one count sink (r={RADIUS}) + one privatized histogram sink \
+             ({SDH_BUCKETS} buckets), register_shm plan, block={BLOCK}, {BOX}^3 box"
+        ));
+    rep.metric(
+        &format!("compiled_coverage.mixed.n{n}"),
+        run.interp.compiled_coverage(&run.tally),
+        "ratio",
+    )?;
+    Ok(rep)
+}
+
 pub fn build_report(sizes: &[usize]) -> Result<Report, ReportError> {
     if sizes.is_empty() {
         return Err(ReportError::EmptySeries {

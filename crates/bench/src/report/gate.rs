@@ -269,6 +269,10 @@ pub fn gate_groups() -> &'static [GateGroup] {
             "gridpath_cull.population_classes.n65536",
             Band::range(2.0, 2.0),
         ),
+        // A mixed sink list (one count, one histogram) must compile like
+        // a single action, intra triangles included: 0.875 while the
+        // list's intra triangle ran op by op, 0.941 with it compiled.
+        spec("sim_sinks.compiled_coverage.mixed.n16384", Band::min(0.9)),
     ];
     const HOST: &[GateSpec] = &[
         // Wall-clock floors — deliberately ~2× under the slowest
@@ -409,6 +413,7 @@ pub fn functional_reports() -> Result<Vec<Report>, ReportError> {
         ext_multigpu::build_report(2048, 64)?,
         ext_ls::build_report(768, 2048, 8)?,
         gridpath::build_cull_report(&[65_536])?,
+        hotpath::build_sink_list_report(16_384)?,
     ])
 }
 

@@ -21,8 +21,8 @@
 
 use crate::histogram::HistogramSpec;
 use gpu_sim::{
-    BlockCtx, BufF32, BufU32, BufU64, CompiledSinkSpec, F32x32, Mask, QuerySink, ShmU32, TileSink,
-    U32x32, U64x32, WarpCtx, WARP_SIZE,
+    BlockCtx, BufF32, BufU32, BufU64, CompiledSinkSpec, CountSink, F32x32, HistSink, Mask, ShmU32,
+    TileSink, U32x32, U64x32, WarpCtx, WARP_SIZE,
 };
 
 /// The paper's output classification (§III-B).
@@ -84,21 +84,124 @@ pub trait PairAction: Sync {
     fn alu_per_pair(&self) -> u64;
 
     /// A borrowed [`TileSink`] view of warp `warp_id`'s accumulator
-    /// state for `WarpCtx::compiled_tile_pass` (its per-step charges
-    /// must equal [`PairAction::alu_per_pair`]). Implemented exactly by
-    /// the actions that declare a [`PairAction::compiled_sink`]; `None`
-    /// — the default — keeps the kernel on the op-by-op route.
+    /// state for the compiled passes (`WarpCtx::compiled_tile_pass`,
+    /// `WarpCtx::compiled_intra_regular`; its per-step charges must
+    /// equal [`PairAction::alu_per_pair`]). Implemented exactly by the
+    /// actions that declare a [`PairAction::compiled_sink`]; `None` —
+    /// the default — keeps the kernel on the op-by-op route.
     fn tile_sink<'s>(&self, _st: &'s mut Self::Block, _warp_id: u32) -> Option<TileSink<'s>> {
         None
     }
 
-    /// The action's output-sink shape for plan lowering
+    /// The action's output-sink list for plan lowering
     /// (`gpu_sim::CompiledKernel::lower`). Unlike
     /// [`PairAction::tile_sink`] this borrows no per-block state —
     /// lowering happens once, before any block runs. `None` — the
     /// default — keeps the plan on the op-by-op route.
     fn compiled_sink(&self) -> Option<CompiledSinkSpec> {
         None
+    }
+}
+
+// ====================================================================
+// Per-sink bodies, shared by the single actions and the batch
+// ====================================================================
+
+/// A count sink's `process`: compare (1 ALU) + predicated increment
+/// (1 ALU).
+fn count_process(
+    w: &mut WarpCtx<'_, '_>,
+    radius: f32,
+    acc: &mut U64x32,
+    value: &F32x32,
+    mask: Mask,
+) {
+    let hits = w.lt_f32(value, radius, mask);
+    w.charge_alu(1, mask);
+    for lane in hits.lanes() {
+        acc[lane] += 1;
+    }
+}
+
+/// A count sink's `end_block`: each thread stores its count to
+/// `out[global_tid]`.
+fn count_flush(blk: &mut BlockCtx<'_>, out: BufU64, acc: &[U64x32]) {
+    blk.for_each_warp(|w| {
+        let gid = w.global_thread_ids();
+        let m = w.active_threads();
+        w.global_store_u64(out, &gid, &acc[w.warp_id as usize], m);
+    });
+}
+
+/// Allocate `len` shared `u32`s and zero them cooperatively (thread `t`
+/// zeroes words `t, t+B, t+2B, …`; Algorithm 3, line 1). The caller
+/// issues the barrier.
+fn zeroed_shared_u32(blk: &mut BlockCtx<'_>, len: u32) -> ShmU32 {
+    let shm = blk.shared_alloc_u32(len as usize);
+    let bd = blk.block_dim;
+    blk.for_each_warp(|w| {
+        let tid = w.thread_ids();
+        let mut off = 0u32;
+        while off < len {
+            let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
+            let m = w.mask_lt(&idx, len).and(w.active_threads());
+            if m.any() {
+                w.shared_store_u32(shm, &idx, &[0; WARP_SIZE], m);
+            }
+            off += bd;
+        }
+    });
+    shm
+}
+
+/// A privatized histogram sink's `process`: bucket (2 ALU) and one
+/// shared atomic (Algorithm 3, line 7: `SHMOut[d] += 1`).
+fn hist_process(
+    w: &mut WarpCtx<'_, '_>,
+    spec: &HistogramSpec,
+    shm: ShmU32,
+    value: &F32x32,
+    mask: Mask,
+) {
+    let bucket = spec.bucket_lanes(w, value, mask);
+    w.shared_atomic_add_u32(shm, &bucket, &[1; WARP_SIZE], mask);
+}
+
+/// A privatized histogram sink's flush (Algorithm 3, line 15:
+/// `Output[b][t] <- SHMOut[t]`, strided so the global stores coalesce).
+/// The caller issues the barrier first.
+fn hist_flush(blk: &mut BlockCtx<'_>, buckets: u32, shm: ShmU32, private: BufU32) {
+    let base = blk.block_id * buckets;
+    let bd = blk.block_dim;
+    blk.for_each_warp(|w| {
+        let tid = w.thread_ids();
+        let mut off = 0u32;
+        while off < buckets {
+            let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
+            let m = w.mask_lt(&idx, buckets).and(w.active_threads());
+            if m.any() {
+                let vals = w.shared_load_u32(shm, &idx, m);
+                let slot: U32x32 = std::array::from_fn(|i| base + idx[i]);
+                w.charge_alu(1, m);
+                w.global_store_u32(private, &slot, &vals, m);
+            }
+            off += bd;
+        }
+    });
+}
+
+/// A histogram's compiled geometry: `(inv_width, hmax)`.
+fn hist_geometry(spec: &HistogramSpec) -> (f32, u32) {
+    (spec.inv_width(), spec.buckets.saturating_sub(1))
+}
+
+/// A histogram sink of a compiled pass.
+fn hist_sink(spec: &HistogramSpec, shm: ShmU32) -> HistSink {
+    let (inv_width, hmax) = hist_geometry(spec);
+    HistSink {
+        inv_width,
+        hmax,
+        shm,
     }
 }
 
@@ -142,22 +245,11 @@ impl PairAction for CountWithinRadius {
         value: &F32x32,
         mask: Mask,
     ) {
-        // Compare (1 ALU) + predicated increment (1 ALU).
-        let hits = w.lt_f32(value, self.radius, mask);
-        w.charge_alu(1, mask);
-        let acc = &mut st[w.warp_id as usize];
-        for lane in hits.lanes() {
-            acc[lane] += 1;
-        }
+        count_process(w, self.radius, &mut st[w.warp_id as usize], value, mask);
     }
 
     fn end_block(&self, blk: &mut BlockCtx<'_>, st: Self::Block) {
-        let out = self.out;
-        blk.for_each_warp(|w| {
-            let gid = w.global_thread_ids();
-            let m = w.active_threads();
-            w.global_store_u64(out, &gid, &st[w.warp_id as usize], m);
-        });
+        count_flush(blk, self.out, &st);
     }
 
     fn alu_per_pair(&self) -> u64 {
@@ -165,15 +257,19 @@ impl PairAction for CountWithinRadius {
     }
 
     fn tile_sink<'s>(&self, st: &'s mut Self::Block, warp_id: u32) -> Option<TileSink<'s>> {
-        Some(TileSink::CountLt {
-            radius: self.radius,
-            acc: &mut st[warp_id as usize],
+        Some(TileSink {
+            counts: vec![CountSink {
+                radius: self.radius,
+                acc: &mut st[warp_id as usize],
+            }],
+            hists: Vec::new(),
         })
     }
 
     fn compiled_sink(&self) -> Option<CompiledSinkSpec> {
-        Some(CompiledSinkSpec::CountLt {
-            radius: self.radius,
+        Some(CompiledSinkSpec {
+            counts: vec![self.radius],
+            hists: Vec::new(),
         })
     }
 }
@@ -363,23 +459,7 @@ impl PairAction for SharedHistogramAction {
     }
 
     fn begin_block(&self, blk: &mut BlockCtx<'_>) -> Self::Block {
-        let h = self.spec.buckets;
-        let shm = blk.shared_alloc_u32(h as usize);
-        // Algorithm 3, line 1: initialize shared memory to zero,
-        // cooperatively (thread t zeroes buckets t, t+B, t+2B, …).
-        let bd = blk.block_dim;
-        blk.for_each_warp(|w| {
-            let tid = w.thread_ids();
-            let mut off = 0u32;
-            while off < h {
-                let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
-                let m = w.mask_lt(&idx, h).and(w.active_threads());
-                if m.any() {
-                    w.shared_store_u32(shm, &idx, &[0; WARP_SIZE], m);
-                }
-                off += bd;
-            }
-        });
+        let shm = zeroed_shared_u32(blk, self.spec.buckets);
         blk.syncthreads();
         shm
     }
@@ -393,34 +473,12 @@ impl PairAction for SharedHistogramAction {
         value: &F32x32,
         mask: Mask,
     ) {
-        // Algorithm 3, line 7: SHMOut[d] += 1 via shared atomic.
-        let bucket = self.spec.bucket_lanes(w, value, mask);
-        w.shared_atomic_add_u32(*st, &bucket, &[1; WARP_SIZE], mask);
+        hist_process(w, &self.spec, *st, value, mask);
     }
 
     fn end_block(&self, blk: &mut BlockCtx<'_>, st: Self::Block) {
-        // Algorithm 3, line 15: Output[b][t] <- SHMOut[t], strided so the
-        // global stores coalesce.
         blk.syncthreads();
-        let h = self.spec.buckets;
-        let base = blk.block_id * h;
-        let bd = blk.block_dim;
-        let private = self.private;
-        blk.for_each_warp(|w| {
-            let tid = w.thread_ids();
-            let mut off = 0u32;
-            while off < h {
-                let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
-                let m = w.mask_lt(&idx, h).and(w.active_threads());
-                if m.any() {
-                    let vals = w.shared_load_u32(st, &idx, m);
-                    let slot: U32x32 = std::array::from_fn(|i| base + idx[i]);
-                    w.charge_alu(1, m);
-                    w.global_store_u32(private, &slot, &vals, m);
-                }
-                off += bd;
-            }
-        });
+        hist_flush(blk, self.spec.buckets, st, self.private);
     }
 
     fn shared_bytes(&self, _block_dim: u32) -> u32 {
@@ -432,17 +490,16 @@ impl PairAction for SharedHistogramAction {
     }
 
     fn tile_sink<'s>(&self, st: &'s mut Self::Block, _warp_id: u32) -> Option<TileSink<'s>> {
-        Some(TileSink::Histogram {
-            inv_width: self.spec.inv_width(),
-            hmax: self.spec.buckets.saturating_sub(1),
-            shm: *st,
+        Some(TileSink {
+            counts: Vec::new(),
+            hists: vec![hist_sink(&self.spec, *st)],
         })
     }
 
     fn compiled_sink(&self) -> Option<CompiledSinkSpec> {
-        Some(CompiledSinkSpec::Histogram {
-            inv_width: self.spec.inv_width(),
-            hmax: self.spec.buckets.saturating_sub(1),
+        Some(CompiledSinkSpec {
+            counts: Vec::new(),
+            hists: vec![hist_geometry(&self.spec)],
         })
     }
 }
@@ -479,21 +536,7 @@ impl PairAction for MultiCopyHistogramAction {
     }
 
     fn begin_block(&self, blk: &mut BlockCtx<'_>) -> Self::Block {
-        let total = self.spec.buckets * self.copies.max(1);
-        let shm = blk.shared_alloc_u32(total as usize);
-        let bd = blk.block_dim;
-        blk.for_each_warp(|w| {
-            let tid = w.thread_ids();
-            let mut off = 0u32;
-            while off < total {
-                let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
-                let m = w.mask_lt(&idx, total).and(w.active_threads());
-                if m.any() {
-                    w.shared_store_u32(shm, &idx, &[0; WARP_SIZE], m);
-                }
-                off += bd;
-            }
-        });
+        let shm = zeroed_shared_u32(blk, self.spec.buckets * self.copies.max(1));
         blk.syncthreads();
         shm
     }
@@ -806,14 +849,14 @@ pub struct MultiHistSink {
 /// (CADISHI's producer/consumer pipeline shape: one distance evaluation,
 /// many histogram consumers).
 ///
-/// Per-sink behaviour — outputs *and* charges — replicates the
-/// standalone actions exactly ([`CountWithinRadius`],
-/// [`SharedHistogramAction`]), so a batched run stays bit-identical to
-/// issuing each query alone (the differential suites enforce this).
-/// The compiled route lowers the same sink list
-/// (`CompiledSinkSpec::Multi`, counts then histograms) and drives all
-/// sinks from one `TileSink::Multi` pass per inter tile; the intra
-/// triangle stays on the op-by-op route.
+/// Per-sink behaviour — outputs *and* charges — is the standalone
+/// actions' own ([`CountWithinRadius`], [`SharedHistogramAction`]): all
+/// three run the same per-sink bodies, so a batched run stays
+/// bit-identical to issuing each query alone (the differential suites
+/// enforce this). The compiled route lowers the same sink list
+/// ([`CompiledSinkSpec`], counts then histograms) — a single action is
+/// its one-entry case — and drives every sink from one pass per inter
+/// tile and one per intra triangle.
 #[derive(Debug, Clone, Default)]
 pub struct MultiQueryAction {
     /// Count consumers, fed first (in order).
@@ -851,29 +894,12 @@ impl PairAction for MultiQueryAction {
             .iter()
             .map(|_| vec![[0u64; WARP_SIZE]; blk.num_warps() as usize])
             .collect();
-        // Zero every sink's private histogram cooperatively, then one
-        // barrier covers them all (Algorithm 3, line 1, per sink).
-        let bd = blk.block_dim;
+        // Zero every sink's private histogram, then one barrier covers
+        // them all.
         let hists: Vec<ShmU32> = self
             .hists
             .iter()
-            .map(|hs| {
-                let h = hs.spec.buckets;
-                let shm = blk.shared_alloc_u32(h as usize);
-                blk.for_each_warp(|w| {
-                    let tid = w.thread_ids();
-                    let mut off = 0u32;
-                    while off < h {
-                        let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
-                        let m = w.mask_lt(&idx, h).and(w.active_threads());
-                        if m.any() {
-                            w.shared_store_u32(shm, &idx, &[0; WARP_SIZE], m);
-                        }
-                        off += bd;
-                    }
-                });
-                shm
-            })
+            .map(|hs| zeroed_shared_u32(blk, hs.spec.buckets))
             .collect();
         if !hists.is_empty() {
             blk.syncthreads();
@@ -890,20 +916,13 @@ impl PairAction for MultiQueryAction {
         value: &F32x32,
         mask: Mask,
     ) {
-        // Sink order here must match `tile_sink` below: counts
-        // first, then histograms — each body identical to its standalone
-        // action's `process`.
+        // Sink order here must match `tile_sink` below: counts first,
+        // then histograms.
         for (cs, acc) in self.counts.iter().zip(st.counts.iter_mut()) {
-            let hits = w.lt_f32(value, cs.radius, mask);
-            w.charge_alu(1, mask);
-            let acc = &mut acc[w.warp_id as usize];
-            for lane in hits.lanes() {
-                acc[lane] += 1;
-            }
+            count_process(w, cs.radius, &mut acc[w.warp_id as usize], value, mask);
         }
-        for (hs, shm) in self.hists.iter().zip(st.hists.iter()) {
-            let bucket = hs.spec.bucket_lanes(w, value, mask);
-            w.shared_atomic_add_u32(*shm, &bucket, &[1; WARP_SIZE], mask);
+        for (hs, &shm) in self.hists.iter().zip(st.hists.iter()) {
+            hist_process(w, &hs.spec, shm, value, mask);
         }
     }
 
@@ -911,35 +930,11 @@ impl PairAction for MultiQueryAction {
         if !st.hists.is_empty() {
             blk.syncthreads();
         }
-        let bd = blk.block_dim;
-        for (hs, shm) in self.hists.iter().zip(st.hists.iter()) {
-            let h = hs.spec.buckets;
-            let base = blk.block_id * h;
-            let private = hs.private;
-            let shm = *shm;
-            blk.for_each_warp(|w| {
-                let tid = w.thread_ids();
-                let mut off = 0u32;
-                while off < h {
-                    let idx: U32x32 = std::array::from_fn(|i| off + tid[i]);
-                    let m = w.mask_lt(&idx, h).and(w.active_threads());
-                    if m.any() {
-                        let vals = w.shared_load_u32(shm, &idx, m);
-                        let slot: U32x32 = std::array::from_fn(|i| base + idx[i]);
-                        w.charge_alu(1, m);
-                        w.global_store_u32(private, &slot, &vals, m);
-                    }
-                    off += bd;
-                }
-            });
+        for (hs, &shm) in self.hists.iter().zip(st.hists.iter()) {
+            hist_flush(blk, hs.spec.buckets, shm, hs.private);
         }
         for (cs, acc) in self.counts.iter().zip(st.counts.iter()) {
-            let out = cs.out;
-            blk.for_each_warp(|w| {
-                let gid = w.global_thread_ids();
-                let m = w.active_threads();
-                w.global_store_u64(out, &gid, &acc[w.warp_id as usize], m);
-            });
+            count_flush(blk, cs.out, acc);
         }
     }
 
@@ -958,30 +953,32 @@ impl PairAction for MultiQueryAction {
     }
 
     fn tile_sink<'s>(&self, st: &'s mut Self::Block, warp_id: u32) -> Option<TileSink<'s>> {
-        let mut sinks = Vec::with_capacity(self.counts.len() + self.hists.len());
-        for (cs, acc) in self.counts.iter().zip(st.counts.iter_mut()) {
-            sinks.push(QuerySink::CountLt {
-                radius: cs.radius,
-                acc: &mut acc[warp_id as usize],
-            });
-        }
-        for (hs, shm) in self.hists.iter().zip(st.hists.iter()) {
-            sinks.push(QuerySink::Histogram {
-                inv_width: hs.spec.inv_width(),
-                hmax: hs.spec.buckets.saturating_sub(1),
-                shm: *shm,
-            });
-        }
-        Some(TileSink::Multi(sinks))
+        Some(TileSink {
+            counts: self
+                .counts
+                .iter()
+                .zip(st.counts.iter_mut())
+                .map(|(cs, acc)| CountSink {
+                    radius: cs.radius,
+                    acc: &mut acc[warp_id as usize],
+                })
+                .collect(),
+            hists: self
+                .hists
+                .iter()
+                .zip(st.hists.iter())
+                .map(|(hs, &shm)| hist_sink(&hs.spec, shm))
+                .collect(),
+        })
     }
 
     fn compiled_sink(&self) -> Option<CompiledSinkSpec> {
-        Some(CompiledSinkSpec::Multi {
+        Some(CompiledSinkSpec {
             counts: self.counts.iter().map(|cs| cs.radius).collect(),
             hists: self
                 .hists
                 .iter()
-                .map(|hs| (hs.spec.inv_width(), hs.spec.buckets.saturating_sub(1)))
+                .map(|hs| hist_geometry(&hs.spec))
                 .collect(),
         })
     }

@@ -569,63 +569,206 @@ fn shuffle_kde_gaussian_is_route_identical() {
     });
 }
 
+/// A boxed kernel constructor over an input and an action.
+type KernelCtor<A> = Box<dyn Fn(DeviceSoa<3>, A) -> Box<dyn gpu_sim::Kernel>>;
+
+/// The HalfPairs tiling kernels whose intra triangle runs
+/// `compiled_intra_regular`, by name, as boxed constructors over `dist`.
+fn triangle_kernels<
+    F: DistanceKernel<3> + Copy + 'static,
+    A: tbs_core::output::PairAction + 'static,
+>(
+    dist: F,
+) -> [(&'static str, KernelCtor<A>); 3] {
+    [
+        (
+            "register-shm",
+            Box::new(move |input, act| {
+                Box::new(RegisterShmKernel::new(
+                    input,
+                    dist,
+                    act,
+                    B,
+                    PairScope::HalfPairs,
+                    IntraMode::Regular,
+                ))
+            }),
+        ),
+        (
+            "register-roc",
+            Box::new(move |input, act| {
+                Box::new(RegisterRocKernel::new(
+                    input,
+                    dist,
+                    act,
+                    B,
+                    PairScope::HalfPairs,
+                    IntraMode::Regular,
+                ))
+            }),
+        ),
+        (
+            "shm-shm",
+            Box::new(move |input, act| {
+                Box::new(ShmShmKernel::new(
+                    input,
+                    dist,
+                    act,
+                    B,
+                    PairScope::HalfPairs,
+                    IntraMode::Regular,
+                ))
+            }),
+        ),
+    ]
+}
+
+/// A mixed sink list — two count sinks and two histogram sinks — on
+/// `mk`, returning every sink's output as bits.
+fn mixed_batch_run(
+    dev: &mut Device,
+    pts: &SoaPoints<3>,
+    specs: [HistogramSpec; 2],
+    mk: &dyn Fn(DeviceSoa<3>, MultiQueryAction) -> Box<dyn gpu_sim::Kernel>,
+) -> (Bits, KernelRun) {
+    let input = pts.upload(dev);
+    let lc = pair_launch(input.n, B);
+    let c0 = dev.alloc_u64_zeroed(lc.total_threads() as usize);
+    let c1 = dev.alloc_u64_zeroed(lc.total_threads() as usize);
+    let h0 = dev.alloc_u32_zeroed((lc.grid_dim * specs[0].buckets) as usize);
+    let h1 = dev.alloc_u32_zeroed((lc.grid_dim * specs[1].buckets) as usize);
+    let action = MultiQueryAction {
+        counts: vec![
+            MultiCountSink {
+                radius: 9.0,
+                out: c0,
+            },
+            MultiCountSink {
+                radius: 25.0,
+                out: c1,
+            },
+        ],
+        hists: vec![
+            MultiHistSink {
+                spec: specs[0],
+                private: h0,
+            },
+            MultiHistSink {
+                spec: specs[1],
+                private: h1,
+            },
+        ],
+    };
+    let run = dev.launch(&*mk(input, action), lc);
+    let mut bits: Bits = dev.u64_slice(c0).to_vec();
+    bits.extend(dev.u64_slice(c1));
+    bits.extend(dev.u32_slice(h0).iter().map(|&x| x as u64));
+    bits.extend(dev.u32_slice(h1).iter().map(|&x| x as u64));
+    (bits, run)
+}
+
 #[test]
 fn multi_query_mixed_batch_is_route_identical() {
     // The serve layer's coalesced sweep: two count sinks + two histogram
     // sinks fed by one pairwise stage. `MultiQueryAction` lowers the
-    // whole sink list (`CompiledSinkSpec::Multi`), so the compiled
-    // inter-tile pass drives all four sinks in one straight-line walk
-    // (one `TileSink::Multi` pass per tile).
+    // whole sink list (`CompiledSinkSpec`), so the compiled inter-tile
+    // passes and intra triangles drive all four sinks in one
+    // straight-line walk each — on every kernel whose triangle compiles
+    // (shared-tile and ROC-gathered partners), under both lowered
+    // distances, with a ragged last block (200 = 3·64 + 8 points).
     let pts = cloud(200);
-    let spec_a = HistogramSpec::new(32, 180.0);
-    let spec_b = HistogramSpec::new(48, 90.0);
-    let [compiled, _, _] = assert_identical(|dev| {
-        let input = pts.upload(dev);
-        let lc = pair_launch(input.n, B);
-        let c0 = dev.alloc_u64_zeroed(lc.total_threads() as usize);
-        let c1 = dev.alloc_u64_zeroed(lc.total_threads() as usize);
-        let h0 = dev.alloc_u32_zeroed((lc.grid_dim * spec_a.buckets) as usize);
-        let h1 = dev.alloc_u32_zeroed((lc.grid_dim * spec_b.buckets) as usize);
-        let k = RegisterShmKernel::new(
+    let specs = [HistogramSpec::new(32, 180.0), HistogramSpec::new(48, 90.0)];
+    for (name, mk) in triangle_kernels(Euclidean) {
+        let [compiled, _, _] = assert_identical(|dev| mixed_batch_run(dev, &pts, specs, &*mk));
+        let coverage = compiled.interp.compiled_coverage(&compiled.tally);
+        assert!(
+            coverage > 0.9,
+            "{name}: multi-sink batches must flow the compiled path (coverage {coverage})"
+        );
+    }
+    let pts = box_cloud(200);
+    let specs = [HistogramSpec::new(32, L / 2.0), HistogramSpec::new(48, L)];
+    for (name, mk) in triangle_kernels(PeriodicEuclidean::new(L)) {
+        let [compiled, _, _] = assert_identical(|dev| mixed_batch_run(dev, &pts, specs, &*mk));
+        let coverage = compiled.interp.compiled_coverage(&compiled.tally);
+        assert!(
+            coverage > 0.9,
+            "periodic {name}: multi-sink batches must flow the compiled path (coverage {coverage})"
+        );
+    }
+}
+
+#[test]
+fn one_sink_lists_match_single_actions_in_compiled_coverage() {
+    // A single action is the one-entry sink list: a `MultiQueryAction`
+    // with one count sink (or one histogram sink) must take exactly the
+    // compiled passes `CountWithinRadius` (or `SharedHistogramAction`)
+    // takes — intra triangles included — with the same tally and bits.
+    let pts = cloud(300);
+    let spec = HistogramSpec::new(64, 180.0);
+    let dev = || Device::new(DeviceConfig::titan_x());
+    fn kernel<A: tbs_core::output::PairAction>(
+        input: DeviceSoa<3>,
+        act: A,
+    ) -> RegisterShmKernel<3, Euclidean, A> {
+        RegisterShmKernel::new(
             input,
             Euclidean,
-            MultiQueryAction {
-                counts: vec![
-                    MultiCountSink {
-                        radius: 9.0,
-                        out: c0,
-                    },
-                    MultiCountSink {
-                        radius: 25.0,
-                        out: c1,
-                    },
-                ],
-                hists: vec![
-                    MultiHistSink {
-                        spec: spec_a,
-                        private: h0,
-                    },
-                    MultiHistSink {
-                        spec: spec_b,
-                        private: h1,
-                    },
-                ],
-            },
+            act,
             B,
             PairScope::HalfPairs,
             IntraMode::Regular,
-        );
-        let run = dev.launch(&k, lc);
-        let mut bits: Bits = dev.u64_slice(c0).to_vec();
-        bits.extend(dev.u64_slice(c1));
-        bits.extend(dev.u32_slice(h0).iter().map(|&x| x as u64));
-        bits.extend(dev.u32_slice(h1).iter().map(|&x| x as u64));
-        (bits, run)
-    });
-    assert!(
-        compiled.interp.compiled_coverage(&compiled.tally) > 0.5,
-        "multi-sink batches must flow the compiled path (coverage {})",
-        compiled.interp.compiled_coverage(&compiled.tally)
+        )
+    }
+    let (single, list) = {
+        let d = &mut dev();
+        let input = pts.upload(d);
+        let lc = pair_launch(input.n, B);
+        let out = d.alloc_u64_zeroed(lc.total_threads() as usize);
+        let single = d.launch(&kernel(input, CountWithinRadius { radius: 9.0, out }), lc);
+        let bits = d.u64_slice(out).to_vec();
+        let list_out = d.alloc_u64_zeroed(lc.total_threads() as usize);
+        let action = MultiQueryAction {
+            counts: vec![MultiCountSink {
+                radius: 9.0,
+                out: list_out,
+            }],
+            hists: vec![],
+        };
+        let list = d.launch(&kernel(input, action), lc);
+        assert_eq!(bits, d.u64_slice(list_out), "one-count list bits");
+        (single, list)
+    };
+    assert_eq!(single.tally, list.tally, "one-count list tally");
+    assert_eq!(
+        single.interp.compiled_coverage(&single.tally),
+        list.interp.compiled_coverage(&list.tally),
+        "a one-count list must compile exactly what CountWithinRadius compiles"
+    );
+    let (single, list) = {
+        let d = &mut dev();
+        let input = pts.upload(d);
+        let lc = pair_launch(input.n, B);
+        let private = d.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
+        let single = d.launch(&kernel(input, SharedHistogramAction { spec, private }), lc);
+        let bits = d.u32_slice(private).to_vec();
+        let list_private = d.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
+        let action = MultiQueryAction {
+            counts: vec![],
+            hists: vec![MultiHistSink {
+                spec,
+                private: list_private,
+            }],
+        };
+        let list = d.launch(&kernel(input, action), lc);
+        assert_eq!(bits, d.u32_slice(list_private), "one-histogram list bits");
+        (single, list)
+    };
+    assert_eq!(single.tally, list.tally, "one-histogram list tally");
+    assert_eq!(
+        single.interp.compiled_coverage(&single.tally),
+        list.interp.compiled_coverage(&list.tally),
+        "a one-histogram list must compile exactly what SharedHistogramAction compiles"
     );
 }
 
@@ -1160,7 +1303,8 @@ fn culled_multi_sink_passes_are_route_identical() {
     // adds nothing to the counts and its lanes to each histogram's
     // overflow bucket. The mixed batch's threshold is the largest
     // overflow edge (24 for 5 bins to 30), above the count thresholds;
-    // the counts-only batch culls past its largest radius.
+    // the counts-only batch never culls (a list culls iff it holds a
+    // histogram sink) and stays route-identical all the same.
     let left = box_pts(64, [0.0; 3], [10.0; 3], 14);
     let right = box_pts(150, [0.0; 3], [100.0, 10.0, 10.0], 15);
     let specs = [cull_spec(), HistogramSpec::new(5, 30.0)];
@@ -1198,10 +1342,12 @@ fn culled_multi_sink_passes_are_route_identical() {
             (bits, run)
         });
         let (culled, atomics) = culled_of(&runs);
-        assert!(culled > 0, "{n_hists} histogram sinks: nothing culled");
         if n_hists > 0 {
+            assert!(culled > 0, "{n_hists} histogram sinks: nothing culled");
             let rows = atomics / n_hists as u64;
             assert!(culled < rows, "{culled} of {rows}");
+        } else {
+            assert_eq!(culled, 0, "a list of count sinks only never culls");
         }
     }
 }

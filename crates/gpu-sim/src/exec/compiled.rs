@@ -27,6 +27,19 @@
 //! so the sqrt-free thresholds, the squared bin edges and every sink
 //! are shared. Any other distance runs op by op.
 //!
+//! ## One sink shape
+//!
+//! Every plan lowers one output shape, [`CompiledSinkSpec`]: a list of
+//! count sinks followed by histogram sinks. A single query is the
+//! one-entry list, a coalesced batch the longer one, and both passes
+//! keep one sink body whose hot loop is chosen by the list's shape: a
+//! list of count sinks only runs the lane-major sqrt-free sweep
+//! ([`count_lt_cols`], several thresholds sharing each chunk of squared
+//! sums), and a list with a histogram sink runs row-major — one
+//! squared-distance row per step feeding every sink in order, the
+//! bucket rows batched for the scatter walks, and (in the inter-tile
+//! pass) rows culled by the rule on [`cull_threshold`].
+//!
 //! ## The contract
 //!
 //! Bit-identity with the op-by-op route in everything the differential
@@ -54,39 +67,24 @@
 use crate::config::DeviceConfig;
 use crate::exec::block::BlockCtx;
 use crate::exec::mask::Mask;
-use crate::exec::tile::{QuerySink, TilePred, TileSink, TileSrc};
+use crate::exec::tile::{HistSink, TilePred, TileSink, TileSrc};
 use crate::exec::warp::{charge_lanes, WarpCtx};
-use crate::mem::{BufF32, ScatterScratch, ShmF32, ShmU32};
-use crate::{F32x32, U32x32, U64x32, WARP_SIZE};
+use crate::mem::{BufF32, ScatterScratch, ShmF32};
+use crate::{F32x32, U32x32, WARP_SIZE};
 
-/// The output-sink shape of a lowered plan, declared by the action
-/// (`PairAction::compiled_sink` in `tbs-core`). Mirrors [`TileSink`]
-/// minus the borrowed accumulator state: lowering happens once per
-/// block, before any per-warp state exists.
+/// The output-sink list of a lowered plan, declared by the action
+/// (`PairAction::compiled_sink` in `tbs-core`): count sinks followed by
+/// histogram sinks, the order every route feeds them. Mirrors
+/// [`TileSink`] minus the borrowed accumulator state: lowering happens
+/// once per block, before any per-warp state exists. A single query is
+/// the one-entry list.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CompiledSinkSpec {
-    /// Count pairs with `distance < radius` (2-PCF).
-    CountLt {
-        /// Strict comparison radius.
-        radius: f32,
-    },
-    /// Privatized shared-memory histogram (SDH).
-    Histogram {
-        /// Reciprocal bucket width (`HistogramSpec::inv_width`).
-        inv_width: f32,
-        /// Highest bucket index (`buckets − 1`).
-        hmax: u32,
-    },
-    /// Coalesced multi-query batch: every distance feeds each count
-    /// sink and each histogram sink (`MultiQueryAction`). Sinks are
-    /// declared in the action's partition order — counts first, then
-    /// histograms — which is also the order every route feeds them.
-    Multi {
-        /// Count-sink radii, in sink order.
-        counts: Vec<f32>,
-        /// Histogram-sink `(inv_width, hmax)` geometry, in sink order.
-        hists: Vec<(f32, u32)>,
-    },
+pub struct CompiledSinkSpec {
+    /// Count-sink radii (`distance < radius`), in sink order.
+    pub counts: Vec<f32>,
+    /// Histogram-sink `(inv_width, hmax)` geometry, in sink order
+    /// (`HistogramSpec::inv_width`, `buckets − 1`).
+    pub hists: Vec<(f32, u32)>,
 }
 
 /// The distance a plan lowers to, declared by the distance function
@@ -235,12 +233,6 @@ pub enum CompiledTile<'t, const D: usize> {
 pub struct CompiledKernel {
     /// The lowered distance.
     form: DistanceForm,
-    /// `s < threshold ⟺ s.sqrt() < radius` for all non-negative `s`.
-    threshold: f32,
-    /// The radius the threshold was derived from; a consumer carrying
-    /// any other radius declines the pass (wrong plan).
-    radius: f32,
-    sink: CompiledSinkSpec,
     dims: u32,
     /// The plan's full tile length (= block size).
     full_steps: u32,
@@ -249,18 +241,18 @@ pub struct CompiledKernel {
     /// active lane-steps).
     full_npm: u64,
     full_sum_apm: u64,
-    /// Warp instructions per executed inner step (distance + consumer
-    /// + one shared atomic per histogram sink when applicable).
+    /// Warp instructions per executed inner step (distance + two per
+    /// sink + one shared atomic per histogram sink).
     wi: u64,
     /// ALU instructions per executed inner step.
     per: u64,
-    /// Histogram sinks per pair (0 for CountLt, 1 for Histogram,
-    /// the hist-partition length for Multi).
+    /// Histogram sinks per pair.
     n_hist: u64,
     /// Lowered histogram geometry, in sink order.
     hists: Vec<LoweredHist>,
     /// Per count sink: `(radius, sqrt_lt_threshold(radius))`, in sink
-    /// order (Multi only; the single CountLt sink uses `threshold`).
+    /// order — `s < threshold ⟺ s.sqrt() < radius` for every
+    /// non-negative (or NaN) `s`.
     count_thresholds: Vec<(f32, f32)>,
     /// Row-cull threshold on a partner's squared gap to the warp's
     /// bounding box ([`cull_threshold`]); `None` when the plan never
@@ -275,9 +267,9 @@ pub struct CompiledKernel {
 /// `radius²` and ulp-walk to the exact boundary, so the equivalence
 /// holds at the representable values adjacent to it. Degenerate radii:
 /// `radius ≤ 0` or NaN never accepts any `s` (`T = 0`); `radius = +inf`
-/// accepts every finite `s` (`T = +inf`, and `s = +inf` fails both
-/// sides only through the `sqrt` form — see below — so +inf radii keep
-/// the sqrt in [`WarpCtx::compiled_tile_pass`]).
+/// accepts exactly the finite `s` (`T = +inf`: `s = +inf` fails both
+/// `inf < inf` and `sqrt(inf) < inf`), so every radius compares
+/// sqrt-free.
 pub fn sqrt_lt_threshold(radius: f32) -> f32 {
     // The negated form is the point: NaN radii must land in this arm.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -311,10 +303,10 @@ pub fn sqrt_lt_threshold(radius: f32) -> f32 {
 impl CompiledKernel {
     /// Lower a plan: `form` is the distance, `dist_cost` its ALU charge
     /// per warp evaluation (`DistanceKernel::cost`), `dims` its
-    /// dimension and `full_steps` the plan's tile length. Returns `None`
-    /// when the compiled route is off (or overridden by
-    /// scalar-reference mode) so call sites can hold an
-    /// `Option<CompiledKernel>` and skip every compiled attempt.
+    /// dimension, `full_steps` the plan's tile length and `sink` the
+    /// action's sink list. Returns `None` when the compiled route is off
+    /// (or overridden by scalar-reference mode) so call sites can hold
+    /// an `Option<CompiledKernel>` and skip every compiled attempt.
     pub fn lower(
         cfg: &DeviceConfig,
         form: DistanceForm,
@@ -326,44 +318,22 @@ impl CompiledKernel {
         if !cfg.compiled || cfg.scalar_reference {
             return None;
         }
-        let radius = match sink {
-            CompiledSinkSpec::CountLt { radius } => radius,
-            _ => 0.0,
-        };
-        let (consumer_alu, n_hist) = match &sink {
-            CompiledSinkSpec::CountLt { .. } => (2, 0),
-            CompiledSinkSpec::Histogram { .. } => (2, 1),
-            CompiledSinkSpec::Multi { counts, hists } => (
-                2 * (counts.len() as u64 + hists.len() as u64),
-                hists.len() as u64,
-            ),
-        };
-        let hists = match &sink {
-            CompiledSinkSpec::Histogram { inv_width, hmax } => {
-                vec![LoweredHist::lower(*inv_width, *hmax)]
-            }
-            CompiledSinkSpec::Multi { hists, .. } => hists
-                .iter()
-                .map(|&(inv_width, hmax)| LoweredHist::lower(inv_width, hmax))
-                .collect(),
-            _ => Vec::new(),
-        };
-        let count_thresholds = match &sink {
-            CompiledSinkSpec::Multi { counts, .. } => {
-                counts.iter().map(|&r| (r, sqrt_lt_threshold(r))).collect()
-            }
-            _ => Vec::new(),
-        };
-        let per = dist_cost + consumer_alu;
-        let cull_thr = match sink {
-            CompiledSinkSpec::CountLt { .. } => None,
-            _ => cull_threshold(form, &hists, &count_thresholds),
-        };
+        let n_hist = sink.hists.len() as u64;
+        // Two ALU ops per sink: compare + add, or bucket + clamp.
+        let per = dist_cost + 2 * (sink.counts.len() as u64 + n_hist);
+        let hists: Vec<LoweredHist> = sink
+            .hists
+            .iter()
+            .map(|&(inv_width, hmax)| LoweredHist::lower(inv_width, hmax))
+            .collect();
+        let count_thresholds: Vec<(f32, f32)> = sink
+            .counts
+            .iter()
+            .map(|&r| (r, sqrt_lt_threshold(r)))
+            .collect();
+        let cull_thr = cull_threshold(form, &hists, &count_thresholds);
         Some(CompiledKernel {
             form,
-            threshold: sqrt_lt_threshold(radius),
-            radius,
-            sink,
             dims,
             full_steps,
             full_npm: full_steps as u64,
@@ -377,9 +347,22 @@ impl CompiledKernel {
         })
     }
 
-    /// The sqrt-free comparison threshold (exposed for tests).
-    pub fn threshold(&self) -> f32 {
-        self.threshold
+    /// Whether `sink` is the list this plan lowered: the same count
+    /// radii and histogram geometry, bit for bit, in the same order.
+    /// Anything else is the wrong plan, and the passes decline.
+    fn lowered_for(&self, sink: &TileSink<'_>) -> bool {
+        sink.counts.len() == self.count_thresholds.len()
+            && sink.hists.len() == self.hists.len()
+            && sink
+                .counts
+                .iter()
+                .zip(&self.count_thresholds)
+                .all(|(c, &(r, _))| c.radius.to_bits() == r.to_bits())
+            && sink
+                .hists
+                .iter()
+                .zip(&self.hists)
+                .all(|(h, l)| h.inv_width.to_bits() == l.inv_width.to_bits() && h.hmax == l.hmax)
     }
 
     /// The row-cull threshold on a partner's squared gap to the warp's
@@ -456,36 +439,44 @@ fn sumsq<W: Diff, const D: usize>(w: W, own: &[f32; D], p: &[f32; D]) -> f32 {
 
 /// Per-block reusable buffers for the compiled output-stage passes,
 /// owned by [`BlockCtx`] so the hot tile loop never reallocates: the
-/// deferred bucket batches and the scatter walk's per-bank counters.
-/// Contents are dead between passes (the bucket batches are cleared,
-/// the scatter counters are reset via its touched list), so reuse
-/// cannot leak state across passes — only the capacity persists.
+/// deferred bucket batches, the culled-row list, the count sweep's
+/// columns and lane counts, and the scatter walk's per-bank counters. Contents are dead
+/// between passes (the batches are cleared, the scatter counters are
+/// reset via its touched list), so reuse cannot leak state across
+/// passes — only the capacity persists.
 #[derive(Debug, Default)]
 pub struct CompiledScratch {
-    /// Bucket indices of the pass's full-warp histogram steps,
-    /// step-major, batched for one
+    /// Per histogram sink, the bucket indices of the pass's full-warp
+    /// steps, step-major, batched for one
     /// [`crate::mem::SharedSpace::scatter_account_update_rows`] walk.
-    b: Vec<u32>,
-    /// Per-sink bucket batches for the Multi consumer (same layout as
-    /// `b`, indexed in histogram-sink declaration order).
     bs: Vec<Vec<u32>>,
-    /// Per-sink partial-warp batches for the Multi consumer (same
-    /// layout as `p`/`pn`: active-lane buckets concatenated, with the
-    /// parallel vector holding each deferred step's lane count).
+    /// Per histogram sink, the active-lane buckets of the pass's
+    /// partial-warp (or degenerate-geometry) steps, concatenated.
     pbs: Vec<Vec<u32>>,
-    /// Per-sink per-step lane counts (indexes `pbs`).
+    /// Per histogram sink, each deferred partial step's lane count
+    /// (indexes `pbs`).
     pbn: Vec<Vec<u32>>,
-    /// Active-lane buckets of the pass's partial-warp (or
-    /// degenerate-geometry) histogram steps, concatenated; `pn` holds
-    /// each deferred step's lane count.
-    p: Vec<u32>,
-    /// Per partial step, its active-lane count (indexes `p`).
-    pn: Vec<u32>,
-    /// Steps of a histogram or multi-sink pass that survive row
-    /// culling ([`cull_survivors`]), ascending.
+    /// Steps that survive row culling ([`cull_survivors`]), ascending.
     keep: Vec<u32>,
+    /// Per dimension, a lane-broadcast fragment laid out as the column
+    /// a count sweep reads.
+    cols: Vec<Vec<f32>>,
+    /// One lane's count per count sink, while the sweep runs.
+    lane_counts: Vec<u64>,
     /// Persistent per-bank chain state for the merged scatter walk.
     scatter: ScatterScratch,
+}
+
+impl CompiledScratch {
+    /// Size and clear the bucket batches for `n` histogram sinks.
+    fn clear_batches(&mut self, n: usize) {
+        for v in [&mut self.bs, &mut self.pbs, &mut self.pbn] {
+            if v.len() < n {
+                v.resize_with(n, Vec::new);
+            }
+            v[..n].iter_mut().for_each(Vec::clear);
+        }
+    }
 }
 
 /// One lane's exact bucket index from an already-sqrt'd distance,
@@ -525,7 +516,7 @@ fn floor_bucket_exact(d: f32, inv_width: f32, hmax_f: f32) -> u32 {
 /// u32).min(hmax)`, via [`floor_bucket_exact`] (same bits, vector
 /// codegen).
 #[inline]
-fn bucket_row_exact(row: &[f32], inv_width: f32, hmax: u32, out: &mut [u32; WARP_SIZE]) {
+fn bucket_row_exact(row: &[f32], inv_width: f32, hmax: u32, out: &mut [u32]) {
     let hf = hmax as f32;
     for (b, &s) in out.iter_mut().zip(row.iter()) {
         *b = floor_bucket_exact(s.sqrt(), inv_width, hf);
@@ -535,7 +526,7 @@ fn bucket_row_exact(row: &[f32], inv_width: f32, hmax: u32, out: &mut [u32; WARP
 /// One lane's sqrt-free count over the column range `[j0, j1)`: how many
 /// tile elements sit strictly inside the lowered squared threshold.
 ///
-/// This is the innermost loop of every compiled CountLt pass, written so
+/// This is the innermost loop of every compiled count sweep, written so
 /// LLVM can autovectorize it: the columns are re-sliced to exactly the
 /// scanned range (hoisting every bounds check out of the loop), the
 /// per-element arithmetic is the scalar [`sumsq`] chain (so each
@@ -569,25 +560,91 @@ fn count_lt_cols<W: Diff, const D: usize>(
     cnt as u64
 }
 
+/// One lane's counts for every count sink over the column range
+/// `[j0, j1)`: `out[c] += #{j : s_j < thresholds[c].1}`. A single sink
+/// takes the fused [`count_lt_cols`] sweep; several sinks share each
+/// chunk of squared sums (the same scalar chain per element), then
+/// count it once per threshold.
+#[inline(always)]
+fn count_lane<W: Diff, const D: usize>(
+    w: W,
+    own: &[f32; D],
+    cols: &[&[f32]; D],
+    j0: usize,
+    j1: usize,
+    thresholds: &[(f32, f32)],
+    out: &mut [u64],
+) {
+    if let [(_, thr)] = thresholds {
+        out[0] += count_lt_cols(w, own, cols, j0, j1, *thr);
+        return;
+    }
+    if thresholds.is_empty() {
+        return;
+    }
+    const CHUNK: usize = 64;
+    let mut j = j0;
+    while j < j1 {
+        let n = CHUNK.min(j1 - j);
+        let mut s = [0.0f32; CHUNK];
+        for d in 0..D {
+            for (sj, &p) in s[..n].iter_mut().zip(&cols[d][j..j + n]) {
+                let diff = w.diff(own[d], p);
+                *sj = diff.mul_add(diff, *sj);
+            }
+        }
+        for (o, &(_, thr)) in out.iter_mut().zip(thresholds) {
+            *o += s[..n].iter().map(|&x| (x < thr) as u32).sum::<u32>() as u64;
+        }
+        j += n;
+    }
+}
+
+/// One full-warp squared-distance row: lane `l`'s [`sumsq`] chain
+/// against partner `p`.
+#[inline(always)]
+fn sq_row<W: Diff, const D: usize>(w: W, own: &[F32x32; D], p: &[f32; D]) -> [f32; WARP_SIZE] {
+    let mut row = [0.0f32; WARP_SIZE];
+    for d in 0..D {
+        for (sl, &ol) in row.iter_mut().zip(own[d].iter()) {
+            let diff = w.diff(ol, p[d]);
+            *sl = diff.mul_add(diff, *sl);
+        }
+    }
+    row
+}
+
 /// Relative margin between a plan's overflow edge `T` and its row-cull
 /// threshold `(1 + CULL_MARGIN)·T`.
 const CULL_MARGIN: f32 = 1e-3;
 
-/// The row-cull threshold of a histogram or multi-sink plan: a tile row
-/// whose partner's squared gap `g²` to the warp's bounding box reaches
-/// it lands every active lane in the overflow bucket `hmax` of every
-/// histogram sink and below no count sink's radius. `T` is the largest
-/// overflow edge `edges[hmax]` and sqrt-free count threshold; the
-/// threshold is `(1 + CULL_MARGIN)·T`. `None` — never cull — for the
-/// minimum-image form (its wrapped differences have no box bound), a
-/// histogram sink without an exact edge table, or a `T` that is zero,
-/// subnormal or non-finite (a `+inf` count radius included).
+/// The row-cull threshold of a sink list, decided by one rule: **a
+/// list culls rows iff it holds a histogram sink.** A histogram row
+/// costs a bucket and a scatter per lane on top of the distance, so
+/// skipping it pays for its bound; a list of count sinks only runs the
+/// lane-major sweep, where a row costs one compare per lane, and the
+/// bound plus the survivor list cost more than the rows they skip
+/// unless most rows cull (on uniform data, where nothing culls, a
+/// culling count pass took about 1.7× as long at N = 16384, B = 1024).
+///
+/// A tile row whose partner's squared gap `g²` to the warp's bounding
+/// box reaches the threshold lands every active lane in the overflow
+/// bucket `hmax` of every histogram sink and below no count sink's
+/// radius. `T` is the largest overflow edge `edges[hmax]` and sqrt-free
+/// count threshold; the threshold is `(1 + CULL_MARGIN)·T`. `None` —
+/// never cull — for a list without a histogram sink, the minimum-image
+/// form (its wrapped differences have no box bound), a histogram sink
+/// without an exact edge table, or a `T` that is zero, subnormal or
+/// non-finite (a `+inf` count radius included).
 fn cull_threshold(
     form: DistanceForm,
     hists: &[LoweredHist],
     count_thresholds: &[(f32, f32)],
 ) -> Option<f32> {
-    if form != DistanceForm::Euclidean || hists.iter().any(|h| h.edges.is_empty()) {
+    if hists.is_empty()
+        || form != DistanceForm::Euclidean
+        || hists.iter().any(|h| h.edges.is_empty())
+    {
         return None;
     }
     let t = hists
@@ -597,28 +654,6 @@ fn cull_threshold(
         .fold(0.0f32, f32::max);
     let thr = t * (1.0 + CULL_MARGIN);
     (t.is_normal() && thr.is_finite()).then_some(thr)
-}
-
-/// One full-warp histogram row: lane `l`'s exact bucket of its squared
-/// distance to partner `p` (the `sumsq` chain, sqrt, then
-/// [`floor_bucket_exact`]).
-#[inline(always)]
-fn bucket_row_full<W: Diff, const D: usize>(
-    w: W,
-    own: &[F32x32; D],
-    p: &[f32; D],
-    inv_width: f32,
-    hf: f32,
-    out: &mut [u32],
-) {
-    for (l, o) in out.iter_mut().enumerate() {
-        let mut s = 0.0f32;
-        for d in 0..D {
-            let diff = w.diff(own[d][l], p[d]);
-            s = diff.mul_add(diff, s);
-        }
-        *o = floor_bucket_exact(s.sqrt(), inv_width, hf);
-    }
 }
 
 /// Row culling for an unpredicated Euclidean tile pass: fills `keep`
@@ -687,28 +722,42 @@ fn cull_survivors<const D: usize>(
 }
 
 impl<'b, 'a> WarpCtx<'b, 'a> {
+    /// Histogram-sink pre-flight: a private histogram shorter than its
+    /// bucket range would fault mid-scatter, so the pass declines
+    /// side-effect-free and the op-by-op route assigns exact blame.
+    fn hist_sinks_in_bounds(&self, hists: &[HistSink]) -> bool {
+        hists.iter().all(|h| {
+            self.blk
+                .shared
+                .check_bounds(h.shm.0, h.hmax, "shared u32 atomicAdd")
+                .is_ok()
+        })
+    }
+
     /// Compiled inner tile pass: `len` steps of *broadcast an element
     /// from `src`, evaluate the lowered distance against each lane's
-    /// `own` point under `pred`, fold the value into `consumer`* in one
+    /// `own` point under `pred`, fold the value into every sink of
+    /// `sink`* in one
     /// call. Outputs, tally, ROC/L2 cache state and fault behavior are
     /// bit-identical to the op-by-op loop the tiling kernels otherwise
     /// interpret (`broadcast → dist.eval → action.process` per step);
-    /// the compute loop is lane-major, branch-free, and — for the count
-    /// sink — sqrt-free via the lowered threshold.
+    /// every count sink compares sqrt-free against its lowered
+    /// threshold, lane-major when the list holds count sinks only.
     ///
     /// Returns `false` with no side effects — and the caller runs the
     /// op-by-op loop, which reproduces the exact fault point — whenever
     /// a precondition fails: compiled route off or scalar-reference
     /// mode, a dead block, a zero-length tile, an empty or non-prefix
     /// `valid` mask, a source or sink that could fault mid-pass, a ROC
-    /// source whose read would abandon speculation, or a consumer that
-    /// does not match the lowered sink (wrong plan). Histogram
+    /// source whose read would abandon speculation, or a sink list that
+    /// does not match the lowered one (wrong plan). Histogram
     /// scatters share one accounting-plus-update walk
     /// ([`crate::mem::SharedSpace::scatter_account_update`]) over the
-    /// block's persistent scratch. Unpredicated Euclidean histogram and
-    /// multi-sink passes skip the rows that provably land every lane in
-    /// the overflow bucket (see `cull_survivors`) and charge them in
-    /// closed form ([`crate::mem::SharedSpace::scatter_broadcast_rows`]).
+    /// block's persistent scratch. Unpredicated Euclidean passes of a
+    /// list with a histogram sink skip the rows that provably land every
+    /// lane in the overflow bucket (see `cull_survivors`) and charge
+    /// them in closed form
+    /// ([`crate::mem::SharedSpace::scatter_broadcast_rows`]).
     #[allow(clippy::too_many_arguments)]
     pub fn compiled_tile_pass<const D: usize>(
         &mut self,
@@ -717,15 +766,15 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         len: u32,
         pred: TilePred,
         own: &[F32x32; D],
-        consumer: TileSink<'_>,
+        sink: TileSink<'_>,
         valid: Mask,
     ) -> bool {
         match ck.form {
             DistanceForm::Euclidean => {
-                self.tile_pass_impl(Plain, ck, src, len, pred, own, consumer, valid)
+                self.tile_pass_impl(Plain, ck, src, len, pred, own, sink, valid)
             }
             DistanceForm::MinimumImage { box_edge } => {
-                self.tile_pass_impl(Wrapped(box_edge), ck, src, len, pred, own, consumer, valid)
+                self.tile_pass_impl(Wrapped(box_edge), ck, src, len, pred, own, sink, valid)
             }
         }
     }
@@ -739,7 +788,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         len: u32,
         pred: TilePred,
         own: &[F32x32; D],
-        consumer: TileSink<'_>,
+        sink: TileSink<'_>,
         valid: Mask,
     ) -> bool {
         if !self.blk.cfg.compiled
@@ -752,43 +801,10 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         {
             return false;
         }
-        // Consumer ↔ lowered-sink agreement: every parameter the
-        // lowered plan baked in (radii, bucket geometry, sink order)
-        // must match the consumer bit for bit, else this is the wrong
-        // plan and the pass declines.
-        match (&consumer, &ck.sink) {
-            (TileSink::CountLt { radius, .. }, CompiledSinkSpec::CountLt { radius: r })
-                if radius.to_bits() == r.to_bits() => {}
-            (
-                TileSink::Histogram {
-                    inv_width, hmax, ..
-                },
-                CompiledSinkSpec::Histogram {
-                    inv_width: iw,
-                    hmax: h,
-                },
-            ) if inv_width.to_bits() == iw.to_bits() && hmax == h => {}
-            (TileSink::Multi(sinks), CompiledSinkSpec::Multi { counts, hists }) => {
-                // The consumer arrives in partition order (counts then
-                // hists, each in declaration order) — the same order
-                // `MultiQueryAction::compiled_sink` lowered.
-                let mut cs = counts.iter();
-                let mut hs = hists.iter();
-                let agree = sinks.iter().all(|s| match s {
-                    QuerySink::CountLt { radius, .. } => {
-                        cs.next().is_some_and(|r| r.to_bits() == radius.to_bits())
-                    }
-                    QuerySink::Histogram {
-                        inv_width, hmax, ..
-                    } => hs
-                        .next()
-                        .is_some_and(|&(iw, h)| iw.to_bits() == inv_width.to_bits() && h == *hmax),
-                });
-                if !agree || cs.next().is_some() || hs.next().is_some() {
-                    return false;
-                }
-            }
-            _ => return false,
+        // Every parameter the lowered plan baked in (radii, bucket
+        // geometry, sink order) must match the sink list bit for bit.
+        if !ck.lowered_for(&sink) {
+            return false;
         }
         // Pre-flight every fault/abandon the pass could hit.
         match &src {
@@ -821,32 +837,8 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 }
             }
         }
-        // Histogram bucket memory pre-flights: a short array would fault
-        // mid-scatter, so decline side-effect-free and let op-by-op
-        // assign exact blame.
-        if let TileSink::Histogram { hmax, shm, .. } = &consumer {
-            if self
-                .blk
-                .shared
-                .check_bounds(shm.0, *hmax, "shared u32 atomicAdd")
-                .is_err()
-            {
-                return false;
-            }
-        }
-        if let TileSink::Multi(sinks) = &consumer {
-            for sink in sinks.iter() {
-                if let QuerySink::Histogram { hmax, shm, .. } = sink {
-                    if self
-                        .blk
-                        .shared
-                        .check_bounds(shm.0, *hmax, "shared u32 atomicAdd")
-                        .is_err()
-                    {
-                        return false;
-                    }
-                }
-            }
+        if !self.hist_sinks_in_bounds(&sink.hists) {
+            return false;
         }
 
         let a = valid.count() as u64;
@@ -934,7 +926,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             t.alu_instructions += steps;
         }
 
-        // ---- distance + consumer charges from the lowered formulas ----
+        // ---- distance + sink charges from the lowered formulas ----
         let (npm, sum_apm) = ck.pass_counts(len, pred, valid);
         {
             let t = &mut self.blk.tally;
@@ -944,10 +936,10 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             t.alu_instructions += npm * ck.per;
         }
 
-        // ---- the compiled compute loop (lane-major) ----
+        // ---- the compiled compute loop, shaped by the sink list ----
         // The block's persistent scratch is taken out of `self.blk`
         // before the view borrows it (the view holds the whole block
-        // immutably); restored after the compute match.
+        // immutably); restored after the scatter walks.
         let mut scr = std::mem::take(&mut self.blk.compiled_scratch);
         // Histogram scatter accounting, accumulated in closed form
         // (Σ multiplicity, Σ bank+contention replays).
@@ -980,240 +972,162 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         } else {
             0
         };
-        match consumer {
-            TileSink::CountLt { acc, .. } => {
-                let thr = ck.threshold;
-                // `radius = +inf` accepts +inf distances that the
-                // sqrt-free compare would reject (`inf < inf`); keep
-                // the sqrt form for that (cold) case.
-                let sqrt_free = ck.radius != f32::INFINITY;
-                // A lane-broadcast tile wider than the warp would wrap
-                // its indices (`j % 32`); the contiguous fast path
-                // cannot express that, so such (never-emitted) shapes
-                // take the generic loop below.
-                let lanes_fit = match &view {
-                    SrcView::Lanes(_) => len as usize <= WARP_SIZE,
-                    SrcView::Cols { .. } => true,
+        let TileSink { mut counts, hists } = sink;
+        let thrs = &ck.count_thresholds;
+        if hists.is_empty() {
+            // Count sinks only — the hot path: each lane counts its
+            // partner range through the autovectorized sqrt-free sweep
+            // (`count_lane`) over contiguous columns. Identical bits: the
+            // per-element arithmetic is the same scalar chain, and
+            // integer counts commute. A lane fragment is laid out as a
+            // column first (`j % 32`, so tiles wider than the warp wrap
+            // exactly as the broadcast does). Such a list never culls
+            // (see `cull_threshold`).
+            let (cols, start): ([&[f32]; D], usize) = match &view {
+                SrcView::Cols { cols, start } => (*cols, *start),
+                SrcView::Lanes(l) => {
+                    if scr.cols.len() < D {
+                        scr.cols.resize_with(D, Vec::new);
+                    }
+                    for (d, c) in scr.cols[..D].iter_mut().enumerate() {
+                        c.clear();
+                        c.extend((0..len as usize).map(|j| l[d][j % WARP_SIZE]));
+                    }
+                    (std::array::from_fn(|d| &scr.cols[d][..]), 0)
+                }
+            };
+            let hi = start + len as usize;
+            scr.lane_counts.resize(thrs.len(), 0);
+            let tmp = &mut scr.lane_counts[..];
+            // Lane `l` reads its own registers across `D` arrays and
+            // adds into every sink's accumulator: an index, not one
+            // iterator.
+            #[allow(clippy::needless_range_loop)]
+            for l in 0..nl {
+                let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
+                // Lane l is active from step gid0+l+1−base under LessThan.
+                let j0 = match pred {
+                    TilePred::LessThan { gid0, base } => {
+                        start
+                            + (gid0 as i64 + l as i64 + 1 - base as i64).clamp(0, len as i64)
+                                as usize
+                    }
+                    _ => start,
                 };
-                if sqrt_free && lanes_fit {
-                    // Hot path: bind contiguous columns once and count
-                    // each lane's range through the autovectorized
-                    // sweep (`count_lt_cols`). Identical bits: the
-                    // per-element arithmetic is the same scalar chain,
-                    // and integer counts commute.
-                    let lane_cols: [[f32; WARP_SIZE]; D] = match &view {
-                        SrcView::Lanes(l) => std::array::from_fn(|d| l[d]),
-                        SrcView::Cols { .. } => [[0.0; WARP_SIZE]; D],
-                    };
-                    let (cols, start): ([&[f32]; D], usize) = match &view {
-                        SrcView::Cols { cols, start } => (*cols, *start),
-                        SrcView::Lanes(_) => (std::array::from_fn(|d| &lane_cols[d][..]), 0),
-                    };
-                    let hi = start + len as usize;
-                    match pred {
-                        TilePred::All => {
-                            for l in 0..nl {
-                                let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                acc[l] += count_lt_cols(w, &o, &cols, start, hi, thr);
-                            }
-                        }
-                        TilePred::NotEqual { gid0, base } => {
-                            // Count everything, then take back each
-                            // lane's self-pair term (integer adds
-                            // commute; a step whose mask empties
-                            // entirely can only be the single-lane
-                            // self step, which the subtraction removes
-                            // identically).
-                            for l in 0..nl {
-                                let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                let mut cnt = count_lt_cols(w, &o, &cols, start, hi, thr);
-                                let j_self = (gid0 as i64 + l as i64) - base as i64;
-                                if (0..len as i64).contains(&j_self) {
-                                    let s = sumsq(w, &o, &view.point(j_self as usize));
-                                    cnt -= (s < thr) as u64;
-                                }
-                                acc[l] += cnt;
-                            }
-                        }
-                        TilePred::LessThan { gid0, base } => {
-                            // Lane l is active from step j0 = gid0+l+1−base.
-                            for l in 0..nl {
-                                let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                let j0 = (gid0 as i64 + l as i64 + 1 - base as i64)
-                                    .clamp(0, len as i64)
-                                    as usize;
-                                acc[l] += count_lt_cols(w, &o, &cols, start + j0, hi, thr);
-                            }
+                tmp.fill(0);
+                count_lane(w, &o, &cols, j0, hi, thrs, tmp);
+                if let TilePred::NotEqual { gid0, base } = pred {
+                    // Count everything, then take back the lane's
+                    // self-pair term (integer adds commute; a step whose
+                    // mask empties entirely can only be the single-lane
+                    // self step, which the subtraction removes
+                    // identically).
+                    let j_self = (gid0 as i64 + l as i64) - base as i64;
+                    if (0..len as i64).contains(&j_self) {
+                        let p: [f32; D] = std::array::from_fn(|d| cols[d][start + j_self as usize]);
+                        let s = sumsq(w, &o, &p);
+                        for (t, &(_, thr)) in tmp.iter_mut().zip(thrs) {
+                            *t -= (s < thr) as u64;
                         }
                     }
+                }
+                for (c, &t) in counts.iter_mut().zip(tmp.iter()) {
+                    c.acc[l] += t;
+                }
+            }
+        } else {
+            // A histogram sink: row-major. Phase A computes each
+            // (surviving) step's squared-distance row once, straight off
+            // the tile view, and feeds every sink in list order: count
+            // sinks compare sqrt-free into per-lane counters, histogram
+            // sinks bucket full-warp rows into their batch (the
+            // vectorized cast of `bucket_row_exact` — identical bits)
+            // and partial-warp (or degenerate-geometry) steps into their
+            // per-step list. Deferral is sound: the sink pre-flights
+            // above ruled out faults, and the accounting sums and
+            // wrapping data adds commute across steps.
+            scr.clear_batches(hists.len());
+            let mut cnts: Vec<U32x32> = vec![[0u32; WARP_SIZE]; counts.len()];
+            let exact = ck.hists.iter().all(|h| !h.edges.is_empty());
+            if matches!(pred, TilePred::All) && valid.0 == u32::MAX && exact {
+                // Unpredicated full-valid pass — the hot shape: every
+                // step is a full-warp row, so each batch is written in
+                // place.
+                let n = if culled { scr.keep.len() } else { len as usize };
+                for b in &mut scr.bs[..hists.len()] {
+                    b.resize(n * WARP_SIZE, 0);
+                }
+                for i in 0..n {
+                    let j = if culled { scr.keep[i] as usize } else { i };
+                    let row = sq_row(w, own, &view.point(j));
+                    for (cnt, &(_, thr)) in cnts.iter_mut().zip(thrs) {
+                        for (c, &s) in cnt.iter_mut().zip(row.iter()) {
+                            *c += (s < thr) as u32;
+                        }
+                    }
+                    for (b, lh) in scr.bs.iter_mut().zip(&ck.hists) {
+                        let out = &mut b[i * WARP_SIZE..(i + 1) * WARP_SIZE];
+                        bucket_row_exact(&row, lh.inv_width, lh.hmax, out);
+                    }
+                }
+            } else {
+                let step = |j: u32,
+                            cnts: &mut [U32x32],
+                            bs: &mut [Vec<u32>],
+                            pbs: &mut [Vec<u32>],
+                            pbn: &mut [Vec<u32>]| {
+                    let pm = Self::pred_mask(pred, j, valid);
+                    if !pm.any() {
+                        return;
+                    }
+                    let row = sq_row(w, own, &view.point(j as usize));
+                    for (cnt, &(_, thr)) in cnts.iter_mut().zip(thrs) {
+                        for l in pm.lanes() {
+                            cnt[l] += (row[l] < thr) as u32;
+                        }
+                    }
+                    for (k, lh) in ck.hists.iter().enumerate() {
+                        let (iw, h) = (lh.inv_width, lh.hmax);
+                        if pm.0 == u32::MAX && !lh.edges.is_empty() {
+                            let mut tmp = [0u32; WARP_SIZE];
+                            bucket_row_exact(&row, iw, h, &mut tmp);
+                            bs[k].extend_from_slice(&tmp);
+                        } else {
+                            // The scalar cast chain over the active lanes.
+                            let n0 = pbs[k].len();
+                            pbs[k].extend(pm.lanes().map(|l| ((row[l].sqrt() * iw) as u32).min(h)));
+                            pbn[k].push((pbs[k].len() - n0) as u32);
+                        }
+                    }
+                };
+                if culled {
+                    for &j in &scr.keep {
+                        step(j, &mut cnts, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
+                    }
                 } else {
-                    match pred {
-                        TilePred::All => {
-                            for l in 0..nl {
-                                let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                let mut cnt = 0u64;
-                                for j in 0..len as usize {
-                                    let s = sumsq(w, &o, &view.point(j));
-                                    cnt += if sqrt_free {
-                                        (s < thr) as u64
-                                    } else {
-                                        (s.sqrt() < ck.radius) as u64
-                                    };
-                                }
-                                acc[l] += cnt;
-                            }
-                        }
-                        TilePred::NotEqual { gid0, base } => {
-                            // Count everything, then take back each lane's
-                            // self-pair term (integer adds commute; a step
-                            // whose mask empties entirely can only be the
-                            // single-lane self step, which the subtraction
-                            // removes identically).
-                            for l in 0..nl {
-                                let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                let mut cnt = 0u64;
-                                for j in 0..len as usize {
-                                    let s = sumsq(w, &o, &view.point(j));
-                                    cnt += if sqrt_free {
-                                        (s < thr) as u64
-                                    } else {
-                                        (s.sqrt() < ck.radius) as u64
-                                    };
-                                }
-                                let j_self = (gid0 as i64 + l as i64) - base as i64;
-                                if (0..len as i64).contains(&j_self) {
-                                    let s = sumsq(w, &o, &view.point(j_self as usize));
-                                    cnt -= if sqrt_free {
-                                        (s < thr) as u64
-                                    } else {
-                                        (s.sqrt() < ck.radius) as u64
-                                    };
-                                }
-                                acc[l] += cnt;
-                            }
-                        }
-                        TilePred::LessThan { gid0, base } => {
-                            // Lane l is active from step j0 = gid0+l+1−base.
-                            for l in 0..nl {
-                                let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                                let j0 = (gid0 as i64 + l as i64 + 1 - base as i64)
-                                    .clamp(0, len as i64)
-                                    as usize;
-                                let mut cnt = 0u64;
-                                for j in j0..len as usize {
-                                    let s = sumsq(w, &o, &view.point(j));
-                                    cnt += if sqrt_free {
-                                        (s < thr) as u64
-                                    } else {
-                                        (s.sqrt() < ck.radius) as u64
-                                    };
-                                }
-                                acc[l] += cnt;
-                            }
-                        }
+                    for j in 0..len {
+                        step(j, &mut cnts, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
                     }
                 }
             }
-            TileSink::Histogram { shm, .. } => {
-                // Phase A: bucket every step's distance row straight off
-                // the tile view — stack row, no squared-distance spill —
-                // splitting full-warp steps (deferred to one batched
-                // walk, whose broadcast shortcut covers clustered steps
-                // closed-form) from partial-warp ones (deferred to the
-                // per-step masked walk). Deferral is sound: the sink
-                // pre-flights above ruled out faults, and the accounting
-                // sums and wrapping data adds commute across steps. Per
-                // pair the operation sequence is exactly the op-by-op
-                // chain: `sumsq` in ascending dimensions, sqrt,
-                // FMUL, saturating cast (exact-geometry rows through the
-                // vectorized cast of `bucket_row_exact` — identical
-                // bits).
-                let lh = &ck.hists[0];
-                let (inv_width, hmax) = (lh.inv_width, lh.hmax);
-                let exact = !lh.edges.is_empty();
-                scr.b.clear();
-                scr.p.clear();
-                scr.pn.clear();
-                if matches!(pred, TilePred::All) && valid.0 == u32::MAX && exact {
-                    // Unpredicated full-valid pass — the hot shape:
-                    // every step is a full-warp row, so one combined
-                    // distance+bucket loop writes the batch buffer in
-                    // place (no distance spill, no per-row copy).
-                    let hf = hmax as f32;
-                    if culled {
-                        scr.b.resize(scr.keep.len() * WARP_SIZE, 0);
-                        for (out, &j) in scr.b.chunks_exact_mut(WARP_SIZE).zip(&scr.keep) {
-                            bucket_row_full(w, own, &view.point(j as usize), inv_width, hf, out);
-                        }
-                    } else {
-                        scr.b.resize(len as usize * WARP_SIZE, 0);
-                        for (j, out) in scr.b.chunks_exact_mut(WARP_SIZE).enumerate() {
-                            bucket_row_full(w, own, &view.point(j), inv_width, hf, out);
-                        }
-                    }
-                } else {
-                    let step =
-                        |j: u32, b: &mut Vec<u32>, p_out: &mut Vec<u32>, pn: &mut Vec<u32>| {
-                            let pm = Self::pred_mask(pred, j, valid);
-                            if !pm.any() {
-                                return;
-                            }
-                            let p = view.point(j as usize);
-                            let mut srow = [0.0f32; WARP_SIZE];
-                            for d in 0..D {
-                                let pd = p[d];
-                                for (sl, &ol) in srow.iter_mut().zip(own[d].iter()) {
-                                    let diff = w.diff(ol, pd);
-                                    *sl = diff.mul_add(diff, *sl);
-                                }
-                            }
-                            if pm.0 == u32::MAX && exact {
-                                let mut tmp = [0u32; WARP_SIZE];
-                                bucket_row_exact(&srow, inv_width, hmax, &mut tmp);
-                                b.extend_from_slice(&tmp);
-                                return;
-                            }
-                            // Partial-warp (or degenerate-geometry) step:
-                            // the scalar cast chain over the active lanes.
-                            let n0 = p_out.len();
-                            if pm.0 == u32::MAX {
-                                p_out.extend(
-                                    srow.iter()
-                                        .map(|&s| ((s.sqrt() * inv_width) as u32).min(hmax)),
-                                );
-                            } else {
-                                p_out.extend(
-                                    pm.lanes()
-                                        .map(|l| ((srow[l].sqrt() * inv_width) as u32).min(hmax)),
-                                );
-                            }
-                            pn.push((p_out.len() - n0) as u32);
-                        };
-                    if culled {
-                        for &j in &scr.keep {
-                            step(j, &mut scr.b, &mut scr.p, &mut scr.pn);
-                        }
-                    } else {
-                        for j in 0..len {
-                            step(j, &mut scr.b, &mut scr.p, &mut scr.pn);
-                        }
-                    }
-                }
-                // Phase B: the batched walk over the full-warp rows,
-                // then the ragged/masked steps one at a time.
-                let (s_b, t_b, r_b) =
-                    self.blk
-                        .shared
-                        .scatter_account_update_rows(shm, &scr.b, &mut scr.scatter);
+            // Phase B, per histogram sink: the batched walk over the
+            // full-warp rows, the ragged/masked steps one at a time,
+            // then the culled rows in closed form.
+            for (k, h) in hists.iter().enumerate() {
+                let (s_b, t_b, r_b) = self.blk.shared.scatter_account_update_rows(
+                    h.shm,
+                    &scr.bs[k],
+                    &mut scr.scatter,
+                );
                 atom_serial += s_b;
                 atom_txns += t_b;
                 atom_replays += r_b;
                 let mut off = 0usize;
-                for &na in &scr.pn {
+                for &na in &scr.pbn[k] {
                     let na = na as usize;
                     let (mult, txns) = self.blk.shared.scatter_account_update(
-                        shm,
-                        &scr.p[off..off + na],
+                        h.shm,
+                        &scr.pbs[k][off..off + na],
                         &mut scr.scatter,
                     );
                     off += na;
@@ -1222,186 +1136,20 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     atom_replays += txns.saturating_sub(1);
                 }
                 if culled_rows != 0 {
-                    let (s_c, t_c, r_c) =
-                        self.blk
-                            .shared
-                            .scatter_broadcast_rows(shm, hmax, culled_rows, nl as u64);
+                    let (s_c, t_c, r_c) = self.blk.shared.scatter_broadcast_rows(
+                        h.shm,
+                        h.hmax,
+                        culled_rows,
+                        nl as u64,
+                    );
                     atom_serial += s_c;
                     atom_txns += t_c;
                     atom_replays += r_c;
                 }
             }
-            TileSink::Multi(mut sinks) => {
-                // One distance evaluation per step feeds every sink in
-                // order, exactly like `MultiQueryAction::process` — the
-                // squared distances stay in a stack row (no spill; the
-                // per-sink compare loops then run over fixed-size
-                // arrays, the shape LLVM vectorizes), count sinks
-                // compare sqrt-free against the lowered thresholds, and
-                // each histogram sink's scatter shares the merged
-                // accounting+update walk.
-                let mut count_sinks: Vec<(f32, &mut U64x32)> = Vec::new();
-                let mut hist_sinks: Vec<(usize, ShmU32)> = Vec::new();
-                let mut hk = 0usize;
-                for sink in sinks.iter_mut() {
-                    match sink {
-                        QuerySink::CountLt { radius, acc } => count_sinks.push((*radius, acc)),
-                        QuerySink::Histogram { shm, .. } => {
-                            hist_sinks.push((hk, *shm));
-                            hk += 1;
-                        }
-                    }
-                }
-                // Lowered parameters ride in sink order (checked against
-                // the consumer in the agreement above). A +inf radius
-                // keeps the sqrt form (see the CountLt arm); finite
-                // radii compare squared.
-                let cthr: Vec<(f32, f32, bool)> = ck
-                    .count_thresholds
-                    .iter()
-                    .map(|&(r, t)| (r, t, r == f32::INFINITY))
-                    .collect();
-                let need_drow =
-                    !hist_sinks.is_empty() || cthr.iter().any(|&(_, _, use_sqrt)| use_sqrt);
-                let mut cnts: Vec<U32x32> = vec![[0u32; WARP_SIZE]; count_sinks.len()];
-                if scr.bs.len() < hist_sinks.len() {
-                    scr.bs.resize_with(hist_sinks.len(), Vec::new);
-                    scr.pbs.resize_with(hist_sinks.len(), Vec::new);
-                    scr.pbn.resize_with(hist_sinks.len(), Vec::new);
-                }
-                for k in 0..hist_sinks.len() {
-                    scr.bs[k].clear();
-                    scr.pbs[k].clear();
-                    scr.pbn[k].clear();
-                }
-                let mut step =
-                    |j: u32, bs: &mut [Vec<u32>], pbs: &mut [Vec<u32>], pbn: &mut [Vec<u32>]| {
-                        let pm = Self::pred_mask(pred, j, valid);
-                        if !pm.any() {
-                            return;
-                        }
-                        let p = view.point(j as usize);
-                        let mut row = [0.0f32; WARP_SIZE];
-                        for d in 0..D {
-                            let pd = p[d];
-                            for (sl, &ol) in row.iter_mut().zip(own[d].iter()) {
-                                let diff = w.diff(ol, pd);
-                                *sl = diff.mul_add(diff, *sl);
-                            }
-                        }
-                        let mut drow = [0.0f32; WARP_SIZE];
-                        if need_drow {
-                            for (d, &s) in drow.iter_mut().zip(row.iter()) {
-                                *d = s.sqrt();
-                            }
-                        }
-                        if pm.0 == u32::MAX {
-                            for (&(r, thr, use_sqrt), cnt) in cthr.iter().zip(cnts.iter_mut()) {
-                                if use_sqrt {
-                                    for l in 0..WARP_SIZE {
-                                        cnt[l] += (drow[l] < r) as u32;
-                                    }
-                                } else {
-                                    for l in 0..WARP_SIZE {
-                                        cnt[l] += (row[l] < thr) as u32;
-                                    }
-                                }
-                            }
-                        } else {
-                            for (&(r, thr, use_sqrt), cnt) in cthr.iter().zip(cnts.iter_mut()) {
-                                for l in pm.lanes() {
-                                    cnt[l] += if use_sqrt {
-                                        (drow[l] < r) as u32
-                                    } else {
-                                        (row[l] < thr) as u32
-                                    };
-                                }
-                            }
-                        }
-                        for (k, _) in hist_sinks.iter().enumerate() {
-                            let lh = &ck.hists[k];
-                            let (iw, h) = (lh.inv_width, lh.hmax);
-                            if pm.0 == u32::MAX && !lh.edges.is_empty() {
-                                // Full-warp step with exact geometry: the
-                                // vectorized magic-number floor (identical
-                                // bits — see `floor_bucket_exact`, here
-                                // applied to the already-sqrt'd row),
-                                // deferred to the sink's batched scatter
-                                // walk below.
-                                let hf = h as f32;
-                                let mut tmp = [0u32; WARP_SIZE];
-                                for (b, &d) in tmp.iter_mut().zip(drow.iter()) {
-                                    *b = floor_bucket_exact(d, iw, hf);
-                                }
-                                bs[k].extend_from_slice(&tmp);
-                                continue;
-                            }
-                            // Partial or inexact step: deferred like the
-                            // batched rows (the view still borrows the
-                            // block's memory here, and the walks commute —
-                            // pre-flights already ruled out faults).
-                            if pm.0 == u32::MAX {
-                                for &d in drow.iter() {
-                                    pbs[k].push(((d * iw) as u32).min(h));
-                                }
-                                pbn[k].push(WARP_SIZE as u32);
-                            } else {
-                                let mut na = 0u32;
-                                for l in pm.lanes() {
-                                    pbs[k].push(((drow[l] * iw) as u32).min(h));
-                                    na += 1;
-                                }
-                                pbn[k].push(na);
-                            }
-                        }
-                    };
-                if culled {
-                    for &j in &scr.keep {
-                        step(j, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
-                    }
-                } else {
-                    for j in 0..len {
-                        step(j, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
-                    }
-                }
-                for (k, &(_, shm)) in hist_sinks.iter().enumerate() {
-                    let (s_b, t_b, r_b) = self.blk.shared.scatter_account_update_rows(
-                        shm,
-                        &scr.bs[k],
-                        &mut scr.scatter,
-                    );
-                    atom_serial += s_b;
-                    atom_txns += t_b;
-                    atom_replays += r_b;
-                    let mut off = 0usize;
-                    for &na in scr.pbn[k].iter() {
-                        let na = na as usize;
-                        let (mult, txns) = self.blk.shared.scatter_account_update(
-                            shm,
-                            &scr.pbs[k][off..off + na],
-                            &mut scr.scatter,
-                        );
-                        atom_serial += mult;
-                        atom_txns += txns + mult - 1;
-                        atom_replays += txns.saturating_sub(1);
-                        off += na;
-                    }
-                    if culled_rows != 0 {
-                        let (s_c, t_c, r_c) = self.blk.shared.scatter_broadcast_rows(
-                            shm,
-                            ck.hists[k].hmax,
-                            culled_rows,
-                            nl as u64,
-                        );
-                        atom_serial += s_c;
-                        atom_txns += t_c;
-                        atom_replays += r_c;
-                    }
-                }
-                for ((_, acc), cnt) in count_sinks.iter_mut().zip(cnts.iter()) {
-                    for l in 0..WARP_SIZE {
-                        acc[l] += cnt[l] as u64;
-                    }
+            for (c, cnt) in counts.iter_mut().zip(&cnts) {
+                for (a, &n) in c.acc.iter_mut().zip(cnt.iter()) {
+                    *a += n as u64;
                 }
             }
         }
@@ -1431,11 +1179,13 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// `HalfPairs`): thread `t` pairs with partners `t+1 … block_n−1`.
     /// Replaces the whole `divergent_loop` — per iteration one control
     /// charge, one address ALU, `D` partner gathers, the distance
-    /// evaluation and the consumer — with arithmetic-series charge
-    /// totals and one lane-major compute sweep. The op-by-op loop it
-    /// replaces stays as the differential oracle (and the fallback for
-    /// every declined shape: load-balanced intra, non-prefix masks,
-    /// multi-query sinks, would-fault tiles).
+    /// evaluation and every sink of the list — with arithmetic-series
+    /// charge totals and one compute sweep: lane-major for a list of
+    /// count sinks only, row-major (one squared-distance row per
+    /// iteration feeding every sink) once the list holds a histogram
+    /// sink. The op-by-op loop it replaces stays as the differential
+    /// oracle (and the fallback for every declined shape: load-balanced
+    /// intra, non-prefix masks, would-fault tiles).
     ///
     /// `valid` must be the caller's `tid < block_n ∧ active` mask and
     /// `own` the warp's register-resident points, exactly as the
@@ -1448,12 +1198,12 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         block_start: u32,
         block_n: u32,
         own: &[F32x32; D],
-        consumer: TileSink<'_>,
+        sink: TileSink<'_>,
         valid: Mask,
     ) -> bool {
         match ck.form {
             DistanceForm::Euclidean => {
-                self.intra_regular_impl(Plain, ck, tile, block_start, block_n, own, consumer, valid)
+                self.intra_regular_impl(Plain, ck, tile, block_start, block_n, own, sink, valid)
             }
             DistanceForm::MinimumImage { box_edge } => self.intra_regular_impl(
                 Wrapped(box_edge),
@@ -1462,7 +1212,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 block_start,
                 block_n,
                 own,
-                consumer,
+                sink,
                 valid,
             ),
         }
@@ -1477,7 +1227,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         block_start: u32,
         block_n: u32,
         own: &[F32x32; D],
-        consumer: TileSink<'_>,
+        sink: TileSink<'_>,
         valid: Mask,
     ) -> bool {
         if !self.blk.cfg.compiled
@@ -1488,19 +1238,8 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         {
             return false;
         }
-        match (&consumer, &ck.sink) {
-            (TileSink::CountLt { radius, .. }, CompiledSinkSpec::CountLt { radius: r })
-                if radius.to_bits() == r.to_bits() => {}
-            (
-                TileSink::Histogram {
-                    inv_width, hmax, ..
-                },
-                CompiledSinkSpec::Histogram {
-                    inv_width: iw,
-                    hmax: h,
-                },
-            ) if inv_width.to_bits() == iw.to_bits() && hmax == h => {}
-            _ => return false,
+        if !ck.lowered_for(&sink) {
+            return false;
         }
         let v = valid.count() as u64;
         let tid0 = self.warp_id * WARP_SIZE as u32;
@@ -1542,15 +1281,8 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 }
             }
         }
-        if let TileSink::Histogram { hmax, shm, .. } = &consumer {
-            if self
-                .blk
-                .shared
-                .check_bounds(shm.0, *hmax, "shared u32 atomicAdd")
-                .is_err()
-            {
-                return false;
-            }
+        if !self.hist_sinks_in_bounds(&sink.hists) {
+            return false;
         }
 
         // Iteration j runs a_j = min(v, T−j) lanes; the series sums in
@@ -1562,8 +1294,8 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         };
         let dims = D as u64;
         // Per-iteration warp instructions: loop test (1) + address ALU
-        // (1) + D gathers + distance eval (2D+1) + consumer; histogram
-        // adds the atomic memory op.
+        // (1) + D gathers + distance eval + two per sink; each
+        // histogram sink adds the atomic memory op.
         let wi_j = 1 + 1 + dims + ck.wi;
         let alu_j = 1 + ck.per;
         {
@@ -1625,143 +1357,130 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             CompiledTile::Shared(_) => tid0 as usize,
             CompiledTile::Roc(_) => (block_start + tid0) as usize,
         };
-        match consumer {
-            TileSink::CountLt { acc, .. } => {
-                let cols: [&[f32]; D] = match &tile {
-                    CompiledTile::Shared(tile) => {
-                        std::array::from_fn(|d| self.blk.shared.f32s(tile[d]))
-                    }
-                    CompiledTile::Roc(bufs) => {
-                        std::array::from_fn(|d| self.blk.gmem().f32_slice(bufs[d]))
-                    }
-                };
-                let hi = match &tile {
-                    CompiledTile::Shared(_) => block_n as usize,
-                    CompiledTile::Roc(_) => (block_start + block_n) as usize,
-                };
-                let thr = ck.threshold;
-                let sqrt_free = ck.radius != f32::INFINITY;
+        let TileSink { mut counts, hists } = sink;
+        let thrs = &ck.count_thresholds;
+        let mut scr = std::mem::take(&mut self.blk.compiled_scratch);
+        scr.clear_batches(hists.len());
+        {
+            let cols: [&[f32]; D] = match &tile {
+                CompiledTile::Shared(tile) => {
+                    std::array::from_fn(|d| self.blk.shared.f32s(tile[d]))
+                }
+                CompiledTile::Roc(bufs) => {
+                    std::array::from_fn(|d| self.blk.gmem().f32_slice(bufs[d]))
+                }
+            };
+            if hists.is_empty() {
+                // Count sinks only: lane l counts its partners
+                // elem0+l+1 … hi−1 through the sqrt-free sweep.
+                let hi = elem0 + 1 + t_max as usize;
+                scr.lane_counts.resize(thrs.len(), 0);
+                #[allow(clippy::needless_range_loop)]
                 for l in 0..v as usize {
                     let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                    let e0 = (elem0 + l + 1).min(hi);
-                    let cnt = if sqrt_free {
-                        count_lt_cols(w, &o, &cols, e0, hi, thr)
-                    } else {
-                        // `radius = +inf` needs the sqrt form (see the
-                        // inter-tile pass); cold.
-                        let mut cnt = 0u64;
-                        #[allow(clippy::needless_range_loop)]
-                        for e in e0..hi {
-                            let p: [f32; D] = std::array::from_fn(|d| cols[d][e]);
-                            cnt += (sumsq(w, &o, &p).sqrt() < ck.radius) as u64;
-                        }
-                        cnt
-                    };
-                    acc[l] += cnt;
+                    let out = &mut scr.lane_counts[..];
+                    out.fill(0);
+                    count_lane(w, &o, &cols, (elem0 + l + 1).min(hi), hi, thrs, out);
+                    for (c, &n) in counts.iter_mut().zip(out.iter()) {
+                        c.acc[l] += n;
+                    }
                 }
-            }
-            TileSink::Histogram {
-                inv_width,
-                hmax,
-                shm,
-            } => {
-                let mut scr = std::mem::take(&mut self.blk.compiled_scratch);
-                // Phase A: the whole triangle's bucket indices into the
-                // scratch, step-major and compacted (iteration j
-                // contributes a_j = min(v, t_max−j) lanes) — this ends
-                // the tile columns' borrow so phase B can scatter into
-                // `self.blk.shared` mutably. Per pair the operation
-                // sequence is exactly the op-by-op chain: `sumsq`
-                // in ascending dimensions, sqrt, FMUL, saturating cast
-                // (the exact-geometry rows go through the vectorized
-                // cast of `bucket_row_exact` — identical bits).
-                let exact = !ck.hists[0].edges.is_empty();
-                scr.b.clear();
-                {
-                    let cols: [&[f32]; D] = match &tile {
-                        CompiledTile::Shared(tile) => {
-                            std::array::from_fn(|d| self.blk.shared.f32s(tile[d]))
+            } else {
+                // A histogram sink. Phase A: the whole triangle's rows,
+                // step-major and compacted (iteration j contributes
+                // a_j = min(v, t_max−j) lanes), feeding every sink in
+                // list order; the bucket batches end the tile columns'
+                // borrow so phase B can scatter into `self.blk.shared`
+                // mutably. Per pair the operation sequence is exactly
+                // the op-by-op chain: `sumsq` in ascending dimensions,
+                // sqrt, FMUL, saturating cast (the exact-geometry rows
+                // through the vectorized cast of `bucket_row_exact` —
+                // identical bits).
+                let mut cnts: Vec<U32x32> = vec![[0u32; WARP_SIZE]; counts.len()];
+                for j in 0..t_max as usize {
+                    let a_j = (v as usize).min((t_max as usize) - j);
+                    // Lane l's partner at iteration j is element
+                    // elem0 + l + 1 + j (in bounds: the deepest reach is
+                    // elem0 + t_max, the tile's last element,
+                    // pre-flighted above).
+                    let e0 = elem0 + 1 + j;
+                    let mut srow = [0.0f32; WARP_SIZE];
+                    for d in 0..D {
+                        let col = &cols[d][e0..e0 + a_j];
+                        for ((sl, &ol), &pd) in
+                            srow[..a_j].iter_mut().zip(own[d].iter()).zip(col.iter())
+                        {
+                            let diff = w.diff(ol, pd);
+                            *sl = diff.mul_add(diff, *sl);
                         }
-                        CompiledTile::Roc(bufs) => {
-                            std::array::from_fn(|d| self.blk.gmem().f32_slice(bufs[d]))
+                    }
+                    for (cnt, &(_, thr)) in cnts.iter_mut().zip(thrs) {
+                        for (c, &s) in cnt[..a_j].iter_mut().zip(srow.iter()) {
+                            *c += (s < thr) as u32;
                         }
-                    };
-                    for j in 0..t_max as usize {
-                        let a_j = (v as usize).min((t_max as usize) - j);
-                        // Lane l's partner at iteration j is element
-                        // elem0 + l + 1 + j (in bounds: the deepest
-                        // reach is elem0 + t_max, the tile's last
-                        // element, pre-flighted above).
-                        let e0 = elem0 + 1 + j;
-                        let mut srow = [0.0f32; WARP_SIZE];
-                        for d in 0..D {
-                            let col = &cols[d][e0..e0 + a_j];
-                            for ((sl, &ol), &pd) in
-                                srow[..a_j].iter_mut().zip(own[d].iter()).zip(col.iter())
-                            {
-                                let diff = w.diff(ol, pd);
-                                *sl = diff.mul_add(diff, *sl);
-                            }
-                        }
-                        if exact {
-                            let mut tmp = [0u32; WARP_SIZE];
-                            bucket_row_exact(&srow, inv_width, hmax, &mut tmp);
-                            scr.b.extend_from_slice(&tmp[..a_j]);
+                    }
+                    for (b, lh) in scr.bs.iter_mut().zip(&ck.hists) {
+                        let (iw, h) = (lh.inv_width, lh.hmax);
+                        if lh.edges.is_empty() {
+                            b.extend(srow[..a_j].iter().map(|&s| ((s.sqrt() * iw) as u32).min(h)));
                         } else {
-                            scr.b.extend(
-                                srow[..a_j]
-                                    .iter()
-                                    .map(|&s| ((s.sqrt() * inv_width) as u32).min(hmax)),
-                            );
+                            let mut tmp = [0u32; WARP_SIZE];
+                            bucket_row_exact(&srow, iw, h, &mut tmp);
+                            b.extend_from_slice(&tmp[..a_j]);
                         }
                     }
                 }
-                // Phase B: the full-warp iteration prefix (a_j = 32 ⟺
-                // v = 32 ∧ j ≤ t_max − 32) takes the batched scatter
-                // walk; the ragged tail goes per step. Accounting sums
-                // and wrapping data adds commute across steps.
-                let mut atom_serial = 0u64;
-                let mut atom_txns = 0u64;
-                let mut atom_replays = 0u64;
-                let full_steps = if v == WARP_SIZE as u64 {
-                    t_max.saturating_sub(WARP_SIZE as u64 - 1) as usize
-                } else {
-                    0
-                };
-                let split = full_steps * WARP_SIZE;
-                let (s_b, t_b, r_b) = self.blk.shared.scatter_account_update_rows(
-                    shm,
-                    &scr.b[..split],
+                for (c, cnt) in counts.iter_mut().zip(&cnts) {
+                    for (a, &n) in c.acc.iter_mut().zip(cnt.iter()) {
+                        *a += n as u64;
+                    }
+                }
+            }
+        }
+        // Phase B, per histogram sink: the full-warp iteration prefix
+        // (a_j = 32 ⟺ v = 32 ∧ j ≤ t_max − 32) takes the batched scatter
+        // walk; the ragged tail goes per step. Accounting sums and
+        // wrapping data adds commute across steps.
+        let mut atom_serial = 0u64;
+        let mut atom_txns = 0u64;
+        let mut atom_replays = 0u64;
+        let full_steps = if v == WARP_SIZE as u64 {
+            t_max.saturating_sub(WARP_SIZE as u64 - 1) as usize
+        } else {
+            0
+        };
+        let split = full_steps * WARP_SIZE;
+        for (k, h) in hists.iter().enumerate() {
+            let b = &scr.bs[k];
+            let (s_b, t_b, r_b) =
+                self.blk
+                    .shared
+                    .scatter_account_update_rows(h.shm, &b[..split], &mut scr.scatter);
+            atom_serial += s_b;
+            atom_txns += t_b;
+            atom_replays += r_b;
+            let mut off = split;
+            for j in full_steps..t_max as usize {
+                let a_j = (v as usize).min(t_max as usize - j);
+                let (mult, txns) = self.blk.shared.scatter_account_update(
+                    h.shm,
+                    &b[off..off + a_j],
                     &mut scr.scatter,
                 );
-                atom_serial += s_b;
-                atom_txns += t_b;
-                atom_replays += r_b;
-                let mut off = split;
-                for j in full_steps..t_max as usize {
-                    let a_j = (v as usize).min(t_max as usize - j);
-                    let (mult, txns) = self.blk.shared.scatter_account_update(
-                        shm,
-                        &scr.b[off..off + a_j],
-                        &mut scr.scatter,
-                    );
-                    off += a_j;
-                    atom_serial += mult;
-                    atom_txns += txns + mult - 1;
-                    atom_replays += txns.saturating_sub(1);
-                }
-                self.blk.compiled_scratch = scr;
-                let t = &mut self.blk.tally;
-                t.shared_atomics += t_max;
-                t.shared_atomic_serial += atom_serial;
-                t.shared_transactions += atom_txns;
-                t.shared_bank_replays += atom_replays;
-                t.shared_bytes += 4 * s_total;
+                off += a_j;
+                atom_serial += mult;
+                atom_txns += txns + mult - 1;
+                atom_replays += txns.saturating_sub(1);
             }
-            // Multi-sink batches lower for the inter-tile pass only; the
-            // intra triangle keeps them on the op-by-op route, so the
-            // sink-agreement check above already declined them.
-            TileSink::Multi(_) => unreachable!("multi declines above"),
+        }
+        self.blk.compiled_scratch = scr;
+        if ck.n_hist != 0 {
+            let t = &mut self.blk.tally;
+            t.shared_atomics += t_max * ck.n_hist;
+            t.shared_atomic_serial += atom_serial;
+            t.shared_transactions += atom_txns;
+            t.shared_bank_replays += atom_replays;
+            t.shared_bytes += 4 * s_total * ck.n_hist;
         }
 
         let interp = &mut self.blk.interp;
@@ -1923,8 +1642,11 @@ mod tests {
         let t = sqrt_lt_threshold(25.0);
         assert!(!(f32::NAN < t));
         assert!(!(f32::NAN.sqrt() < 25.0));
-        // +inf radius accepts every finite s.
+        // +inf radius accepts exactly the finite s, sqrt-free too.
         assert_eq!(sqrt_lt_threshold(f32::INFINITY), f32::INFINITY);
+        for s in [0.0f32, 1.0, f32::MAX, f32::INFINITY, f32::NAN] {
+            check_equiv(f32::INFINITY, s);
+        }
     }
 
     #[test]
@@ -1947,7 +1669,10 @@ mod tests {
     #[test]
     fn lower_respects_config_gates() {
         let mut cfg = crate::config::DeviceConfig::titan_x();
-        let count = CompiledSinkSpec::CountLt { radius: 25.0 };
+        let count = CompiledSinkSpec {
+            counts: vec![25.0],
+            hists: vec![],
+        };
         let lower = |cfg: &DeviceConfig, form, cost| {
             CompiledKernel::lower(cfg, form, cost, 3, 256, count.clone())
         };
@@ -1965,10 +1690,10 @@ mod tests {
         cfg.scalar_reference = false;
         let ck = lower(&cfg, DistanceForm::Euclidean, 7).expect("lowering");
         assert_eq!(ck.full_steps, 256);
-        // Euclidean cost 2·3+1 plus the CountLt compare+increment.
+        // Euclidean cost 2·3+1 plus one count sink's compare+increment.
         assert_eq!(ck.wi, 9);
         assert_eq!(ck.per, 9);
-        assert!(ck.threshold() > 0.0);
+        assert_eq!(ck.count_thresholds, vec![(25.0, sqrt_lt_threshold(25.0))]);
         // The minimum-image form charges the distance's own cost
         // (5·3+1), not the Euclidean one.
         let ck = lower(&cfg, DistanceForm::MinimumImage { box_edge: 60.0 }, 16).expect("lowering");
@@ -2092,7 +1817,10 @@ mod tests {
             5,
             2,
             128,
-            CompiledSinkSpec::CountLt { radius: 1.0 },
+            CompiledSinkSpec {
+                counts: vec![1.0],
+                hists: vec![],
+            },
         )
         .unwrap();
         // Closed form for the All-pred shapes vs the explicit walk.

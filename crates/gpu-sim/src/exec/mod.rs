@@ -24,7 +24,7 @@ pub use compiled::{
 };
 pub use launch::LaunchConfig;
 pub use mask::Mask;
-pub use tile::{QuerySink, TilePred, TileSink, TileSrc};
+pub use tile::{CountSink, HistSink, TilePred, TileSink, TileSrc};
 pub use warp::WarpCtx;
 
 use crate::occupancy::Occupancy;

@@ -9,10 +9,12 @@
 //! instruction/byte/lane charge in closed form — bit-identical to the
 //! op-by-op route (`tests/differential.rs` proves it).
 //!
-//! The three enums here describe the loop to the compiled pass: where
-//! the broadcast operand comes from ([`TileSrc`]), which lanes
-//! participate at each step ([`TilePred`]), and what happens to the
-//! distance value ([`TileSink`]).
+//! The types here describe the loop to the compiled pass: where the
+//! broadcast operand comes from ([`TileSrc`]), which lanes participate
+//! at each step ([`TilePred`]), and what happens to the distance value
+//! ([`TileSink`]: a list of count sinks followed by histogram sinks —
+//! the one sink shape, so a single query and a coalesced batch take the
+//! same pass).
 
 use crate::mem::{BufF32, ShmF32, ShmU32};
 use crate::{F32x32, U64x32};
@@ -76,70 +78,47 @@ pub enum TilePred {
     },
 }
 
-/// What a tile pass does with each per-lane distance value.
+/// What a tile pass does with each per-lane distance value: a list of
+/// count sinks followed by histogram sinks, fed in that order by every
+/// route.
 ///
-/// These mirror the `PairAction::process` bodies of the actions that
-/// declare a compiled sink; the ALU charges per step are identical to
-/// the op-by-op calls.
+/// One distance evaluation per step feeds every sink, so `k` queries
+/// over the same dataset share a single pairwise sweep; a single query
+/// is the one-entry list. The per-step ALU, warp-instruction and scatter
+/// charges are the sums of the per-sink charges, so the pass stays
+/// bit-identical (outputs *and* tallies) to driving the same sinks
+/// through the op-by-op route. These mirror the `PairAction::process`
+/// bodies of the actions that declare a compiled sink.
 #[derive(Debug)]
-pub enum TileSink<'c> {
-    /// `CountWithinRadius`: `acc[l] += 1` where the value is strictly
-    /// below `radius` (two ALU ops per step: compare + add).
-    CountLt {
-        /// Exclusive distance threshold.
-        radius: f32,
-        /// Per-lane hit counters for this warp.
-        acc: &'c mut U64x32,
-    },
-    /// `SharedHistogramAction`: bucket the value (two ALU ops) and
-    /// scatter into the privatized histogram. The atomic's
-    /// data-dependent serialization is accounted in closed form from the
-    /// bucket indices instead of dispatching a simulated 32-lane atomic
-    /// per step; a fault pre-flight declines the whole pass to the
-    /// op-by-op route if any scatter could go out of bounds.
-    Histogram {
-        /// `buckets / max_distance` (see `HistogramSpec::inv_width`).
-        inv_width: f32,
-        /// Highest valid bucket index (`buckets - 1`).
-        hmax: u32,
-        /// The privatized per-block histogram.
-        shm: ShmU32,
-    },
-    /// `MultiQueryAction` (the serve layer's coalesced batch): one
-    /// distance evaluation per step feeds every sink in order, so k
-    /// queries over the same dataset share a single pairwise sweep.
-    /// ALU, warp-instruction, and scatter charges are the sums of the
-    /// per-sink charges — the pass stays bit-identical (outputs *and*
-    /// tallies) to driving the same sinks through the op-by-op route.
-    Multi(Vec<QuerySink<'c>>),
+pub struct TileSink<'c> {
+    /// Count sinks, fed first, in order.
+    pub counts: Vec<CountSink<'c>>,
+    /// Histogram sinks, fed after the counts, in order.
+    pub hists: Vec<HistSink>,
 }
 
-/// One query's sink inside a [`TileSink::Multi`] batched pass.
-///
-/// Each sink mirrors the corresponding single-sink variant's per-step
-/// behaviour and ALU charge (two ops: compare+add / bucket+clamp), but
-/// shares the one distance evaluation with every other sink in the
-/// batch.
+/// A `CountWithinRadius`-shaped sink: `acc[l] += 1` where the value is
+/// strictly below `radius` (two ALU ops per step: compare + add).
 #[derive(Debug)]
-pub enum QuerySink<'c> {
-    /// `CountWithinRadius`-shaped: `acc[l] += 1` where the value is
-    /// strictly below `radius`.
-    CountLt {
-        /// Exclusive distance threshold.
-        radius: f32,
-        /// Per-lane hit counters for this warp.
-        acc: &'c mut U64x32,
-    },
-    /// `SharedHistogramAction`-shaped: bucketing plus one privatized
-    /// shared atomic per step, with the scatter's data-dependent
-    /// serialization accounted in closed form exactly as
-    /// [`TileSink::Histogram`] does.
-    Histogram {
-        /// `buckets / max_distance` (see `HistogramSpec::inv_width`).
-        inv_width: f32,
-        /// Highest valid bucket index (`buckets - 1`).
-        hmax: u32,
-        /// The privatized per-block histogram for this sink.
-        shm: ShmU32,
-    },
+pub struct CountSink<'c> {
+    /// Exclusive distance threshold.
+    pub radius: f32,
+    /// Per-lane hit counters for this warp.
+    pub acc: &'c mut U64x32,
+}
+
+/// A `SharedHistogramAction`-shaped sink: bucket the value (two ALU
+/// ops) and scatter into the privatized histogram. The atomic's
+/// data-dependent serialization is accounted in closed form from the
+/// bucket indices instead of dispatching a simulated 32-lane atomic per
+/// step; a fault pre-flight declines the whole pass to the op-by-op
+/// route if any scatter could go out of bounds.
+#[derive(Debug, Clone, Copy)]
+pub struct HistSink {
+    /// `buckets / max_distance` (see `HistogramSpec::inv_width`).
+    pub inv_width: f32,
+    /// Highest valid bucket index (`buckets - 1`).
+    pub hmax: u32,
+    /// The privatized per-block histogram.
+    pub shm: ShmU32,
 }

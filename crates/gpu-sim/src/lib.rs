@@ -103,9 +103,9 @@ pub use config::{DeviceConfig, ExecMode, Latencies, Throughputs};
 pub use device::Device;
 pub use error::SimError;
 pub use exec::{
-    sqrt_lt_threshold, BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, DistanceForm,
-    Kernel, KernelResources, KernelRun, LaunchConfig, Mask, QuerySink, TilePred, TileSink, TileSrc,
-    WarpCtx,
+    sqrt_lt_threshold, BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, CountSink,
+    DistanceForm, HistSink, Kernel, KernelResources, KernelRun, LaunchConfig, Mask, TilePred,
+    TileSink, TileSrc, WarpCtx,
 };
 pub use mem::{BufF32, BufId, BufU32, BufU64, DeviceBuffer, ShmF32, ShmU32, ShmU64};
 pub use occupancy::{Occupancy, OccupancyLimiter};
@@ -118,9 +118,9 @@ pub mod prelude {
     pub use crate::config::{DeviceConfig, ExecMode};
     pub use crate::device::Device;
     pub use crate::exec::{
-        BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, DistanceForm, Kernel,
-        KernelResources, KernelRun, LaunchConfig, Mask, QuerySink, TilePred, TileSink, TileSrc,
-        WarpCtx,
+        BlockCtx, CompiledKernel, CompiledSinkSpec, CompiledTile, CountSink, DistanceForm,
+        HistSink, Kernel, KernelResources, KernelRun, LaunchConfig, Mask, TilePred, TileSink,
+        TileSrc, WarpCtx,
     };
     pub use crate::mem::{BufF32, BufU32, BufU64, ShmF32, ShmU32, ShmU64};
     pub use crate::occupancy::Occupancy;

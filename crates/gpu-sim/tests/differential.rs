@@ -659,22 +659,33 @@ enum ProbePred {
     LessThan,
 }
 
-/// Which output sink the probe drives: per-lane register tallies
-/// (`CountLt`) or a privatized shared histogram with the given bucket
-/// count (`Hist`), whose compiled route replaces the simulated per-step
-/// shared atomic with closed-form scatter accounting.
+/// Which sink list the probe drives: one count sink of per-lane
+/// register tallies (`CountLt`), one privatized shared histogram with
+/// the given bucket count (`Hist`), whose compiled route replaces the
+/// simulated per-step shared atomic with closed-form scatter
+/// accounting, or both in list order — the count, then the histogram
+/// (`Mixed`).
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum ProbeOut {
     CountLt,
     Hist(u32),
+    Mixed(u32),
 }
 
 impl ProbeOut {
     fn buckets(self) -> u32 {
         match self {
             ProbeOut::CountLt => 0,
-            ProbeOut::Hist(b) => b,
+            ProbeOut::Hist(b) | ProbeOut::Mixed(b) => b,
         }
+    }
+
+    fn counts(self) -> bool {
+        !matches!(self, ProbeOut::Hist(_))
+    }
+
+    fn hists(self) -> bool {
+        self != ProbeOut::CountLt
     }
 }
 
@@ -711,6 +722,11 @@ struct ProbeSpec {
     /// NaN distances must ride the sinks bit-identically (saturating
     /// to bucket 0, failing every radius compare).
     poison: Option<u32>,
+    /// Run the intra-block triangle (`compiled_intra_regular` over the
+    /// `len` tile elements from `start`, thread `t` against partners
+    /// `t+1 …`) instead of one inter-tile pass. Shared and ROC sources
+    /// only.
+    intra: bool,
 }
 
 impl ProbeSpec {
@@ -822,15 +838,27 @@ impl Kernel for TileProbeKernel {
 
         // Lower the plan once per block, like the tiling kernels do
         // (`None` unless the device enables the compiled route).
-        let sink = match p.out {
-            ProbeOut::CountLt => CompiledSinkSpec::CountLt { radius: p.radius },
-            ProbeOut::Hist(_) => CompiledSinkSpec::Histogram { inv_width, hmax },
+        let sink = CompiledSinkSpec {
+            counts: if p.out.counts() {
+                vec![p.radius]
+            } else {
+                vec![]
+            },
+            hists: if p.out.hists() {
+                vec![(inv_width, hmax)]
+            } else {
+                vec![]
+            },
         };
         let ck = CompiledKernel::lower(blk.config(), p.form(), p.dist_cost(), 2, p.len, sink);
 
         blk.for_each_warp(|w| {
             let gid = w.global_thread_ids();
+            let tid = w.thread_ids();
             let mut valid = w.mask_lt(&gid, p.n).and(w.active_threads());
+            if p.intra {
+                valid = valid.and(w.mask_lt(&tid, p.len));
+            }
             if let Some(s) = p.squeeze {
                 valid = valid.and(Mask(s));
             }
@@ -871,25 +899,114 @@ impl Kernel for TileProbeKernel {
                 ProbeSrc::Lane => TileSrc::LaneBroadcast(&reg1),
             };
 
-            w.charge_control(p.len as u64 + 1, valid);
+            if !p.intra {
+                w.charge_control(p.len as u64 + 1, valid);
+            }
             let a = &mut acc[w.warp_id as usize];
             // Route order exactly as the tiling kernels: compiled, then
             // the op-by-op mirror below.
             if let Some(ckk) = ck.as_ref() {
-                let sink = match p.out {
-                    ProbeOut::CountLt => TileSink::CountLt {
-                        radius: p.radius,
-                        acc: &mut *a,
+                let sink = TileSink {
+                    counts: if p.out.counts() {
+                        vec![CountSink {
+                            radius: p.radius,
+                            acc: &mut *a,
+                        }]
+                    } else {
+                        vec![]
                     },
-                    ProbeOut::Hist(_) => TileSink::Histogram {
-                        inv_width,
-                        hmax,
-                        shm: shist.expect("Hist probe allocates its histogram"),
-                    },
+                    hists: shist
+                        .map(|shm| HistSink {
+                            inv_width,
+                            hmax,
+                            shm,
+                        })
+                        .into_iter()
+                        .collect(),
                 };
-                if w.compiled_tile_pass(ckk, src, p.len, pred, &own, sink, valid) {
+                let done = if p.intra {
+                    let tile = match p.src {
+                        ProbeSrc::Shared => CompiledTile::Shared(&tile),
+                        ProbeSrc::Roc => CompiledTile::Roc(&self.coords),
+                        ProbeSrc::Lane => unreachable!("intra probes read a tile"),
+                    };
+                    w.compiled_intra_regular(ckk, tile, p.start, p.len, &own, sink, valid)
+                } else {
+                    w.compiled_tile_pass(ckk, src, p.len, pred, &own, sink, valid)
+                };
+                if done {
                     return;
                 }
+            }
+
+            // The per-pair sinks, in list order: the count, then the
+            // histogram.
+            let feed = |w: &mut WarpCtx<'_, '_>, a: &mut U64x32, dval: &F32x32, pm: Mask| {
+                if p.out.counts() {
+                    // CountWithinRadius::process — compare + predicated
+                    // add.
+                    let hits = w.lt_f32(dval, p.radius, pm);
+                    w.charge_alu(1, pm);
+                    for l in hits.lanes() {
+                        a[l] += 1;
+                    }
+                }
+                if let Some(h) = shist {
+                    // SharedHistogramAction::process — `bucket_lanes` (2
+                    // ALU, CUDA saturate-to-zero cast + clamp) and one
+                    // simulated shared atomic whose data-dependent
+                    // serialization the compiled route must reproduce in
+                    // closed form.
+                    w.charge_alu(2, pm);
+                    let bucket: U32x32 = std::array::from_fn(|i| {
+                        if pm.lane(i) {
+                            ((dval[i] * inv_width) as u32).min(hmax)
+                        } else {
+                            0
+                        }
+                    });
+                    w.shared_atomic_add_u32(h, &bucket, &[1; WARP_SIZE], pm);
+                }
+            };
+            // DistanceKernel::eval ≡ cost ALU charge + per-lane host math.
+            let eval = |w: &mut WarpCtx<'_, '_>, rj: &[F32x32; 2], pm: Mask| -> F32x32 {
+                w.charge_alu(p.dist_cost(), pm);
+                std::array::from_fn(|i| {
+                    if pm.lane(i) {
+                        p.dist([own[0][i], own[1][i]], [rj[0][i], rj[1][i]])
+                    } else {
+                        0.0
+                    }
+                })
+            };
+
+            if p.intra {
+                // The op-by-op triangle, as `intra_block_shared` and the
+                // Register-ROC kernel interpret it: thread t pairs with
+                // t+1 … len−1 in divergent trips.
+                let trips: U32x32 = std::array::from_fn(|i| {
+                    if valid.lane(i) {
+                        p.len.saturating_sub(1).saturating_sub(tid[i])
+                    } else {
+                        0
+                    }
+                });
+                w.divergent_loop(&trips, valid, |w2, k, active| {
+                    let pidx: U32x32 = std::array::from_fn(|i| tid[i] + 1 + k);
+                    w2.charge_alu(1, active);
+                    let rj: [F32x32; 2] = match p.src {
+                        ProbeSrc::Shared => {
+                            std::array::from_fn(|d| w2.shared_load_f32(tile[d], &pidx, active))
+                        }
+                        _ => std::array::from_fn(|d| {
+                            let g: U32x32 = std::array::from_fn(|i| p.start + pidx[i]);
+                            w2.roc_load_f32(self.coords[d], &g, active)
+                        }),
+                    };
+                    let dval = eval(w2, &rj, active);
+                    feed(w2, a, &dval, active);
+                });
+                return;
             }
 
             // The op-by-op mirror — the exact sequence the tiling
@@ -917,44 +1034,8 @@ impl Kernel for TileProbeKernel {
                 if !pm.any() {
                     continue;
                 }
-                // DistanceKernel::eval ≡ cost ALU charge + per-lane host
-                // math.
-                w.charge_alu(p.dist_cost(), pm);
-                let dval: F32x32 = std::array::from_fn(|i| {
-                    if pm.lane(i) {
-                        p.dist([own[0][i], own[1][i]], [rj[0][i], rj[1][i]])
-                    } else {
-                        0.0
-                    }
-                });
-                match p.out {
-                    ProbeOut::CountLt => {
-                        // CountWithinRadius::process — compare +
-                        // predicated add.
-                        let hits = w.lt_f32(&dval, p.radius, pm);
-                        w.charge_alu(1, pm);
-                        for l in hits.lanes() {
-                            a[l] += 1;
-                        }
-                    }
-                    ProbeOut::Hist(_) => {
-                        // SharedHistogramAction::process —
-                        // `bucket_lanes` (2 ALU, CUDA saturate-to-zero
-                        // cast + clamp) and one simulated shared atomic
-                        // whose data-dependent serialization the
-                        // compiled route must reproduce in closed form.
-                        w.charge_alu(2, pm);
-                        let bucket: U32x32 = std::array::from_fn(|i| {
-                            if pm.lane(i) {
-                                ((dval[i] * inv_width) as u32).min(hmax)
-                            } else {
-                                0
-                            }
-                        });
-                        let h = shist.expect("Hist probe allocates its histogram");
-                        w.shared_atomic_add_u32(h, &bucket, &[1; WARP_SIZE], pm);
-                    }
-                }
+                let dval = eval(w, &rj, pm);
+                feed(w, a, &dval, pm);
             }
         });
 
@@ -1072,6 +1153,7 @@ fn base_spec() -> ProbeSpec {
         out: ProbeOut::CountLt,
         hist_alloc: None,
         poison: None,
+        intra: false,
     }
 }
 
@@ -1081,7 +1163,7 @@ fn fused_probe_engages_for_every_source_and_predicate() {
     // small enough (the probe's coordinates span ~60) that the
     // minimum-image wrap changes most distances.
     for box_edge in [None, Some(13.0f32)] {
-        for out in [ProbeOut::CountLt, ProbeOut::Hist(32)] {
+        for out in [ProbeOut::CountLt, ProbeOut::Hist(32), ProbeOut::Mixed(32)] {
             for src in [ProbeSrc::Shared, ProbeSrc::Roc, ProbeSrc::Lane] {
                 for pred in [ProbePred::All, ProbePred::NotEqual, ProbePred::LessThan] {
                     let mut spec = base_spec();
@@ -1101,6 +1183,26 @@ fn fused_probe_engages_for_every_source_and_predicate() {
                     }
                 }
             }
+            // The intra triangle over the same sink lists, from a shared
+            // tile and through the read-only cache, with full warps and
+            // a ragged last warp (n = 100 leaves warp 3 four lanes).
+            for src in [ProbeSrc::Shared, ProbeSrc::Roc] {
+                for n in [128, 100] {
+                    let mut spec = base_spec();
+                    spec.box_edge = box_edge;
+                    spec.out = out;
+                    spec.src = src;
+                    spec.n = n;
+                    spec.intra = true;
+                    let rc = probe_identical(spec);
+                    if !route_pinned() {
+                        assert!(
+                            rc.interp.compiled_ops > 0,
+                            "{box_edge:?}/{out:?}/{src:?}/n={n}: the intra triangle must lower"
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -1112,11 +1214,17 @@ fn tile_probe_culls_overflow_rows_identically() {
     // over tile columns cull their rows, for full and ragged warps,
     // with a NaN partner kept — all bit-identical to the op-by-op walk.
     // Lane-broadcast passes never cull.
-    for src in [ProbeSrc::Shared, ProbeSrc::Roc, ProbeSrc::Lane] {
+    for (src, out) in [
+        (ProbeSrc::Shared, ProbeOut::Hist(32)),
+        (ProbeSrc::Roc, ProbeOut::Hist(32)),
+        (ProbeSrc::Lane, ProbeOut::Hist(32)),
+        (ProbeSrc::Shared, ProbeOut::Mixed(32)),
+        (ProbeSrc::Roc, ProbeOut::Mixed(32)),
+    ] {
         for (n, poison) in [(128, None), (100, Some(45))] {
             let mut spec = base_spec();
             spec.radius = 2.0;
-            spec.out = ProbeOut::Hist(32);
+            spec.out = out;
             spec.src = src;
             spec.n = n;
             spec.poison = poison;
@@ -1295,7 +1403,7 @@ fn compiled_sink_nan_distances_are_route_identical() {
     // general path. The minimum-image wrap must carry NaN through
     // (`round(NaN)` is NaN) on both forms.
     for box_edge in [None, Some(13.0f32)] {
-        for out in [ProbeOut::CountLt, ProbeOut::Hist(32)] {
+        for out in [ProbeOut::CountLt, ProbeOut::Hist(32), ProbeOut::Mixed(32)] {
             let mut spec = base_spec();
             spec.box_edge = box_edge;
             spec.out = out;
@@ -1307,7 +1415,7 @@ fn compiled_sink_nan_distances_are_route_identical() {
                     "{box_edge:?}/{out:?}: NaN tile must still lower"
                 );
             }
-            if let ProbeOut::Hist(_) = out {
+            if out.hists() {
                 assert!(rc.tally.shared_atomics > 0);
             }
         }
