@@ -536,6 +536,42 @@ pub fn build_sink_list_report(n: usize) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
+/// Inter-tile rows of a HalfPairs Register-SHM launch over `n` points
+/// at block `b`: each warp with a live lane meets every row of each
+/// later tile once. These are the rows a compiled pass may cull.
+pub fn inter_tile_rows(n: usize, b: usize) -> u64 {
+    (0..n.div_ceil(b))
+        .map(|i| {
+            let warps = (n - i * b).min(b).div_ceil(32);
+            (warps * (n - ((i + 1) * b).min(n))) as u64
+        })
+        .sum()
+}
+
+/// Box culling on the hot path: the share of inter-tile rows that the
+/// compiled count passes of `pcf_gpu` (Morton-ordered upload) cull, at
+/// [`RADIUS`] and block [`BLOCK`] over `n` uniform points.
+/// Deterministic, not wall-clock: a change that stops ordering the
+/// upload, or stops the chunk test from firing, shows up here.
+pub fn build_cull_report(n: usize) -> Result<Report, ReportError> {
+    let pts = uniform_points::<3>(n, BOX, SEED);
+    let mut dev = Device::new(DeviceConfig::titan_x());
+    let r = pcf_gpu(&mut dev, &pts, RADIUS, PairwisePlan::register_shm(BLOCK)).expect("launch");
+    let frac = r.run.interp.culled_rows as f64 / inter_tile_rows(n, BLOCK as usize) as f64;
+    let mut rep =
+        Report::new("sim_cull", "Box culling of the hot-path count passes").with_context(&format!(
+            "pcf_gpu (Morton-ordered upload), r={RADIUS}, register_shm plan, \
+             block={BLOCK}, {BOX}^3 box, compiled route"
+        ));
+    rep.metric(&format!("culled_row_frac.n{n}"), frac, "frac")?;
+    rep.push_note(
+        "culled = inter-tile rows (one partner against a warp's live lanes) in\n\
+         chunks whose bounding box lies out of range of the warp's box, skipped\n\
+         and charged in closed form.",
+    );
+    Ok(rep)
+}
+
 pub fn build_report(sizes: &[usize]) -> Result<Report, ReportError> {
     if sizes.is_empty() {
         return Err(ReportError::EmptySeries {
@@ -647,4 +683,18 @@ pub fn build_report_from(samples: &[Sample], sdh: &[Sample]) -> Result<Report, R
          closed-form scatter accounting) and the Figure-3 cross-copy reduction.",
     );
     Ok(rep)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn inter_tile_rows_count_every_warp_against_later_tiles() {
+        // 16 full blocks of 32 warps: 32 · 1024 · (15 + 14 + … + 0).
+        assert_eq!(inter_tile_rows(16_384, 1024), 32 * 1024 * 120);
+        // 70 points at B = 64: block 0's two warps meet the 6-row tail.
+        assert_eq!(inter_tile_rows(70, 64), 12);
+        assert_eq!(inter_tile_rows(0, 64), 0);
+    }
 }

@@ -1303,8 +1303,9 @@ fn culled_multi_sink_passes_are_route_identical() {
     // adds nothing to the counts and its lanes to each histogram's
     // overflow bucket. The mixed batch's threshold is the largest
     // overflow edge (24 for 5 bins to 30), above the count thresholds;
-    // the counts-only batch never culls (a list culls iff it holds a
-    // histogram sink) and stays route-identical all the same.
+    // the counts-only batch culls whole chunks of the x-sorted tiles
+    // (every Euclidean list runs the chunk test, only a histogram list
+    // the row test) and stays route-identical all the same.
     let left = box_pts(64, [0.0; 3], [10.0; 3], 14);
     let right = box_pts(150, [0.0; 3], [100.0, 10.0, 10.0], 15);
     let specs = [cull_spec(), HistogramSpec::new(5, 30.0)];
@@ -1347,7 +1348,11 @@ fn culled_multi_sink_passes_are_route_identical() {
             let rows = atomics / n_hists as u64;
             assert!(culled < rows, "{culled} of {rows}");
         } else {
-            assert_eq!(culled, 0, "a list of count sinks only never culls");
+            // Two warps against 150 partners each.
+            assert!(
+                0 < culled && culled < 300,
+                "count list culled {culled} of 300"
+            );
         }
     }
 }
@@ -1391,4 +1396,173 @@ fn culled_roc_sdh_passes_are_route_identical() {
         })
     });
     assert!(culled_of(&runs).0 > 0, "ROC passes must cull");
+}
+
+// ---------------------------------------------------------------------
+// Chunk-box culling over recorded tile loads
+// ---------------------------------------------------------------------
+
+/// `pts` sorted along a 3-D Morton curve over the 100³ box (10 bits a
+/// dimension), the order `pcf_gpu` uploads in.
+fn morton_sorted(pts: &SoaPoints<3>) -> SoaPoints<3> {
+    let key = |p: [f32; 3]| {
+        let q = p.map(|x| (x * 10.23) as u32);
+        let mut k = 0u32;
+        for b in (0..10).rev() {
+            for c in q {
+                k = k << 1 | ((c >> b) & 1);
+            }
+        }
+        k
+    };
+    let mut v: Vec<[f32; 3]> = pts.iter().collect();
+    v.sort_by_key(|&p| key(p));
+    SoaPoints::from_points(&v)
+}
+
+#[test]
+fn count_and_mixed_lists_cull_chunks_route_identically_in_both_orders() {
+    // 600 points (a ragged last block) in caller and in Morton order.
+    // On Morton order, tiles and warps are compact, so count-only and
+    // mixed lists cull chunks of the shared tiles; on caller order they
+    // barely can. Either way every route agrees bit for bit.
+    let caller = cloud(600);
+    let morton = morton_sorted(&caller);
+    let specs = [cull_spec(), HistogramSpec::new(5, 30.0)];
+    let mut culled = [0u64; 2];
+    for (k, pts) in [&caller, &morton].into_iter().enumerate() {
+        let [count, _, _] = assert_identical(|dev| {
+            count_run(dev, pts, |input, act| {
+                Box::new(RegisterShmKernel::new(
+                    input,
+                    Euclidean,
+                    act,
+                    B,
+                    PairScope::HalfPairs,
+                    IntraMode::Regular,
+                ))
+            })
+        });
+        culled[k] = count.interp.culled_rows;
+        for (name, mk) in triangle_kernels(Euclidean) {
+            let [mixed, _, _] = assert_identical(|dev| mixed_batch_run(dev, pts, specs, &*mk));
+            if k == 1 && name != "register-roc" {
+                assert!(
+                    mixed.interp.culled_rows > 0,
+                    "{name}: Morton mixed list must cull"
+                );
+            }
+        }
+    }
+    assert!(
+        culled[1] > culled[0],
+        "Morton order must cull more count rows: {culled:?}"
+    );
+}
+
+/// A Cross-SHM count of `left` against `right` within `radius`.
+fn cross_count(
+    dev: &mut Device,
+    left: &[[f32; 3]],
+    right: &[[f32; 3]],
+    radius: f32,
+) -> (Bits, KernelRun) {
+    let dl = SoaPoints::from_points(left).upload(dev);
+    let dr = SoaPoints::from_points(right).upload(dev);
+    let lc = pair_launch(dl.n, B);
+    let out = dev.alloc_u64_zeroed(lc.total_threads() as usize);
+    let k = CrossShmKernel::new(dl, dr, Euclidean, CountWithinRadius { radius, out }, B);
+    let run = dev.launch(&k, lc);
+    (dev.u64_slice(out).to_vec(), run)
+}
+
+#[test]
+fn count_partners_one_ulp_either_side_of_a_chunk_box_edge_are_route_identical() {
+    // One warp at the origin against two 64-row tiles of two chunks.
+    // x1 is the first f32 whose bound reaches the cull threshold, x0 the
+    // one below it, and xt sits past the count threshold but below the
+    // cull threshold (inside the margin). Each x1 chunk carries one
+    // partner 50 off-axis, so no tile box lies within reach of the warp
+    // box and every chunk is tested: exactly the two x1 chunks cull.
+    let radius = 9.0f32;
+    let cfg = DeviceConfig::titan_x();
+    let mut dev = Device::new(cfg.clone());
+    let out = dev.alloc_u64_zeroed(64);
+    let act = CountWithinRadius { radius, out };
+    let thr = lower_pair_plan::<3, _, _>(&cfg, &Euclidean, &act, B)
+        .expect("count plan lowers")
+        .cull_threshold()
+        .expect("Euclidean count plan culls");
+    let g = |x: f32| x.mul_add(x, 0.0);
+    let first_at = |t: f32| {
+        let mut x = t.sqrt();
+        while g(x) >= t {
+            x = f32::from_bits(x.to_bits() - 1);
+        }
+        while g(x) < t {
+            x = f32::from_bits(x.to_bits() + 1);
+        }
+        x
+    };
+    let x1 = first_at(thr);
+    let x0 = f32::from_bits(x1.to_bits() - 1);
+    let xt = first_at(gpu_sim::sqrt_lt_threshold(radius));
+    assert!(g(x0) < thr && g(x1) >= thr && g(xt) < thr && xt < x0);
+    let left = vec![[0.0f32; 3]; 32];
+    let mut right = Vec::new();
+    for (near, far_off) in [(x0, [x1, 50.0, 0.0]), (xt, [x1, 0.0, 50.0])] {
+        right.extend([[near, 0.0, 0.0]; 32]);
+        right.extend([[x1, 0.0, 0.0]; 31]);
+        right.push(far_off);
+    }
+    let runs = assert_identical(|dev| cross_count(dev, &left, &right, radius));
+    assert_eq!(runs[0].interp.culled_rows, 64, "exactly the x1 chunks cull");
+    assert_eq!(runs[1].interp.culled_rows + runs[2].interp.culled_rows, 0);
+}
+
+#[test]
+fn a_nan_partner_keeps_an_otherwise_culled_chunk() {
+    // A mixed list against 64 far partners: the first chunk culls whole;
+    // the second holds one NaN partner, so it survives the chunk test,
+    // its 31 finite rows cull by the row test and the NaN row bins into
+    // bucket 0 on every route.
+    let spec = cull_spec();
+    let left = box_pts(32, [0.0; 3], [10.0; 3], 19);
+    let mut right = box_pts(64, [60.0; 3], [10.0; 3], 20);
+    right[40][0] = f32::NAN;
+    let runs = assert_identical(|dev| {
+        let dl = SoaPoints::from_points(&left).upload(dev);
+        let dr = SoaPoints::from_points(&right).upload(dev);
+        let lc = pair_launch(dl.n, B);
+        let out = dev.alloc_u64_zeroed(lc.total_threads() as usize);
+        let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
+        let action = MultiQueryAction {
+            counts: vec![MultiCountSink { radius: 3.0, out }],
+            hists: vec![MultiHistSink { spec, private }],
+        };
+        let k = CrossShmKernel::new(dl, dr, Euclidean, action, B);
+        let run = dev.launch(&k, lc);
+        let mut bits: Bits = dev.u64_slice(out).to_vec();
+        let hist: Bits = dev.u32_slice(private).iter().map(|&x| x as u64).collect();
+        assert_eq!(merged(&hist, spec.buckets)[0], 32, "the NaN row bins to 0");
+        bits.extend(hist);
+        (bits, run)
+    });
+    assert_eq!(culled_of(&runs), (63, 64));
+}
+
+#[test]
+fn non_finite_own_lanes_decline_the_chunk_test() {
+    // Count lists: one infinite lane in warp 0, one NaN lane in warp 1,
+    // against far partners that would otherwise cull whole.
+    let mut left = box_pts(64, [0.0; 3], [10.0; 3], 21);
+    left[3] = [f32::INFINITY, 1.0, 1.0];
+    left[40] = [1.0, f32::NAN, 1.0];
+    let far = box_pts(64, [60.0; 3], [10.0; 3], 22);
+    let runs = assert_identical(|dev| cross_count(dev, &left, &far, 9.0));
+    assert_eq!(runs[0].interp.culled_rows, 0);
+    // The same warps without the non-finite lanes cull every row.
+    let left = box_pts(64, [0.0; 3], [10.0; 3], 21);
+    let runs = assert_identical(|dev| cross_count(dev, &left, &far, 9.0));
+    assert_eq!(runs[0].interp.culled_rows, 128);
 }

@@ -81,17 +81,6 @@ impl Device {
         self.global.u64_slice(b)
     }
 
-    /// Overwrite a `u64` buffer from the host (e.g. to zero an output
-    /// between runs).
-    pub fn write_u64(&mut self, b: BufU64, data: &[u64]) {
-        self.global.u64_slice_mut(b).copy_from_slice(data);
-    }
-
-    /// Overwrite a `u32` buffer from the host.
-    pub fn write_u32(&mut self, b: BufU32, data: &[u32]) {
-        self.global.u32_slice_mut(b).copy_from_slice(data);
-    }
-
     /// Total bytes of the live buffers in global memory.
     pub fn allocated_bytes(&self) -> u64 {
         self.global.allocated_bytes()

@@ -214,20 +214,10 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Read a shared `f32` array directly (host-style debugging access —
+    /// Read a shared `u32` array directly (host-style debugging access —
     /// carries no simulated cost).
-    pub fn shared_f32s(&self, h: ShmF32) -> &[f32] {
-        self.shared.f32s(h)
-    }
-
-    /// Read a shared `u32` array directly (no simulated cost).
     pub fn shared_u32s(&self, h: ShmU32) -> &[u32] {
         self.shared.u32s(h)
-    }
-
-    /// Read a shared `u64` array directly (no simulated cost).
-    pub fn shared_u64s(&self, h: ShmU64) -> &[u64] {
-        self.shared.u64s(h)
     }
 
     /// Bytes of shared memory allocated so far by this block.

@@ -64,6 +64,10 @@ pub struct SharedSpace {
     arrays: Vec<ShmStorage>,
     /// Base offset of each array in 4-byte words (determines banks).
     base_words: Vec<u64>,
+    /// Per array, how many times its `f32` storage was handed out for
+    /// writing ([`Self::f32s_mut`]): a record derived from an array's
+    /// contents stays valid while this generation is unchanged.
+    f32_gens: Vec<u64>,
     next_word: u64,
     banks: u32,
     /// Route conflict counting through the legacy nested-scan
@@ -76,6 +80,7 @@ impl SharedSpace {
         SharedSpace {
             arrays: Vec::new(),
             base_words: Vec::new(),
+            f32_gens: Vec::new(),
             next_word: 0,
             banks: banks.max(1),
             scalar_reference: false,
@@ -91,6 +96,7 @@ impl SharedSpace {
     fn push(&mut self, s: ShmStorage) -> usize {
         let id = self.arrays.len();
         self.base_words.push(self.next_word);
+        self.f32_gens.push(0);
         self.next_word += s.words_per_elem() * s.len() as u64;
         self.arrays.push(s);
         id
@@ -123,11 +129,20 @@ impl SharedSpace {
         }
     }
 
+    /// Mutable access to an `f32` array; advances its write generation
+    /// (`f32_generation`), so every store moves it.
     pub fn f32s_mut(&mut self, h: ShmF32) -> &mut [f32] {
+        self.f32_gens[h.0] += 1;
         match &mut self.arrays[h.0] {
             ShmStorage::F32(v) => v,
             _ => unreachable!("handle type guarantees f32 storage"),
         }
+    }
+
+    /// The write generation of an `f32` array: equal at two points in
+    /// time only if nothing was stored to the array in between.
+    pub(crate) fn f32_generation(&self, h: ShmF32) -> u64 {
+        self.f32_gens[h.0]
     }
 
     pub fn u32s(&self, h: ShmU32) -> &[u32] {

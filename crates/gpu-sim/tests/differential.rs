@@ -689,6 +689,35 @@ impl ProbeOut {
     }
 }
 
+/// How the probe stages a shared tile. `OpByOp` stores it lane by lane
+/// (no box record); `Compiled` goes through `compiled_tile_load` (the
+/// kernels' `load_tile_to_shared`, whose op-by-op fallback is mirrored
+/// exactly), which records the tile's chunk boxes; `Reloaded` first
+/// loads a decoy of far points the same way, then the tile into the same
+/// arrays; `Overwritten` loads the decoy compiled, then stores the tile
+/// op by op over it, so the decoy's record must never be used;
+/// `Shortened` loads the decoy, then only the tile's first half, so the
+/// pass reads rows past the last record.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum ProbeLoad {
+    OpByOp,
+    Compiled,
+    Reloaded,
+    Overwritten,
+    Shortened,
+}
+
+impl ProbeLoad {
+    fn decoy(self) -> bool {
+        !matches!(self, ProbeLoad::OpByOp | ProbeLoad::Compiled)
+    }
+}
+
+/// Points appended past `n_pts` as the decoy tile: far from every own
+/// lane and partner, so a pass that read their boxes would cull rows
+/// that count.
+const DECOY_PTS: u32 = 64;
+
 #[derive(Clone, Copy, Debug)]
 struct ProbeSpec {
     /// Live threads (gid < n) — also an upper bound on point indices.
@@ -727,6 +756,13 @@ struct ProbeSpec {
     /// `t+1 …`) instead of one inter-tile pass. Shared and ROC sources
     /// only.
     intra: bool,
+    /// How the Shared source's tile is staged.
+    load: ProbeLoad,
+    /// Sort the partner coordinates ascending, so consecutive tile rows
+    /// (and so chunks of 32) sit close together.
+    sorted: bool,
+    /// Give lane 3 of every warp an infinite own coordinate.
+    own_inf: bool,
 }
 
 impl ProbeSpec {
@@ -793,17 +829,25 @@ impl Kernel for TileProbeKernel {
             blk.shared_alloc_f32(p.tile_len as usize),
         ];
         if p.src == ProbeSrc::Shared {
-            blk.for_each_warp(|w| {
-                let tid = w.thread_ids();
-                let m = w
-                    .mask_lt(&tid, p.tile_len.min(p.len))
-                    .and(w.active_threads());
-                for (t, c) in tile.iter().zip(self.coords.iter()) {
-                    let src: U32x32 = std::array::from_fn(|i| p.start + tid[i]);
-                    let v = w.global_load_f32(*c, &src, m);
-                    w.shared_store_f32(*t, &tid, &v, m);
-                }
-            });
+            let count = p.tile_len.min(p.len);
+            if p.load.decoy() {
+                self.load_tile(blk, &tile, p.n_pts, count);
+            }
+            if matches!(p.load, ProbeLoad::Compiled | ProbeLoad::Reloaded) {
+                self.load_tile(blk, &tile, p.start, count);
+            } else if p.load == ProbeLoad::Shortened {
+                self.load_tile(blk, &tile, p.start, count / 2);
+            } else {
+                blk.for_each_warp(|w| {
+                    let tid = w.thread_ids();
+                    let m = w.mask_lt(&tid, count).and(w.active_threads());
+                    for (t, c) in tile.iter().zip(self.coords.iter()) {
+                        let src: U32x32 = std::array::from_fn(|i| p.start + tid[i]);
+                        let v = w.global_load_f32(*c, &src, m);
+                        w.shared_store_f32(*t, &tid, &v, m);
+                    }
+                });
+            }
             blk.syncthreads();
         }
 
@@ -865,7 +909,13 @@ impl Kernel for TileProbeKernel {
 
             // Own point, derived host-side — identical on every route.
             let own: [F32x32; 2] = std::array::from_fn(|d| {
-                std::array::from_fn(|i| (gid[i] % 97) as f32 * 0.37 + d as f32)
+                std::array::from_fn(|i| {
+                    if p.own_inf && d == 0 && i == 3 {
+                        f32::INFINITY
+                    } else {
+                        (gid[i] % 97) as f32 * 0.37 + d as f32
+                    }
+                })
             });
 
             // Lane source: one coalesced load per lane, like the shuffle
@@ -1072,6 +1122,29 @@ impl Kernel for TileProbeKernel {
     }
 }
 
+impl TileProbeKernel {
+    /// `load_tile_to_shared`: the compiled cooperative load, or, when it
+    /// declines, the op-by-op loop it replaces.
+    fn load_tile(&self, blk: &mut BlockCtx<'_>, tile: &[ShmF32; 2], start: u32, count: u32) {
+        if blk.compiled_tile_load(tile, &self.coords, start, count) {
+            return;
+        }
+        blk.for_each_warp(|w| {
+            let tid = w.thread_ids();
+            let m = w.mask_lt(&tid, count).and(w.active_threads());
+            if !m.any() {
+                return;
+            }
+            let src: U32x32 = std::array::from_fn(|i| start + tid[i]);
+            w.charge_alu(1, m);
+            for (t, c) in tile.iter().zip(self.coords.iter()) {
+                let v = w.global_load_f32(*c, &src, m);
+                w.shared_store_f32(*t, &tid, &v, m);
+            }
+        });
+    }
+}
+
 fn probe_coords(n_pts: u32) -> Vec<f32> {
     (0..n_pts)
         .map(|i| ((i * 37 + 11) % 113) as f32 * 0.29 - 12.0)
@@ -1081,10 +1154,18 @@ fn probe_coords(n_pts: u32) -> Vec<f32> {
 fn run_probe(cfg: DeviceConfig, spec: ProbeSpec) -> Result<(Vec<u64>, KernelRun), SimError> {
     let mut dev = Device::new(exec_override(cfg));
     let mut c0 = probe_coords(spec.n_pts);
+    if spec.sorted {
+        c0.sort_by(f32::total_cmp);
+    }
     let mut c1: Vec<f32> = c0.iter().map(|x| x * 1.7 + 3.0).collect();
     if let Some(i) = spec.poison {
         c0[i as usize] = f32::NAN;
         c1[i as usize] = f32::NAN;
+    }
+    if spec.load.decoy() {
+        for c in [&mut c0, &mut c1] {
+            c.extend((0..DECOY_PTS).map(|i| 1000.0 + i as f32));
+        }
     }
     let coords = [dev.alloc_f32(c0), dev.alloc_f32(c1)];
     let lc = LaunchConfig::for_n_threads(spec.n.max(1), 64);
@@ -1154,6 +1235,9 @@ fn base_spec() -> ProbeSpec {
         hist_alloc: None,
         poison: None,
         intra: false,
+        load: ProbeLoad::OpByOp,
+        sorted: false,
+        own_inf: false,
     }
 }
 
@@ -1246,6 +1330,96 @@ fn tile_probe_culls_overflow_rows_identically() {
         spec.out = ProbeOut::Hist(32);
         spec.pred = pred;
         spec.box_edge = box_edge;
+        assert_eq!(probe_identical(spec).interp.culled_rows, 0, "{spec:?}");
+    }
+}
+
+/// The probe's outputs on the op-by-op route.
+fn probe_outputs(spec: ProbeSpec) -> Vec<u64> {
+    let cfg = DeviceConfig::titan_x().with_compiled(false);
+    run_probe(cfg, spec).expect("probe").0
+}
+
+/// A probe over a sorted 64-row tile staged by compiled loads, where the
+/// chunk test applies.
+fn chunk_spec(out: ProbeOut, load: ProbeLoad) -> ProbeSpec {
+    let mut spec = base_spec();
+    spec.len = 64;
+    spec.tile_len = 64;
+    spec.radius = 3.0;
+    spec.sorted = true;
+    spec.out = out;
+    spec.load = load;
+    spec
+}
+
+#[test]
+fn tile_probe_chunk_test_culls_recorded_tiles_identically() {
+    // Count-only and mixed lists over sorted tiles from compiled loads,
+    // a second load into the same arrays included, for full and ragged
+    // warps: whole chunks cull, bit-identically to the op-by-op walk.
+    for out in [ProbeOut::CountLt, ProbeOut::Mixed(32)] {
+        for load in [ProbeLoad::Compiled, ProbeLoad::Reloaded] {
+            for n in [128, 100] {
+                let mut spec = chunk_spec(out, load);
+                spec.n = n;
+                let culled = probe_identical(spec).interp.culled_rows;
+                if !route_pinned() {
+                    assert!(culled > 0, "{spec:?} must cull");
+                }
+            }
+        }
+        // Unsorted rows: still identical.
+        let mut spec = chunk_spec(out, ProbeLoad::Compiled);
+        spec.sorted = false;
+        probe_identical(spec);
+    }
+    // The tile counts pairs, so a pass reading the decoy's far boxes
+    // would cull rows that count.
+    let spec = chunk_spec(ProbeOut::CountLt, ProbeLoad::Reloaded);
+    assert!(probe_outputs(spec).iter().any(|&c| c > 0));
+}
+
+#[test]
+fn tile_probe_never_culls_with_a_stale_or_missing_record() {
+    // A count list culls only through a recorded load that covers the
+    // pass: a tile stored op by op has no record, one stored op by op
+    // over a recorded decoy (a declined load) retires the decoy's
+    // record, and a half-length load records too few rows.
+    let spec = chunk_spec(ProbeOut::CountLt, ProbeLoad::Shortened);
+    assert_eq!(probe_identical(spec).interp.culled_rows, 0, "{spec:?}");
+    // Mixed lists keep the row test, which culls exactly as without any
+    // record.
+    for load in [ProbeLoad::OpByOp, ProbeLoad::Overwritten] {
+        let spec = chunk_spec(ProbeOut::CountLt, load);
+        assert!(probe_outputs(spec).iter().any(|&c| c > 0));
+        assert_eq!(probe_identical(spec).interp.culled_rows, 0, "{spec:?}");
+        let mixed = chunk_spec(ProbeOut::Mixed(32), load);
+        let with_record = probe_identical(chunk_spec(ProbeOut::Mixed(32), ProbeLoad::Compiled));
+        assert_eq!(
+            probe_identical(mixed).interp.culled_rows,
+            with_record.interp.culled_rows,
+            "{mixed:?}: the row test culls the same rows"
+        );
+    }
+}
+
+#[test]
+fn tile_probe_chunk_test_keeps_nan_chunks_and_declines_non_finite_lanes() {
+    // A NaN partner in an otherwise culled chunk of a histogram list:
+    // the chunk survives, the row test culls its finite rows, the NaN
+    // row bins to 0 on every route.
+    let mut spec = chunk_spec(ProbeOut::Hist(32), ProbeLoad::Compiled);
+    let clean = probe_identical(spec).interp.culled_rows;
+    spec.poison = Some(spec.start + 60);
+    let poisoned = probe_identical(spec).interp.culled_rows;
+    if !route_pinned() {
+        assert!(clean > 0 && poisoned > 0, "{clean} / {poisoned}");
+    }
+    // A non-finite own lane declines every cull of its warp.
+    for out in [ProbeOut::CountLt, ProbeOut::Mixed(32)] {
+        let mut spec = chunk_spec(out, ProbeLoad::Compiled);
+        spec.own_inf = true;
         assert_eq!(probe_identical(spec).interp.culled_rows, 0, "{spec:?}");
     }
 }
