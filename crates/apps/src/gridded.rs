@@ -115,7 +115,7 @@ pub struct GriddedRun {
     /// Tile-pass rows (one partner against a warp) that compiled passes
     /// culled as provably out of every sink's range
     /// (`InterpStats::culled_rows`); on a histogram sweep, a subset of
-    /// the `tally.shared_atomics` rows. Count sweeps never cull.
+    /// the `tally.shared_atomics` rows.
     pub culled_rows: u64,
     /// Pruning accounting of the candidate-pair enumeration.
     pub stats: PruneStats,

@@ -1,29 +1,34 @@
-//! **Grid vs all-pairs** — wall-clock of the uniform-grid spatial front
-//! end against the monolithic all-pairs route, on this machine.
+//! **Grid vs all-pairs** — the uniform-grid spatial front end against
+//! the monolithic all-pairs route, in simulated device time, with the
+//! host's wall clock alongside.
 //!
-//! Like `hotpath`, this measures the *host*, not the modeled GPU: the
-//! point of the grid is sub-quadratic asymptotics, and the honest way
-//! to show that is wall-clock of the same simulator executing ~30–70×
-//! fewer candidate pairs. Both routes run the plan-compiled interpreter
-//! (`with_compiled(true)`, the fastest host route), the same
-//! Register-SHM plan and the same seeded uniform catalog; the grid
-//! route's count is asserted bit-identical against the CPU grid oracle
-//! at every size and against the all-pairs device route wherever the
-//! latter is actually measured.
+//! The grid's claim is sub-quadratic *device* work: the simulated GPU
+//! charges an all-pairs count for every pair (Type-I charges depend on
+//! point indices only), while the grid route launches only the
+//! candidate cell pairs. So the headline ratio `grid_vs_allpairs` and
+//! `model_agreement` compare simulated seconds — the quantity
+//! [`choose_spatial_plan`] prices — and are deterministic for a given
+//! catalog. Both routes run the plan-compiled interpreter
+//! (`with_compiled(true)`), the same Register-SHM plan and the same
+//! seeded uniform catalog, and both are measured directly at every
+//! size; nothing is projected. The grid route's count is asserted
+//! bit-identical against the all-pairs route at every size, and
+//! against the CPU grid oracle when asked.
 //!
-//! All-pairs wall-clock is quadratic (~200 s at N = 1048576 on the CI
-//! class machine), so by default it is *measured* only up to
-//! [`GridpathConfig::all_pairs_ceiling`] and *projected* quadratically
-//! from the anchor size above it — the same defused-footgun pattern as
-//! `hotpath_baseline --budget-secs`. The `gridpath_baseline` bin's
-//! `--full` flag measures N = 1048576 all-pairs directly.
+//! Host wall clock answers a different question and is reported, not
+//! gated against all-pairs: `pcf_gpu` uploads in Morton order and its
+//! compiled passes skip the tile chunks a box test proves out of range,
+//! so the host pays far less than the simulated pair work for an
+//! all-pairs count. At the reference radius a culled all-pairs sweep
+//! rivals the grid on the host (`host_grid_vs_allpairs`).
 //!
 //! The grid route runs packed launches (segmented multi-cell-pair
 //! launches, O(population classes) launches). The perf gate pins three
-//! hard floors (group `host`): `grid_vs_allpairs.n1048576 ≥ 10` — the
-//! headline ≥10× win — `pruned_pair_fraction.n262144 ≥ 0.9` at the
-//! reference r_max, and `model_agreement ≥ 1` at the gate sizes (the
-//! SpatialPlan model's pick matches the measured winner).
+//! floors (group `host`, though the first and last are deterministic):
+//! `grid_vs_allpairs.n1048576 ≥ 10` — the headline ≥10× win —
+//! `pruned_pair_fraction.n262144 ≥ 0.9` at the reference r_max, and
+//! `model_agreement ≥ 1` at the gate sizes (the SpatialPlan model's
+//! pick matches the simulated winner).
 //!
 //! Each size also runs a bounded radial histogram (10 bins to r_max)
 //! and reports `culled_row_frac`: the share of its histogram rows (one
@@ -44,6 +49,7 @@ use tbs_apps::{
 };
 use tbs_core::grid::{GridOptions, RadialBins};
 use tbs_core::plan::{choose_spatial_plan, ProblemOutput, ProblemSpec, SpatialRoute};
+use tbs_core::point::SoaPoints;
 use tbs_cpu::grid_pcf_device_reference;
 use tbs_datagen::uniform_points;
 
@@ -74,50 +80,6 @@ fn device() -> Device {
     Device::new(DeviceConfig::titan_x().with_compiled(true))
 }
 
-/// How much quadratic all-pairs work a sweep is allowed to measure
-/// directly.
-#[derive(Debug, Clone, Copy)]
-pub struct GridpathConfig {
-    /// Measure the all-pairs route directly at sizes up to this; larger
-    /// sizes get a quadratic projection from the anchor.
-    pub all_pairs_ceiling: usize,
-    /// The size whose measured all-pairs wall-clock anchors projections.
-    pub anchor_n: usize,
-    /// Cross-check every grid count against the CPU grid oracle.
-    pub oracle: bool,
-}
-
-impl GridpathConfig {
-    /// The `gridpath_baseline` default: anchor at 131072 (~3 s
-    /// compiled), project above it.
-    pub fn default_run() -> Self {
-        GridpathConfig {
-            all_pairs_ceiling: 131_072,
-            anchor_n: 131_072,
-            oracle: true,
-        }
-    }
-
-    /// `--full`: measure all-pairs directly at every size, N = 1048576
-    /// included (~minutes).
-    pub fn full() -> Self {
-        GridpathConfig {
-            all_pairs_ceiling: usize::MAX,
-            ..Self::default_run()
-        }
-    }
-
-    /// The CI perf gate: cheapest honest sweep — small anchor, no CPU
-    /// oracle (the differential suite owns exactness in CI).
-    pub fn gate() -> Self {
-        GridpathConfig {
-            all_pairs_ceiling: 65_536,
-            anchor_n: 65_536,
-            oracle: false,
-        }
-    }
-}
-
 /// One problem size's grid-vs-all-pairs measurement.
 #[derive(Debug, Clone)]
 pub struct GridSample {
@@ -128,6 +90,8 @@ pub struct GridSample {
     pub build_s: f64,
     /// Total grid-route wall-clock: build + every packed launch.
     pub grid_s: f64,
+    /// Simulated device seconds of the grid route's packed launches.
+    pub grid_sim_s: f64,
     pub cells: u64,
     pub occupied_cells: u64,
     pub launches: u64,
@@ -146,25 +110,25 @@ pub struct GridSample {
     /// per-launch floor makes all-pairs win at small N; the model must
     /// flip to the grid by N = 1048576 (asserted by the bin).
     pub model_picks_grid: bool,
-    /// Measured all-pairs wall-clock (`None` above the ceiling).
-    pub all_pairs_s: Option<f64>,
-    /// Quadratic projection from the anchor measurement.
-    pub all_pairs_projected_s: f64,
+    /// Measured all-pairs wall-clock (`pcf_gpu`, Morton-ordered).
+    pub all_pairs_s: f64,
+    /// Simulated device seconds of the all-pairs launch.
+    pub all_pairs_sim_s: f64,
 }
 
 impl GridSample {
-    /// Measured all-pairs time when available, projection otherwise.
-    pub fn all_pairs_best(&self) -> f64 {
-        self.all_pairs_s.unwrap_or(self.all_pairs_projected_s)
-    }
-
-    /// The headline ratio: all-pairs over grid wall-clock.
+    /// The headline ratio: all-pairs over grid simulated device time.
     pub fn speedup(&self) -> f64 {
-        self.all_pairs_best() / self.grid_s
+        self.all_pairs_sim_s / self.grid_sim_s
     }
 
-    /// Whether the SpatialPlan model's pick matches the measured winner
-    /// (grid iff the measured grid route beats all-pairs wall-clock).
+    /// All-pairs over grid wall-clock on this host.
+    pub fn host_speedup(&self) -> f64 {
+        self.all_pairs_s / self.grid_s
+    }
+
+    /// Whether the SpatialPlan model's pick matches the simulated winner
+    /// (grid iff the grid route's simulated time beats all-pairs').
     pub fn model_agrees(&self) -> bool {
         self.model_picks_grid == (self.speedup() > 1.0)
     }
@@ -224,19 +188,18 @@ pub fn build_cull_report(sizes: &[usize]) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
-/// Measure the all-pairs route once at `n` (compiled interpreter).
-pub fn measure_all_pairs(n: usize) -> (f64, u64) {
-    let pts = uniform_points::<3>(n, BOX, SEED);
+/// Measure the all-pairs route once over `pts` (compiled interpreter):
+/// wall-clock seconds, simulated seconds and the count.
+pub fn measure_all_pairs(pts: &SoaPoints<3>) -> (f64, f64, u64) {
     let mut dev = device();
     let t = Instant::now();
-    let r = pcf_gpu(&mut dev, &pts, R_MAX, PairwisePlan::register_shm(BLOCK)).expect("launch");
-    (t.elapsed().as_secs_f64(), r.count)
+    let r = pcf_gpu(&mut dev, pts, R_MAX, PairwisePlan::register_shm(BLOCK)).expect("launch");
+    (t.elapsed().as_secs_f64(), r.run.timing.seconds, r.count)
 }
 
-/// Measure one size: grid route (always), CPU oracle cross-check
-/// (optional), all-pairs route (below the ceiling, asserted
-/// bit-identical).
-pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSample {
+/// Measure one size: grid route, CPU oracle cross-check (when `oracle`)
+/// and the all-pairs route, whose count the grid's must equal.
+pub fn measure(n: usize, oracle: bool) -> GridSample {
     let pts = uniform_points::<3>(n, BOX, SEED);
     eprintln!("gridpath N={n}: binning + one SoA catalog upload...");
     let mut dev = device();
@@ -259,7 +222,7 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
 
     let culled_row_frac = cull_sweep(&mut dev, &cat).culled_row_frac();
 
-    if cfg.oracle {
+    if oracle {
         eprintln!("gridpath N={n}: CPU grid oracle cross-check...");
         let t = Instant::now();
         // The device predicate is `√dist² < r`, so the cross-engine
@@ -276,27 +239,17 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
         );
     }
 
-    let all_pairs_s = if n <= cfg.all_pairs_ceiling {
-        eprintln!("gridpath N={n}: all-pairs pass...");
-        let (s, count) = measure_all_pairs(n);
-        assert_eq!(
-            res.count, count,
-            "grid-pruned count diverged from the all-pairs route at N={n}"
-        );
-        eprintln!("gridpath N={n}: all-pairs {s:.3}s ({:.1}x)", s / grid_s);
-        Some(s)
-    } else {
-        let scale = n as f64 / anchor.0 as f64;
-        eprintln!(
-            "gridpath N={n}: all-pairs pass skipped (O(N²) footgun) — projecting {:.1}s \
-             quadratically from N={}",
-            anchor.1 * scale * scale,
-            anchor.0
-        );
-        None
-    };
-    let scale = n as f64 / anchor.0 as f64;
-    let all_pairs_projected_s = anchor.1 * scale * scale;
+    eprintln!("gridpath N={n}: all-pairs pass...");
+    let (all_pairs_s, all_pairs_sim_s, count) = measure_all_pairs(&pts);
+    assert_eq!(
+        res.count, count,
+        "grid-pruned count diverged from the all-pairs route at N={n}"
+    );
+    eprintln!(
+        "gridpath N={n}: all-pairs {all_pairs_s:.3}s host ({:.1}x), simulated {:.1}x",
+        all_pairs_s / grid_s,
+        all_pairs_sim_s / res.run.seconds
+    );
 
     // The analytic SpatialPlan model's verdict on the same pruning
     // stats. Note this models the *GPU*, not this host: its per-launch
@@ -318,6 +271,7 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
         count: res.count,
         build_s,
         grid_s,
+        grid_sim_s: res.run.seconds,
         cells: stats.cells as u64,
         occupied_cells: stats.occupied_cells as u64,
         launches: u64::from(res.run.launches()),
@@ -328,27 +282,19 @@ pub fn measure(n: usize, cfg: &GridpathConfig, anchor: (usize, f64)) -> GridSamp
         model_speedup: spatial.predicted_speedup(),
         model_picks_grid: spatial.route == SpatialRoute::Grid,
         all_pairs_s,
-        all_pairs_projected_s,
+        all_pairs_sim_s,
     }
 }
 
-/// Build the grid-vs-all-pairs report over `sizes`.
-pub fn build_report(sizes: &[usize], cfg: &GridpathConfig) -> Result<Report, ReportError> {
+/// Build the grid-vs-all-pairs report over `sizes`, cross-checking
+/// every grid count against the CPU grid oracle when `oracle`.
+pub fn build_report(sizes: &[usize], oracle: bool) -> Result<Report, ReportError> {
     if sizes.is_empty() {
         return Err(ReportError::EmptySeries {
             what: "gridpath size list".to_string(),
         });
     }
-    eprintln!(
-        "gridpath: measuring the all-pairs anchor at N={}...",
-        cfg.anchor_n
-    );
-    let (anchor_s, _) = measure_all_pairs(cfg.anchor_n);
-    eprintln!("gridpath: anchor {anchor_s:.3}s");
-    let samples: Vec<GridSample> = sizes
-        .iter()
-        .map(|&n| measure(n, cfg, (cfg.anchor_n, anchor_s)))
-        .collect();
+    let samples: Vec<GridSample> = sizes.iter().map(|&n| measure(n, oracle)).collect();
     build_report_from(&samples)
 }
 
@@ -356,7 +302,7 @@ pub fn build_report(sizes: &[usize], cfg: &GridpathConfig) -> Result<Report, Rep
 pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> {
     let mut rep = Report::new(
         "sim_gridpath",
-        "Spatial pruning — grid vs all-pairs wall clock",
+        "Spatial pruning — grid vs all-pairs, simulated device time and host wall clock",
     )
     .with_context(&format!(
         "uniform-grid front end vs monolithic all-pairs, 2-PCF count, \
@@ -374,11 +320,12 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             "launches",
             "pruned",
             "culled",
+            "sim_x",
+            "model_x",
             "build_s",
             "grid_s",
             "allpairs_s",
-            "speedup",
-            "model_x",
+            "host_x",
         ],
     );
     for s in samples {
@@ -397,15 +344,6 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
                 s.culled_row_frac,
                 format!("{:.1}%", s.culled_row_frac * 100.0),
             ),
-            Cell::num(s.build_s, format!("{:.3}", s.build_s)),
-            Cell::num(s.grid_s, format!("{:.3}", s.grid_s)),
-            match s.all_pairs_s {
-                Some(v) => Cell::num(v, format!("{v:.3}")),
-                None => Cell::num(
-                    s.all_pairs_projected_s,
-                    format!("~{:.1}", s.all_pairs_projected_s),
-                ),
-            },
             Cell::num(s.speedup(), format!("{:.1}x", s.speedup())),
             Cell::num(
                 s.model_speedup,
@@ -419,6 +357,10 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
                     }
                 ),
             ),
+            Cell::num(s.build_s, format!("{:.3}", s.build_s)),
+            Cell::num(s.grid_s, format!("{:.3}", s.grid_s)),
+            Cell::num(s.all_pairs_s, format!("{:.3}", s.all_pairs_s)),
+            Cell::num(s.host_speedup(), format!("{:.1}x", s.host_speedup())),
         ]);
         rep.metric(&format!("grid_vs_allpairs.n{}", s.n), s.speedup(), "x")?;
         rep.metric(
@@ -427,6 +369,11 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             "frac",
         )?;
         rep.metric(&format!("grid_s.n{}", s.n), s.grid_s, "s")?;
+        rep.metric(
+            &format!("host_grid_vs_allpairs.n{}", s.n),
+            s.host_speedup(),
+            "x",
+        )?;
         rep.metric(
             &format!("culled_row_frac.n{}", s.n),
             s.culled_row_frac,
@@ -441,21 +388,21 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
     }
     rep.push_table(t);
     rep.push_note(
-        "wall clock of the same compiled interpreter executing only the candidate\n\
-         cell pairs the min-distance cull leaves alive, vs the monolithic all-pairs\n\
-         launch. grid_s runs packed launches (segmented multi-cell-pair\n\
-         launches, O(population classes) launches). Counts are bit-identical\n\
-         across the grid route, the all-pairs route and the CPU grid oracle\n\
-         wherever each is measured.\n\
+        "sim_x is all-pairs over grid in simulated device seconds: the same\n\
+         compiled interpreter executing only the candidate cell pairs the\n\
+         min-distance cull leaves alive, vs the monolithic all-pairs launch,\n\
+         which the device model charges for every pair. grid_s runs packed\n\
+         launches (segmented multi-cell-pair launches, O(population classes)\n\
+         launches). Counts are bit-identical across the grid route, the\n\
+         all-pairs route and, when checked, the CPU grid oracle.\n\
          culled is the share of a 10-bin radial histogram's rows that compiled\n\
          passes culled as provably landing in the overflow bucket.\n\
-         allpairs_s\n\
-         values prefixed '~' are quadratic projections from the anchor size —\n\
-         measuring a ~200 s O(N^2) route on every sweep is the footgun the grid\n\
-         exists to remove; `gridpath_baseline --full` measures them directly.\n\
          model_x is the SpatialPlan analytic model's predicted speedup from the\n\
-         same pruning stats on the *modeled* GPU, whose per-launch floor keeps\n\
-         all-pairs ahead at small N; the route must flip to the grid by N=1M.",
+         same pruning stats on the modeled GPU.\n\
+         host_x is all-pairs over grid in wall clock on this host, both measured:\n\
+         the all-pairs upload is Morton-ordered and its compiled passes skip\n\
+         tile chunks a box test proves out of range, so the host pays far less\n\
+         than the pair work the device is charged for.",
     );
     Ok(rep)
 }
