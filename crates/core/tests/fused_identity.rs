@@ -14,7 +14,7 @@
 //! RDF). Every other distance — Gaussian RBF, dot product, … — runs op
 //! by op, which the cases at the end pin.
 
-use gpu_sim::{Device, DeviceConfig, KernelRun};
+use gpu_sim::{Device, DeviceConfig, ExecMode, KernelRun};
 use tbs_core::distance::{DistanceKernel, DotProduct, Euclidean, GaussianRbf, PeriodicEuclidean};
 use tbs_core::histogram::HistogramSpec;
 use tbs_core::kernels::{
@@ -66,8 +66,18 @@ fn assert_routes(
     go: impl Fn(&mut Device) -> (Bits, KernelRun),
     expect_compiled: bool,
 ) -> [KernelRun; 3] {
+    assert_routes_on(routes(), go, expect_compiled)
+}
+
+/// [`assert_routes`] over explicit `[compiled, op-by-op, scalar]`
+/// device configs.
+fn assert_routes_on(
+    cfgs: [DeviceConfig; 3],
+    go: impl Fn(&mut Device) -> (Bits, KernelRun),
+    expect_compiled: bool,
+) -> [KernelRun; 3] {
     let [(bits_c, run_c), (bits_v, run_v), (bits_s, run_s)] =
-        routes().map(|cfg| go(&mut Device::new(cfg)));
+        cfgs.map(|cfg| go(&mut Device::new(cfg)));
     assert_eq!(bits_c, bits_v, "compiled vs op-by-op output bits");
     assert_eq!(bits_c, bits_s, "compiled vs scalar output bits");
     assert_eq!(run_c.tally, run_v.tally, "compiled vs op-by-op tally");
@@ -808,6 +818,156 @@ fn multi_query_counts_only_is_route_identical() {
         }
         (bits, run)
     });
+}
+
+/// A sink list of one count sink per radius in `radii`, then one
+/// histogram sink per spec in `hists`, on `mk`; every sink's output as
+/// bits.
+fn list_run(
+    dev: &mut Device,
+    pts: &SoaPoints<3>,
+    radii: &[f32],
+    hists: &[HistogramSpec],
+    mk: &dyn Fn(DeviceSoa<3>, MultiQueryAction) -> Box<dyn gpu_sim::Kernel>,
+) -> (Bits, KernelRun) {
+    let input = pts.upload(dev);
+    let lc = pair_launch(input.n, B);
+    let action = MultiQueryAction {
+        counts: radii
+            .iter()
+            .map(|&radius| MultiCountSink {
+                radius,
+                out: dev.alloc_u64_zeroed(lc.total_threads() as usize),
+            })
+            .collect(),
+        hists: hists
+            .iter()
+            .map(|&spec| MultiHistSink {
+                spec,
+                private: dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize),
+            })
+            .collect(),
+    };
+    let run = dev.launch(&*mk(input, action.clone()), lc);
+    let mut bits: Bits = Vec::new();
+    for c in &action.counts {
+        bits.extend(dev.u64_slice(c.out));
+    }
+    for h in &action.hists {
+        bits.extend(dev.u32_slice(h.private).iter().map(|&x| x as u64));
+    }
+    (bits, run)
+}
+
+/// Every tiling kernel whose passes compile, by name: the three
+/// triangle kernels in both pair scopes (`AllPairs` runs `NotEqual`
+/// passes) and the shuffle kernel, whose lane-broadcast passes run
+/// `LessThan` (`HalfPairs`) and `NotEqual` (`AllPairs`).
+fn sweep_kernels<F: DistanceKernel<3> + Copy + 'static>(
+    dist: F,
+) -> Vec<(String, KernelCtor<MultiQueryAction>)> {
+    let mut ks: Vec<(String, KernelCtor<MultiQueryAction>)> = Vec::new();
+    for scope in [PairScope::HalfPairs, PairScope::AllPairs] {
+        ks.push((
+            format!("register-shm/{scope:?}"),
+            Box::new(move |input, act| {
+                Box::new(RegisterShmKernel::new(
+                    input,
+                    dist,
+                    act,
+                    B,
+                    scope,
+                    IntraMode::Regular,
+                ))
+            }),
+        ));
+        ks.push((
+            format!("register-roc/{scope:?}"),
+            Box::new(move |input, act| {
+                Box::new(RegisterRocKernel::new(
+                    input,
+                    dist,
+                    act,
+                    B,
+                    scope,
+                    IntraMode::Regular,
+                ))
+            }),
+        ));
+        ks.push((
+            format!("shm-shm/{scope:?}"),
+            Box::new(move |input, act| {
+                Box::new(ShmShmKernel::new(
+                    input,
+                    dist,
+                    act,
+                    B,
+                    scope,
+                    IntraMode::Regular,
+                ))
+            }),
+        ));
+        ks.push((
+            format!("shuffle/{scope:?}"),
+            Box::new(move |input, act| Box::new(ShuffleKernel::new(input, dist, act, B, scope))),
+        ));
+    }
+    ks
+}
+
+#[test]
+fn row_sweep_lists_are_route_identical_on_every_kernel_and_engine() {
+    // The one compiled compute sweep, a squared-distance row per step
+    // folded into every sink, against the op-by-op and scalar routes:
+    // one and three count sinks and three counts beside a histogram, on
+    // every compiling kernel (shared, ROC and lane-broadcast sources;
+    // unpredicated, `NotEqual` and `LessThan` passes; full and ragged
+    // intra triangles), 300 points (a ragged last block whose last warp
+    // holds 12 lanes) in caller and Morton order, both distance forms,
+    // under both block engines.
+    let caller = cloud(300);
+    let morton = morton_sorted(&caller);
+    let lists: [(&[f32], &[HistogramSpec]); 3] = [
+        (&[9.0], &[]),
+        (&[3.0, 9.0, 6.0], &[]),
+        (&[3.0, 9.0, 6.0], &[HistogramSpec::new(16, 40.0)]),
+    ];
+    for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+        let cfgs = routes().map(|cfg| cfg.with_exec_mode(mode));
+        let mut culled = 0;
+        for (order, pts) in [("caller", &caller), ("morton", &morton)] {
+            for (_, mk) in sweep_kernels(Euclidean) {
+                for (radii, hists) in lists {
+                    let [c, _, _] = assert_routes_on(
+                        cfgs.clone(),
+                        |dev| list_run(dev, pts, radii, hists, &*mk),
+                        true,
+                    );
+                    if order == "morton" {
+                        culled += c.interp.culled_rows;
+                    }
+                }
+            }
+        }
+        assert!(
+            culled > 0,
+            "{mode:?}: Morton-ordered passes must cull chunks"
+        );
+        let pts = box_cloud(300);
+        let hist = [HistogramSpec::new(16, L / 2.0)];
+        for (name, mk) in sweep_kernels(PeriodicEuclidean::new(L)) {
+            for radii in [&[9.0][..], &[3.0, 9.0, 6.0]] {
+                for hists in [&[][..], &hist] {
+                    let [c, _, _] = assert_routes_on(
+                        cfgs.clone(),
+                        |dev| list_run(dev, &pts, radii, hists, &*mk),
+                        true,
+                    );
+                    assert_eq!(c.interp.culled_rows, 0, "periodic {name} never culls");
+                }
+            }
+        }
+    }
 }
 
 #[test]

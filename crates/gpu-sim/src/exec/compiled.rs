@@ -33,12 +33,10 @@
 //! Every plan lowers one output shape, [`CompiledSinkSpec`]: a list of
 //! count sinks followed by histogram sinks. A single query is the
 //! one-entry list, a coalesced batch the longer one, and both passes
-//! keep one sink body whose hot loop is chosen by the list's shape: a
-//! list of count sinks only runs the lane-major sqrt-free sweep
-//! ([`count_lt_cols`], several thresholds sharing each chunk of squared
-//! sums), and a list with a histogram sink runs row-major — one
-//! squared-distance row per step feeding every sink in order, the
-//! bucket rows batched for the scatter walks.
+//! run one row-major sweep for every list: one squared-distance row
+//! across the warp's lanes per step ([`sq_row`]), which each count sink
+//! compares sqrt-free into per-lane counters and each histogram sink
+//! buckets into a batch for the scatter walks ([`SinkRows::fold_row`]).
 //!
 //! ## Box culling
 //!
@@ -47,9 +45,10 @@
 //! overflow bucket, by the rule on [`cull_threshold`]: the per-chunk
 //! bounding boxes of a recorded tile load ([`TileBoxes`]) are tested
 //! against the warp's box, and a histogram list then tests each
-//! surviving row. The charges of a culled row do not depend on where
-//! its partner lies, so they stay in closed form and bit-identical; on
-//! spatially ordered tiles most of the pair work drops out.
+//! surviving row; the sweep visits only the surviving row runs. The
+//! charges of a culled row do not depend on where its partner lies, so
+//! they stay in closed form and bit-identical; on spatially ordered
+//! tiles most of the pair work drops out.
 //!
 //! ## The contract
 //!
@@ -416,48 +415,43 @@ impl CompiledKernel {
 }
 
 /// Resolved per-step view of a [`TileSrc`] for the compiled compute
-/// loops: column slices plus a start offset, or a register fragment.
+/// sweep: column slices plus a start offset, or a register fragment
+/// (step `j` reads lane `j % 32`, as the broadcast wraps).
 enum SrcView<'s, const D: usize> {
     Cols { cols: [&'s [f32]; D], start: usize },
     Lanes(&'s [F32x32; D]),
 }
 
-impl<'s, const D: usize> SrcView<'s, D> {
-    #[inline]
-    fn point(&self, j: usize) -> [f32; D] {
-        match self {
-            SrcView::Cols { cols, start } => std::array::from_fn(|d| cols[d][start + j]),
-            SrcView::Lanes(l) => std::array::from_fn(|d| l[d][j % WARP_SIZE]),
-        }
-    }
-}
-
-/// One lane's squared sum against one point — the exact `eval_host`
-/// operation sequence of the lowered distance minus the final sqrt:
-/// per dimension ascending, `diff = w.diff(own, p); s =
-/// diff.mul_add(diff, s)`.
-#[inline(always)]
-fn sumsq<W: Diff, const D: usize>(w: W, own: &[f32; D], p: &[f32; D]) -> f32 {
-    let mut s = 0.0f32;
-    for d in 0..D {
-        let diff = w.diff(own[d], p[d]);
-        s = diff.mul_add(diff, s);
-    }
-    s
-}
-
 /// Per-block reusable buffers for the compiled output-stage passes,
 /// owned by [`BlockCtx`] so the hot tile loop never reallocates: the
-/// deferred bucket batches, the culled-row list and surviving runs, the
-/// count sweep's columns and lane counts, and the scatter walk's
-/// per-bank counters. Their contents are dead between passes (the
-/// batches are cleared, the scatter counters are reset via its touched
-/// list), so reuse cannot leak state across passes — only the capacity
-/// persists. The one exception is the tile-box record, which a pass
+/// per-lane count sink counters, the deferred bucket batches, the
+/// surviving row runs and the scatter walk's per-bank counters. Their
+/// contents are dead between passes (the counters and batches are
+/// cleared, the scatter counters are reset via its touched list), so
+/// reuse cannot leak state across passes — only the capacity persists. The one exception is the tile-box record, which a pass
 /// reads only while the shared arrays it was taken from are unchanged
 /// ([`TileBoxes::covers`]).
 #[derive(Debug, Default)]
 pub struct CompiledScratch {
+    /// What the pass's sweep folded into its sinks.
+    sinks: SinkRows,
+    /// Row runs `[a, b)` that the sweep visits, ascending: what survives
+    /// the chunk test ([`TileBoxes::survivors`]) and, for a histogram
+    /// list, the row test ([`cull_survivors`]).
+    runs: Vec<(u32, u32)>,
+    /// The row test's output, swapped into `runs`.
+    keep: Vec<(u32, u32)>,
+    /// The bounding boxes of the block's last compiled tile load.
+    boxes: TileBoxes,
+    /// Persistent per-bank chain state for the merged scatter walk.
+    scatter: ScatterScratch,
+}
+
+/// A pass's sink state while its sweep runs ([`Self::fold_row`]).
+#[derive(Debug, Default)]
+struct SinkRows {
+    /// Per count sink, the pass's per-lane counts.
+    cnts: Vec<U32x32>,
     /// Per histogram sink, the bucket indices of the pass's full-warp
     /// steps, step-major, batched for one
     /// [`crate::mem::SharedSpace::scatter_account_update_rows`] walk.
@@ -468,20 +462,6 @@ pub struct CompiledScratch {
     /// Per histogram sink, each deferred partial step's lane count
     /// (indexes `pbs`).
     pbn: Vec<Vec<u32>>,
-    /// Steps that survive row culling ([`cull_survivors`]), ascending.
-    keep: Vec<u32>,
-    /// Row runs `[a, b)` that survive the chunk test
-    /// ([`TileBoxes::survivors`]), ascending.
-    runs: Vec<(u32, u32)>,
-    /// The bounding boxes of the block's last compiled tile load.
-    boxes: TileBoxes,
-    /// Per dimension, a lane-broadcast fragment laid out as the column
-    /// a count sweep reads.
-    cols: Vec<Vec<f32>>,
-    /// One lane's count per count sink, while the sweep runs.
-    lane_counts: Vec<u64>,
-    /// Persistent per-bank chain state for the merged scatter walk.
-    scatter: ScatterScratch,
 }
 
 /// Rows per chunk of a tile-box record: one warp's width.
@@ -674,14 +654,86 @@ fn box_gap2<const D: usize>(lo: &[f32; D], hi: &[f32; D], plo: &[f32], phi: &[f3
     g
 }
 
-impl CompiledScratch {
-    /// Size and clear the bucket batches for `n` histogram sinks.
-    fn clear_batches(&mut self, n: usize) {
+impl SinkRows {
+    /// Zero the counters of `n_counts` count sinks, and size and clear
+    /// the bucket batches of `n_hists` histogram sinks for a sweep of
+    /// at most `rows` full-warp rows (reserved up front, so a batch
+    /// grows to the pass's size, not to the next doubling).
+    fn clear(&mut self, n_counts: usize, n_hists: usize, rows: usize) {
+        self.cnts.clear();
+        self.cnts.resize(n_counts, [0; WARP_SIZE]);
         for v in [&mut self.bs, &mut self.pbs, &mut self.pbn] {
-            if v.len() < n {
-                v.resize_with(n, Vec::new);
+            if v.len() < n_hists {
+                v.resize_with(n_hists, Vec::new);
             }
-            v[..n].iter_mut().for_each(Vec::clear);
+            v[..n_hists].iter_mut().for_each(Vec::clear);
+        }
+        for b in &mut self.bs[..n_hists] {
+            b.reserve(rows * WARP_SIZE);
+        }
+    }
+
+    /// Fold one squared-distance row into every sink in list order,
+    /// its values counting on the lanes of `mask`: the count sinks
+    /// ([`Self::fold_counts`]), then the histogram sinks
+    /// ([`Self::fold_hists`]).
+    #[inline(always)]
+    fn fold_row(&mut self, row: &[f32; WARP_SIZE], mask: u32, ck: &CompiledKernel) {
+        self.fold_counts(row, mask, &ck.count_thresholds);
+        self.fold_hists(row, mask, &ck.hists);
+    }
+
+    /// Each count sink compares the row sqrt-free against its lowered
+    /// threshold into per-lane counters, branch-free so it vectorizes
+    /// across the lanes (a pass never exceeds a block's rows, far below
+    /// `u32::MAX`).
+    #[inline(always)]
+    fn fold_counts(&mut self, row: &[f32; WARP_SIZE], mask: u32, thrs: &[(f32, f32)]) {
+        for (cnt, &(_, thr)) in self.cnts.iter_mut().zip(thrs) {
+            for (l, (c, &s)) in cnt.iter_mut().zip(row).enumerate() {
+                *c += ((s < thr) & (mask >> l & 1 != 0)) as u32;
+            }
+        }
+    }
+
+    /// Each histogram sink buckets the row's active lanes: a full-warp
+    /// row into its batch, any other row into its per-step list (a
+    /// ragged warp's prefix mask as one slice copy; lane by lane, it cost
+    /// gridded histogram sweeps, whose segments end in ragged warps,
+    /// about 10 %). The buckets come from the vectorized cast of
+    /// `bucket_row_exact` (identical bits), or, when the sink's geometry
+    /// has no edge table, from the scalar cast chain.
+    #[inline(always)]
+    fn fold_hists(&mut self, row: &[f32; WARP_SIZE], mask: u32, hists: &[LoweredHist]) {
+        for (k, lh) in hists.iter().enumerate() {
+            let (iw, h) = (lh.inv_width, lh.hmax);
+            let mut b = [0u32; WARP_SIZE];
+            if lh.edges.is_empty() {
+                for l in Mask(mask).lanes() {
+                    b[l] = ((row[l].sqrt() * iw) as u32).min(h);
+                }
+            } else {
+                bucket_row_exact(row, iw, h, &mut b);
+            }
+            let m = Mask(mask);
+            if mask == u32::MAX {
+                self.bs[k].extend_from_slice(&b);
+            } else if m.is_prefix() {
+                self.pbs[k].extend_from_slice(&b[..m.count() as usize]);
+                self.pbn[k].push(m.count());
+            } else {
+                self.pbs[k].extend(m.lanes().map(|l| b[l]));
+                self.pbn[k].push(m.count());
+            }
+        }
+    }
+
+    /// Add the pass's per-lane counts into the count sinks.
+    fn add_counts(&self, counts: &mut [CountSink<'_>]) {
+        for (c, cnt) in counts.iter_mut().zip(&self.cnts) {
+            for (a, &n) in c.acc.iter_mut().zip(cnt.iter()) {
+                *a += n as u64;
+            }
         }
     }
 }
@@ -730,146 +782,11 @@ fn bucket_row_exact(row: &[f32], inv_width: f32, hmax: u32, out: &mut [u32]) {
     }
 }
 
-/// One lane's sqrt-free count over the column range `[j0, j1)`: how many
-/// tile elements sit strictly inside the lowered squared threshold.
-///
-/// This is the innermost loop of every compiled count sweep, written so
-/// LLVM can autovectorize it: the columns are re-sliced to exactly the
-/// scanned range (hoisting every bounds check out of the loop), the
-/// per-element arithmetic is the scalar [`sumsq`] chain (so each
-/// element's bits match the op-by-op route no matter how wide the
-/// vectorizer goes), and the accumulator is a plain `u32` reduction
-/// (tile ranges never exceed a block, far below `u32::MAX`).
-#[inline(always)]
-fn count_lt_cols<W: Diff, const D: usize>(
-    w: W,
-    own: &[f32; D],
-    cols: &[&[f32]; D],
-    j0: usize,
-    j1: usize,
-    thr: f32,
-) -> u64 {
-    let n = j1 - j0;
-    let c: [&[f32]; D] = std::array::from_fn(|d| &cols[d][j0..j0 + n]);
-    let mut cnt = 0u32;
-    // Indexing `j` across all D re-sliced columns (rather than zipping
-    // iterators) is the shape LLVM packs into vector lanes here; see
-    // the module doc.
-    #[allow(clippy::needless_range_loop)]
-    for j in 0..n {
-        let mut s = 0.0f32;
-        for d in 0..D {
-            let diff = w.diff(own[d], c[d][j]);
-            s = diff.mul_add(diff, s);
-        }
-        cnt += (s < thr) as u32;
-    }
-    cnt as u64
-}
-
-/// One lane's counts for every count sink over the column range
-/// `[j0, j1)`: `out[c] += #{j : s_j < thresholds[c].1}`. A single sink
-/// takes the fused [`count_lt_cols`] sweep; several sinks share each
-/// chunk of squared sums (the same scalar chain per element), then
-/// count it once per threshold.
-#[inline(always)]
-fn count_lane<W: Diff, const D: usize>(
-    w: W,
-    own: &[f32; D],
-    cols: &[&[f32]; D],
-    j0: usize,
-    j1: usize,
-    thresholds: &[(f32, f32)],
-    out: &mut [u64],
-) {
-    if let [(_, thr)] = thresholds {
-        out[0] += count_lt_cols(w, own, cols, j0, j1, *thr);
-        return;
-    }
-    if thresholds.is_empty() {
-        return;
-    }
-    const CHUNK: usize = 64;
-    let mut j = j0;
-    while j < j1 {
-        let n = CHUNK.min(j1 - j);
-        let mut s = [0.0f32; CHUNK];
-        for d in 0..D {
-            for (sj, &p) in s[..n].iter_mut().zip(&cols[d][j..j + n]) {
-                let diff = w.diff(own[d], p);
-                *sj = diff.mul_add(diff, *sj);
-            }
-        }
-        for (o, &(_, thr)) in out.iter_mut().zip(thresholds) {
-            *o += s[..n].iter().map(|&x| (x < thr) as u32).sum::<u32>() as u64;
-        }
-        j += n;
-    }
-}
-
-/// The count-only sweep of one tile pass: each of the `nl` active lanes
-/// counts the tile rows `[0, len)` of `cols` (from `start`) that survive
-/// in `runs`, through [`count_lane`] once per run, and adds its counts
-/// into every sink's accumulator. Under `LessThan` lane `l` starts at
-/// step `gid0 + l + 1 − base`; under `NotEqual` it counts everything
-/// and takes its self-pair term back (integer adds commute; a step whose
-/// mask empties entirely can only be the single-lane self step, which
-/// the subtraction removes identically). `tmp` holds one lane's counts.
-///
-/// Kept out of line: inlined into the pass, the run loop made
-/// caller-ordered count passes (one run each) about 10 % slower at
-/// N = 65536, B = 1024.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn count_pass<W: Diff, const D: usize>(
-    w: W,
-    own: &[F32x32; D],
-    nl: usize,
-    cols: &[&[f32]; D],
-    start: usize,
-    len: u32,
-    pred: TilePred,
-    runs: &[(u32, u32)],
-    thrs: &[(f32, f32)],
-    tmp: &mut [u64],
-    counts: &mut [CountSink<'_>],
-) {
-    // Lane `l` reads its own registers across `D` arrays and adds into
-    // every sink's accumulator: an index, not one iterator.
-    #[allow(clippy::needless_range_loop)]
-    for l in 0..nl {
-        let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-        let j0 = match pred {
-            TilePred::LessThan { gid0, base } => {
-                start + (gid0 as i64 + l as i64 + 1 - base as i64).clamp(0, len as i64) as usize
-            }
-            _ => start,
-        };
-        tmp.fill(0);
-        for &(a, b) in runs {
-            let (a, b) = (j0.max(start + a as usize), start + b as usize);
-            if a < b {
-                count_lane(w, &o, cols, a, b, thrs, tmp);
-            }
-        }
-        if let TilePred::NotEqual { gid0, base } = pred {
-            let j_self = (gid0 as i64 + l as i64) - base as i64;
-            if (0..len as i64).contains(&j_self) {
-                let p: [f32; D] = std::array::from_fn(|d| cols[d][start + j_self as usize]);
-                let s = sumsq(w, &o, &p);
-                for (t, &(_, thr)) in tmp.iter_mut().zip(thrs) {
-                    *t -= (s < thr) as u64;
-                }
-            }
-        }
-        for (c, &t) in counts.iter_mut().zip(tmp.iter()) {
-            c.acc[l] += t;
-        }
-    }
-}
-
-/// One full-warp squared-distance row: lane `l`'s [`sumsq`] chain
-/// against partner `p`.
+/// One squared-distance row: lane `l`'s chain against partner `p` — the
+/// exact `eval_host` operation sequence of the lowered distance minus
+/// the final sqrt, per dimension ascending: `diff = w.diff(own, p); s =
+/// diff.mul_add(diff, s)`. Every lane computes, so the row vectorizes
+/// across the warp; the sinks keep only the active lanes' values.
 #[inline(always)]
 fn sq_row<W: Diff, const D: usize>(w: W, own: &[F32x32; D], p: &[f32; D]) -> [f32; WARP_SIZE] {
     let mut row = [0.0f32; WARP_SIZE];
@@ -880,6 +797,57 @@ fn sq_row<W: Diff, const D: usize>(w: W, own: &[F32x32; D], p: &[f32; D]) -> [f3
         }
     }
     row
+}
+
+/// The compute sweep of one tile pass: every step `j` of `runs` whose
+/// lane mask `mask(j)` is not empty computes one squared-distance row
+/// against the step's partner `point(j)` and folds it into every sink.
+/// Generic in the partner source and the mask, so the hot shape's
+/// constant full mask compiles out, and kept out of line, so the row
+/// loop gets the registers to itself. A list without a histogram sink
+/// folds through a loop that carries no bucket code: with the
+/// (never-taken) bucket branch in its loop, a caller-ordered count
+/// launch at N = 65536, B = 1024 ran about 15 % slower.
+#[inline(never)]
+fn sweep<W: Diff, const D: usize>(
+    w: W,
+    own: &[F32x32; D],
+    point: impl Fn(usize) -> [f32; D],
+    runs: &[(u32, u32)],
+    mask: impl Fn(u32) -> u32,
+    ck: &CompiledKernel,
+    sinks: &mut SinkRows,
+) {
+    if ck.hists.is_empty() {
+        for_rows(w, own, &point, runs, &mask, |row, m| {
+            sinks.fold_counts(row, m, &ck.count_thresholds)
+        });
+    } else {
+        for_rows(w, own, &point, runs, &mask, |row, m| {
+            sinks.fold_row(row, m, ck)
+        });
+    }
+}
+
+/// Every step `j` of `runs` whose mask `mask(j)` is not empty: one
+/// squared-distance row against `point(j)`, handed to `fold`.
+#[inline(always)]
+fn for_rows<W: Diff, const D: usize>(
+    w: W,
+    own: &[F32x32; D],
+    point: &impl Fn(usize) -> [f32; D],
+    runs: &[(u32, u32)],
+    mask: &impl Fn(u32) -> u32,
+    mut fold: impl FnMut(&[f32; WARP_SIZE], u32),
+) {
+    for &(a, b) in runs {
+        for j in a..b {
+            let m = mask(j);
+            if m != 0 {
+                fold(&sq_row(w, own, &point(j as usize)), m);
+            }
+        }
+    }
 }
 
 /// Relative margin between a plan's largest edge `T` and its cull
@@ -893,10 +861,11 @@ const CULL_MARGIN: f32 = 1e-3;
 /// [`BOX_CHUNK`] rows and needs the tile's recorded boxes
 /// ([`TileBoxes`]); a row test costs one bound per row, which a
 /// histogram row (a bucket and a scatter per lane on top of the
-/// distance) repays, but a count row (one compare per lane in the
-/// lane-major sweep) does not: on uniform caller-ordered data, where
-/// nothing culls, a row-testing count pass took about 1.7× as long at
-/// N = 16384, B = 1024.
+/// distance) repays, but a count row (one compare per lane in the row
+/// sweep) does not: on uniform caller-ordered data, where nothing
+/// culls, a count launch that row-tests took about 1.2× as long
+/// (1.1–1.5× over four alternating medians of 15 runs) at N = 16384,
+/// B = 1024.
 ///
 /// A partner whose squared gap `g²` to the warp's bounding box reaches
 /// the threshold lands every active lane in the overflow bucket `hmax`
@@ -924,11 +893,9 @@ fn cull_threshold(
 }
 
 /// Row culling for an unpredicated Euclidean tile pass of a histogram
-/// list: fills `keep` with the steps of `runs` (the chunk test's
-/// survivors) that some active lane could bucket below the overflow
-/// bucket, and returns `true` when at least one of the `len` steps was
-/// culled (on `false` the caller runs every step and `keep` is
-/// meaningless).
+/// list: narrows `runs` (the chunk test's survivors) to the runs of
+/// rows that some active lane could bucket below the overflow bucket,
+/// using `keep` as the output buffer.
 ///
 /// Each partner `p` gets the lower bound `g² = box_gap2(lo, hi, p, p)`
 /// on every active lane's squared distance, from the bounding box
@@ -939,20 +906,19 @@ fn cull_threshold(
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 fn cull_survivors<const D: usize>(
     view: &SrcView<'_, D>,
-    len: u32,
     (lo, hi): &([f32; D], [f32; D]),
     thr: f32,
-    runs: &[(u32, u32)],
-    keep: &mut Vec<u32>,
-) -> bool {
+    runs: &mut Vec<(u32, u32)>,
+    keep: &mut Vec<(u32, u32)>,
+) {
     let &SrcView::Cols { cols, start } = view else {
-        return false;
+        return;
     };
     keep.clear();
     // Chunked so the bound computes vectorized, dimension-outer (each
     // element still accumulates in ascending dimensions).
     const CHUNK: usize = 64;
-    for &(a, b) in runs {
+    for &(a, b) in runs.iter() {
         let (a, b) = (a as usize, b as usize);
         let c: [&[f32]; D] = std::array::from_fn(|d| &cols[d][start + a..start + b]);
         let mut j0 = 0;
@@ -968,13 +934,17 @@ fn cull_survivors<const D: usize>(
             }
             for (k, &gj) in g[..n].iter().enumerate() {
                 if !(gj >= thr) {
-                    keep.push((a + j0 + k) as u32);
+                    let j = (a + j0 + k) as u32;
+                    match keep.last_mut() {
+                        Some(last) if last.1 == j => last.1 = j + 1,
+                        _ => keep.push((j, j + 1)),
+                    }
                 }
             }
             j0 += n;
         }
     }
-    keep.len() < len as usize
+    std::mem::swap(runs, keep);
 }
 
 impl<'b, 'a> WarpCtx<'b, 'a> {
@@ -990,6 +960,63 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         })
     }
 
+    /// The scatter walks of a pass's histogram sinks over the batches
+    /// its sweep deferred in `scr`: per sink, the batched walk over the
+    /// full-warp rows, the other steps one at a time, then
+    /// `culled_rows` rows of `nl` lanes in the overflow bucket in closed
+    /// form. Charges one shared atomic per executed step (`npm`) per
+    /// sink, with the serialization the walks accumulate — summed after
+    /// the sweep, because tally adds commute.
+    fn scatter_hists(
+        &mut self,
+        hists: &[HistSink],
+        scr: &mut CompiledScratch,
+        culled_rows: u64,
+        nl: u64,
+        npm: u64,
+        sum_apm: u64,
+    ) {
+        if hists.is_empty() {
+            return;
+        }
+        // Σ multiplicity, Σ transactions, Σ bank + contention replays.
+        let (mut serial, mut txns, mut replays) = (0u64, 0u64, 0u64);
+        let shared = &mut self.blk.shared;
+        for (k, h) in hists.iter().enumerate() {
+            let (s_b, t_b, r_b) =
+                shared.scatter_account_update_rows(h.shm, &scr.sinks.bs[k], &mut scr.scatter);
+            serial += s_b;
+            txns += t_b;
+            replays += r_b;
+            let mut off = 0usize;
+            for &na in &scr.sinks.pbn[k] {
+                let na = na as usize;
+                let (mult, t) = shared.scatter_account_update(
+                    h.shm,
+                    &scr.sinks.pbs[k][off..off + na],
+                    &mut scr.scatter,
+                );
+                off += na;
+                serial += mult;
+                txns += t + mult - 1;
+                replays += t.saturating_sub(1);
+            }
+            if culled_rows != 0 {
+                let (s_c, t_c, r_c) = shared.scatter_broadcast_rows(h.shm, h.hmax, culled_rows, nl);
+                serial += s_c;
+                txns += t_c;
+                replays += r_c;
+            }
+        }
+        let n_hist = hists.len() as u64;
+        let t = &mut self.blk.tally;
+        t.shared_atomics += npm * n_hist;
+        t.shared_atomic_serial += serial;
+        t.shared_transactions += txns;
+        t.shared_bank_replays += replays;
+        t.shared_bytes += 4 * sum_apm * n_hist;
+    }
+
     /// Compiled inner tile pass: `len` steps of *broadcast an element
     /// from `src`, evaluate the lowered distance against each lane's
     /// `own` point under `pred`, fold the value into every sink of
@@ -998,7 +1025,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// bit-identical to the op-by-op loop the tiling kernels otherwise
     /// interpret (`broadcast → dist.eval → action.process` per step);
     /// every count sink compares sqrt-free against its lowered
-    /// threshold, lane-major when the list holds count sinks only.
+    /// threshold, one squared-distance row across the lanes per step.
     ///
     /// Returns `false` with no side effects — and the caller runs the
     /// op-by-op loop, which reproduces the exact fault point — whenever
@@ -1195,16 +1222,11 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             t.alu_instructions += npm * ck.per;
         }
 
-        // ---- the compiled compute loop, shaped by the sink list ----
+        // ---- the compiled compute sweep ----
         // The block's persistent scratch is taken out of `self.blk`
         // before the view borrows it (the view holds the whole block
         // immutably); restored after the scatter walks.
         let mut scr = std::mem::take(&mut self.blk.compiled_scratch);
-        // Histogram scatter accounting, accumulated in closed form
-        // (Σ multiplicity, Σ bank+contention replays).
-        let mut atom_serial = 0u64;
-        let mut atom_txns = 0u64;
-        let mut atom_replays = 0u64;
         let view = match &src {
             TileSrc::SharedBroadcast(tile) => SrcView::Cols {
                 cols: std::array::from_fn(|d| self.blk.shared.f32s(tile[d])),
@@ -1220,10 +1242,10 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         // Box culling, on unpredicated Euclidean passes whose own lanes
         // are finite: the chunk test over a recorded shared tile leaves
         // the surviving row runs in `scr.runs`, and a histogram list
-        // row-tests the survivors into `scr.keep`. Culled rows land every
-        // active lane outside every count radius and in each histogram's
-        // overflow bucket; the histograms charge them in closed form
-        // after the walks.
+        // row-tests the survivors. Culled rows land every active lane
+        // outside every count radius and in each histogram's overflow
+        // bucket; the histograms charge them in closed form after the
+        // walks.
         let warp_box = match ck.cull_thr {
             Some(thr) if W::CULLS && matches!(pred, TilePred::All) => {
                 own_box(own, nl).map(|b| (b, thr))
@@ -1232,193 +1254,50 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         };
         scr.runs.clear();
         scr.runs.push((0, len));
-        if let (Some(((lo, hi), thr)), TileSrc::SharedBroadcast(tile)) = (&warp_box, &src) {
-            if scr.boxes.covers(tile, len, &self.blk.shared) {
-                scr.boxes.bound(tile, &self.blk.shared);
-                scr.boxes.survivors(lo, hi, len, *thr, &mut scr.runs);
-            }
-        }
         let TileSink { mut counts, hists } = sink;
-        let culled = match &warp_box {
-            Some((b, thr)) if !hists.is_empty() => {
-                cull_survivors(&view, len, b, *thr, &scr.runs, &mut scr.keep)
-            }
-            _ => false,
-        };
-        let culled_rows = if hists.is_empty() {
-            len as u64 - scr.runs.iter().map(|&(a, b)| (b - a) as u64).sum::<u64>()
-        } else if culled {
-            (len as usize - scr.keep.len()) as u64
-        } else {
-            0
-        };
-        let thrs = &ck.count_thresholds;
-        if hists.is_empty() {
-            // Count sinks only — the hot path: each lane counts its
-            // partner range through the autovectorized sqrt-free sweep
-            // (`count_pass`) over contiguous columns, one surviving run
-            // at a time. Identical bits: the per-element arithmetic is
-            // the same scalar chain, and integer counts commute. A lane
-            // fragment is laid out as a column first (`j % 32`, so tiles
-            // wider than the warp wrap exactly as the broadcast does).
-            let (cols, start): ([&[f32]; D], usize) = match &view {
-                SrcView::Cols { cols, start } => (*cols, *start),
-                SrcView::Lanes(l) => {
-                    if scr.cols.len() < D {
-                        scr.cols.resize_with(D, Vec::new);
-                    }
-                    for (d, c) in scr.cols[..D].iter_mut().enumerate() {
-                        c.clear();
-                        c.extend((0..len as usize).map(|j| l[d][j % WARP_SIZE]));
-                    }
-                    (std::array::from_fn(|d| &scr.cols[d][..]), 0)
-                }
-            };
-            scr.lane_counts.resize(thrs.len(), 0);
-            count_pass(
-                w,
-                own,
-                nl,
-                &cols,
-                start,
-                len,
-                pred,
-                &scr.runs,
-                thrs,
-                &mut scr.lane_counts,
-                &mut counts,
-            );
-        } else {
-            // A histogram sink: row-major. Phase A computes each
-            // (surviving) step's squared-distance row once, straight off
-            // the tile view, and feeds every sink in list order: count
-            // sinks compare sqrt-free into per-lane counters, histogram
-            // sinks bucket full-warp rows into their batch (the
-            // vectorized cast of `bucket_row_exact` — identical bits)
-            // and partial-warp (or degenerate-geometry) steps into their
-            // per-step list. Deferral is sound: the sink pre-flights
-            // above ruled out faults, and the accounting sums and
-            // wrapping data adds commute across steps.
-            scr.clear_batches(hists.len());
-            let mut cnts: Vec<U32x32> = vec![[0u32; WARP_SIZE]; counts.len()];
-            let exact = ck.hists.iter().all(|h| !h.edges.is_empty());
-            if matches!(pred, TilePred::All) && valid.0 == u32::MAX && exact {
-                // Unpredicated full-valid pass — the hot shape: every
-                // step is a full-warp row, so each batch is written in
-                // place.
-                let n = if culled { scr.keep.len() } else { len as usize };
-                for b in &mut scr.bs[..hists.len()] {
-                    b.resize(n * WARP_SIZE, 0);
-                }
-                for i in 0..n {
-                    let j = if culled { scr.keep[i] as usize } else { i };
-                    let row = sq_row(w, own, &view.point(j));
-                    for (cnt, &(_, thr)) in cnts.iter_mut().zip(thrs) {
-                        for (c, &s) in cnt.iter_mut().zip(row.iter()) {
-                            *c += (s < thr) as u32;
-                        }
-                    }
-                    for (b, lh) in scr.bs.iter_mut().zip(&ck.hists) {
-                        let out = &mut b[i * WARP_SIZE..(i + 1) * WARP_SIZE];
-                        bucket_row_exact(&row, lh.inv_width, lh.hmax, out);
-                    }
-                }
-            } else {
-                let step = |j: u32,
-                            cnts: &mut [U32x32],
-                            bs: &mut [Vec<u32>],
-                            pbs: &mut [Vec<u32>],
-                            pbn: &mut [Vec<u32>]| {
-                    let pm = Self::pred_mask(pred, j, valid);
-                    if !pm.any() {
-                        return;
-                    }
-                    let row = sq_row(w, own, &view.point(j as usize));
-                    for (cnt, &(_, thr)) in cnts.iter_mut().zip(thrs) {
-                        for l in pm.lanes() {
-                            cnt[l] += (row[l] < thr) as u32;
-                        }
-                    }
-                    for (k, lh) in ck.hists.iter().enumerate() {
-                        let (iw, h) = (lh.inv_width, lh.hmax);
-                        if pm.0 == u32::MAX && !lh.edges.is_empty() {
-                            let mut tmp = [0u32; WARP_SIZE];
-                            bucket_row_exact(&row, iw, h, &mut tmp);
-                            bs[k].extend_from_slice(&tmp);
-                        } else {
-                            // The scalar cast chain over the active lanes.
-                            let n0 = pbs[k].len();
-                            pbs[k].extend(pm.lanes().map(|l| ((row[l].sqrt() * iw) as u32).min(h)));
-                            pbn[k].push((pbs[k].len() - n0) as u32);
-                        }
-                    }
-                };
-                if culled {
-                    for &j in &scr.keep {
-                        step(j, &mut cnts, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
-                    }
-                } else {
-                    for j in 0..len {
-                        step(j, &mut cnts, &mut scr.bs, &mut scr.pbs, &mut scr.pbn);
-                    }
+        if let Some((b, thr)) = &warp_box {
+            if let TileSrc::SharedBroadcast(tile) = &src {
+                if scr.boxes.covers(tile, len, &self.blk.shared) {
+                    scr.boxes.bound(tile, &self.blk.shared);
+                    scr.boxes.survivors(&b.0, &b.1, len, *thr, &mut scr.runs);
                 }
             }
-            // Phase B, per histogram sink: the batched walk over the
-            // full-warp rows, the ragged/masked steps one at a time,
-            // then the culled rows in closed form.
-            for (k, h) in hists.iter().enumerate() {
-                let (s_b, t_b, r_b) = self.blk.shared.scatter_account_update_rows(
-                    h.shm,
-                    &scr.bs[k],
-                    &mut scr.scatter,
-                );
-                atom_serial += s_b;
-                atom_txns += t_b;
-                atom_replays += r_b;
-                let mut off = 0usize;
-                for &na in &scr.pbn[k] {
-                    let na = na as usize;
-                    let (mult, txns) = self.blk.shared.scatter_account_update(
-                        h.shm,
-                        &scr.pbs[k][off..off + na],
-                        &mut scr.scatter,
-                    );
-                    off += na;
-                    atom_serial += mult;
-                    atom_txns += txns + mult - 1;
-                    atom_replays += txns.saturating_sub(1);
-                }
-                if culled_rows != 0 {
-                    let (s_c, t_c, r_c) = self.blk.shared.scatter_broadcast_rows(
-                        h.shm,
-                        h.hmax,
-                        culled_rows,
-                        nl as u64,
-                    );
-                    atom_serial += s_c;
-                    atom_txns += t_c;
-                    atom_replays += r_c;
-                }
-            }
-            for (c, cnt) in counts.iter_mut().zip(&cnts) {
-                for (a, &n) in c.acc.iter_mut().zip(cnt.iter()) {
-                    *a += n as u64;
-                }
+            if !hists.is_empty() {
+                cull_survivors(&view, b, *thr, &mut scr.runs, &mut scr.keep);
             }
         }
-        self.blk.compiled_scratch = scr;
+        let kept: usize = scr.runs.iter().map(|&(a, b)| (b - a) as usize).sum();
+        let culled_rows = (len as usize - kept) as u64;
 
-        // Histogram sink charges: one shared atomic per executed step
-        // per sink, with the data-dependent serialization accumulated
-        // above — summed after the loop because tally adds commute.
-        if ck.n_hist != 0 {
-            let t = &mut self.blk.tally;
-            t.shared_atomics += npm * ck.n_hist;
-            t.shared_atomic_serial += atom_serial;
-            t.shared_transactions += atom_txns;
-            t.shared_bank_replays += atom_replays;
-            t.shared_bytes += 4 * sum_apm * ck.n_hist;
+        // One squared-distance row per surviving step, straight off the
+        // tile view, folded into every sink in list order. The per-pair
+        // arithmetic is the op-by-op chain, and integer counts commute.
+        // Deferring the scatters is sound: the sink pre-flights above
+        // ruled out faults, and the accounting sums and wrapping data
+        // adds commute across steps.
+        scr.sinks.clear(counts.len(), hists.len(), kept);
+        let full = matches!(pred, TilePred::All) && valid.0 == u32::MAX;
+        let mask = |j| Self::pred_mask(pred, j, valid).0;
+        let (runs, sinks) = (&scr.runs[..], &mut scr.sinks);
+        match view {
+            // Unpredicated full-valid passes — the hot shape: every step
+            // is a full-warp row.
+            SrcView::Cols { cols, start } if full => {
+                let point = |j: usize| std::array::from_fn(|d| cols[d][start + j]);
+                sweep(w, own, point, runs, |_| u32::MAX, ck, sinks)
+            }
+            SrcView::Cols { cols, start } => {
+                let point = |j: usize| std::array::from_fn(|d| cols[d][start + j]);
+                sweep(w, own, point, runs, mask, ck, sinks)
+            }
+            SrcView::Lanes(l) => {
+                let point = |j: usize| std::array::from_fn(|d| l[d][j % WARP_SIZE]);
+                sweep(w, own, point, runs, mask, ck, sinks)
+            }
         }
+        scr.sinks.add_counts(&mut counts);
+        self.scatter_hists(&hists, &mut scr, culled_rows, nl as u64, npm, sum_apm);
+        self.blk.compiled_scratch = scr;
 
         let interp = &mut self.blk.interp;
         interp.dispatches += 1;
@@ -1433,10 +1312,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// Replaces the whole `divergent_loop` — per iteration one control
     /// charge, one address ALU, `D` partner gathers, the distance
     /// evaluation and every sink of the list — with arithmetic-series
-    /// charge totals and one compute sweep: lane-major for a list of
-    /// count sinks only, row-major (one squared-distance row per
-    /// iteration feeding every sink) once the list holds a histogram
-    /// sink. The op-by-op loop it replaces stays as the differential
+    /// charge totals and one row-major compute sweep (one
+    /// squared-distance row per iteration feeding every sink). The
+    /// op-by-op loop it replaces stays as the differential
     /// oracle (and the fallback for every declined shape: load-balanced
     /// intra, non-prefix masks, would-fault tiles).
     ///
@@ -1611,9 +1489,8 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             CompiledTile::Roc(_) => (block_start + tid0) as usize,
         };
         let TileSink { mut counts, hists } = sink;
-        let thrs = &ck.count_thresholds;
         let mut scr = std::mem::take(&mut self.blk.compiled_scratch);
-        scr.clear_batches(hists.len());
+        scr.sinks.clear(counts.len(), hists.len(), t_max as usize);
         {
             let cols: [&[f32]; D] = match &tile {
                 CompiledTile::Shared(tile) => {
@@ -1623,118 +1500,33 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     std::array::from_fn(|d| self.blk.gmem().f32_slice(bufs[d]))
                 }
             };
-            if hists.is_empty() {
-                // Count sinks only: lane l counts its partners
-                // elem0+l+1 … hi−1 through the sqrt-free sweep.
-                let hi = elem0 + 1 + t_max as usize;
-                scr.lane_counts.resize(thrs.len(), 0);
-                #[allow(clippy::needless_range_loop)]
-                for l in 0..v as usize {
-                    let o: [f32; D] = std::array::from_fn(|d| own[d][l]);
-                    let out = &mut scr.lane_counts[..];
-                    out.fill(0);
-                    count_lane(w, &o, &cols, (elem0 + l + 1).min(hi), hi, thrs, out);
-                    for (c, &n) in counts.iter_mut().zip(out.iter()) {
-                        c.acc[l] += n;
+            // The whole triangle's rows, step-major: iteration j runs
+            // a_j = min(v, t_max−j) lanes, lane l against partner
+            // elem0 + l + 1 + j (in bounds: the deepest reach is
+            // elem0 + t_max, the tile's last element, pre-flighted
+            // above). Per pair the operation sequence is exactly the
+            // op-by-op chain. The deferred bucket batches end the tile
+            // columns' borrow, so the scatter walks can write into
+            // `self.blk.shared`.
+            for j in 0..t_max as usize {
+                let a_j = (v as usize).min((t_max as usize) - j);
+                let e0 = elem0 + 1 + j;
+                let mut srow = [0.0f32; WARP_SIZE];
+                for d in 0..D {
+                    let col = &cols[d][e0..e0 + a_j];
+                    for ((sl, &ol), &pd) in
+                        srow[..a_j].iter_mut().zip(own[d].iter()).zip(col.iter())
+                    {
+                        let diff = w.diff(ol, pd);
+                        *sl = diff.mul_add(diff, *sl);
                     }
                 }
-            } else {
-                // A histogram sink. Phase A: the whole triangle's rows,
-                // step-major and compacted (iteration j contributes
-                // a_j = min(v, t_max−j) lanes), feeding every sink in
-                // list order; the bucket batches end the tile columns'
-                // borrow so phase B can scatter into `self.blk.shared`
-                // mutably. Per pair the operation sequence is exactly
-                // the op-by-op chain: `sumsq` in ascending dimensions,
-                // sqrt, FMUL, saturating cast (the exact-geometry rows
-                // through the vectorized cast of `bucket_row_exact` —
-                // identical bits).
-                let mut cnts: Vec<U32x32> = vec![[0u32; WARP_SIZE]; counts.len()];
-                for j in 0..t_max as usize {
-                    let a_j = (v as usize).min((t_max as usize) - j);
-                    // Lane l's partner at iteration j is element
-                    // elem0 + l + 1 + j (in bounds: the deepest reach is
-                    // elem0 + t_max, the tile's last element,
-                    // pre-flighted above).
-                    let e0 = elem0 + 1 + j;
-                    let mut srow = [0.0f32; WARP_SIZE];
-                    for d in 0..D {
-                        let col = &cols[d][e0..e0 + a_j];
-                        for ((sl, &ol), &pd) in
-                            srow[..a_j].iter_mut().zip(own[d].iter()).zip(col.iter())
-                        {
-                            let diff = w.diff(ol, pd);
-                            *sl = diff.mul_add(diff, *sl);
-                        }
-                    }
-                    for (cnt, &(_, thr)) in cnts.iter_mut().zip(thrs) {
-                        for (c, &s) in cnt[..a_j].iter_mut().zip(srow.iter()) {
-                            *c += (s < thr) as u32;
-                        }
-                    }
-                    for (b, lh) in scr.bs.iter_mut().zip(&ck.hists) {
-                        let (iw, h) = (lh.inv_width, lh.hmax);
-                        if lh.edges.is_empty() {
-                            b.extend(srow[..a_j].iter().map(|&s| ((s.sqrt() * iw) as u32).min(h)));
-                        } else {
-                            let mut tmp = [0u32; WARP_SIZE];
-                            bucket_row_exact(&srow, iw, h, &mut tmp);
-                            b.extend_from_slice(&tmp[..a_j]);
-                        }
-                    }
-                }
-                for (c, cnt) in counts.iter_mut().zip(&cnts) {
-                    for (a, &n) in c.acc.iter_mut().zip(cnt.iter()) {
-                        *a += n as u64;
-                    }
-                }
+                scr.sinks.fold_row(&srow, Mask::first_n(a_j as u32).0, ck);
             }
         }
-        // Phase B, per histogram sink: the full-warp iteration prefix
-        // (a_j = 32 ⟺ v = 32 ∧ j ≤ t_max − 32) takes the batched scatter
-        // walk; the ragged tail goes per step. Accounting sums and
-        // wrapping data adds commute across steps.
-        let mut atom_serial = 0u64;
-        let mut atom_txns = 0u64;
-        let mut atom_replays = 0u64;
-        let full_steps = if v == WARP_SIZE as u64 {
-            t_max.saturating_sub(WARP_SIZE as u64 - 1) as usize
-        } else {
-            0
-        };
-        let split = full_steps * WARP_SIZE;
-        for (k, h) in hists.iter().enumerate() {
-            let b = &scr.bs[k];
-            let (s_b, t_b, r_b) =
-                self.blk
-                    .shared
-                    .scatter_account_update_rows(h.shm, &b[..split], &mut scr.scatter);
-            atom_serial += s_b;
-            atom_txns += t_b;
-            atom_replays += r_b;
-            let mut off = split;
-            for j in full_steps..t_max as usize {
-                let a_j = (v as usize).min(t_max as usize - j);
-                let (mult, txns) = self.blk.shared.scatter_account_update(
-                    h.shm,
-                    &b[off..off + a_j],
-                    &mut scr.scatter,
-                );
-                off += a_j;
-                atom_serial += mult;
-                atom_txns += txns + mult - 1;
-                atom_replays += txns.saturating_sub(1);
-            }
-        }
+        scr.sinks.add_counts(&mut counts);
+        self.scatter_hists(&hists, &mut scr, 0, v, t_max, s_total);
         self.blk.compiled_scratch = scr;
-        if ck.n_hist != 0 {
-            let t = &mut self.blk.tally;
-            t.shared_atomics += t_max * ck.n_hist;
-            t.shared_atomic_serial += atom_serial;
-            t.shared_transactions += atom_txns;
-            t.shared_bank_replays += atom_replays;
-            t.shared_bytes += 4 * s_total * ck.n_hist;
-        }
 
         let interp = &mut self.blk.interp;
         interp.dispatches += 1;

@@ -45,8 +45,10 @@ impl ShmStorage {
     }
 }
 
-/// Reusable occupancy counters for [`SharedSpace::scatter_account`].
-/// All counters are zero between calls (reset via the touched list).
+/// Reusable occupancy counters for the histogram scatter walks
+/// ([`SharedSpace::scatter_account_update`] and
+/// [`SharedSpace::scatter_account_update_rows`]). All counters are zero
+/// between calls (reset via the touched list).
 #[derive(Debug, Default)]
 pub struct ScatterScratch {
     /// Occurrence count per word offset, grown lazily to the largest
@@ -352,90 +354,20 @@ impl SharedSpace {
         (mult, self.transactions_for(array, &uniq[..n]))
     }
 
-    /// [`Self::atomic_scatter_accounting`] with caller-owned scratch —
-    /// a histogram sink calls this once per tile step, and the per-call
-    /// array zeroing plus chain walks of the stateless path would
-    /// dominate an SDH sweep's host time. Reusing occupancy
-    /// counters across steps (reset via the touched list, never a full
-    /// clear) makes the accounting a flat pass over the active lanes.
-    /// The result is identical to [`Self::atomic_scatter_accounting`];
-    /// non-histogram shapes (multi-word elements, the scalar-reference
-    /// route) fall back to it.
-    pub fn scatter_account(
-        &self,
-        array: usize,
-        vals: &[u32],
-        scratch: &mut ScatterScratch,
-    ) -> (u64, u64) {
-        debug_assert!(vals.len() <= WARP_SIZE);
-        if vals.is_empty() || self.scalar_reference || self.arrays[array].words_per_elem() != 1 {
-            return self.atomic_scatter_accounting(array, vals);
-        }
-        let base = self.base_words[array];
-        let banks = self.banks as u64;
-        // Shape shortcuts first — the two scatter shapes pileup-heavy and
-        // perfectly-spread histograms produce constantly. Both are flat
-        // vectorizable compares over the lanes and skip the counter walk
-        // entirely. They agree with the general path by construction:
-        // a one-word broadcast is 1 transaction with full serialization,
-        // a unit-stride scatter has no same-address contention and its
-        // transactions follow from `transactions_for`'s stride shortcut.
-        let first = vals[0];
-        if vals.iter().all(|&v| v == first) {
-            return (vals.len() as u64, 1);
-        }
-        if vals
-            .iter()
-            .enumerate()
-            .all(|(k, &v)| v as u64 == first as u64 + k as u64)
-        {
-            return (1, self.transactions_for(array, vals));
-        }
-        // General scatters: one flat pass over the active lanes against
-        // the persistent occupancy counters. The counters live across
-        // tile steps (reset via the touched list, never a full clear), so
-        // each lane costs one counter bump and first occurrences one bank
-        // bump — no quadratic dedup scan, no per-step allocation.
-        let (mut mult, mut txns) = (0u64, 1u64);
-        for &v in vals {
-            let vi = v as usize;
-            if vi >= scratch.cnt.len() {
-                scratch.cnt.resize(vi + 1, 0);
-            }
-            let c = scratch.cnt[vi] + 1;
-            scratch.cnt[vi] = c;
-            if c == 1 {
-                let word = base + v as u64;
-                let bank = if banks == 32 {
-                    (word & 31) as usize
-                } else {
-                    (word % banks) as usize % WARP_SIZE
-                };
-                let bd = scratch.bank_distinct[bank] + 1;
-                scratch.bank_distinct[bank] = bd;
-                txns = txns.max(bd as u64);
-                scratch.touched.push((v, bank as u8));
-            }
-            mult = mult.max(c as u64);
-        }
-        for &(v, bank) in &scratch.touched {
-            scratch.cnt[v as usize] = 0;
-            scratch.bank_distinct[bank as usize] = 0;
-        }
-        scratch.touched.clear();
-        (mult, txns)
-    }
-
-    /// [`Self::scatter_account`] combined with the histogram data update:
-    /// one walk over the active-lane bucket indices yields the
-    /// accounting pair *and* applies `data[v] += 1` per lane (batched as
+    /// [`Self::atomic_scatter_accounting`] combined with the histogram
+    /// data update, over caller-owned scratch: one walk over the
+    /// active-lane bucket indices yields the accounting pair *and* applies `data[v] += 1` per lane (batched as
     /// `data[v] += count(v)` per distinct value — wrapping u32 adds
     /// commute, so the result is bit-identical to the per-lane
     /// increments the op-by-op atomic performs). The compiled histogram
     /// sinks use this for partial-warp steps — full-warp steps batch
     /// through [`Self::scatter_account_update_rows`] — and either way
     /// each distinct bucket is touched once instead of once for
-    /// accounting and once for the update.
+    /// accounting and once for the update. The occupancy counters live
+    /// across steps in `scratch` (reset via the touched list, never a
+    /// full clear), so a general scatter costs one counter bump per lane
+    /// and one bank bump per first occurrence — no quadratic dedup scan,
+    /// no per-step zeroing.
     pub fn scatter_account_update(
         &mut self,
         h: ShmU32,
@@ -447,8 +379,9 @@ impl SharedSpace {
             return (0, 0);
         }
         if self.scalar_reference || self.arrays[h.0].words_per_elem() != 1 {
-            // Same fallback split as `scatter_account`; the update is
-            // the plain per-lane form.
+            // Multi-word elements and the scalar-reference route take
+            // the stateless accounting; the update is the plain
+            // per-lane form.
             let acct = self.atomic_scatter_accounting(h.0, vals);
             let data = self.u32s_mut(h);
             for &v in vals {
@@ -458,8 +391,8 @@ impl SharedSpace {
         }
         let base = self.base_words[h.0];
         let banks = self.banks as u64;
-        // The same shape shortcuts as `scatter_account`, with the update
-        // folded in.
+        // The shape shortcuts of `atomic_scatter_accounting` (a one-word
+        // broadcast is one transaction), with the update folded in.
         let first = vals[0];
         if vals.iter().all(|&v| v == first) {
             let data = self.u32s_mut(h);
@@ -877,53 +810,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_scatter_accounting_matches_stateless_oracle() {
-        // The compiled histogram sinks reuse one `ScatterScratch`
-        // across every tile step of a pass; the counters must come back
-        // clean between calls (reset via the touched list) and every
-        // shape — broadcast, unit stride, pileup, random — must agree
-        // with the stateless combined pass.
-        let mut s = SharedSpace::new(32);
-        let _pad = s.alloc_f32(5);
-        let f = s.alloc_f32(256);
-        let mut scratch = ScatterScratch::default();
-        let mut x = 0xfeedu64;
-        for trial in 0..600 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let len = if trial % 3 == 0 {
-                32
-            } else {
-                (x % 33) as usize
-            };
-            let mut vals = Vec::with_capacity(len);
-            for k in 0..len {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                vals.push(match trial % 5 {
-                    0 => (x % 256) as u32,             // random scatter
-                    1 => ((x % 32) + k as u64) as u32, // unit stride
-                    2 => (x % 17) as u32,              // heavy contention
-                    3 => (x % 2) as u32 * 32,          // same-bank pair
-                    _ => 9,                            // broadcast
-                });
-            }
-            assert_eq!(
-                s.scatter_account(f.0, &vals, &mut scratch),
-                s.atomic_scatter_accounting(f.0, &vals),
-                "trial {trial} vals {vals:?}"
-            );
-            assert!(scratch.touched.is_empty(), "scratch not reset");
-        }
-    }
-
-    #[test]
     fn scatter_account_update_matches_split_halves() {
-        // The merged accounting+update walk must equal running
-        // `scatter_account` and then incrementing per lane, for every
-        // scatter shape, with the scratch coming back clean.
+        // The merged accounting+update walk over reused scratch must
+        // equal the stateless `atomic_scatter_accounting` and then
+        // incrementing per lane, for every scatter shape, with the
+        // scratch coming back clean between calls.
         let mut s = SharedSpace::new(32);
         let _pad = s.alloc_f32(3);
         // `b` sits 256 words (≡ 0 mod 32 banks) past `a`, so both map
@@ -955,7 +846,7 @@ mod tests {
                     _ => 9,
                 });
             }
-            let oracle = s.scatter_account(b.0, &vals, &mut scratch);
+            let oracle = s.atomic_scatter_accounting(b.0, &vals);
             assert_eq!(
                 s.scatter_account_update(a, &vals, &mut scratch),
                 oracle,

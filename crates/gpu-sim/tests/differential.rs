@@ -660,32 +660,41 @@ enum ProbePred {
 }
 
 /// Which sink list the probe drives: one count sink of per-lane
-/// register tallies (`CountLt`), one privatized shared histogram with
-/// the given bucket count (`Hist`), whose compiled route replaces the
-/// simulated per-step shared atomic with closed-form scatter
-/// accounting, or both in list order — the count, then the histogram
-/// (`Mixed`).
+/// register tallies (`CountLt`), three of them at different radii
+/// (`Counts3`), one privatized shared histogram with the given bucket
+/// count (`Hist`), whose compiled route replaces the simulated per-step
+/// shared atomic with closed-form scatter accounting, or counts and the
+/// histogram in list order — one count (`Mixed`) or three (`Mixed3`),
+/// then the histogram.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum ProbeOut {
     CountLt,
+    Counts3,
     Hist(u32),
     Mixed(u32),
+    Mixed3(u32),
 }
 
 impl ProbeOut {
     fn buckets(self) -> u32 {
         match self {
-            ProbeOut::CountLt => 0,
-            ProbeOut::Hist(b) | ProbeOut::Mixed(b) => b,
+            ProbeOut::CountLt | ProbeOut::Counts3 => 0,
+            ProbeOut::Hist(b) | ProbeOut::Mixed(b) | ProbeOut::Mixed3(b) => b,
         }
     }
 
-    fn counts(self) -> bool {
-        !matches!(self, ProbeOut::Hist(_))
+    /// The count sinks' radii, in list order, for a probe radius `r`.
+    fn radii(self, r: f32) -> Vec<f32> {
+        let n = match self {
+            ProbeOut::Hist(_) => 0,
+            ProbeOut::CountLt | ProbeOut::Mixed(_) => 1,
+            ProbeOut::Counts3 | ProbeOut::Mixed3(_) => 3,
+        };
+        [r, 0.5 * r, 1.5 * r][..n].to_vec()
     }
 
     fn hists(self) -> bool {
-        self != ProbeOut::CountLt
+        self.buckets() > 0
     }
 }
 
@@ -819,7 +828,9 @@ impl Kernel for TileProbeKernel {
 
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
         let p = self.spec;
-        let mut acc = vec![[0u64; WARP_SIZE]; blk.num_warps() as usize];
+        let radii = p.out.radii(p.radius);
+        let slots = radii.len().max(1);
+        let mut acc = vec![vec![[0u64; WARP_SIZE]; slots]; blk.num_warps() as usize];
 
         // Stage the tile in shared memory (both routes, op by op). The
         // allocation happens for every source kind (it is part of the
@@ -883,11 +894,7 @@ impl Kernel for TileProbeKernel {
         // Lower the plan once per block, like the tiling kernels do
         // (`None` unless the device enables the compiled route).
         let sink = CompiledSinkSpec {
-            counts: if p.out.counts() {
-                vec![p.radius]
-            } else {
-                vec![]
-            },
+            counts: radii.clone(),
             hists: if p.out.hists() {
                 vec![(inv_width, hmax)]
             } else {
@@ -957,14 +964,11 @@ impl Kernel for TileProbeKernel {
             // the op-by-op mirror below.
             if let Some(ckk) = ck.as_ref() {
                 let sink = TileSink {
-                    counts: if p.out.counts() {
-                        vec![CountSink {
-                            radius: p.radius,
-                            acc: &mut *a,
-                        }]
-                    } else {
-                        vec![]
-                    },
+                    counts: radii
+                        .iter()
+                        .zip(a.iter_mut())
+                        .map(|(&radius, acc)| CountSink { radius, acc })
+                        .collect(),
                     hists: shist
                         .map(|shm| HistSink {
                             inv_width,
@@ -989,13 +993,13 @@ impl Kernel for TileProbeKernel {
                 }
             }
 
-            // The per-pair sinks, in list order: the count, then the
+            // The per-pair sinks, in list order: the counts, then the
             // histogram.
-            let feed = |w: &mut WarpCtx<'_, '_>, a: &mut U64x32, dval: &F32x32, pm: Mask| {
-                if p.out.counts() {
+            let feed = |w: &mut WarpCtx<'_, '_>, a: &mut [U64x32], dval: &F32x32, pm: Mask| {
+                for (a, &r) in a.iter_mut().zip(&radii) {
                     // CountWithinRadius::process — compare + predicated
                     // add.
-                    let hits = w.lt_f32(dval, p.radius, pm);
+                    let hits = w.lt_f32(dval, r, pm);
                     w.charge_alu(1, pm);
                     for l in hits.lanes() {
                         a[l] += 1;
@@ -1089,11 +1093,16 @@ impl Kernel for TileProbeKernel {
             }
         });
 
+        // Sink k's per-thread counts at `k · threads + gid`.
         let out = self.out;
+        let threads = blk.grid_dim * blk.block_dim;
         blk.for_each_warp(|w| {
             let gid = w.global_thread_ids();
             let m = w.active_threads();
-            w.global_store_u64(out, &gid, &acc[w.warp_id as usize], m);
+            for (k, a) in acc[w.warp_id as usize].iter().enumerate() {
+                let slot: U32x32 = std::array::from_fn(|i| k as u32 * threads + gid[i]);
+                w.global_store_u64(out, &slot, a, m);
+            }
         });
 
         // Flush the private histogram to its per-block region so the
@@ -1169,7 +1178,8 @@ fn run_probe(cfg: DeviceConfig, spec: ProbeSpec) -> Result<(Vec<u64>, KernelRun)
     }
     let coords = [dev.alloc_f32(c0), dev.alloc_f32(c1)];
     let lc = LaunchConfig::for_n_threads(spec.n.max(1), 64);
-    let out = dev.alloc_u64_zeroed(lc.total_threads() as usize);
+    let slots = spec.out.radii(spec.radius).len().max(1);
+    let out = dev.alloc_u64_zeroed(lc.total_threads() as usize * slots);
     let hist_out = dev.alloc_u32_zeroed((lc.grid_dim * spec.out.buckets()).max(1) as usize);
     let kernel = TileProbeKernel {
         spec,
@@ -1245,25 +1255,36 @@ fn base_spec() -> ProbeSpec {
 fn fused_probe_engages_for_every_source_and_predicate() {
     // Both lowered distance forms: plain Euclidean, and a periodic box
     // small enough (the probe's coordinates span ~60) that the
-    // minimum-image wrap changes most distances.
+    // minimum-image wrap changes most distances. Every sink list, on
+    // full warps and on a partial last warp (n = 100 leaves it four
+    // lanes).
     for box_edge in [None, Some(13.0f32)] {
-        for out in [ProbeOut::CountLt, ProbeOut::Hist(32), ProbeOut::Mixed(32)] {
+        for out in [
+            ProbeOut::CountLt,
+            ProbeOut::Counts3,
+            ProbeOut::Hist(32),
+            ProbeOut::Mixed(32),
+            ProbeOut::Mixed3(32),
+        ] {
             for src in [ProbeSrc::Shared, ProbeSrc::Roc, ProbeSrc::Lane] {
                 for pred in [ProbePred::All, ProbePred::NotEqual, ProbePred::LessThan] {
-                    let mut spec = base_spec();
-                    spec.box_edge = box_edge;
-                    spec.out = out;
-                    spec.src = src;
-                    spec.pred = pred;
-                    if src == ProbeSrc::Lane {
-                        spec.len = 24; // lane tiles are at most one warp wide
-                    }
-                    let rc = probe_identical(spec);
-                    if !route_pinned() {
-                        assert!(
-                            rc.interp.compiled_ops > 0,
-                            "{box_edge:?}/{out:?}/{src:?}/{pred:?} must lower on the compiled route"
-                        );
+                    for n in [128, 100] {
+                        let mut spec = base_spec();
+                        spec.box_edge = box_edge;
+                        spec.out = out;
+                        spec.src = src;
+                        spec.pred = pred;
+                        spec.n = n;
+                        if src == ProbeSrc::Lane {
+                            spec.len = 24; // lane tiles are at most one warp wide
+                        }
+                        let rc = probe_identical(spec);
+                        if !route_pinned() {
+                            assert!(
+                                rc.interp.compiled_ops > 0,
+                                "{box_edge:?}/{out:?}/{src:?}/{pred:?}/n={n} must lower on the compiled route"
+                            );
+                        }
                     }
                 }
             }
@@ -1357,8 +1378,14 @@ fn chunk_spec(out: ProbeOut, load: ProbeLoad) -> ProbeSpec {
 fn tile_probe_chunk_test_culls_recorded_tiles_identically() {
     // Count-only and mixed lists over sorted tiles from compiled loads,
     // a second load into the same arrays included, for full and ragged
-    // warps: whole chunks cull, bit-identically to the op-by-op walk.
-    for out in [ProbeOut::CountLt, ProbeOut::Mixed(32)] {
+    // warps: whole chunks cull, and the sweep visits only the surviving
+    // row runs, bit-identically to the op-by-op walk.
+    for out in [
+        ProbeOut::CountLt,
+        ProbeOut::Counts3,
+        ProbeOut::Mixed(32),
+        ProbeOut::Mixed3(32),
+    ] {
         for load in [ProbeLoad::Compiled, ProbeLoad::Reloaded] {
             for n in [128, 100] {
                 let mut spec = chunk_spec(out, load);
