@@ -31,9 +31,8 @@
 //! * **Cache effectiveness**: the shard-upload cache hit rate across
 //!   the throughput leg — repeat queries must not re-upload.
 //!
-//! The `serve_baseline` bin prints it (default N = 16384, `--full` adds
-//! the N = 65536 acceptance leg); the perf gate pins the N = 16384
-//! multipliers, a p99 ceiling, and a hit-rate floor (group `host`).
+//! The perf gate runs it at N = 16384 and pins the multipliers, a p99
+//! ceiling, and a hit-rate floor (group `host`).
 
 use std::time::Instant;
 
@@ -264,7 +263,7 @@ pub fn measure_latency(n: usize) -> LatencySample {
 
 /// Build the `ext_serve` report: one count-mix throughput row per entry
 /// of `ratio_sizes`, one SDH-heavy row per entry of `sdh_sizes`, one
-/// gridded coalescing row at the smallest ratio size, one latency
+/// gridded coalescing row at the first ratio size, one latency
 /// summary at `latency_n`.
 pub fn build_report(
     ratio_sizes: &[usize],
@@ -275,18 +274,6 @@ pub fn build_report(
     let sdh: Vec<ServeSample> = sdh_sizes.iter().map(|&n| measure_ratio_sdh(n)).collect();
     let gridded = [measure_ratio_gridded(ratio_sizes[0])];
     let latency = measure_latency(latency_n);
-    build_report_from(&samples, &sdh, &gridded, &latency)
-}
-
-/// Assemble the report from already-measured legs (the `serve_baseline`
-/// bin measures once and reuses the samples for its own gates).
-pub fn build_report_from(
-    samples: &[ServeSample],
-    sdh: &[ServeSample],
-    gridded: &[ServeSample],
-    latency: &LatencySample,
-) -> Result<Report, ReportError> {
-    let latency_n = latency.n;
     let mut rep = Report::new(
         "ext_serve",
         "Query service: coalescing, latency, cache SLOs",
@@ -318,19 +305,19 @@ pub fn build_report_from(
         ]
     };
     let mut t = SeriesTable::new("coalescing", &columns);
-    for s in samples {
+    for s in &samples {
         t.row(coalescing_row(s));
     }
     rep.push_table(t);
 
     let mut st = SeriesTable::new("coalescing (SDH-heavy)", &columns);
-    for s in sdh {
+    for s in &sdh {
         st.row(coalescing_row(s));
     }
     rep.push_table(st);
 
     let mut gt = SeriesTable::new("coalescing (gridded)", &columns);
-    for s in gridded {
+    for s in &gridded {
         gt.row(coalescing_row(s));
     }
     rep.push_table(gt);
@@ -344,29 +331,28 @@ pub fn build_report_from(
     ]);
     rep.push_table(lt);
 
-    for s in samples {
+    for s in &samples {
         rep.metric(
             &format!("batched_vs_sequential.n{}", s.n),
             s.batched_vs_sequential(),
             "x",
         )?;
     }
-    for s in sdh {
+    for s in &sdh {
         rep.metric(
             &format!("batched_vs_sequential_sdh.n{}", s.n),
             s.batched_vs_sequential(),
             "x",
         )?;
     }
-    for s in gridded {
+    for s in &gridded {
         rep.metric(
             &format!("batched_vs_sequential_gridded.n{}", s.n),
             s.batched_vs_sequential(),
             "x",
         )?;
     }
-    // The cache SLO comes from the smallest (gate) size so the metric
-    // exists on both the reduced and the --full sweep.
+    // The cache SLO comes from the first (gate) size.
     let gate = &samples[0];
     rep.metric("cache_hit_rate", gate.stats.cache_hit_rate(), "ratio")?;
     rep.metric("coalesced_queries", gate.stats.coalesced_queries as f64, "")?;

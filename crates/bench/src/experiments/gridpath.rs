@@ -12,8 +12,8 @@
 //! (`with_compiled(true)`), the same Register-SHM plan and the same
 //! seeded uniform catalog, and both are measured directly at every
 //! size; nothing is projected. The grid route's count is asserted
-//! bit-identical against the all-pairs route at every size, and
-//! against the CPU grid oracle when asked.
+//! bit-identical against the all-pairs route and against the CPU grid
+//! oracle at every size.
 //!
 //! Host wall clock answers a different question and is reported, not
 //! gated against all-pairs: `pcf_gpu` uploads in Morton order and its
@@ -23,12 +23,14 @@
 //! rivals the grid on the host (`host_grid_vs_allpairs`).
 //!
 //! The grid route runs packed launches (segmented multi-cell-pair
-//! launches, O(population classes) launches). The perf gate pins three
-//! floors (group `host`, though the first and last are deterministic):
+//! launches, O(population classes) launches). The perf gate pins four
+//! bands (group `host`, though all four are deterministic):
 //! `grid_vs_allpairs.n1048576 ≥ 10` — the headline ≥10× win —
-//! `pruned_pair_fraction.n262144 ≥ 0.9` at the reference r_max, and
-//! `model_agreement ≥ 1` at the gate sizes (the SpatialPlan model's
-//! pick matches the simulated winner).
+//! `pruned_pair_fraction.n262144 ≥ 0.9` at the reference r_max,
+//! `launches_per_class.n262144 ≤ 10` (one launch per population class,
+//! more only where a class spans several 4096-block chunks), and
+//! `model_agreement ≥ 1` at the gate sizes (the
+//! SpatialPlan model's pick matches the simulated winner).
 //!
 //! Each size also runs a bounded radial histogram (10 bins to r_max)
 //! and reports `culled_row_frac`: the share of its histogram rows (one
@@ -94,9 +96,8 @@ pub struct GridSample {
     pub grid_sim_s: f64,
     pub cells: u64,
     pub occupied_cells: u64,
+    /// Packed launches issued.
     pub launches: u64,
-    /// Packed launches actually issued (≤ ~10× classes).
-    pub packed_launches: u64,
     /// Distinct cell-population classes the packer planned for.
     pub population_classes: u64,
     /// Fraction of the N(N−1)/2 pair mass culled before any kernel ran.
@@ -108,7 +109,7 @@ pub struct GridSample {
     pub model_speedup: f64,
     /// Whether the model routed to the grid. On the *modeled* GPU the
     /// per-launch floor makes all-pairs win at small N; the model must
-    /// flip to the grid by N = 1048576 (asserted by the bin).
+    /// flip to the grid by N = 1048576 (the gate's `model_agreement`).
     pub model_picks_grid: bool,
     /// Measured all-pairs wall-clock (`pcf_gpu`, Morton-ordered).
     pub all_pairs_s: f64,
@@ -131,6 +132,12 @@ impl GridSample {
     /// (grid iff the grid route's simulated time beats all-pairs').
     pub fn model_agrees(&self) -> bool {
         self.model_picks_grid == (self.speedup() > 1.0)
+    }
+
+    /// Packed launches per population class: one per class unless the
+    /// 4096-block chunk cap splits a class.
+    pub fn launches_per_class(&self) -> f64 {
+        self.launches as f64 / self.population_classes.max(1) as f64
     }
 }
 
@@ -197,9 +204,9 @@ pub fn measure_all_pairs(pts: &SoaPoints<3>) -> (f64, f64, u64) {
     (t.elapsed().as_secs_f64(), r.run.timing.seconds, r.count)
 }
 
-/// Measure one size: grid route, CPU oracle cross-check (when `oracle`)
-/// and the all-pairs route, whose count the grid's must equal.
-pub fn measure(n: usize, oracle: bool) -> GridSample {
+/// Measure one size: grid route, CPU oracle cross-check and the
+/// all-pairs route, whose count the grid's must equal.
+pub fn measure(n: usize) -> GridSample {
     let pts = uniform_points::<3>(n, BOX, SEED);
     eprintln!("gridpath N={n}: binning + one SoA catalog upload...");
     let mut dev = device();
@@ -222,22 +229,20 @@ pub fn measure(n: usize, oracle: bool) -> GridSample {
 
     let culled_row_frac = cull_sweep(&mut dev, &cat).culled_row_frac();
 
-    if oracle {
-        eprintln!("gridpath N={n}: CPU grid oracle cross-check...");
-        let t = Instant::now();
-        // The device predicate is `√dist² < r`, so the cross-engine
-        // oracle must mirror that arithmetic (not the CPU comparator's
-        // sqrt-free `dist² < r²`, which flips rare boundary pairs).
-        let want = grid_pcf_device_reference(&pts, R_MAX, &grid_options());
-        assert_eq!(
-            res.count, want,
-            "grid-pruned device count diverged from the CPU oracle at N={n}"
-        );
-        eprintln!(
-            "gridpath N={n}: oracle agreed ({want} pairs) in {:.3}s",
-            t.elapsed().as_secs_f64()
-        );
-    }
+    eprintln!("gridpath N={n}: CPU grid oracle cross-check...");
+    let t = Instant::now();
+    // The device predicate is `√dist² < r`, so the cross-engine oracle
+    // must mirror that arithmetic (not the CPU comparator's sqrt-free
+    // `dist² < r²`, which flips rare boundary pairs).
+    let want = grid_pcf_device_reference(&pts, R_MAX, &grid_options());
+    assert_eq!(
+        res.count, want,
+        "grid-pruned device count diverged from the CPU oracle at N={n}"
+    );
+    eprintln!(
+        "gridpath N={n}: oracle agreed ({want} pairs) in {:.3}s",
+        t.elapsed().as_secs_f64()
+    );
 
     eprintln!("gridpath N={n}: all-pairs pass...");
     let (all_pairs_s, all_pairs_sim_s, count) = measure_all_pairs(&pts);
@@ -253,8 +258,8 @@ pub fn measure(n: usize, oracle: bool) -> GridSample {
 
     // The analytic SpatialPlan model's verdict on the same pruning
     // stats. Note this models the *GPU*, not this host: its per-launch
-    // floor legitimately keeps all-pairs ahead at small N, and the bin
-    // asserts the route flips to the grid by N = 1048576.
+    // floor legitimately keeps all-pairs ahead at small N, and the gate
+    // holds that the route flips to the grid by N = 1048576.
     let spatial = choose_spatial_plan(
         &ProblemSpec {
             n: n as u32,
@@ -275,7 +280,6 @@ pub fn measure(n: usize, oracle: bool) -> GridSample {
         cells: stats.cells as u64,
         occupied_cells: stats.occupied_cells as u64,
         launches: u64::from(res.run.launches()),
-        packed_launches: u64::from(res.run.packed_launches),
         population_classes: u64::from(res.run.population_classes),
         pruned_fraction: stats.pruned_fraction(),
         culled_row_frac,
@@ -287,19 +291,15 @@ pub fn measure(n: usize, oracle: bool) -> GridSample {
 }
 
 /// Build the grid-vs-all-pairs report over `sizes`, cross-checking
-/// every grid count against the CPU grid oracle when `oracle`.
-pub fn build_report(sizes: &[usize], oracle: bool) -> Result<Report, ReportError> {
+/// every grid count against the all-pairs route and the CPU grid
+/// oracle.
+pub fn build_report(sizes: &[usize]) -> Result<Report, ReportError> {
     if sizes.is_empty() {
         return Err(ReportError::EmptySeries {
             what: "gridpath size list".to_string(),
         });
     }
-    let samples: Vec<GridSample> = sizes.iter().map(|&n| measure(n, oracle)).collect();
-    build_report_from(&samples)
-}
-
-/// Assemble the report from already-taken measurements.
-pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> {
+    let samples: Vec<GridSample> = sizes.iter().map(|&n| measure(n)).collect();
     let mut rep = Report::new(
         "sim_gridpath",
         "Spatial pruning — grid vs all-pairs, simulated device time and host wall clock",
@@ -328,7 +328,7 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             "host_x",
         ],
     );
-    for s in samples {
+    for s in &samples {
         t.row(vec![
             Cell::int(s.n as u64),
             Cell::int(s.count),
@@ -379,6 +379,11 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
             s.culled_row_frac,
             "frac",
         )?;
+        rep.metric(
+            &format!("launches_per_class.n{}", s.n),
+            s.launches_per_class(),
+            "x",
+        )?;
         rep.metric(&format!("model_speedup.n{}", s.n), s.model_speedup, "x")?;
         rep.metric(
             &format!("model_agreement.n{}", s.n),
@@ -394,7 +399,7 @@ pub fn build_report_from(samples: &[GridSample]) -> Result<Report, ReportError> 
          which the device model charges for every pair. grid_s runs packed\n\
          launches (segmented multi-cell-pair launches, O(population classes)\n\
          launches). Counts are bit-identical across the grid route, the\n\
-         all-pairs route and, when checked, the CPU grid oracle.\n\
+         all-pairs route and the CPU grid oracle.\n\
          culled is the share of a 10-bin radial histogram's rows that compiled\n\
          passes culled as provably landing in the overflow bucket.\n\
          model_x is the SpatialPlan analytic model's predicted speedup from the\n\

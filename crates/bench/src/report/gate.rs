@@ -304,10 +304,19 @@ pub fn gate_groups() -> &'static [GateGroup] {
             Band::min(4.0),
         ),
         // The parallel block executor is the benched default; its win
-        // over a sequential run of the compiled route (timed
-        // interleaved, best of 5) is floored just under the 1.6–1.7×
-        // a 2-core host measures.
-        spec("sim_hotpath.parallel_vs_sequential.n16384", Band::min(1.3)),
+        // over a sequential run of the compiled route is floored on the
+        // SDH workload, a pass of a few tenths of a second (the 2-PCF
+        // pass takes about 10 ms, too short for a stable ratio).
+        spec(
+            "sim_hotpath.parallel_vs_sequential_sdh.n16384",
+            Band::min(1.3),
+        ),
+        // The simulated L2's cache memo must keep replaying most tile
+        // fetches of one compiled 2-PCF at N = 65536 (0.951 under the
+        // parallel engine, 0.949 under the sequential one; each repeats
+        // to the bit): its hit rate collapsing is the regression this
+        // band exists to catch.
+        spec("sim_memo.memo_hit_rate.n65536", Band::min(0.5)),
         // Most useful lane work must flow through compiled passes on
         // the fig2 workload (deterministic, not wall-clock, so the
         // floor can sit just under the 0.93 measured: with the output
@@ -325,6 +334,11 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // min-distance cull must discard ≥90 % of the pair mass at
         // N = 262144 with the reference r_max.
         spec("sim_gridpath.pruned_pair_fraction.n262144", Band::min(0.9)),
+        // Launch packing at scale (deterministic): one segmented launch
+        // per population class unless the 4096-block chunk cap splits
+        // one; past 10 per class the packer has lost its O(classes)
+        // launch count.
+        spec("sim_gridpath.launches_per_class.n262144", Band::max(10.0)),
         // The SpatialPlan analytic model's pick must match the
         // simulated winner at both gate sizes (1.0 = agrees;
         // deterministic — a mispriced per-launch floor shows up here,
@@ -426,12 +440,14 @@ pub fn functional_reports() -> Result<Vec<Report>, ReportError> {
 }
 
 /// Build the host-throughput reports at the gate's reduced sizes: the
-/// interpreter hot path, plus the grid-vs-all-pairs sweep (no CPU
-/// oracle — the differential suite owns exactness).
+/// interpreter hot path and its L2 memo, the grid-vs-all-pairs sweep
+/// (each size also cross-checked against the CPU grid oracle) and the
+/// query service.
 pub fn host_reports() -> Result<Vec<Report>, ReportError> {
     Ok(vec![
         hotpath::build_report(&[16_384])?,
-        gridpath::build_report(&[262_144, 1_048_576], false)?,
+        hotpath::build_memo_report(65_536)?,
+        gridpath::build_report(&[262_144, 1_048_576])?,
         ext_serve::build_report(&[16_384], &[16_384], 4_096)?,
     ])
 }
