@@ -9,10 +9,12 @@
 //! * **Coalescing throughput**: k batchable queries (a 2-PCF radius
 //!   ladder plus dense count-within probes) against one
 //!   dataset, submitted one-at-a-time (k sharded sweeps) vs as one
-//!   admission batch (one sharded sweep feeding every sink). The
-//!   batched answers are asserted bit-identical to the sequential ones,
-//!   then `batched_vs_sequential.nN = T_seq / T_batch` — the service's
-//!   headline multiplier (k sweeps of work collapse into ~1).
+//!   admission batch (one sharded sweep feeding every sink), in
+//!   [`RATIO_ROUNDS`] alternating rounds on one server after the shard
+//!   upload. Every round asserts the batched answers bit-identical to
+//!   the sequential ones; `batched_vs_sequential.nN = T_seq / T_batch`
+//!   over each side's best round is the service's headline multiplier
+//!   (k sweeps of work collapse into ~1).
 //! * **SDH-heavy coalescing**: the same leg on a histogram-dominated
 //!   mix ([`sdh_queries`]) — mostly clients asking the *popular* SDH
 //!   geometry, plus a custom-geometry client and count probes. A
@@ -23,9 +25,9 @@
 //!   (`batched_vs_sequential_sdh.nN`).
 //! * **Gridded coalescing**: a burst of gridded count-within clients
 //!   ([`gridded_queries`]) — one at a time each pays its own packed
-//!   sweep and covering-grid build; as one batch they collapse into a
-//!   single packed multi-radius sweep over one shared covering catalog
-//!   (`batched_vs_sequential_gridded.nN`).
+//!   sweep (and, in the first round, its covering-grid build); as one
+//!   batch they collapse into a single packed multi-radius sweep over
+//!   one shared covering catalog (`batched_vs_sequential_gridded.nN`).
 //! * **Latency distribution**: m single queries at a CI-sized dataset;
 //!   p50/p99 wall-clock per round-trip (admission → merged reply).
 //! * **Cache effectiveness**: the shard-upload cache hit rate across
@@ -44,6 +46,10 @@ pub const BOX: f32 = 100.0;
 pub const SEED: u64 = 17;
 /// Workers (= shards) the measured server runs.
 pub const WORKERS: usize = 2;
+/// Alternating rounds of each coalescing leg (one sequential pass, then
+/// one batched pass); each side reports its best round, so a slow
+/// stretch of the host during one pass does not land on one side only.
+pub const RATIO_ROUNDS: usize = 3;
 /// Single-query round-trips in the latency leg.
 pub const LATENCY_PROBES: usize = 40;
 
@@ -126,7 +132,8 @@ pub fn sdh_queries() -> Vec<Query> {
 /// leg: a radius ladder in the grid's regime (r small against the box),
 /// every query routed through the uniform grid. Submitted one at a
 /// time, each pays its own packed sweep — and each new radius its own
-/// covering-grid build; as one batch they coalesce into a single packed
+/// covering-grid build, until the worker caches hold a grid for every
+/// radius; as one batch they coalesce into a single packed
 /// multi-radius sweep over one shared covering catalog.
 pub fn gridded_queries() -> Vec<Query> {
     (0..12)
@@ -145,11 +152,13 @@ pub struct ServeSample {
     pub k: usize,
     /// Sinks the coalesced sweep fed.
     pub sinks: usize,
-    /// Wall-clock seconds for k one-at-a-time submissions.
+    /// Wall-clock seconds for k one-at-a-time submissions, best of
+    /// [`RATIO_ROUNDS`].
     pub sequential_s: f64,
-    /// Wall-clock seconds for the same k queries as one batch.
+    /// Wall-clock seconds for the same k queries as one batch, best of
+    /// [`RATIO_ROUNDS`].
     pub batched_s: f64,
-    /// Service counters after both legs.
+    /// Service counters after every round.
     pub stats: ServerStats,
 }
 
@@ -161,9 +170,10 @@ impl ServeSample {
 }
 
 /// Run the throughput leg at dataset size `n` on the count-shaped
-/// [`ratio_queries`] mix: sequential first (its opening query pays the
-/// one shard upload), then the coalesced batch, asserting the answers
-/// are bit-identical.
+/// [`ratio_queries`] mix: after one untimed query pays the shard
+/// upload, [`RATIO_ROUNDS`] rounds of the k queries one at a time and
+/// then as one coalesced batch, each round asserting the answers
+/// bit-identical; each side keeps its best round.
 pub fn measure_ratio(n: usize) -> ServeSample {
     measure_ratio_queries(n, ratio_queries())
 }
@@ -196,19 +206,24 @@ fn measure_ratio_with_sinks(n: usize, queries: Vec<Query>, sinks: usize) -> Serv
     let cfg = ServeConfig::default().with_workers(WORKERS);
     Server::run(cfg, |h| {
         h.register_dataset("d", pts.clone()).expect("register");
-        let t0 = Instant::now();
-        let sequential: Vec<QueryResult> = queries
-            .iter()
-            .map(|q| h.submit("d", q.clone()).expect("sequential query"))
-            .collect();
-        let sequential_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let batched = h.submit_batch("d", queries.clone()).expect("batch");
-        let batched_s = t1.elapsed().as_secs_f64();
-        assert_eq!(
-            sequential, batched,
-            "coalesced answers must be bit-identical to sequential ones (N = {n})"
-        );
+        // The shard upload is paid once, before any timed pass.
+        h.submit("d", queries[0].clone()).expect("upload query");
+        let (mut sequential_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..RATIO_ROUNDS {
+            let t0 = Instant::now();
+            let sequential: Vec<QueryResult> = queries
+                .iter()
+                .map(|q| h.submit("d", q.clone()).expect("sequential query"))
+                .collect();
+            sequential_s = sequential_s.min(t0.elapsed().as_secs_f64());
+            let t1 = Instant::now();
+            let batched = h.submit_batch("d", queries.clone()).expect("batch");
+            batched_s = batched_s.min(t1.elapsed().as_secs_f64());
+            assert_eq!(
+                sequential, batched,
+                "coalesced answers must be bit-identical to sequential ones (N = {n})"
+            );
+        }
         let stats = h.stats().expect("stats");
         ServeSample {
             n,
@@ -376,7 +391,8 @@ pub fn build_report(
          collapses onto one sink) on top of the shared sweep. The gridded leg \
          coalesces a burst of gridded count-withins into one packed multi-radius \
          sweep over a shared covering catalog (sequential submissions each pay \
-         their own sweep and covering-grid build). The hit-rate SLO \
+         their own sweep; grids built in the first round are cached). Each side \
+         of a leg is its best of the alternating rounds. The hit-rate SLO \
          certifies repeat queries never re-upload shards; p99 includes the cold \
          first probe by design.",
     );

@@ -138,6 +138,13 @@ impl Sample {
     pub fn lane_ops_per_s(&self) -> f64 {
         self.lane_ops as f64 / self.compiled_s
     }
+
+    /// Absolute cost of the compiled route: wall-clock nanoseconds per
+    /// distinct pair, `compiled_s` over N(N−1)/2.
+    pub fn compiled_ns_per_pair(&self) -> f64 {
+        let n = self.n as f64;
+        self.compiled_s * 1e9 / (n * (n - 1.0) / 2.0)
+    }
 }
 
 fn route_config(route: Route, exec: ExecMode) -> DeviceConfig {
@@ -395,6 +402,33 @@ pub fn build_sink_list_report(n: usize) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
+/// The Type-II contention charges of one compiled SDH (the workload
+/// [`measure_sdh`] times) over `n` points: `shared_atomic_serial`,
+/// `shared_transactions` and `shared_bank_replays`, folded over the
+/// pairwise scatter kernel and the Figure-3 reduction. Deterministic,
+/// not wall-clock: they repeat to the bit on every route and block
+/// executor, so any change to the scatter accounting moves them.
+pub fn build_sdh_charges_report(n: usize) -> Result<Report, ReportError> {
+    let (_, run) = run_once(n, Workload::Sdh, Route::Compiled, bench_exec());
+    let t = &run.tally;
+    let mut rep = Report::new(
+        "sim_sdh_charges",
+        "Shared-atomic charges of the compiled SDH",
+    )
+    .with_context(&format!(
+        "privatized SDH ({SDH_BUCKETS} buckets), register_shm plan, block={BLOCK}, \
+             {BOX}^3 box, compiled route"
+    ));
+    for (id, v) in [
+        ("shared_atomic_serial", t.shared_atomic_serial),
+        ("shared_transactions", t.shared_transactions),
+        ("shared_bank_replays", t.shared_bank_replays),
+    ] {
+        rep.metric(&format!("{id}.n{n}"), v as f64, "count")?;
+    }
+    Ok(rep)
+}
+
 /// Inter-tile rows of a HalfPairs Register-SHM launch over `n` points
 /// at block `b`: each warp with a live lane meets every row of each
 /// later tile once. These are the rows a compiled pass may cull.
@@ -517,6 +551,7 @@ pub fn build_report(sizes: &[usize]) -> Result<Report, ReportError> {
                 ("compiled_coverage", s.compiled_coverage, "frac"),
                 ("memo_hit_rate", s.memo_hit_rate, "frac"),
                 ("lane_ops_per_s", s.lane_ops_per_s(), "ops/s"),
+                ("compiled_ns_per_pair", s.compiled_ns_per_pair(), "ns"),
             ] {
                 rep.metric(&format!("{id}{suffix}.n{n}"), v, unit)?;
             }

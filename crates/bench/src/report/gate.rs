@@ -278,6 +278,23 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // rows by the chunk test (0.814 measured), or dense counts pay
         // for every pair again.
         spec("sim_cull.culled_row_frac.n16384", Band::min(0.8)),
+        // The Type-II contention charges of the compiled SDH at
+        // N = 16384 (Figure 5's output privatization), pinned exactly:
+        // the host's scatter accounting must reproduce them to the
+        // count on every route and engine, so any change to how a warp
+        // step's multiplicity or bank conflicts are counted fails here.
+        spec(
+            "sim_sdh_charges.shared_atomic_serial.n16384",
+            Band::range(9_544_663.0, 9_544_663.0),
+        ),
+        spec(
+            "sim_sdh_charges.shared_transactions.n16384",
+            Band::range(29_649_332.0, 29_649_332.0),
+        ),
+        spec(
+            "sim_sdh_charges.shared_bank_replays.n16384",
+            Band::range(7_485_405.0, 7_485_405.0),
+        ),
     ];
     const HOST: &[GateSpec] = &[
         // Wall-clock floors — deliberately ~2× under the slowest
@@ -295,13 +312,22 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // the op-by-op vectorized route on the Type-I hot path.
         spec("sim_hotpath.compiled_vs_vectorized.n16384", Band::min(6.0)),
         // On the Type-II (SDH) workload the compiled route lowers the
-        // histogram sink itself — combined distance+bucket rows (the
-        // vectorized magic-number floor) feeding the closed-form
-        // windowed scatter accounting — plus the Figure-3 reduction, so
-        // it must stay a genuine multiplier over the op-by-op route too.
+        // histogram sink itself — squared-edge bucketing rows feeding
+        // the windowed scatter walk, whose contention charges are read
+        // off a per-step counter array in vector code — plus the
+        // Figure-3 reduction, so it must stay a genuine multiplier over
+        // the op-by-op route too.
         spec(
             "sim_hotpath.compiled_vs_vectorized_sdh.n16384",
             Band::min(4.0),
+        ),
+        // Absolute cost of the compiled SDH on the default route:
+        // wall-clock ns per distinct pair. The ceiling is about 2× the
+        // slowest of six gate runs on a 2-vCPU host (1.01–1.27), so a
+        // 2× host regression of the Type-II pass fails.
+        spec(
+            "sim_hotpath.compiled_ns_per_pair_sdh.n16384",
+            Band::max(2.5),
         ),
         // The parallel block executor is the benched default; its win
         // over a sequential run of the compiled route is floored on the
@@ -350,6 +376,9 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // a genuine multiplier over one-at-a-time serving (the PR's
         // ≥2× claim at the acceptance size, asserted bit-identical
         // in-run; gated at the reduced size like the hotpath bands).
+        // Each coalescing leg takes the best of three alternating
+        // sequential and batched rounds after the shard upload, so a
+        // slow stretch of the host cannot land on one side only.
         spec("ext_serve.batched_vs_sequential.n16384", Band::min(2.0)),
         // The SDH-heavy mix must coalesce too: identical-spec histogram
         // sinks dedup at admission and the compiled multi-consumer
@@ -369,8 +398,9 @@ pub fn gate_groups() -> &'static [GateGroup] {
         // it trips on a dispatcher/cache regression, not on noise.
         spec("ext_serve.p99_latency_ms.n4096", Band::max(2_000.0)),
         // The shard-upload cache must replay most probes across the
-        // throughput leg (deterministic: 12 hits / 14 probes with the
-        // 2-worker layout); repeat queries must never re-upload.
+        // throughput leg (deterministic: 0.975 with the 2-worker layout
+        // over the upload query and three rounds); repeat queries must
+        // never re-upload.
         spec("ext_serve.cache_hit_rate", Band::min(0.5)),
     ];
     const GROUPS: &[GateGroup] = &[
@@ -436,6 +466,7 @@ pub fn functional_reports() -> Result<Vec<Report>, ReportError> {
         gridpath::build_cull_report(&[65_536])?,
         hotpath::build_sink_list_report(16_384)?,
         hotpath::build_cull_report(16_384)?,
+        hotpath::build_sdh_charges_report(16_384)?,
     ])
 }
 

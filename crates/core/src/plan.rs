@@ -192,9 +192,9 @@ pub const PACKED_CLASS_ESTIMATE: u64 = 4;
 /// Residual per-segment overhead of a packed sweep, as a fraction of
 /// the per-launch floor: ragged last tiles, the own-register reload at
 /// each segment's blocks, and last-block padding. Calibrated against
-/// packed vs one-launch-per-cell-pair gridpath measurements
-/// (`BENCH_sim_gridpath`) before that route was deleted; the
-/// `sim_gridpath.model_agreement` gate bands now hold it.
+/// measurements of packed sweeps beside one launch per cell pair,
+/// before the per-cell-pair route was deleted; the perf gate's
+/// `sim_gridpath.model_agreement` bands now hold it.
 pub const PACKED_SEGMENT_OVERHEAD: f64 = 1.0 / 64.0;
 
 /// Closed-form estimate of the packed route's launch count from pruning

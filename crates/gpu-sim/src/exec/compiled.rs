@@ -427,7 +427,7 @@ enum SrcView<'s, const D: usize> {
 /// per-lane count sink counters, the deferred bucket batches, the
 /// surviving row runs and the scatter walk's per-bank counters. Their
 /// contents are dead between passes (the counters and batches are
-/// cleared, the scatter counters are reset via its touched list), so
+/// cleared, the scatter walks drain the counters they bump), so
 /// reuse cannot leak state across passes — only the capacity persists. The one exception is the tile-box record, which a pass
 /// reads only while the shared arrays it was taken from are unchanged
 /// ([`TileBoxes::covers`]).
@@ -443,7 +443,7 @@ pub struct CompiledScratch {
     keep: Vec<(u32, u32)>,
     /// The bounding boxes of the block's last compiled tile load.
     boxes: TileBoxes,
-    /// Persistent per-bank chain state for the merged scatter walk.
+    /// Persistent occupancy counters for the general scatter walk.
     scatter: ScatterScratch,
 }
 

@@ -45,19 +45,19 @@ impl ShmStorage {
     }
 }
 
-/// Reusable occupancy counters for the histogram scatter walks
-/// ([`SharedSpace::scatter_account_update`] and
-/// [`SharedSpace::scatter_account_update_rows`]). All counters are zero
-/// between calls (reset via the touched list).
+/// Reusable occupancy counters for the general scatter walk of
+/// [`SharedSpace::scatter_account_update`] and
+/// [`SharedSpace::scatter_account_update_rows`]: rows whose values span
+/// 256 or more, or any row on a bank count other than 32. Windowed rows
+/// count on a stack array and never touch it. All counters are zero
+/// between calls (each walk drains what it bumped).
 #[derive(Debug, Default)]
 pub struct ScatterScratch {
-    /// Occurrence count per word offset, grown lazily to the largest
-    /// offset seen.
+    /// Occurrence count per word offset, grown to the array's length on
+    /// first use.
     cnt: Vec<u8>,
     /// Distinct-word count per bank.
     bank_distinct: [u8; WARP_SIZE],
-    /// `(word offset, bank)` of each distinct word of the current call.
-    touched: Vec<(u32, u8)>,
 }
 
 /// One block's shared-memory allocations.
@@ -355,19 +355,21 @@ impl SharedSpace {
     }
 
     /// [`Self::atomic_scatter_accounting`] combined with the histogram
-    /// data update, over caller-owned scratch: one walk over the
-    /// active-lane bucket indices yields the accounting pair *and* applies `data[v] += 1` per lane (batched as
-    /// `data[v] += count(v)` per distinct value — wrapping u32 adds
-    /// commute, so the result is bit-identical to the per-lane
-    /// increments the op-by-op atomic performs). The compiled histogram
-    /// sinks use this for partial-warp steps — full-warp steps batch
-    /// through [`Self::scatter_account_update_rows`] — and either way
-    /// each distinct bucket is touched once instead of once for
-    /// accounting and once for the update. The occupancy counters live
-    /// across steps in `scratch` (reset via the touched list, never a
-    /// full clear), so a general scatter costs one counter bump per lane
-    /// and one bank bump per first occurrence — no quadratic dedup scan,
-    /// no per-step zeroing.
+    /// data update: one walk over the active-lane bucket indices `vals`
+    /// yields the accounting pair *and* applies `data[v] += 1` per lane
+    /// (wrapping u32 adds commute, so batching them changes no
+    /// observable state). The compiled histogram sinks use this for
+    /// partial-warp steps — ragged warps, intra-triangle tails, gridded
+    /// segment ends — and [`Self::scatter_account_update_rows`] for
+    /// full-warp steps; both run one row helper. On 32 banks a row
+    /// whose values span less than 256 takes the windowed walk (see
+    /// [`Self::scatter_account_update_rows`]); every other one-word row
+    /// takes the general walk over `scratch`'s persistent occupancy
+    /// counters (one counter bump per lane, one bank bump per first
+    /// occurrence, reset through a stack touched list — no quadratic
+    /// dedup scan, no per-step zeroing). Multi-word storage and the
+    /// scalar-reference route take the stateless
+    /// [`Self::atomic_scatter_accounting`] and the plain per-lane update.
     pub fn scatter_account_update(
         &mut self,
         h: ShmU32,
@@ -379,9 +381,6 @@ impl SharedSpace {
             return (0, 0);
         }
         if self.scalar_reference || self.arrays[h.0].words_per_elem() != 1 {
-            // Multi-word elements and the scalar-reference route take
-            // the stateless accounting; the update is the plain
-            // per-lane form.
             let acct = self.atomic_scatter_accounting(h.0, vals);
             let data = self.u32s_mut(h);
             for &v in vals {
@@ -389,96 +388,48 @@ impl SharedSpace {
             }
             return acct;
         }
-        let base = self.base_words[h.0];
-        let banks = self.banks as u64;
-        // The shape shortcuts of `atomic_scatter_accounting` (a one-word
-        // broadcast is one transaction), with the update folded in.
-        let first = vals[0];
-        if vals.iter().all(|&v| v == first) {
-            let data = self.u32s_mut(h);
-            data[first as usize] = data[first as usize].wrapping_add(vals.len() as u32);
-            return (vals.len() as u64, 1);
-        }
-        if vals
-            .iter()
-            .enumerate()
-            .all(|(k, &v)| v as u64 == first as u64 + k as u64)
-        {
-            let txns = self.transactions_for(h.0, vals);
-            let data = self.u32s_mut(h);
-            for &v in vals {
-                data[v as usize] = data[v as usize].wrapping_add(1);
-            }
-            return (1, txns);
-        }
-        let (mut mult, mut txns) = (0u64, 1u64);
-        for &v in vals {
-            let vi = v as usize;
-            if vi >= scratch.cnt.len() {
-                scratch.cnt.resize(vi + 1, 0);
-            }
-            let c = scratch.cnt[vi] + 1;
-            scratch.cnt[vi] = c;
-            if c == 1 {
-                let word = base + v as u64;
-                let bank = if banks == 32 {
-                    (word & 31) as usize
-                } else {
-                    (word % banks) as usize % WARP_SIZE
-                };
-                let bd = scratch.bank_distinct[bank] + 1;
-                scratch.bank_distinct[bank] = bd;
-                txns = txns.max(bd as u64);
-                scratch.touched.push((v, bank as u8));
-            }
-            mult = mult.max(c as u64);
-        }
-        let data = match &mut self.arrays[h.0] {
-            ShmStorage::U32(v) => v,
-            _ => unreachable!("handle type guarantees u32 storage"),
-        };
-        for &(v, bank) in &scratch.touched {
-            data[v as usize] = data[v as usize].wrapping_add(scratch.cnt[v as usize] as u32);
-            scratch.cnt[v as usize] = 0;
-            scratch.bank_distinct[bank as usize] = 0;
-        }
-        scratch.touched.clear();
-        (mult, txns)
+        let (base, banks) = (self.base_words[h.0], self.banks as u64);
+        account_row(self.u32s_mut(h), base, banks, vals, scratch)
     }
 
     /// [`Self::scatter_account_update`] batched over whole full-warp
     /// tile steps: `rows` holds `rows.len() / 32` steps' bucket
-    /// indices, 32 lanes each. One call hoists the array binding, the
-    /// bank mapping and the counter sizing out of the per-step loop and
-    /// returns the accumulated charge sums
-    /// `(Σ mult, Σ (txns + mult − 1), Σ (txns − 1))` — exactly what the
-    /// compiled histogram sinks add to `shared_atomic_serial`,
-    /// `shared_transactions` and `shared_bank_replays`. Per step the
-    /// accounting pair and the data update are bit-identical to
-    /// [`Self::scatter_account_update`] on that step's lanes: the
-    /// broadcast shortcut, the windowed row counter (see below) and the
-    /// general counter walk each agree with the op-by-op oracle shape
-    /// by shape (the unit-stride shortcut is omitted here — the general
-    /// walk reproduces its result, and 32 monotonically increasing
-    /// buckets essentially never occur in a histogram step), and the
-    /// wrapping data adds commute across steps, so batching changes no
-    /// observable state.
+    /// indices, 32 lanes each. One call hoists the array binding and
+    /// the bank mapping out of the per-step loop and returns the
+    /// accumulated charge sums `(Σ mult, Σ (txns + mult − 1),
+    /// Σ (txns − 1))` — exactly what the compiled histogram sinks add
+    /// to `shared_atomic_serial`, `shared_transactions` and
+    /// `shared_bank_replays`. Per step the accounting pair and the data
+    /// update are those of [`Self::scatter_account_update`] on that
+    /// step's lanes (the same row helper), and the wrapping data adds
+    /// commute across steps.
     ///
-    /// Most rows take the windowed counting path: when the row's values
-    /// span less than 256 (every warp step of a privatized histogram
-    /// scatters into one copy, so any spec with `hmax < 255` qualifies)
-    /// `v & 255` is injective over the row and a 256-entry stack
-    /// counter replaces the persistent occupancy scratch — no drain
-    /// pass, no counter resets, no data-sized mirror traffic. With 32
-    /// banks, `bank(v) = (base + v) & 31` is a fixed permutation of
-    /// `v & 31`, so counting the distinct values per `v & 31` class
-    /// yields the same maximum bank occupancy; the per-lane update is
-    /// branch-free and both maxima reduce vectorized.
+    /// Most rows take the windowed walk: on 32 banks, when the row's
+    /// values span less than 256 (every step of a privatized histogram
+    /// with `hmax < 256` does), `v & 255` is injective over the row, so
+    /// a 256-entry stack counter `cnt8` indexed by `v & 255` counts
+    /// every distinct value apart. The lane loop only bumps `cnt8` and
+    /// adds to `data`; both charges are then read off the counter
+    /// array. The multiplicity is `max(cnt8)`. Read as eight rows of 32,
+    /// row `r` column `b` of `cnt8` holds the value with
+    /// `v & 255 = 32r + b`, and `bank(v) = (base + v) & 31` is a fixed
+    /// permutation of `b = v & 31`, so the number of non-zero entries in
+    /// column `b` is one bank's distinct words and their maximum over
+    /// the columns is the transaction count. Min and max are separate
+    /// folds over the fixed-width row, and `min == max` is the broadcast
+    /// test. This shape is for the code generator: folding the two
+    /// maxima into the lane loop, with a per-lane bank counter and an
+    /// `all(..)` broadcast test, compiled to a serial compare-and-branch
+    /// and `cmov` chain, while the separate folds and the column sums
+    /// over `cnt8` vectorize (EXPERIMENTS.md, "Vectorized scatter
+    /// accounting").
     ///
+    /// Rows spanning 256 or more, and every row on other bank counts,
+    /// take the general walk of [`Self::scatter_account_update`].
     /// Every index must be in bounds for `h` (the compiled pre-flights
-    /// guarantee `hmax < len`, and buckets clamp to `hmax`);
-    /// multi-word storage and the scalar-reference route fall back to
-    /// the per-step path.
+    /// guarantee `hmax < len`, and buckets clamp to `hmax`); multi-word
+    /// storage and the scalar-reference route fall back to the
+    /// per-step path.
     pub fn scatter_account_update_rows(
         &mut self,
         h: ShmU32,
@@ -487,9 +438,6 @@ impl SharedSpace {
     ) -> (u64, u64, u64) {
         debug_assert_eq!(rows.len() % WARP_SIZE, 0);
         let (mut serial, mut txns_sum, mut replays) = (0u64, 0u64, 0u64);
-        if rows.is_empty() {
-            return (serial, txns_sum, replays);
-        }
         if self.scalar_reference || self.arrays[h.0].words_per_elem() != 1 {
             for row in rows.chunks_exact(WARP_SIZE) {
                 let (mult, txns) = self.scatter_account_update(h, row, scratch);
@@ -499,88 +447,11 @@ impl SharedSpace {
             }
             return (serial, txns_sum, replays);
         }
-        let base = self.base_words[h.0];
-        let banks = self.banks as u64;
-        let data = match &mut self.arrays[h.0] {
-            ShmStorage::U32(v) => v,
-            _ => unreachable!("handle type guarantees u32 storage"),
-        };
-        if scratch.cnt.len() < data.len() {
-            scratch.cnt.resize(data.len(), 0);
-        }
-        let bank_of = |word: u64| {
-            if banks == 32 {
-                (word & 31) as usize
-            } else {
-                (word % banks) as usize % WARP_SIZE
-            }
-        };
-        let banks32 = banks == 32;
+        let (base, banks) = (self.base_words[h.0], self.banks as u64);
+        let data = self.u32s_mut(h);
         for row in rows.chunks_exact(WARP_SIZE) {
-            let first = row[0];
-            if row.iter().all(|&v| v == first) {
-                data[first as usize] = data[first as usize].wrapping_add(WARP_SIZE as u32);
-                serial += WARP_SIZE as u64;
-                txns_sum += WARP_SIZE as u64; // txns(1) + mult(32) − 1
-                continue;
-            }
-            let (mut minv, mut maxv) = (first, first);
-            for &v in row {
-                minv = minv.min(v);
-                maxv = maxv.max(v);
-            }
-            if banks32 && maxv - minv < 256 {
-                // Windowed counting (see the method doc): values within
-                // one 256-wide window keep `v & 255` injective, so the
-                // stack counter is exact, and the `v & 31` classes are a
-                // bank relabeling, so `max(bank8)` is the real maximum
-                // bank occupancy of the distinct values.
-                let mut cnt8 = [0u8; 256];
-                let mut bank8 = [0u8; WARP_SIZE];
-                // Running maxima equal the final-array maxima (counts
-                // only grow), so no post-loop scan is needed.
-                let (mut mult8, mut txns8) = (0u8, 0u8);
-                for &v in row {
-                    let c = cnt8[(v & 255) as usize] + 1;
-                    cnt8[(v & 255) as usize] = c;
-                    let bd = bank8[(v & 31) as usize] + (c == 1) as u8;
-                    bank8[(v & 31) as usize] = bd;
-                    mult8 = mult8.max(c);
-                    txns8 = txns8.max(bd);
-                    let vi = v as usize;
-                    data[vi] = data[vi].wrapping_add(1);
-                }
-                let (mult, txns) = (mult8 as u64, txns8 as u64);
-                serial += mult;
-                txns_sum += txns + mult - 1;
-                replays += txns - 1;
-                continue;
-            }
-            let (mut mult, mut txns) = (0u64, 1u64);
-            // Distinct values of this step fit a warp-sized stack array
-            // (≤ 32 lanes), so the drain needs no heap bookkeeping.
-            let mut touched = [0u32; WARP_SIZE];
-            let mut nt = 0usize;
-            for &v in row {
-                let vi = v as usize;
-                let c = scratch.cnt[vi] + 1;
-                scratch.cnt[vi] = c;
-                if c == 1 {
-                    let bank = bank_of(base + v as u64);
-                    let bd = scratch.bank_distinct[bank] + 1;
-                    scratch.bank_distinct[bank] = bd;
-                    txns = txns.max(bd as u64);
-                    touched[nt] = v;
-                    nt += 1;
-                }
-                mult = mult.max(c as u64);
-            }
-            for &v in &touched[..nt] {
-                let vi = v as usize;
-                data[vi] = data[vi].wrapping_add(scratch.cnt[vi] as u32);
-                scratch.cnt[vi] = 0;
-                scratch.bank_distinct[bank_of(base + v as u64)] = 0;
-            }
+            let row: &[u32; WARP_SIZE] = row.try_into().expect("chunks_exact yields warp rows");
+            let (mult, txns) = account_row(data, base, banks, row, scratch);
             serial += mult;
             txns_sum += txns + mult - 1;
             replays += txns - 1;
@@ -661,9 +532,120 @@ impl SharedSpace {
     }
 }
 
+/// Width of the windowed walk's stack counter: a row whose values span
+/// less than this keeps `v & (WINDOW - 1)` injective.
+const WINDOW: usize = 256;
+
+/// One step's scatter walk over a one-word array: the step's
+/// `(mult, txns)` with `data[v] += 1` applied per lane of `row`
+/// (1–32 active lanes). The windowed walk where it is exact, else the
+/// general one.
+#[inline(always)]
+fn account_row(
+    data: &mut [u32],
+    base: u64,
+    banks: u64,
+    row: &[u32],
+    scratch: &mut ScatterScratch,
+) -> (u64, u64) {
+    if banks == 32 {
+        if let Some(acct) = window_walk(data, row) {
+            return acct;
+        }
+    }
+    general_walk(data, base, banks, row, scratch)
+}
+
+/// The windowed walk on 32 banks (see
+/// [`SharedSpace::scatter_account_update_rows`]), or `None` with
+/// nothing touched when `row`'s values span [`WINDOW`] or more.
+#[inline(always)]
+fn window_walk(data: &mut [u32], row: &[u32]) -> Option<(u64, u64)> {
+    let lo = row.iter().fold(u32::MAX, |m, &v| m.min(v));
+    let hi = row.iter().fold(0, |m, &v| m.max(v));
+    if lo == hi {
+        // Broadcast: one word, one transaction, fully serialized.
+        data[lo as usize] = data[lo as usize].wrapping_add(row.len() as u32);
+        return Some((row.len() as u64, 1));
+    }
+    if hi - lo >= WINDOW as u32 {
+        return None;
+    }
+    let mut cnt8 = [0u8; WINDOW];
+    for &v in row {
+        cnt8[v as usize % WINDOW] += 1;
+        data[v as usize] = data[v as usize].wrapping_add(1);
+    }
+    // Column `b` of the eight 32-entry rows gathers the values with
+    // `v & 31 = b`: one bank's words.
+    let mut peak = [0u8; WARP_SIZE];
+    let mut distinct = [0u8; WARP_SIZE];
+    for r in cnt8.chunks_exact(WARP_SIZE) {
+        for ((p, d), &c) in peak.iter_mut().zip(&mut distinct).zip(r) {
+            *p = (*p).max(c);
+            *d += (c != 0) as u8;
+        }
+    }
+    let mult = peak.iter().fold(0, |m, &c| m.max(c));
+    let txns = distinct.iter().fold(0, |m, &c| m.max(c));
+    Some((mult as u64, txns as u64))
+}
+
+/// The general walk: per-word occurrence counters and per-bank distinct
+/// counts over `scratch`, drained back to zero through the step's
+/// distinct values (at most one per lane, so a stack list suffices).
+fn general_walk(
+    data: &mut [u32],
+    base: u64,
+    banks: u64,
+    row: &[u32],
+    scratch: &mut ScatterScratch,
+) -> (u64, u64) {
+    if scratch.cnt.len() < data.len() {
+        scratch.cnt.resize(data.len(), 0);
+    }
+    let bank_of = |v: u32| {
+        let word = base + v as u64;
+        if banks == 32 {
+            (word & 31) as usize
+        } else {
+            (word % banks) as usize % WARP_SIZE
+        }
+    };
+    let (mut mult, mut txns) = (0u64, 0u64);
+    let mut touched = [0u32; WARP_SIZE];
+    let mut nt = 0usize;
+    for &v in row {
+        let vi = v as usize;
+        let c = scratch.cnt[vi] + 1;
+        scratch.cnt[vi] = c;
+        if c == 1 {
+            let bank = bank_of(v);
+            let bd = scratch.bank_distinct[bank] + 1;
+            scratch.bank_distinct[bank] = bd;
+            txns = txns.max(bd as u64);
+            touched[nt] = v;
+            nt += 1;
+        }
+        mult = mult.max(c as u64);
+    }
+    for &v in &touched[..nt] {
+        let vi = v as usize;
+        data[vi] = data[vi].wrapping_add(scratch.cnt[vi] as u32);
+        scratch.cnt[vi] = 0;
+        scratch.bank_distinct[bank_of(v)] = 0;
+    }
+    (mult, txns)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every occupancy counter is back at zero.
+    fn is_clean(scratch: &ScatterScratch) -> bool {
+        scratch.cnt.iter().all(|&c| c == 0) && scratch.bank_distinct == [0; WARP_SIZE]
+    }
 
     #[test]
     fn conflict_free_unit_stride() {
@@ -855,7 +837,7 @@ mod tests {
             for &v in &vals {
                 expect[v as usize] = expect[v as usize].wrapping_add(1);
             }
-            assert!(scratch.touched.is_empty(), "scratch not reset");
+            assert!(is_clean(&scratch), "scratch not reset");
         }
         assert_eq!(s.u32s(a), &expect[..], "merged updates diverge");
     }
@@ -863,14 +845,19 @@ mod tests {
     #[test]
     fn scatter_account_update_rows_matches_per_step() {
         // The batched full-warp walk must equal per-step
-        // `scatter_account_update` calls — same charge sums, same final
-        // histogram — across banked layouts and every step shape, with
-        // the scratch coming back clean between batches.
+        // `scatter_account_update` calls and the stateless scalar
+        // oracle — same charge sums, same final histogram — across
+        // banked layouts and every step shape, with the scratch coming
+        // back clean between batches.
         for banks in [32u32, 16] {
-            let mut s = SharedSpace::new(banks);
-            let _pad = s.alloc_f32(7);
-            let a = s.alloc_u32(1024);
-            let b = s.alloc_u32(1024);
+            let layout = |scalar: bool| {
+                let mut s = SharedSpace::new(banks);
+                s.set_scalar_reference(scalar);
+                let _pad = s.alloc_f32(7);
+                (s.alloc_u32(1024), s.alloc_u32(1024), s)
+            };
+            let (a, b, mut s) = layout(false);
+            let (_, _, oracle) = layout(true);
             let mut scratch = ScatterScratch::default();
             let mut x = 0x5eed5u64;
             for trial in 0..200 {
@@ -890,27 +877,32 @@ mod tests {
                             2 => (x % 17) as u32,
                             3 => (x % 2) as u32 * 32,
                             // Spread wider than one 256 window, so the
-                            // batched walk's windowed fast path declines
-                            // and its general fallback gets exercised
-                            // under both bank layouts.
+                            // windowed walk declines and the general
+                            // walk gets exercised under both layouts.
                             4 => (x % 1024) as u32,
                             _ => 9,
                         });
                     }
                 }
                 let mut expect = (0u64, 0u64, 0u64);
+                let mut stateless = (0u64, 0u64, 0u64);
                 for row in rows.chunks_exact(WARP_SIZE) {
                     let (mult, txns) = s.scatter_account_update(a, row, &mut scratch);
                     expect.0 += mult;
                     expect.1 += txns + mult - 1;
                     expect.2 += txns.saturating_sub(1);
+                    let (mult, txns) = oracle.atomic_scatter_accounting(a.0, row);
+                    stateless.0 += mult;
+                    stateless.1 += txns + mult - 1;
+                    stateless.2 += txns.saturating_sub(1);
                 }
+                assert_eq!(expect, stateless, "banks {banks} trial {trial}");
                 assert_eq!(
                     s.scatter_account_update_rows(b, &rows, &mut scratch),
                     expect,
                     "banks {banks} trial {trial}"
                 );
-                assert!(scratch.touched.is_empty(), "scratch not reset");
+                assert!(is_clean(&scratch), "scratch not reset");
             }
             // `b` sits 1024 words past `a` (≡ 0 mod either bank count),
             // so both map every element to the same bank and the

@@ -232,6 +232,14 @@ impl InterpStats {
 
     /// Fraction of memo-eligible sector lookups replayed without a
     /// probe. 0.0 when memoization never engaged.
+    ///
+    /// Unlike outputs and [`AccessTally`], this depends on the block
+    /// executor: the speculative parallel engine replays a few more
+    /// lookups than a sequential run of the same launch (one compiled
+    /// `pcf_gpu` at N = 65536 reads 0.9511 under
+    /// `ExecMode::Parallel { threads: 2 }` and 0.9486 under
+    /// `ExecMode::Sequential`), so it varies with the host's core count
+    /// and repeats to the bit only for a fixed engine.
     pub fn memo_hit_rate(&self) -> f64 {
         let total = self.memo_replayed_sectors + self.memo_probed_sectors;
         if total == 0 {

@@ -9,7 +9,7 @@
 //! timing and fault reports — the contract that makes the fast paths an
 //! optimization rather than a behaviour change.
 
-use gpu_sim::mem::{L2Cache, RocCache, SharedSpace};
+use gpu_sim::mem::{L2Cache, RocCache, ScatterScratch, SharedSpace};
 use gpu_sim::prelude::*;
 use gpu_sim::SimError;
 use proptest::prelude::*;
@@ -202,6 +202,121 @@ proptest! {
                 "banks={} pattern={} arr={}", banks, pattern, arr
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Histogram scatter walks against the stateless scalar oracle
+// ---------------------------------------------------------------------------
+
+/// Histogram length of the scatter-walk differential: room for windows
+/// that straddle a multiple of 256 and for spreads past one window.
+const SCATTER_LEN: u32 = 1024;
+
+/// One step's bucket indices (`lanes` active lanes) of scatter shape
+/// `shape`, drawn from the xorshift stream `x`.
+fn scatter_row(shape: u8, lanes: usize, hmax: u32, x: &mut u64) -> Vec<u32> {
+    let mut next = |m: u32| {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        (*x % m as u64) as u32
+    };
+    let lo = next(SCATTER_LEN - 256);
+    // The two ends of a window `w` wide are always present, so the row
+    // spans exactly `w`; the other lanes land inside it.
+    let window = |w: u32, next: &mut dyn FnMut(u32) -> u32| -> Vec<u32> {
+        (0..lanes)
+            .map(|k| match k {
+                0 => lo,
+                1 => lo + w,
+                _ => lo + next(w + 1),
+            })
+            .collect()
+    };
+    match shape {
+        // Overflow-heavy: half the lanes in the overflow bucket `hmax`.
+        0 => (0..lanes)
+            .map(|k| if k % 2 == 0 { hmax } else { next(hmax + 1) })
+            .collect(),
+        // All distinct, in a scrambled order with gaps.
+        1 => (0..lanes as u32).map(|k| lo + (k * 7) % 32 * 3).collect(),
+        // All equal.
+        2 => vec![lo; lanes],
+        // Exactly 255 wide (the windowed walk) and 256 wide (the
+        // general walk).
+        3 => window(255, &mut next),
+        4 => window(256, &mut next),
+        // Straddling a multiple of 256.
+        5 => (0..lanes).map(|_| 200 + next(251)).collect(),
+        // Heavy contention on a few buckets.
+        6 => (0..lanes).map(|_| lo + next(5) * 32).collect(),
+        // Anywhere in the histogram.
+        _ => (0..lanes).map(|_| next(SCATTER_LEN)).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The batched full-warp walk (`scatter_account_update_rows`) and
+    /// the per-step walk (`scatter_account_update`, partial rows of
+    /// 1–31 lanes) against the stateless `atomic_scatter_accounting` of
+    /// a scalar-reference space with the same layout plus per-lane data
+    /// adds: the same charge sums and the same histogram, for base
+    /// offsets off the 32-word grid and banks ∈ {32, 16}.
+    #[test]
+    fn scatter_walks_match_the_stateless_oracle(
+        banks in prop::sample::select(vec![32u32, 16]),
+        pad in 0usize..70,
+        hmax in 1u32..SCATTER_LEN,
+        shapes in prop::collection::vec(0u8..8, 1..7),
+        partial in prop::collection::vec(1usize..32, 0..4),
+        seed in any::<u64>(),
+    ) {
+        let layout = |scalar: bool| {
+            let mut shm = SharedSpace::new(banks);
+            shm.set_scalar_reference(scalar);
+            shm.alloc_f32(pad); // array 0 shifts the histogram's base word
+            let h = shm.alloc_u32(SCATTER_LEN as usize); // array 1
+            (shm, h)
+        };
+        let (mut fast, h) = layout(false);
+        let (oracle, _) = layout(true);
+        let mut x = seed | 1;
+        let mut expect = vec![0u32; SCATTER_LEN as usize];
+        let mut want = (0u64, 0u64, 0u64);
+        let mut charge = |row: &[u32], want: &mut (u64, u64, u64)| {
+            let (mult, txns) = oracle.atomic_scatter_accounting(1, row);
+            want.0 += mult;
+            want.1 += txns + mult - 1;
+            want.2 += txns - 1;
+            for &v in row {
+                expect[v as usize] += 1;
+            }
+        };
+        let mut scratch = ScatterScratch::default();
+        let rows: Vec<u32> = shapes
+            .iter()
+            .flat_map(|&sh| scatter_row(sh, WARP_SIZE, hmax, &mut x))
+            .collect();
+        for row in rows.chunks_exact(WARP_SIZE) {
+            charge(row, &mut want);
+        }
+        let got = fast.scatter_account_update_rows(h, &rows, &mut scratch);
+        prop_assert_eq!(got, want, "full rows, shapes {:?}", shapes);
+        let mut got = (0u64, 0u64, 0u64);
+        want = (0, 0, 0);
+        for (i, &lanes) in partial.iter().enumerate() {
+            let row = scatter_row(shapes[i % shapes.len()], lanes, hmax, &mut x);
+            charge(&row, &mut want);
+            let (mult, txns) = fast.scatter_account_update(h, &row, &mut scratch);
+            got.0 += mult;
+            got.1 += txns + mult - 1;
+            got.2 += txns - 1;
+        }
+        prop_assert_eq!(got, want, "partial rows {:?}, shapes {:?}", partial, shapes);
+        prop_assert_eq!(fast.u32s(h), &expect[..]);
     }
 }
 
