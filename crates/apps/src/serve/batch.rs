@@ -76,7 +76,7 @@ impl SinkPlan {
     /// private copies take at most `hist_budget` bytes of a block's
     /// shared memory (a single sink over budget still gets a sweep of
     /// its own).
-    pub fn plan(queries: &[Query], hist_budget: u64) -> SinkPlan {
+    pub fn plan<'a>(queries: impl IntoIterator<Item = &'a Query>, hist_budget: u64) -> SinkPlan {
         let mut plan = SinkPlan::default();
         for q in queries {
             match q {

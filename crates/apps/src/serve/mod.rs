@@ -12,27 +12,37 @@
 //!
 //! * **Ingest/dispatch** ([`Server::run`]): clients hold a cloneable
 //!   [`ServerHandle`] and talk to a single dispatcher thread over std
-//!   `mpsc`; each request carries its own reply channel. The dispatcher
-//!   drains bursts opportunistically, so concurrent clients' queries
-//!   coalesce even when they never heard of each other.
+//!   `mpsc`. Every request is one shape, an atomic admission group (a
+//!   single [`ServerHandle::submit`] is a group of one) carrying its own
+//!   reply channel; the dispatcher tracks each admitted group by index,
+//!   with one result slot per query, and replies the moment its last
+//!   slot fills. The dispatcher drains bursts opportunistically, so
+//!   concurrent clients' queries coalesce even when they never heard of
+//!   each other.
 //! * **Batcher** (`batch::SinkPlan`): queries that share a dataset and
 //!   the Euclidean distance kernel flatten into the sink lists of one
 //!   [`tbs_core::output::MultiQueryAction`] — one pairwise sweep feeds
 //!   every consumer, and answers stay bit-identical to sequential runs.
-//! * **Shard planner**: each coalesced sweep is decomposed with the
-//!   multi-GPU machinery ([`crate::multi_gpu`]) — contiguous chunks,
-//!   self/cross tasks, LPT onto the worker pool — and the host merges
-//!   per-task integer outputs (sums/histogram merges commute, so the
-//!   decomposition is invisible in the results).
+//!   A dataset group's gridded count-withins get a sink plan of their
+//!   own (one count sink per radius) and run as one packed multi-radius
+//!   sweep over a shared covering [`crate::GriddedCatalog`] from the
+//!   worker cache, on the dataset's affinity worker.
+//! * **Shard planner**: each coalesced dense sweep is decomposed with
+//!   the multi-GPU machinery ([`crate::multi_gpu`]) — contiguous chunks,
+//!   self/cross tasks, LPT onto the worker pool.
+//! * **One work order, one fan-in**: a worker order is a dataset
+//!   revision plus a job — a dense sweep's shard tasks, a gridded
+//!   sweep, or one kNN query — and every worker answers with the same
+//!   reply. Dense and gridded batches fan in alike: sum the count sinks
+//!   and merge the histogram sinks over the batch's replies (the
+//!   decomposition is invisible in the results), then demultiplex
+//!   through the sink plan, or fail every query of the batch.
 //! * **Caches** (`cache::WorkerCache`): per-worker shard uploads and
 //!   gridded catalogs keyed by dataset generation; re-registering a
 //!   dataset bumps the generation and evicts stale entries.
 //!
 //! kNN runs monolithic on one worker (its f32 insertion order is not
-//! re-shardable). Gridded count-withins coalesce per dataset group into
-//! one packed multi-radius sweep over a shared covering
-//! [`crate::GriddedCatalog`] from the worker cache. Everything else
-//! batches dense.
+//! re-shardable), one order per query.
 
 mod batch;
 mod cache;
@@ -67,10 +77,7 @@ use crate::multi_gpu::{build_tasks, chunk_ranges, lpt_schedule, SdhTask};
 use batch::SinkPlan;
 use cache::{DatasetKey, WorkerCache};
 use gpu_sim::{Device, DeviceConfig};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Range;
-use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use tbs_core::distance::Euclidean;
@@ -130,8 +137,7 @@ pub struct ServerStats {
     /// Sweep work orders sent to workers: one per self/cross shard
     /// task of a coalesced dense sweep, plus one per gridded order (a
     /// dataset group's gridded count-withins run as one packed sweep on
-    /// one worker). Solo queries (kNN and other per-query routes) are
-    /// not counted.
+    /// one worker). kNN orders are not counted.
     pub tasks: u64,
     /// Worker cache probes that found their entry.
     pub cache_hits: u64,
@@ -170,11 +176,7 @@ enum Request {
         pts: Arc<SoaPoints<3>>,
         reply: Reply<u64>,
     },
-    Submit {
-        dataset: String,
-        query: Query,
-        reply: Reply<QueryResult>,
-    },
+    /// An atomic admission group; a single query is a group of one.
     SubmitBatch {
         dataset: String,
         queries: Vec<Query>,
@@ -216,22 +218,16 @@ impl ServerHandle {
         rx.recv().map_err(|_| ServeError::Closed)?
     }
 
-    /// Submit one query and block for its result.
+    /// Submit one query and block for its result: a batch of one.
     pub fn submit(&self, dataset: &str, query: Query) -> Result<QueryResult, ServeError> {
-        let (reply, rx) = channel();
-        self.tx
-            .send(Request::Submit {
-                dataset: dataset.to_string(),
-                query,
-                reply,
-            })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)?
+        let mut results = self.submit_batch(dataset, vec![query])?;
+        Ok(results.pop().expect("one result per query"))
     }
 
     /// Submit an atomic admission group: either every query is admitted
     /// (and the batchable ones share one sweep), or the whole group is
-    /// rejected. Blocks until all results are in.
+    /// rejected. Blocks until all results are in; an empty group on a
+    /// registered dataset answers at once with no results.
     pub fn submit_batch(
         &self,
         dataset: &str,
@@ -268,83 +264,52 @@ impl ServerHandle {
 // Worker protocol
 // ---------------------------------------------------------------------
 
-/// Result of one worker's share of a coalesced sweep.
-struct TasksOut {
-    /// Per count sink, summed over this worker's tasks.
+/// One order for a worker: run `job` over the points of dataset
+/// revision `key` and send the outcome on `reply`.
+struct WorkOrder {
+    key: DatasetKey,
+    pts: Arc<SoaPoints<3>>,
+    job: Job,
+    reply: Sender<WorkerReply>,
+}
+
+enum Job {
+    /// Shard `tasks` of a coalesced dense sweep feeding the count and
+    /// histogram sinks of `sinks`, one launch per task and sweep of the
+    /// plan.
+    Sweep {
+        shards: usize,
+        tasks: Vec<SdhTask>,
+        sinks: Arc<SinkPlan>,
+    },
+    /// Every gridded count-within of one dataset group: one packed
+    /// multi-radius sweep over the cached covering catalog, one count
+    /// sink per radius.
+    Gridded { radii: Vec<f32> },
+    /// One kNN query, monolithic on the worker.
+    Knn { k: u32 },
+}
+
+/// What one order produced: the sink outputs of a sweep or gridded
+/// order, in sink order (counts summed and histograms merged over the
+/// order's launches), or the answer of a kNN order.
+#[derive(Default)]
+struct WorkOut {
     counts: Vec<u64>,
-    /// Per histogram sink, merged over this worker's tasks.
     hists: Vec<Histogram>,
-    sim_seconds: f64,
-}
-
-struct SoloOut {
-    result: QueryResult,
-    sim_seconds: f64,
-}
-
-/// Result of one worker's coalesced gridded sweep.
-struct GriddedOut {
-    /// One count per requested radius, in request order.
-    counts: Vec<u64>,
+    knn: Option<QueryResult>,
     sim_seconds: f64,
 }
 
 /// A worker's answer to one order: the outcome plus the worker's own
 /// counters, sent on success and failure alike.
-struct WorkerReply<T> {
-    out: Result<T, String>,
+struct WorkerReply {
+    out: Result<WorkOut, String>,
     /// Cache probes made by this order.
     cache_hits: u64,
     cache_misses: u64,
     /// Live bytes on the worker's device once the order is done.
     device_bytes: u64,
-}
-
-impl<T> WorkerReply<T> {
-    /// Wrap `out`, counting the cache probes made since the cache read
-    /// `probes0` (hits, misses).
-    fn new(out: Result<T, String>, dev: &Device, cache: &WorkerCache, probes0: (u64, u64)) -> Self {
-        WorkerReply {
-            out,
-            cache_hits: cache.hits - probes0.0,
-            cache_misses: cache.misses - probes0.1,
-            device_bytes: dev.allocated_bytes(),
-        }
-    }
-}
-
-enum WorkOrder {
-    /// Run `tasks` of the sharded sweep feeding `counts`/`hists` sinks,
-    /// one launch per range of `sweeps`.
-    Tasks {
-        key: DatasetKey,
-        pts: Arc<SoaPoints<3>>,
-        shards: usize,
-        tasks: Vec<SdhTask>,
-        counts: Vec<f32>,
-        hists: Vec<HistogramSpec>,
-        sweeps: Vec<Range<usize>>,
-        plan: PairwisePlan,
-        reply: Sender<WorkerReply<TasksOut>>,
-    },
-    /// Every gridded count-within of one dataset group, coalesced into
-    /// a single packed sweep over the cached catalog (one count sink
-    /// per radius).
-    Gridded {
-        key: DatasetKey,
-        pts: Arc<SoaPoints<3>>,
-        radii: Vec<f32>,
-        plan: PairwisePlan,
-        reply: Sender<WorkerReply<GriddedOut>>,
-    },
-    /// A non-batchable query, run monolithic on this worker.
-    Solo {
-        key: DatasetKey,
-        pts: Arc<SoaPoints<3>>,
-        query: Query,
-        plan: PairwisePlan,
-        reply: Sender<WorkerReply<SoloOut>>,
-    },
 }
 
 // ---------------------------------------------------------------------
@@ -368,8 +333,8 @@ impl Server {
             for _ in 0..workers {
                 let (wtx, wrx) = channel::<WorkOrder>();
                 worker_txs.push(wtx);
-                let device = cfg.device.clone();
-                s.spawn(move || worker_loop(device, wrx));
+                let (device, plan) = (cfg.device.clone(), cfg.plan);
+                s.spawn(move || worker_loop(device, plan, wrx));
             }
             let dcfg = cfg.clone();
             s.spawn(move || Dispatcher::new(dcfg, worker_txs).run(rx));
@@ -385,52 +350,42 @@ impl Server {
 // Dispatcher
 // ---------------------------------------------------------------------
 
-/// Where one admitted query's answer goes.
-enum Slot {
-    Single(Reply<QueryResult>),
-    /// Slot `i` of a [`GroupReply`].
-    Grouped(Rc<RefCell<GroupReply>>, usize),
-}
-
-impl Slot {
-    fn fill(self, result: Result<QueryResult, ServeError>) {
-        match self {
-            Slot::Single(reply) => {
-                let _ = reply.send(result);
-            }
-            Slot::Grouped(group, i) => {
-                let mut g = group.borrow_mut();
-                g.slots[i] = Some(result);
-                g.flush();
-            }
-        }
-    }
-}
-
-/// Aggregates a `SubmitBatch`'s per-query results; replies once full.
-struct GroupReply {
+/// An admitted request awaiting its reply: one result slot per query.
+/// It is answered the moment its last slot fills.
+struct Pending {
     slots: Vec<Option<Result<QueryResult, ServeError>>>,
-    reply: Option<Reply<Vec<QueryResult>>>,
+    missing: usize,
+    reply: Reply<Vec<QueryResult>>,
 }
 
-impl GroupReply {
-    fn flush(&mut self) {
-        if self.slots.iter().all(Option::is_some) {
-            if let Some(reply) = self.reply.take() {
-                let mut out = Vec::with_capacity(self.slots.len());
-                for s in self.slots.drain(..) {
-                    match s.expect("checked full") {
-                        Ok(r) => out.push(r),
-                        Err(e) => {
-                            let _ = reply.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-                let _ = reply.send(Ok(out));
-            }
+impl Pending {
+    fn fill(&mut self, slot: usize, result: Result<QueryResult, ServeError>) {
+        self.slots[slot] = Some(result);
+        self.missing -= 1;
+        if self.missing == 0 {
+            // The first failed slot, in query order, fails the request.
+            let out = self.slots.drain(..).map(|s| s.expect("filled")).collect();
+            let _ = self.reply.send(out);
         }
     }
+}
+
+/// One admitted query: slot `slot` of pending request `req`.
+struct Admitted {
+    req: usize,
+    slot: usize,
+    query: Query,
+}
+
+/// Where one order's reply arrives: the worker and its channel.
+type Wait = (usize, Receiver<WorkerReply>);
+
+/// A sink batch in flight: its queries, their sink plan and the orders
+/// it went out as.
+struct SinkBatch {
+    queries: Vec<Admitted>,
+    plan: Arc<SinkPlan>,
+    waits: Vec<Wait>,
 }
 
 struct Dataset {
@@ -447,13 +402,6 @@ struct Dispatcher {
     device_bytes: Vec<u64>,
     next_gen: u64,
     rr: usize,
-}
-
-/// One admitted query bound for the batcher/planner.
-struct Admitted {
-    dataset: String,
-    query: Query,
-    slot: Slot,
 }
 
 impl Dispatcher {
@@ -501,10 +449,7 @@ impl Dispatcher {
                         // next register/stats/shutdown to keep ordering
                         // semantics simple.
                         let mut submits = vec![submit];
-                        while matches!(
-                            queue.front(),
-                            Some(Request::Submit { .. } | Request::SubmitBatch { .. })
-                        ) {
+                        while matches!(queue.front(), Some(Request::SubmitBatch { .. })) {
                             submits.push(queue.pop_front().expect("just matched"));
                         }
                         self.process_submits(submits);
@@ -514,279 +459,246 @@ impl Dispatcher {
         }
     }
 
-    /// Admission-check a run of submissions, then execute them grouped
-    /// by dataset: batchable queries coalesce into one sharded sweep
-    /// per dataset, the rest run solo on round-robin workers.
+    /// Admission-check a run of submissions, then execute the admitted
+    /// queries grouped by dataset (in order of first appearance, and
+    /// in admission order within a group).
     fn process_submits(&mut self, submits: Vec<Request>) {
-        let mut admitted: Vec<Admitted> = Vec::new();
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut groups: Vec<(String, Vec<Admitted>)> = Vec::new();
+        let mut group_of: HashMap<String, usize> = HashMap::new();
         for req in submits {
-            match req {
-                Request::Submit {
-                    dataset,
-                    query,
-                    reply,
-                } => match self.admit(&dataset, &query) {
-                    Ok(()) => admitted.push(Admitted {
-                        dataset,
-                        query,
-                        slot: Slot::Single(reply),
-                    }),
-                    Err(e) => {
-                        self.stats.queries += 1;
-                        let _ = reply.send(Err(e));
-                    }
-                },
-                Request::SubmitBatch {
-                    dataset,
-                    queries,
-                    reply,
-                } => {
-                    // Atomic admission: any invalid member rejects the
-                    // whole group before any work is scheduled.
-                    let verdict = queries.iter().try_for_each(|q| self.admit(&dataset, q));
-                    match verdict {
-                        Err(e) => {
-                            self.stats.queries += queries.len() as u64;
-                            let _ = reply.send(Err(e));
-                        }
-                        Ok(()) => {
-                            let group = Rc::new(RefCell::new(GroupReply {
-                                slots: vec![None; queries.len()],
-                                reply: Some(reply),
-                            }));
-                            for (i, query) in queries.into_iter().enumerate() {
-                                admitted.push(Admitted {
-                                    dataset: dataset.clone(),
-                                    query,
-                                    slot: Slot::Grouped(group.clone(), i),
-                                });
-                            }
-                        }
-                    }
-                }
-                _ => unreachable!("process_submits only receives submissions"),
+            let Request::SubmitBatch {
+                dataset,
+                queries,
+                reply,
+            } = req
+            else {
+                unreachable!("process_submits only receives submissions")
+            };
+            // Atomic admission: any invalid member rejects the whole
+            // group before any work is scheduled.
+            if let Err(e) = self.admit(&dataset, &queries) {
+                self.stats.queries += queries.len() as u64;
+                let _ = reply.send(Err(e));
+                continue;
             }
-        }
-
-        // Group by dataset, preserving admission order within a group.
-        let mut order: Vec<String> = Vec::new();
-        let mut by_dataset: HashMap<String, Vec<Admitted>> = HashMap::new();
-        for a in admitted {
-            if !by_dataset.contains_key(&a.dataset) {
-                order.push(a.dataset.clone());
+            if queries.is_empty() {
+                let _ = reply.send(Ok(Vec::new()));
+                continue;
             }
-            by_dataset.entry(a.dataset.clone()).or_default().push(a);
+            let req = pending.len();
+            pending.push(Pending {
+                slots: vec![None; queries.len()],
+                missing: queries.len(),
+                reply,
+            });
+            let g = *group_of.entry(dataset).or_insert_with_key(|name| {
+                groups.push((name.clone(), Vec::new()));
+                groups.len() - 1
+            });
+            let admitted = queries.into_iter().enumerate();
+            groups[g]
+                .1
+                .extend(admitted.map(|(slot, query)| Admitted { req, slot, query }));
         }
-        for name in order {
-            let group = by_dataset.remove(&name).expect("grouped above");
-            self.run_dataset_group(&name, group);
+        for (name, group) in groups {
+            self.run_dataset_group(&mut pending, &name, group);
         }
     }
 
-    fn admit(&self, dataset: &str, query: &Query) -> Result<(), ServeError> {
+    fn admit(&self, dataset: &str, queries: &[Query]) -> Result<(), ServeError> {
         let ds = self
             .datasets
             .get(dataset)
             .ok_or_else(|| ServeError::UnknownDataset(dataset.to_string()))?;
-        query.validate(ds.pts.len())?;
-        match *query {
-            Query::Sdh { buckets, .. } if !hist_fits(&self.cfg, buckets) => Err(
-                ServeError::BadQuery("SDH histogram does not fit a block's shared memory"),
-            ),
-            _ => Ok(()),
+        for query in queries {
+            query.validate(ds.pts.len())?;
+            if let Query::Sdh { buckets, .. } = *query {
+                if !hist_fits(&self.cfg, buckets) {
+                    return Err(ServeError::BadQuery(
+                        "SDH histogram does not fit a block's shared memory",
+                    ));
+                }
+            }
         }
+        Ok(())
     }
 
-    /// Execute one dataset's admitted queries: one coalesced sweep for
-    /// the batchable ones + solo orders for the rest, all in flight
-    /// across the worker pool at once.
-    fn run_dataset_group(&mut self, name: &str, group: Vec<Admitted>) {
+    /// Execute one dataset's admitted queries: one coalesced dense
+    /// sweep, one packed gridded sweep and one order per kNN query.
+    /// Every order goes out before the first receive, so they all run
+    /// across the worker pool at once; replies are received dense,
+    /// gridded, then kNN.
+    fn run_dataset_group(&mut self, pending: &mut [Pending], name: &str, group: Vec<Admitted>) {
         let ds = &self.datasets[name];
         let key: DatasetKey = (name.to_string(), ds.gen);
         let pts = ds.pts.clone();
-        let n = pts.len();
         self.stats.queries += group.len() as u64;
 
-        let (batchable, rest): (Vec<Admitted>, Vec<Admitted>) =
-            group.into_iter().partition(|a| a.query.batchable());
-        let (gridded, solo): (Vec<Admitted>, Vec<Admitted>) = rest
-            .into_iter()
-            .partition(|a| matches!(a.query, Query::CountWithin { gridded: true, .. }));
-
-        // Launch the solo orders first so they overlap the sweep.
-        let mut solo_waits = Vec::new();
-        for a in solo {
-            let (reply, rx) = channel();
-            let wid = self.rr % self.worker_txs.len();
-            self.rr += 1;
-            let order = WorkOrder::Solo {
-                key: key.clone(),
-                pts: pts.clone(),
-                query: a.query,
-                plan: self.cfg.plan,
-                reply,
-            };
-            if self.worker_txs[wid].send(order).is_err() {
-                a.slot.fill(Err(ServeError::Closed));
-                continue;
+        let (mut dense, mut gridded, mut knn) = (Vec::new(), Vec::new(), Vec::new());
+        for a in group {
+            match a.query {
+                Query::Knn { k } => knn.push((k, a)),
+                Query::CountWithin { gridded: true, .. } => gridded.push(a),
+                _ => dense.push(a),
             }
-            solo_waits.push((a.slot, wid, rx));
         }
+        // kNN orders go out first, round-robin, so they overlap the
+        // sweeps.
+        let knn: Vec<(Admitted, Wait)> = knn
+            .into_iter()
+            .map(|(k, a)| {
+                let wid = self.rr % self.worker_txs.len();
+                self.rr += 1;
+                (a, self.send(wid, &key, &pts, Job::Knn { k }))
+            })
+            .collect();
+        let gridded = self.send_sinks(&key, &pts, gridded, true);
+        let dense = self.send_sinks(&key, &pts, dense, false);
 
-        // Gridded count-withins coalesce into ONE packed sweep over the
-        // shared cached catalog: one count sink per radius, launches
-        // paid once for the whole group instead of once per query.
-        let mut gridded_wait = None;
-        if !gridded.is_empty() {
-            let radii: Vec<f32> = gridded
-                .iter()
-                .map(|a| match a.query {
-                    Query::CountWithin { radius, .. } => radius,
-                    _ => unreachable!("partitioned above"),
-                })
-                .collect();
-            self.stats.batches += 1;
-            self.stats.tasks += 1;
-            if gridded.len() > 1 {
-                self.stats.coalesced_queries += gridded.len() as u64;
-            }
-            let (reply, rx) = channel();
+        for batch in [dense, gridded].into_iter().flatten() {
+            self.fan_in(pending, batch);
+        }
+        for (a, (wid, rx)) in knn {
+            let result = self
+                .receive(wid, &rx)
+                .map(|out| out.knn.expect("a kNN order answers its query"));
+            pending[a.req].fill(a.slot, result);
+        }
+    }
+
+    /// Plan `queries` (all dense or all gridded) as one sink batch and
+    /// send its orders: the dense sweep's shard tasks, LPT-spread over
+    /// the pool as one order per worker that has tasks; or one packed
+    /// gridded order, which counts as one task.
+    fn send_sinks(
+        &mut self,
+        key: &DatasetKey,
+        pts: &Arc<SoaPoints<3>>,
+        queries: Vec<Admitted>,
+        gridded: bool,
+    ) -> Option<SinkBatch> {
+        if queries.is_empty() {
+            return None;
+        }
+        let plan = SinkPlan::plan(queries.iter().map(|a| &a.query), hist_budget(&self.cfg));
+        let plan = Arc::new(plan);
+        self.stats.batches += 1;
+        if queries.len() > 1 {
+            self.stats.coalesced_queries += queries.len() as u64;
+        }
+        let waits = if gridded {
             // Dataset affinity, not round-robin: the covering catalog
             // lives in one worker's cache, so every gridded order for a
             // dataset goes to the same worker and repeat radii hit it.
             let wid = {
                 use std::hash::{Hash, Hasher};
                 let mut h = std::collections::hash_map::DefaultHasher::new();
-                name.hash(&mut h);
+                key.0.hash(&mut h);
                 (h.finish() as usize) % self.worker_txs.len()
             };
-            let order = WorkOrder::Gridded {
-                key: key.clone(),
-                pts: pts.clone(),
-                radii,
-                plan: self.cfg.plan,
-                reply,
-            };
-            if self.worker_txs[wid].send(order).is_ok() {
-                gridded_wait = Some((gridded, wid, rx));
-            } else {
-                for a in gridded {
-                    a.slot.fill(Err(ServeError::Closed));
-                }
-            }
-        }
-
-        // The coalesced sweep: flatten sinks, shard, LPT, merge.
-        if !batchable.is_empty() {
-            let queries: Vec<Query> = batchable.iter().map(|a| a.query.clone()).collect();
-            let plan = SinkPlan::plan(&queries, hist_budget(&self.cfg));
-            debug_assert!(plan.sinks() > 0, "batchable queries always add sinks");
+            self.stats.tasks += 1;
+            let radii = plan.counts.clone();
+            vec![self.send(wid, key, pts, Job::Gridded { radii })]
+        } else {
+            let n = pts.len();
             let shards = self.cfg.shards.clamp(1, n.max(1));
             let sizes: Vec<usize> = chunk_ranges(n, shards).iter().map(|r| r.len()).collect();
             let tasks = build_tasks(&sizes);
-            let assignment = lpt_schedule(&tasks, &sizes, self.worker_txs.len());
-            self.stats.batches += 1;
-            if batchable.len() > 1 {
-                self.stats.coalesced_queries += batchable.len() as u64;
-            }
             self.stats.tasks += tasks.len() as u64;
+            lpt_schedule(&tasks, &sizes, self.worker_txs.len())
+                .into_iter()
+                .enumerate()
+                .filter(|(_, tasks)| !tasks.is_empty())
+                .map(|(wid, tasks)| {
+                    let sinks = plan.clone();
+                    self.send(
+                        wid,
+                        key,
+                        pts,
+                        Job::Sweep {
+                            shards,
+                            tasks,
+                            sinks,
+                        },
+                    )
+                })
+                .collect()
+        };
+        Some(SinkBatch {
+            queries,
+            plan,
+            waits,
+        })
+    }
 
-            let mut waits = Vec::new();
-            for (wid, dev_tasks) in assignment.into_iter().enumerate() {
-                if dev_tasks.is_empty() {
-                    continue;
-                }
-                let (reply, rx) = channel();
-                let order = WorkOrder::Tasks {
-                    key: key.clone(),
-                    pts: pts.clone(),
-                    shards,
-                    tasks: dev_tasks,
-                    counts: plan.counts.clone(),
-                    hists: plan.hists.clone(),
-                    sweeps: plan.sweeps.clone(),
-                    plan: self.cfg.plan,
-                    reply,
-                };
-                if self.worker_txs[wid].send(order).is_ok() {
-                    waits.push((wid, rx));
-                }
-            }
-
-            // Merge every worker's share (integer sums and histogram
-            // merges commute — the shard decomposition is invisible).
-            let mut counts = vec![0u64; plan.counts.len()];
-            let mut hists: Vec<Histogram> = plan
-                .hists
-                .iter()
-                .map(|s| Histogram::zeroed(s.buckets))
-                .collect();
-            let mut failure: Option<ServeError> = None;
-            for (wid, rx) in waits {
-                match self.receive(wid, &rx) {
-                    Ok(out) => {
-                        for (acc, c) in counts.iter_mut().zip(&out.counts) {
-                            *acc += c;
-                        }
-                        for (acc, h) in hists.iter_mut().zip(&out.hists) {
-                            acc.merge(h);
-                        }
-                        self.stats.sim_seconds += out.sim_seconds;
-                    }
-                    Err(e) => failure = Some(e),
-                }
-            }
-            match failure {
-                None => {
-                    let results = plan.demux(&counts, hists);
-                    for (a, r) in batchable.into_iter().zip(results) {
-                        a.slot.fill(Ok(r));
-                    }
-                }
-                Some(e) => {
-                    for a in batchable {
-                        a.slot.fill(Err(e.clone()));
-                    }
-                }
-            }
-        }
-
-        if let Some((gridded, wid, rx)) = gridded_wait {
+    /// Receive every order of `batch`, sum its count sinks and merge its
+    /// histogram sinks (integer sums and histogram merges commute, so
+    /// the shard decomposition is invisible), then demux the merged
+    /// sinks into each query's slot — or, when an order failed, fail
+    /// every query of the batch.
+    fn fan_in(&mut self, pending: &mut [Pending], batch: SinkBatch) {
+        let SinkBatch {
+            queries,
+            plan,
+            waits,
+        } = batch;
+        let mut counts = vec![0u64; plan.counts.len()];
+        let mut hists: Vec<Histogram> = plan
+            .hists
+            .iter()
+            .map(|s| Histogram::zeroed(s.buckets))
+            .collect();
+        let mut failure = None;
+        for (wid, rx) in waits {
             match self.receive(wid, &rx) {
                 Ok(out) => {
-                    self.stats.sim_seconds += out.sim_seconds;
-                    for (a, c) in gridded.into_iter().zip(out.counts) {
-                        a.slot.fill(Ok(QueryResult::Counts(vec![c])));
+                    for (acc, c) in counts.iter_mut().zip(&out.counts) {
+                        *acc += c;
+                    }
+                    for (acc, h) in hists.iter_mut().zip(&out.hists) {
+                        acc.merge(h);
                     }
                 }
-                Err(e) => {
-                    for a in gridded {
-                        a.slot.fill(Err(e.clone()));
-                    }
-                }
+                Err(e) => failure = Some(e),
             }
         }
-
-        for (slot, wid, rx) in solo_waits {
-            match self.receive(wid, &rx) {
-                Ok(out) => {
-                    self.stats.sim_seconds += out.sim_seconds;
-                    slot.fill(Ok(out.result));
-                }
-                Err(e) => slot.fill(Err(e)),
-            }
+        let results: Vec<Result<QueryResult, ServeError>> = match failure {
+            None => plan.demux(&counts, hists).into_iter().map(Ok).collect(),
+            Some(e) => vec![Err(e); queries.len()],
+        };
+        for (a, result) in queries.into_iter().zip(results) {
+            pending[a.req].fill(a.slot, result);
         }
     }
 
-    /// Wait for worker `wid`'s reply, fold its counters into the stats
-    /// and return the order's outcome.
-    fn receive<T>(&mut self, wid: usize, rx: &Receiver<WorkerReply<T>>) -> Result<T, ServeError> {
+    /// Send `job` over `key`'s points to worker `wid`. A failed send
+    /// drops the order and its reply sender, so the receive reports
+    /// [`ServeError::Closed`].
+    fn send(&self, wid: usize, key: &DatasetKey, pts: &Arc<SoaPoints<3>>, job: Job) -> Wait {
+        let (reply, rx) = channel();
+        let order = WorkOrder {
+            key: key.clone(),
+            pts: pts.clone(),
+            job,
+            reply,
+        };
+        let _ = self.worker_txs[wid].send(order);
+        (wid, rx)
+    }
+
+    /// Wait for worker `wid`'s reply, fold its counters (and, on
+    /// success, its simulated seconds) into the stats and return the
+    /// order's outcome.
+    fn receive(&mut self, wid: usize, rx: &Receiver<WorkerReply>) -> Result<WorkOut, ServeError> {
         let r = rx.recv().map_err(|_| ServeError::Closed)?;
         self.stats.cache_hits += r.cache_hits;
         self.stats.cache_misses += r.cache_misses;
         self.device_bytes[wid] = r.device_bytes;
         self.stats.device_bytes = self.device_bytes.iter().sum();
-        r.out.map_err(ServeError::Sim)
+        let out = r.out.map_err(ServeError::Sim)?;
+        self.stats.sim_seconds += out.sim_seconds;
+        Ok(out)
     }
 }
 
@@ -794,50 +706,34 @@ impl Dispatcher {
 // Workers
 // ---------------------------------------------------------------------
 
-fn worker_loop(device: DeviceConfig, rx: Receiver<WorkOrder>) {
+fn worker_loop(device: DeviceConfig, plan: PairwisePlan, rx: Receiver<WorkOrder>) {
     let mut dev = Device::new(device);
     let mut cache = WorkerCache::default();
-    while let Ok(order) = rx.recv() {
-        let probes0 = (cache.hits, cache.misses);
-        match order {
-            WorkOrder::Tasks {
-                key,
-                pts,
+    while let Ok(WorkOrder {
+        key,
+        pts,
+        job,
+        reply,
+    }) = rx.recv()
+    {
+        let (hits, misses) = (cache.hits, cache.misses);
+        let out = match job {
+            Job::Sweep {
                 shards,
                 tasks,
-                counts,
-                hists,
-                sweeps,
-                plan,
-                reply,
-            } => {
-                let out = run_tasks(
-                    &mut dev, &mut cache, &key, &pts, shards, &tasks, &counts, &hists, &sweeps,
-                    plan,
-                );
-                let _ = reply.send(WorkerReply::new(out, &dev, &cache, probes0));
-            }
-            WorkOrder::Gridded {
-                key,
-                pts,
-                radii,
-                plan,
-                reply,
-            } => {
-                let out = run_gridded(&mut dev, &mut cache, &key, &pts, &radii, plan);
-                let _ = reply.send(WorkerReply::new(out, &dev, &cache, probes0));
-            }
-            WorkOrder::Solo {
-                key,
-                pts,
-                query,
-                plan,
-                reply,
-            } => {
-                let out = run_solo(&mut dev, &mut cache, &key, &pts, &query, plan);
-                let _ = reply.send(WorkerReply::new(out, &dev, &cache, probes0));
-            }
-        }
+                sinks,
+            } => run_tasks(
+                &mut dev, &mut cache, &key, &pts, shards, &tasks, &sinks, plan,
+            ),
+            Job::Gridded { radii } => run_gridded(&mut dev, &mut cache, &key, &pts, &radii, plan),
+            Job::Knn { k } => run_knn(&mut dev, &pts, k, plan),
+        };
+        let _ = reply.send(WorkerReply {
+            out,
+            cache_hits: cache.hits - hits,
+            cache_misses: cache.misses - misses,
+            device_bytes: dev.allocated_bytes(),
+        });
     }
 }
 
@@ -855,26 +751,28 @@ fn run_tasks(
     pts: &SoaPoints<3>,
     shards: usize,
     tasks: &[SdhTask],
-    counts: &[f32],
-    hists: &[HistogramSpec],
-    sweeps: &[Range<usize>],
+    sinks: &SinkPlan,
     plan: PairwisePlan,
-) -> Result<TasksOut, String> {
+) -> Result<WorkOut, String> {
     let uploads = cache.shard_uploads(dev, key, pts, shards).to_vec();
-    let mut out = TasksOut {
-        counts: vec![0; counts.len()],
-        hists: hists.iter().map(|s| Histogram::zeroed(s.buckets)).collect(),
-        sim_seconds: 0.0,
+    let mut out = WorkOut {
+        counts: vec![0; sinks.counts.len()],
+        hists: sinks
+            .hists
+            .iter()
+            .map(|s| Histogram::zeroed(s.buckets))
+            .collect(),
+        ..WorkOut::default()
     };
     for task in tasks {
         let (a, b) = match *task {
             SdhTask::SelfJoin { chunk } => (uploads[chunk], None),
             SdhTask::CrossJoin { left, right } => (uploads[left], Some(uploads[right])),
         };
-        for (i, range) in sweeps.iter().enumerate() {
+        for (i, range) in sinks.sweeps.iter().enumerate() {
             // The first sweep feeds every count sink.
-            let radii = if i == 0 { counts } else { &[] };
-            let specs = &hists[range.clone()];
+            let radii = if i == 0 { &sinks.counts[..] } else { &[] };
+            let specs = &sinks.hists[range.clone()];
             let (c, h) = (
                 &mut out.counts[..radii.len()],
                 &mut out.hists[range.clone()],
@@ -975,65 +873,52 @@ fn run_gridded(
     pts: &SoaPoints<3>,
     radii: &[f32],
     plan: PairwisePlan,
-) -> Result<GriddedOut, String> {
+) -> Result<WorkOut, String> {
     let r_max = radii.iter().copied().fold(0.0f32, f32::max);
     let cat = cache.grid_covering(dev, key, pts, r_max);
     let (counts, run) = crate::gridded::gridded_count_within_multi(dev, cat, radii, plan)
         .map_err(|e| e.to_string())?;
-    Ok(GriddedOut {
+    Ok(WorkOut {
         counts,
         sim_seconds: run.seconds,
+        ..WorkOut::default()
     })
 }
 
-/// A non-batchable query, monolithic on this worker's device.
-fn run_solo(
+/// A kNN query, monolithic on this worker's device: it keeps its
+/// single-launch insertion order (re-sharding would merge f32 ties
+/// differently), so it bypasses the batcher. Monomorphic dispatch over
+/// the supported k range.
+fn run_knn(
     dev: &mut Device,
-    cache: &mut WorkerCache,
-    key: &DatasetKey,
     pts: &SoaPoints<3>,
-    query: &Query,
+    k: u32,
     plan: PairwisePlan,
-) -> Result<SoloOut, String> {
-    match *query {
-        Query::CountWithin { radius, gridded } => {
-            debug_assert!(gridded, "dense count-within is batchable");
-            let out = run_gridded(dev, cache, key, pts, &[radius], plan)?;
-            Ok(SoloOut {
-                result: QueryResult::Counts(out.counts),
-                sim_seconds: out.sim_seconds,
-            })
-        }
-        Query::Knn { k } => {
-            // Monomorphic dispatch over the supported k range; kNN keeps
-            // its single-launch insertion order (re-sharding would merge
-            // f32 ties differently), so it bypasses the batcher.
-            fn go<const K: usize>(
-                dev: &mut Device,
-                pts: &SoaPoints<3>,
-                plan: PairwisePlan,
-            ) -> Result<SoloOut, String> {
-                let got = knn_gpu::<3, K>(dev, pts, plan).map_err(|e| e.to_string())?;
-                Ok(SoloOut {
-                    result: QueryResult::Knn {
-                        neighbors: got.neighbors.iter().map(|a| a.to_vec()).collect(),
-                        distances: got.distances.iter().map(|a| a.to_vec()).collect(),
-                    },
-                    sim_seconds: got.run.timing.seconds,
-                })
-            }
-            match k {
-                1 => go::<1>(dev, pts, plan),
-                2 => go::<2>(dev, pts, plan),
-                3 => go::<3>(dev, pts, plan),
-                4 => go::<4>(dev, pts, plan),
-                5 => go::<5>(dev, pts, plan),
-                6 => go::<6>(dev, pts, plan),
-                7 => go::<7>(dev, pts, plan),
-                8 => go::<8>(dev, pts, plan),
-                _ => Err("k out of range".to_string()),
-            }
-        }
-        ref q => unreachable!("batchable query {q:?} routed solo"),
+) -> Result<WorkOut, String> {
+    fn go<const K: usize>(
+        dev: &mut Device,
+        pts: &SoaPoints<3>,
+        plan: PairwisePlan,
+    ) -> Result<WorkOut, String> {
+        let got = knn_gpu::<3, K>(dev, pts, plan).map_err(|e| e.to_string())?;
+        Ok(WorkOut {
+            knn: Some(QueryResult::Knn {
+                neighbors: got.neighbors.iter().map(|a| a.to_vec()).collect(),
+                distances: got.distances.iter().map(|a| a.to_vec()).collect(),
+            }),
+            sim_seconds: got.run.timing.seconds,
+            ..WorkOut::default()
+        })
+    }
+    match k {
+        1 => go::<1>(dev, pts, plan),
+        2 => go::<2>(dev, pts, plan),
+        3 => go::<3>(dev, pts, plan),
+        4 => go::<4>(dev, pts, plan),
+        5 => go::<5>(dev, pts, plan),
+        6 => go::<6>(dev, pts, plan),
+        7 => go::<7>(dev, pts, plan),
+        8 => go::<8>(dev, pts, plan),
+        _ => Err("k out of range".to_string()),
     }
 }

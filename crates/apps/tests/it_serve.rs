@@ -6,12 +6,13 @@
 //! histogram buckets — for any admission mix, any shard split, any
 //! worker count, and under both simulator exec modes. Counts and
 //! histograms are integer-exact, so "equals the CPU reference" *is*
-//! bit-identity; kNN and the gridded route are additionally pinned
-//! across exec modes on a scripted workload.
+//! bit-identity; kNN and gridded answers equal their CPU references
+//! too, and a scripted workload pins answers and simulated time across
+//! exec modes.
 
 use gpu_sim::{DeviceConfig, ExecMode};
 use proptest::prelude::*;
-use tbs_apps::serve::{Query, QueryResult, ServeConfig, ServeError, Server};
+use tbs_apps::serve::{Query, QueryResult, ServeConfig, ServeError, Server, ServerStats};
 use tbs_core::histogram::HistogramSpec;
 use tbs_core::point::SoaPoints;
 use tbs_cpu::{count_within_reference, sdh_reference};
@@ -33,8 +34,16 @@ fn catalog(layout: Layout, n: usize, seed: u64) -> SoaPoints<3> {
     }
 }
 
-/// The ground truth for one batchable query, integer-exact.
+/// The ground truth for one query: counts and histograms integer-exact,
+/// kNN (`k ≤ 3`) from the CPU reference.
 fn oracle(pts: &SoaPoints<3>, q: &Query) -> QueryResult {
+    fn knn<const K: usize>(pts: &SoaPoints<3>) -> QueryResult {
+        let (nbrs, dists) = tbs_apps::knn_reference::<3, K>(pts);
+        QueryResult::Knn {
+            neighbors: nbrs.iter().map(|a| a.to_vec()).collect(),
+            distances: dists.iter().map(|a| a.to_vec()).collect(),
+        }
+    }
     match q {
         Query::PairCounts { radii } => QueryResult::Counts(
             radii
@@ -49,25 +58,32 @@ fn oracle(pts: &SoaPoints<3>, q: &Query) -> QueryResult {
         Query::CountWithin { radius, .. } => {
             QueryResult::Counts(vec![count_within_reference(pts, *radius)])
         }
-        Query::Knn { .. } => unreachable!("kNN has no batch oracle here"),
+        Query::Knn { k: 1 } => knn::<1>(pts),
+        Query::Knn { k: 2 } => knn::<2>(pts),
+        Query::Knn { k: 3 } => knn::<3>(pts),
+        Query::Knn { k } => unreachable!("no oracle for k = {k}"),
     }
 }
 
+/// Every query kind: dense pair counts, SDH and count-within, gridded
+/// count-within and kNN.
 fn query_strategy() -> impl Strategy<Value = Query> {
     (
-        0u32..3,
+        0u32..5,
         prop::collection::vec(prop::sample::select(vec![2.0f32, 8.0, 15.0, 40.0]), 1..4),
         prop::sample::select(vec![1u32, 4, 16, 33]),
         prop::sample::select(vec![1.0f32, 2.5]),
         prop::sample::select(vec![5.0f32, 20.0]),
+        1u32..4,
     )
-        .prop_map(|(kind, radii, buckets, width, radius)| match kind {
+        .prop_map(|(kind, radii, buckets, width, radius, k)| match kind {
             0 => Query::PairCounts { radii },
             1 => Query::Sdh { buckets, width },
-            _ => Query::CountWithin {
+            2 | 3 => Query::CountWithin {
                 radius,
-                gridded: false,
+                gridded: kind == 3,
             },
+            _ => Query::Knn { k },
         })
 }
 
@@ -83,11 +99,13 @@ fn layout_strategy() -> impl Strategy<Value = Layout> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The core service contract: a coalesced batch == one-at-a-time
     /// submissions == the CPU oracle, bit for bit, for any admission
-    /// mix, worker count, shard split, and exec mode.
+    /// mix, worker count, shard split, and exec mode. A batch mixes
+    /// dense, gridded and kNN queries, so dense and gridded sink
+    /// batches fan in side by side with kNN orders in flight.
     #[test]
     fn batched_queries_equal_singles_and_oracles(
         n in 16usize..192,
@@ -306,6 +324,89 @@ fn admission_errors_are_atomic_and_precise() {
     });
 }
 
+/// An empty batch is answered at once: no results on a registered
+/// dataset, `UnknownDataset` on any other, and no counter moves.
+#[test]
+fn empty_batches_are_answered() {
+    let pts = tbs_datagen::uniform_points::<3>(64, BOX, 2);
+    Server::run(ServeConfig::default().with_workers(2), |h| {
+        h.register_dataset("d", pts.clone()).expect("register");
+        let before = h.stats().expect("stats");
+        assert_eq!(h.submit_batch("d", Vec::new()), Ok(Vec::new()));
+        match h.submit_batch("nope", Vec::new()) {
+            Err(ServeError::UnknownDataset(name)) => assert_eq!(name, "nope"),
+            other => panic!("expected UnknownDataset, got {other:?}"),
+        }
+        assert_eq!(h.stats().expect("stats"), before);
+        let q = Query::PairCounts { radii: vec![9.0] };
+        assert_eq!(h.submit("d", q.clone()).expect("served"), oracle(&pts, &q));
+    });
+}
+
+/// `(queries, batches, coalesced_queries, tasks, cache_hits,
+/// cache_misses)` moved between two stats snapshots.
+fn counter_deltas(before: &ServerStats, after: &ServerStats) -> [u64; 6] {
+    [
+        after.queries - before.queries,
+        after.batches - before.batches,
+        after.coalesced_queries - before.coalesced_queries,
+        after.tasks - before.tasks,
+        after.cache_hits - before.cache_hits,
+        after.cache_misses - before.cache_misses,
+    ]
+}
+
+/// The exact counter moves of a mixed batch on two workers and two
+/// shards. Three dense queries share one sweep of three shard tasks
+/// (two self joins, one cross join) sent as one order to each worker;
+/// two gridded count-withins share one packed order; the kNN query
+/// counts as neither a batch nor a task. Each sweep order probes its
+/// worker's shard cache once and the gridded order the grid cache
+/// once; kNN probes no cache.
+#[test]
+fn mixed_batch_moves_the_counters_exactly() {
+    let pts = tbs_datagen::uniform_points::<3>(256, BOX, 9);
+    let batch = vec![
+        Query::PairCounts {
+            radii: vec![5.0, 10.0],
+        },
+        Query::Knn { k: 2 },
+        Query::Sdh {
+            buckets: 16,
+            width: 2.0,
+        },
+        Query::CountWithin {
+            radius: 5.0,
+            gridded: true,
+        },
+        Query::CountWithin {
+            radius: 7.0,
+            gridded: false,
+        },
+        Query::CountWithin {
+            radius: 9.0,
+            gridded: true,
+        },
+    ];
+    Server::run(ServeConfig::default().with_workers(2), |h| {
+        h.register_dataset("d", pts.clone()).expect("register");
+        let mut before = h.stats().expect("stats");
+        for want in [[6, 2, 5, 4, 0, 3], [6, 2, 5, 4, 3, 0]] {
+            let got = h.submit_batch("d", batch.clone()).expect("batch");
+            for (q, r) in batch.iter().zip(&got) {
+                assert_eq!(r, &oracle(&pts, q), "{q:?}");
+            }
+            let after = h.stats().expect("stats");
+            assert_eq!(counter_deltas(&before, &after), want, "{after:?}");
+            before = after;
+        }
+        // A lone dense query is a batch of one: not coalesced.
+        h.submit("d", batch[4].clone()).expect("single");
+        let after = h.stats().expect("stats");
+        assert_eq!(counter_deltas(&before, &after), [1, 1, 0, 3, 2, 0]);
+    });
+}
+
 /// Two SDH queries whose private histograms each fit a block's shared
 /// memory beside the point tile, but not together, still answer exactly
 /// when coalesced: the batcher splits them into two sweeps. A histogram
@@ -464,22 +565,6 @@ fn soak_query(i: usize, total: usize) -> Query {
     }
 }
 
-fn soak_oracle(pts: &SoaPoints<3>, q: &Query) -> QueryResult {
-    fn knn<const K: usize>(pts: &SoaPoints<3>) -> QueryResult {
-        let (nbrs, dists) = tbs_apps::knn_reference::<3, K>(pts);
-        QueryResult::Knn {
-            neighbors: nbrs.iter().map(|a| a.to_vec()).collect(),
-            distances: dists.iter().map(|a| a.to_vec()).collect(),
-        }
-    }
-    match q {
-        Query::Knn { k: 1 } => knn::<1>(pts),
-        Query::Knn { k: 2 } => knn::<2>(pts),
-        Query::Knn { k: 3 } => knn::<3>(pts),
-        q => oracle(pts, q),
-    }
-}
-
 /// Soak the service: `rounds` rounds in which two concurrent clients
 /// each send `ops` mixed queries (singly and in pairs) with distinct
 /// radii, after which every dataset is re-registered and warmed up
@@ -518,7 +603,7 @@ fn soak(rounds: usize, ops: usize) {
                                 };
                                 assert_eq!(got.len(), qs.len());
                                 for (q, r) in qs.iter().zip(&got) {
-                                    assert_eq!(r, &soak_oracle(pts, q), "round {round}: {q:?}");
+                                    assert_eq!(r, &oracle(pts, q), "round {round}: {q:?}");
                                 }
                                 answered += qs.len();
                                 j += qs.len();

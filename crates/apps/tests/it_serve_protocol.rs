@@ -123,3 +123,23 @@ fn gen_refuses_bad_arguments_and_the_session_keeps_answering() {
         .expect("gridded count");
     assert_eq!(gridded[0].as_u64(), Some(want));
 }
+
+#[test]
+fn an_empty_batch_answers_with_no_results() {
+    let (replies, clean) = session(&[
+        r#"{"cmd":"gen","name":"d","n":16}"#,
+        r#"{"cmd":"batch","dataset":"d","queries":[]}"#,
+        r#"{"cmd":"batch","dataset":"nope","queries":[]}"#,
+        r#"{"cmd":"shutdown"}"#,
+    ]);
+    assert!(clean, "tbs-serve must exit cleanly");
+    assert_eq!(replies.len(), 3, "{replies:?}");
+    assert_eq!(replies[1].get("ok").and_then(Json::as_bool), Some(true));
+    let results = replies[1].get("results").and_then(Json::as_arr);
+    assert_eq!(results.map(<[Json]>::len), Some(0), "{:?}", replies[1]);
+    assert!(
+        refusal(&replies[2]).contains("unknown dataset"),
+        "{:?}",
+        replies[2]
+    );
+}

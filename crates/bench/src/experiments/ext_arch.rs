@@ -118,14 +118,6 @@ pub fn build_report(n: u32) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
-/// Render the architecture-study report.
-pub fn report(n: u32) -> String {
-    match build_report(n) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("ext_arch report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +165,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let rep = report(128 * 1024);
+        let rep = build_report(128 * 1024).expect("report").render();
         assert!(rep.contains("Fermi") && rep.contains("Kepler") && rep.contains("Maxwell"));
     }
 }

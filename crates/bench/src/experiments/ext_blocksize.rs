@@ -86,14 +86,6 @@ pub fn build_report(n: u32, cfg: &DeviceConfig) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
-/// Render the block-size report.
-pub fn report(n: u32, cfg: &DeviceConfig) -> String {
-    match build_report(n, cfg) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("ext_blocksize report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +120,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let rep = report(512 * 1024, &DeviceConfig::titan_x());
+        let rep = build_report(512 * 1024, &DeviceConfig::titan_x())
+            .expect("report")
+            .render();
         assert!(rep.contains("B = 1024"));
     }
 }

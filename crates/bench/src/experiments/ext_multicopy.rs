@@ -136,14 +136,6 @@ pub fn build_report(n: usize, block: u32) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
-/// Render the multi-copy report.
-pub fn report(n: usize, block: u32) -> String {
-    match build_report(n, block) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("ext_multicopy report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

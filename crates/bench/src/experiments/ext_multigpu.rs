@@ -119,14 +119,6 @@ pub fn build_report(n: usize, block: u32) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
-/// Render the multi-GPU report.
-pub fn report(n: usize, block: u32) -> String {
-    match build_report(n, block) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("ext_multigpu report failed: {e}"),
-    }
-}
-
 // ====================================================================
 // paper-scale prediction (closed forms; N = 2M is far beyond functional
 // execution but trivial for the validated analytic profiles)
@@ -223,14 +215,6 @@ pub fn build_predicted_report(n: u32, cfg: &DeviceConfig) -> Result<Report, Repo
         "x",
     )?;
     Ok(rep)
-}
-
-/// Render the paper-scale predicted-scaling section.
-pub fn report_predicted(n: u32, cfg: &DeviceConfig) -> String {
-    match build_predicted_report(n, cfg) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("ext_multigpu predicted report failed: {e}"),
-    }
 }
 
 #[cfg(test)]

@@ -203,14 +203,6 @@ pub fn build_report(n: usize, buckets: u32, block: u32) -> Result<Report, Report
     Ok(rep)
 }
 
-/// Render the skew-study report.
-pub fn report(n: usize, buckets: u32, block: u32) -> String {
-    match build_report(n, buckets, block) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("ext_skew report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -137,14 +137,6 @@ pub fn build_report(sizes: &[u32], cfg: &DeviceConfig) -> Result<Report, ReportE
     Ok(rep)
 }
 
-/// Render the full Figure-2 report.
-pub fn report(sizes: &[u32], cfg: &DeviceConfig) -> String {
-    match build_report(sizes, cfg) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("fig2 report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +183,9 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = DeviceConfig::titan_x();
-        let rep = report(&[102_400, 409_600], &cfg);
+        let rep = build_report(&[102_400, 409_600], &cfg)
+            .expect("report")
+            .render();
         assert!(rep.contains("Register-SHM"));
         assert!(rep.contains("average speedup"));
     }

@@ -160,14 +160,6 @@ pub fn build_report(
     Ok(rep)
 }
 
-/// Render the full Figure-4 report.
-pub fn report(sizes: &[u32], cfg: &DeviceConfig, cpu: &CpuModel) -> String {
-    match build_report(sizes, cfg, cpu) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("fig4 report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,7 +209,9 @@ mod tests {
     fn report_renders() {
         let cfg = DeviceConfig::titan_x();
         let cpu = CpuModel::xeon_e5_2640_v2();
-        let rep = report(&[409_600], &cfg, &cpu);
+        let rep = build_report(&[409_600], &cfg, &cpu)
+            .expect("report")
+            .render();
         assert!(rep.contains("Reg-ROC-Out"));
         assert!(rep.contains("paper"));
     }

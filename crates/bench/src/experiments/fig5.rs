@@ -118,14 +118,6 @@ pub fn build_report(n: u32, cfg: &DeviceConfig) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
-/// Render the Figure-5 report.
-pub fn report(n: u32, cfg: &DeviceConfig) -> String {
-    match build_report(n, cfg) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("fig5 report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,7 +163,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = DeviceConfig::titan_x();
-        let rep = report(256_000, &cfg);
+        let rep = build_report(256_000, &cfg).expect("report").render();
         assert!(rep.contains("occupancy"));
     }
 }

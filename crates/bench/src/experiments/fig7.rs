@@ -85,14 +85,6 @@ pub fn build_report(cfg: &DeviceConfig) -> Result<Report, ReportError> {
     Ok(rep)
 }
 
-/// Render the Figure-7 report.
-pub fn report(cfg: &DeviceConfig) -> String {
-    match build_report(cfg) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("fig7 report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +114,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let rep = report(&DeviceConfig::titan_x());
+        let rep = build_report(&DeviceConfig::titan_x())
+            .expect("report")
+            .render();
         assert!(rep.contains("speedup"));
     }
 }

@@ -120,14 +120,6 @@ pub fn build_report(
     Ok(rep)
 }
 
-/// Render the Figure-9 report.
-pub fn report(sizes: &[u32], cfg: &DeviceConfig, cpu: &CpuModel) -> String {
-    match build_report(sizes, cfg, cpu) {
-        Ok(rep) => rep.render(),
-        Err(e) => panic!("fig9 report failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,11 +147,13 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let rep = report(
+        let rep = build_report(
             &[409_600],
             &DeviceConfig::titan_x(),
             &CpuModel::xeon_e5_2640_v2(),
-        );
+        )
+        .expect("report")
+        .render();
         assert!(rep.contains("Shuffle"));
     }
 }

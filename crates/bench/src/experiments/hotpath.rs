@@ -188,35 +188,34 @@ struct Run {
     reduce_compiled_ops: u64,
 }
 
-/// A leg whose first run is shorter than this is repeated and timed
-/// best-of-many: a 20 ms pass is otherwise at the mercy of one
+/// Runs every leg makes at least: a single run is at the mercy of one
 /// scheduler hiccup, or of a stretch in which another tenant holds the
 /// host's second core.
-const SHORT_RUN_S: f64 = 0.25;
-/// Wall-clock each short leg keeps repeating for.
-const SHORT_BUDGET_S: f64 = 1.0;
+const MIN_RUNS: u32 = 3;
+/// Wall-clock every leg keeps repeating for, at least: a 10 ms pass
+/// gets many more than [`MIN_RUNS`] tries.
+const MIN_BUDGET_S: f64 = 1.0;
 
 /// Time each leg — a `(route, block executor)` pair — on a workload.
-/// Every leg runs once; a leg shorter than [`SHORT_RUN_S`] then
-/// repeats until it has run for [`SHORT_BUDGET_S`] and reports its best
-/// time (the same rule for every route, so ratios stay fair), its
-/// repeats interleaved with the other short legs' so a slow stretch of
-/// the host hits them alike.
+/// Every leg follows one rule, whatever its length: it repeats until it
+/// has run at least [`MIN_RUNS`] times and for at least
+/// [`MIN_BUDGET_S`] in total, and reports its best time, so no leg
+/// changes statistic with host load and ratios stay fair. Repeats are
+/// interleaved across the legs, so a slow stretch of the host hits them
+/// alike. The returned run is each leg's first.
 fn timed_runs(n: usize, work: Workload, legs: &[(Route, ExecMode)]) -> Vec<(f64, Run)> {
     let mut out: Vec<(f64, Run)> = legs
         .iter()
         .map(|&(route, exec)| run_once(n, work, route, exec))
         .collect();
-    let mut spent: Vec<f64> = out
-        .iter()
-        .map(|(s, _)| if *s < SHORT_RUN_S { *s } else { f64::INFINITY })
-        .collect();
-    while spent.iter().any(|&t| t < SHORT_BUDGET_S) {
-        for ((leg, t), &(route, exec)) in out.iter_mut().zip(&mut spent).zip(legs) {
-            if *t < SHORT_BUDGET_S {
+    let mut spent: Vec<(u32, f64)> = out.iter().map(|(s, _)| (1, *s)).collect();
+    let more = |&(runs, secs): &(u32, f64)| runs < MIN_RUNS || secs < MIN_BUDGET_S;
+    while spent.iter().any(more) {
+        for ((leg, tally), &(route, exec)) in out.iter_mut().zip(&mut spent).zip(legs) {
+            if more(tally) {
                 let s = run_once(n, work, route, exec).0;
                 leg.0 = leg.0.min(s);
-                *t += s;
+                *tally = (tally.0 + 1, tally.1 + s);
             }
         }
     }

@@ -301,7 +301,8 @@ impl SharedSpace {
 
     /// Closed-form accounting for a warp-wide atomic scatter: the maximum
     /// same-element multiplicity and the serialized bank transactions of
-    /// the active-lane element indices `vals`, computed in one pass.
+    /// the active-lane element indices `vals`: the stateless oracle of
+    /// the scatter walks ([`Self::scatter_account_update`]).
     ///
     /// Bit-identical to running the two halves separately — the quadratic
     /// same-address scan the op-by-op atomic uses, then
@@ -330,9 +331,6 @@ impl SharedSpace {
             .all(|(k, &v)| v as u64 == first as u64 + k as u64)
         {
             return (1, self.transactions_for(array, vals));
-        }
-        if !self.scalar_reference && self.arrays[array].words_per_elem() == 1 {
-            return self.scatter_accounting_w1(array, vals);
         }
         let mut uniq = [0u32; WARP_SIZE];
         let mut count = [0u64; WARP_SIZE];
@@ -367,9 +365,11 @@ impl SharedSpace {
     /// takes the general walk over `scratch`'s persistent occupancy
     /// counters (one counter bump per lane, one bank bump per first
     /// occurrence, reset through a stack touched list — no quadratic
-    /// dedup scan, no per-step zeroing). Multi-word storage and the
-    /// scalar-reference route take the stateless
-    /// [`Self::atomic_scatter_accounting`] and the plain per-lane update.
+    /// dedup scan, no per-step zeroing). A [`ShmU32`] is one word per
+    /// element by type, and the scalar-reference route never gets here
+    /// (every compiled pass declines under it); the stateless
+    /// [`Self::atomic_scatter_accounting`] is the oracle the walks are
+    /// tested against.
     pub fn scatter_account_update(
         &mut self,
         h: ShmU32,
@@ -379,14 +379,6 @@ impl SharedSpace {
         debug_assert!(vals.len() <= WARP_SIZE);
         if vals.is_empty() {
             return (0, 0);
-        }
-        if self.scalar_reference || self.arrays[h.0].words_per_elem() != 1 {
-            let acct = self.atomic_scatter_accounting(h.0, vals);
-            let data = self.u32s_mut(h);
-            for &v in vals {
-                data[v as usize] = data[v as usize].wrapping_add(1);
-            }
-            return acct;
         }
         let (base, banks) = (self.base_words[h.0], self.banks as u64);
         account_row(self.u32s_mut(h), base, banks, vals, scratch)
@@ -427,9 +419,7 @@ impl SharedSpace {
     /// Rows spanning 256 or more, and every row on other bank counts,
     /// take the general walk of [`Self::scatter_account_update`].
     /// Every index must be in bounds for `h` (the compiled pre-flights
-    /// guarantee `hmax < len`, and buckets clamp to `hmax`); multi-word
-    /// storage and the scalar-reference route fall back to the
-    /// per-step path.
+    /// guarantee `hmax < len`, and buckets clamp to `hmax`).
     pub fn scatter_account_update_rows(
         &mut self,
         h: ShmU32,
@@ -438,15 +428,6 @@ impl SharedSpace {
     ) -> (u64, u64, u64) {
         debug_assert_eq!(rows.len() % WARP_SIZE, 0);
         let (mut serial, mut txns_sum, mut replays) = (0u64, 0u64, 0u64);
-        if self.scalar_reference || self.arrays[h.0].words_per_elem() != 1 {
-            for row in rows.chunks_exact(WARP_SIZE) {
-                let (mult, txns) = self.scatter_account_update(h, row, scratch);
-                serial += mult;
-                txns_sum += txns + mult - 1;
-                replays += txns.saturating_sub(1);
-            }
-            return (serial, txns_sum, replays);
-        }
         let (base, banks) = (self.base_words[h.0], self.banks as u64);
         let data = self.u32s_mut(h);
         for row in rows.chunks_exact(WARP_SIZE) {
@@ -480,55 +461,6 @@ impl SharedSpace {
         // modulo 2³².
         data[v as usize] = data[v as usize].wrapping_add(n as u32);
         (n, n, 0)
-    }
-
-    /// [`Self::atomic_scatter_accounting`] for one-word elements, the
-    /// histogram hot path: with `wpe == 1` an element *is* its word, so
-    /// one pass over per-bank entry chains yields both the same-address
-    /// multiplicity (occurrence count per distinct word) and the bank
-    /// serialization (distinct words in the fullest bank — exactly what
-    /// [`Self::transactions_for`]'s general path computes) without the
-    /// quadratic dedup scan or a second pass.
-    fn scatter_accounting_w1(&self, array: usize, vals: &[u32]) -> (u64, u64) {
-        let base = self.base_words[array];
-        let banks = self.banks as u64;
-        // Entry `e` is a distinct word: `addrs[e]` its address, `cnt[e]`
-        // its occurrence count, `next[e]` the previous entry in the same
-        // bank's chain (`u8::MAX` terminates).
-        let mut addrs = [0u64; WARP_SIZE];
-        let mut cnt = [0u8; WARP_SIZE];
-        let mut next = [u8::MAX; WARP_SIZE];
-        let mut head = [u8::MAX; WARP_SIZE];
-        let mut bank_words = [0u8; WARP_SIZE];
-        let mut n = 0u8;
-        let (mut mult, mut txns) = (0u64, 1u64);
-        for &v in vals {
-            let word = base + v as u64;
-            let bank = if banks == 32 {
-                (word & 31) as usize
-            } else {
-                (word % banks) as usize % WARP_SIZE
-            };
-            let mut e = head[bank];
-            while e != u8::MAX && addrs[e as usize] != word {
-                e = next[e as usize];
-            }
-            if e != u8::MAX {
-                let c = &mut cnt[e as usize];
-                *c += 1;
-                mult = mult.max(*c as u64);
-            } else {
-                addrs[n as usize] = word;
-                cnt[n as usize] = 1;
-                next[n as usize] = head[bank];
-                head[bank] = n;
-                bank_words[bank] += 1;
-                txns = txns.max(bank_words[bank] as u64);
-                mult = mult.max(1);
-                n += 1;
-            }
-        }
-        (mult, txns)
     }
 }
 
