@@ -3,9 +3,9 @@
 //! Re-runs a reduced-size sweep of the model, functional, and host
 //! experiment groups, extracts the gate metrics (see
 //! `report::gate::gate_groups`), and diffs them against the committed
-//! baselines under `results/baseline/`. Any metric outside its
-//! tolerance band — or missing entirely — prints a delta table and
-//! makes the process exit non-zero.
+//! baselines under `results/baseline/`. Every checked group prints its
+//! delta table; any metric outside its tolerance band — or missing
+//! entirely — makes the process exit non-zero.
 //!
 //! Usage:
 //!
@@ -125,15 +125,15 @@ fn main() -> ExitCode {
         let verdicts = evaluate(&baseline, &metrics);
         let bad = violations(&verdicts);
         if bad == 0 {
-            println!("   OK: {} metrics within tolerance", verdicts.len());
+            println!("   OK: {} metrics within tolerance:", verdicts.len());
         } else {
             failed = true;
             println!(
                 "   FAIL: {bad}/{} metrics outside tolerance:",
                 verdicts.len()
             );
-            print!("{}", delta_table(&verdicts));
         }
+        print!("{}", delta_table(&verdicts));
     }
 
     if failed {

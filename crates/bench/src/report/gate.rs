@@ -719,7 +719,10 @@ pub fn delta_table(verdicts: &[Verdict]) -> String {
     let mut t = Table::new(&["metric", "baseline", "current", "delta", "band", "status"]);
     for v in sorted {
         let fmt = |x: f64| {
-            if x.abs() >= 1e-3 && x.abs() < 1e7 {
+            if x.fract() == 0.0 && x.abs() < 1e15 {
+                // Counts and exact pins read back in full.
+                format!("{x:.0}")
+            } else if x.abs() >= 1e-3 && x.abs() < 1e7 {
                 format!("{x:.4}")
             } else {
                 format!("{x:.3e}")
@@ -817,6 +820,20 @@ mod tests {
         let verdicts = evaluate(&baseline, &partial);
         assert_eq!(violations(&verdicts), 1);
         assert!(delta_table(&verdicts).contains("MISSING"));
+    }
+
+    #[test]
+    fn delta_table_prints_exact_pins_in_full() {
+        const SPECS: &[GateSpec] = &[spec("g.pin", Band::rel(0.0))];
+        let group = GateGroup {
+            name: "g",
+            kind: GroupKind::Functional,
+            specs: SPECS,
+        };
+        let measured: BTreeMap<_, _> = [metric("g.pin", 29_649_332.0)].into();
+        let baseline = Baseline::bless(&group, &measured).unwrap();
+        let table = delta_table(&evaluate(&baseline, &measured));
+        assert!(table.contains("29649332"), "{table}");
     }
 
     #[test]

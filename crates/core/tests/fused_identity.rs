@@ -371,6 +371,34 @@ fn register_roc_histogram_is_route_identical() {
 }
 
 #[test]
+fn wide_privatized_histograms_are_route_identical() {
+    // Figure 4's 4096 buckets and a 1000-bucket point of Figure 5's
+    // sweep: a warp step's buckets span hundreds to thousands of bins,
+    // so the scatter walk's counter window runs many bank cycles wide.
+    // A ragged N leaves partial last warps on both kernels.
+    let pts = cloud(300);
+    for buckets in [1000u32, 4096] {
+        let spec = HistogramSpec::new(buckets, 180.0);
+        let shm = assert_identical(|dev| sdh_run(dev, &pts, spec, register_shm_sdh(Euclidean)));
+        let roc = assert_identical(|dev| {
+            sdh_run(dev, &pts, spec, |input, act| {
+                Box::new(RegisterRocKernel::new(
+                    input,
+                    Euclidean,
+                    act,
+                    B,
+                    PairScope::AllPairs,
+                    IntraMode::Regular,
+                ))
+            })
+        });
+        for runs in [shm, roc] {
+            assert!(runs[0].tally.shared_bank_replays > 0, "{buckets} buckets");
+        }
+    }
+}
+
+#[test]
 fn histogram_nan_inputs_follow_device_convention_on_all_routes() {
     // NaN coordinates make NaN distances; the device convention
     // (CUDA `__float2uint_rz`) saturates those lanes to bucket 0. The

@@ -71,8 +71,8 @@ pub struct BlockCtx<'a> {
     pub grid_dim: u32,
     /// Threads per block (`blockDim.x`).
     pub block_dim: u32,
-    /// Reusable buffers for the compiled output-stage passes (squared
-    /// distance rows, scatter walk state); host-side only, never part
+    /// Reusable buffers for the compiled output-stage passes (sink
+    /// rows, row runs, tile boxes); host-side only, never part
     /// of the simulated device state.
     pub(crate) compiled_scratch: CompiledScratch,
 }

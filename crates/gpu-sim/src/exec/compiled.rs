@@ -79,7 +79,7 @@ use crate::exec::block::BlockCtx;
 use crate::exec::mask::Mask;
 use crate::exec::tile::{CountSink, HistSink, TilePred, TileSink, TileSrc};
 use crate::exec::warp::{charge_lanes, WarpCtx};
-use crate::mem::{BufF32, ScatterScratch, SharedSpace, ShmF32};
+use crate::mem::{BufF32, SharedSpace, ShmF32};
 use crate::{F32x32, U32x32, WARP_SIZE};
 
 /// The output-sink list of a lowered plan, declared by the action
@@ -424,13 +424,12 @@ enum SrcView<'s, const D: usize> {
 
 /// Per-block reusable buffers for the compiled output-stage passes,
 /// owned by [`BlockCtx`] so the hot tile loop never reallocates: the
-/// per-lane count sink counters, the deferred bucket batches, the
-/// surviving row runs and the scatter walk's per-bank counters. Their
-/// contents are dead between passes (the counters and batches are
-/// cleared, the scatter walks drain the counters they bump), so
-/// reuse cannot leak state across passes — only the capacity persists. The one exception is the tile-box record, which a pass
-/// reads only while the shared arrays it was taken from are unchanged
-/// ([`TileBoxes::covers`]).
+/// per-lane count sink counters, the deferred bucket batches and the
+/// surviving row runs. Their contents are dead between passes (the
+/// counters and batches are cleared), so reuse cannot leak state
+/// across passes — only the capacity persists. The one exception is
+/// the tile-box record, which a pass reads only while the shared arrays
+/// it was taken from are unchanged ([`TileBoxes::covers`]).
 #[derive(Debug, Default)]
 pub struct CompiledScratch {
     /// What the pass's sweep folded into its sinks.
@@ -443,8 +442,6 @@ pub struct CompiledScratch {
     keep: Vec<(u32, u32)>,
     /// The bounding boxes of the block's last compiled tile load.
     boxes: TileBoxes,
-    /// Persistent occupancy counters for the general scatter walk.
-    scatter: ScatterScratch,
 }
 
 /// A pass's sink state while its sweep runs ([`Self::fold_row`]).
@@ -983,19 +980,15 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         let (mut serial, mut txns, mut replays) = (0u64, 0u64, 0u64);
         let shared = &mut self.blk.shared;
         for (k, h) in hists.iter().enumerate() {
-            let (s_b, t_b, r_b) =
-                shared.scatter_account_update_rows(h.shm, &scr.sinks.bs[k], &mut scr.scatter);
+            let (s_b, t_b, r_b) = shared.scatter_account_update_rows(h.shm, &scr.sinks.bs[k]);
             serial += s_b;
             txns += t_b;
             replays += r_b;
             let mut off = 0usize;
             for &na in &scr.sinks.pbn[k] {
                 let na = na as usize;
-                let (mult, t) = shared.scatter_account_update(
-                    h.shm,
-                    &scr.sinks.pbs[k][off..off + na],
-                    &mut scr.scatter,
-                );
+                let (mult, t) =
+                    shared.scatter_account_update(h.shm, &scr.sinks.pbs[k][off..off + na]);
                 off += na;
                 serial += mult;
                 txns += t + mult - 1;
@@ -1035,10 +1028,10 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// source whose read would abandon speculation, or a sink list that
     /// does not match the lowered one (wrong plan). Histogram
     /// scatters share one accounting-plus-update walk
-    /// ([`crate::mem::SharedSpace::scatter_account_update`]) over the
-    /// block's persistent scratch. Unpredicated Euclidean passes skip
-    /// the rows that provably land every lane outside every count
-    /// radius and in each histogram's overflow bucket: the chunks of a
+    /// ([`crate::mem::SharedSpace::scatter_account_update`]).
+    /// Unpredicated Euclidean passes skip the rows that provably land
+    /// every lane outside every count radius and in each histogram's
+    /// overflow bucket: the chunks of a
     /// shared tile whose recorded box is out of range
     /// (`TileBoxes::survivors`), then, for a histogram list, the
     /// surviving rows whose own bound is (`cull_survivors`). Histograms

@@ -18,7 +18,7 @@ pub mod shared;
 pub use global::{BufF32, BufId, BufU32, BufU64, DeviceBuffer, GlobalMem};
 pub use l2::L2Cache;
 pub use roc::RocCache;
-pub use shared::{ScatterScratch, SharedSpace, ShmF32, ShmU32, ShmU64};
+pub use shared::{SharedSpace, ShmF32, ShmU32, ShmU64};
 
 /// Compute the set of distinct `sector_bytes`-sized sectors touched by the
 /// active lanes of a warp access, given per-lane byte addresses.

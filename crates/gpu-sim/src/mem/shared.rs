@@ -45,21 +45,6 @@ impl ShmStorage {
     }
 }
 
-/// Reusable occupancy counters for the general scatter walk of
-/// [`SharedSpace::scatter_account_update`] and
-/// [`SharedSpace::scatter_account_update_rows`]: rows whose values span
-/// 256 or more, or any row on a bank count other than 32. Windowed rows
-/// count on a stack array and never touch it. All counters are zero
-/// between calls (each walk drains what it bumped).
-#[derive(Debug, Default)]
-pub struct ScatterScratch {
-    /// Occurrence count per word offset, grown to the array's length on
-    /// first use.
-    cnt: Vec<u8>,
-    /// Distinct-word count per bank.
-    bank_distinct: [u8; WARP_SIZE],
-}
-
 /// One block's shared-memory allocations.
 #[derive(Debug, Default)]
 pub struct SharedSpace {
@@ -75,6 +60,11 @@ pub struct SharedSpace {
     /// Route conflict counting through the legacy nested-scan
     /// implementation (differential testing / before-after measurement).
     scalar_reference: bool,
+    /// The scatter walk's occurrence counters ([`span_walk`]), grown to
+    /// the widest walked `u32` array plus [`WINDOW_BLOCK`] + 1 bank
+    /// cycles. All zero between walks: each walk clears exactly the
+    /// window it read.
+    cnt: Vec<u8>,
 }
 
 impl SharedSpace {
@@ -86,6 +76,7 @@ impl SharedSpace {
             next_word: 0,
             banks: banks.max(1),
             scalar_reference: false,
+            cnt: Vec::new(),
         }
     }
 
@@ -359,85 +350,80 @@ impl SharedSpace {
     /// observable state). The compiled histogram sinks use this for
     /// partial-warp steps — ragged warps, intra-triangle tails, gridded
     /// segment ends — and [`Self::scatter_account_update_rows`] for
-    /// full-warp steps; both run one row helper. On 32 banks a row
-    /// whose values span less than 256 takes the windowed walk (see
-    /// [`Self::scatter_account_update_rows`]); every other one-word row
-    /// takes the general walk over `scratch`'s persistent occupancy
-    /// counters (one counter bump per lane, one bank bump per first
-    /// occurrence, reset through a stack touched list — no quadratic
-    /// dedup scan, no per-step zeroing). A [`ShmU32`] is one word per
-    /// element by type, and the scalar-reference route never gets here
-    /// (every compiled pass declines under it); the stateless
-    /// [`Self::atomic_scatter_accounting`] is the oracle the walks are
+    /// full-warp steps; both run the one scatter walk described there.
+    /// A [`ShmU32`] is one word per element by type, and the
+    /// scalar-reference route never gets here (every compiled pass
+    /// declines under it); the stateless
+    /// [`Self::atomic_scatter_accounting`] is the oracle the walk is
     /// tested against.
-    pub fn scatter_account_update(
-        &mut self,
-        h: ShmU32,
-        vals: &[u32],
-        scratch: &mut ScatterScratch,
-    ) -> (u64, u64) {
+    pub fn scatter_account_update(&mut self, h: ShmU32, vals: &[u32]) -> (u64, u64) {
         debug_assert!(vals.len() <= WARP_SIZE);
         if vals.is_empty() {
             return (0, 0);
         }
-        let (base, banks) = (self.base_words[h.0], self.banks as u64);
-        account_row(self.u32s_mut(h), base, banks, vals, scratch)
+        let (data, cnt, base, banks) = self.walk_parts(h);
+        walk_row(data, cnt, base, banks, vals)
     }
 
     /// [`Self::scatter_account_update`] batched over whole full-warp
     /// tile steps: `rows` holds `rows.len() / 32` steps' bucket
     /// indices, 32 lanes each. One call hoists the array binding and
-    /// the bank mapping out of the per-step loop and returns the
+    /// the counter sizing out of the per-step loop and returns the
     /// accumulated charge sums `(Σ mult, Σ (txns + mult − 1),
     /// Σ (txns − 1))` — exactly what the compiled histogram sinks add
     /// to `shared_atomic_serial`, `shared_transactions` and
     /// `shared_bank_replays`. Per step the accounting pair and the data
     /// update are those of [`Self::scatter_account_update`] on that
-    /// step's lanes (the same row helper), and the wrapping data adds
-    /// commute across steps.
+    /// step's lanes (the same walk), and the wrapping data adds commute
+    /// across steps.
     ///
-    /// Most rows take the windowed walk: on 32 banks, when the row's
-    /// values span less than 256 (every step of a privatized histogram
-    /// with `hmax < 256` does), `v & 255` is injective over the row, so
-    /// a 256-entry stack counter `cnt8` indexed by `v & 255` counts
-    /// every distinct value apart. The lane loop only bumps `cnt8` and
-    /// adds to `data`; both charges are then read off the counter
-    /// array. The multiplicity is `max(cnt8)`. Read as eight rows of 32,
-    /// row `r` column `b` of `cnt8` holds the value with
-    /// `v & 255 = 32r + b`, and `bank(v) = (base + v) & 31` is a fixed
-    /// permutation of `b = v & 31`, so the number of non-zero entries in
-    /// column `b` is one bank's distinct words and their maximum over
-    /// the columns is the transaction count. Min and max are separate
-    /// folds over the fixed-width row, and `min == max` is the broadcast
-    /// test. This shape is for the code generator: folding the two
-    /// maxima into the lane loop, with a per-lane bank counter and an
-    /// `all(..)` broadcast test, compiled to a serial compare-and-branch
-    /// and `cmov` chain, while the separate folds and the column sums
-    /// over `cnt8` vectorize (EXPERIMENTS.md, "Vectorized scatter
-    /// accounting").
+    /// The walk counts a step's lanes in the block's occurrence
+    /// counters, aligned to the bank cycle: bucket `v` counts at
+    /// `i = v + b0`, where `b0` is the bank of element 0, so `i mod
+    /// banks` is `v`'s bank. The lane loop only bumps the counter and
+    /// adds to the bin. The window — the counter rows of `banks`
+    /// entries from `lo`'s row through `hi`'s, in whole blocks of eight
+    /// rows — is then read and cleared as it is read: the multiplicity
+    /// is the largest entry, and column `c` holds bank `c`'s distinct
+    /// words (folded into bank `c mod 32`, as
+    /// [`Self::transactions_for`] folds), so the largest per-bank count
+    /// of non-zero entries is the transaction count. `lo == hi` is the
+    /// broadcast test. This is exact for every span and bank count.
+    /// Min and max are separate folds and the lane loop carries no
+    /// maxima, so the folds and the row reads vectorize (EXPERIMENTS.md,
+    /// "Vectorized scatter accounting" and "One scatter walk").
     ///
-    /// Rows spanning 256 or more, and every row on other bank counts,
-    /// take the general walk of [`Self::scatter_account_update`].
     /// Every index must be in bounds for `h` (the compiled pre-flights
     /// guarantee `hmax < len`, and buckets clamp to `hmax`).
-    pub fn scatter_account_update_rows(
-        &mut self,
-        h: ShmU32,
-        rows: &[u32],
-        scratch: &mut ScatterScratch,
-    ) -> (u64, u64, u64) {
+    pub fn scatter_account_update_rows(&mut self, h: ShmU32, rows: &[u32]) -> (u64, u64, u64) {
         debug_assert_eq!(rows.len() % WARP_SIZE, 0);
         let (mut serial, mut txns_sum, mut replays) = (0u64, 0u64, 0u64);
-        let (base, banks) = (self.base_words[h.0], self.banks as u64);
-        let data = self.u32s_mut(h);
+        let (data, cnt, base, banks) = self.walk_parts(h);
         for row in rows.chunks_exact(WARP_SIZE) {
             let row: &[u32; WARP_SIZE] = row.try_into().expect("chunks_exact yields warp rows");
-            let (mult, txns) = account_row(data, base, banks, row, scratch);
+            let (mult, txns) = walk_row(data, cnt, base, banks, row);
             serial += mult;
             txns_sum += txns + mult - 1;
             replays += txns - 1;
         }
         (serial, txns_sum, replays)
+    }
+
+    /// The walk's operands for array `h`: its data, the occurrence
+    /// counters (grown to cover any window over it), its base word and
+    /// the bank count.
+    fn walk_parts(&mut self, h: ShmU32) -> (&mut [u32], &mut [u8], u64, usize) {
+        let (base, banks) = (self.base_words[h.0], self.banks as usize);
+        let ShmStorage::U32(data) = &mut self.arrays[h.0] else {
+            unreachable!("handle type guarantees u32 storage")
+        };
+        // Counters run to `len − 1 + base mod banks < len + banks`; a
+        // window ends less than one block past its last counter.
+        let need = data.len() + (WINDOW_BLOCK + 1) * banks;
+        if self.cnt.len() < need {
+            self.cnt.resize(need, 0);
+        }
+        (data, &mut self.cnt, base, banks)
     }
 
     /// `rows` warp steps whose `lanes` active lanes all scatter into
@@ -464,119 +450,73 @@ impl SharedSpace {
     }
 }
 
-/// Width of the windowed walk's stack counter: a row whose values span
-/// less than this keeps `v & (WINDOW - 1)` injective.
-const WINDOW: usize = 256;
-
-/// One step's scatter walk over a one-word array: the step's
-/// `(mult, txns)` with `data[v] += 1` applied per lane of `row`
-/// (1–32 active lanes). The windowed walk where it is exact, else the
-/// general one.
+/// One step's scatter walk over a one-word array whose element 0 is
+/// word `base`: the step's `(mult, txns)` with `data[v] += 1` applied
+/// per lane of `row` (1–32 active lanes). On 32 banks the bank count is
+/// a constant in [`span_walk`]'s body, so its bank arithmetic is masks
+/// and its row reads compile to fixed 32-byte vector operations.
 #[inline(always)]
-fn account_row(
-    data: &mut [u32],
-    base: u64,
-    banks: u64,
-    row: &[u32],
-    scratch: &mut ScatterScratch,
-) -> (u64, u64) {
-    if banks == 32 {
-        if let Some(acct) = window_walk(data, row) {
-            return acct;
-        }
+fn walk_row(data: &mut [u32], cnt: &mut [u8], base: u64, banks: usize, row: &[u32]) -> (u64, u64) {
+    if banks == WARP_SIZE {
+        span_walk(data, cnt, base, WARP_SIZE, row)
+    } else {
+        span_walk(data, cnt, base, banks, row)
     }
-    general_walk(data, base, banks, row, scratch)
 }
 
-/// The windowed walk on 32 banks (see
-/// [`SharedSpace::scatter_account_update_rows`]), or `None` with
-/// nothing touched when `row`'s values span [`WINDOW`] or more.
+/// Rows per block of a scatter walk's window. A window is read in whole
+/// blocks, so every step narrower than eight bank cycles (256 buckets
+/// on 32 banks) reads one block: a fixed trip count that does not
+/// mispredict with each step's span.
+const WINDOW_BLOCK: usize = 8;
+
+/// The scatter walk (see [`SharedSpace::scatter_account_update_rows`]).
+/// `cnt` is all zero on entry and on return.
 #[inline(always)]
-fn window_walk(data: &mut [u32], row: &[u32]) -> Option<(u64, u64)> {
+fn span_walk(data: &mut [u32], cnt: &mut [u8], base: u64, banks: usize, row: &[u32]) -> (u64, u64) {
     let lo = row.iter().fold(u32::MAX, |m, &v| m.min(v));
     let hi = row.iter().fold(0, |m, &v| m.max(v));
     if lo == hi {
         // Broadcast: one word, one transaction, fully serialized.
         data[lo as usize] = data[lo as usize].wrapping_add(row.len() as u32);
-        return Some((row.len() as u64, 1));
+        return (row.len() as u64, 1);
     }
-    if hi - lo >= WINDOW as u32 {
-        return None;
-    }
-    let mut cnt8 = [0u8; WINDOW];
+    // With `b0` the bank of element 0, counter `v + b0` has bank
+    // `(v + b0) mod banks`; the window starts at the row of `lo` and
+    // covers `hi` in whole blocks of rows.
+    let b0 = (base % banks as u64) as usize;
+    let start = (lo as usize + b0) / banks * banks;
+    let end = start + (hi as usize + b0 + 1 - start).next_multiple_of(WINDOW_BLOCK * banks);
     for &v in row {
-        cnt8[v as usize % WINDOW] += 1;
+        cnt[v as usize + b0] += 1;
         data[v as usize] = data[v as usize].wrapping_add(1);
     }
-    // Column `b` of the eight 32-entry rows gathers the values with
-    // `v & 31 = b`: one bank's words.
+    // Column `c` of the window's rows holds bank `c`'s words; above
+    // 32 banks it folds into bank `c mod 32`, as `transactions_for`
+    // folds.
     let mut peak = [0u8; WARP_SIZE];
     let mut distinct = [0u8; WARP_SIZE];
-    for r in cnt8.chunks_exact(WARP_SIZE) {
-        for ((p, d), &c) in peak.iter_mut().zip(&mut distinct).zip(r) {
-            *p = (*p).max(c);
-            *d += (c != 0) as u8;
+    for block in cnt[start..end].chunks_exact_mut(WINDOW_BLOCK * banks) {
+        for r in block.chunks_exact_mut(banks) {
+            for (c, x) in r.iter_mut().enumerate() {
+                peak[c % WARP_SIZE] = peak[c % WARP_SIZE].max(*x);
+                distinct[c % WARP_SIZE] += (*x).min(1);
+                *x = 0;
+            }
         }
     }
     let mult = peak.iter().fold(0, |m, &c| m.max(c));
     let txns = distinct.iter().fold(0, |m, &c| m.max(c));
-    Some((mult as u64, txns as u64))
-}
-
-/// The general walk: per-word occurrence counters and per-bank distinct
-/// counts over `scratch`, drained back to zero through the step's
-/// distinct values (at most one per lane, so a stack list suffices).
-fn general_walk(
-    data: &mut [u32],
-    base: u64,
-    banks: u64,
-    row: &[u32],
-    scratch: &mut ScatterScratch,
-) -> (u64, u64) {
-    if scratch.cnt.len() < data.len() {
-        scratch.cnt.resize(data.len(), 0);
-    }
-    let bank_of = |v: u32| {
-        let word = base + v as u64;
-        if banks == 32 {
-            (word & 31) as usize
-        } else {
-            (word % banks) as usize % WARP_SIZE
-        }
-    };
-    let (mut mult, mut txns) = (0u64, 0u64);
-    let mut touched = [0u32; WARP_SIZE];
-    let mut nt = 0usize;
-    for &v in row {
-        let vi = v as usize;
-        let c = scratch.cnt[vi] + 1;
-        scratch.cnt[vi] = c;
-        if c == 1 {
-            let bank = bank_of(v);
-            let bd = scratch.bank_distinct[bank] + 1;
-            scratch.bank_distinct[bank] = bd;
-            txns = txns.max(bd as u64);
-            touched[nt] = v;
-            nt += 1;
-        }
-        mult = mult.max(c as u64);
-    }
-    for &v in &touched[..nt] {
-        let vi = v as usize;
-        data[vi] = data[vi].wrapping_add(scratch.cnt[vi] as u32);
-        scratch.cnt[vi] = 0;
-        scratch.bank_distinct[bank_of(v)] = 0;
-    }
-    (mult, txns)
+    (mult as u64, txns as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every occupancy counter is back at zero.
-    fn is_clean(scratch: &ScatterScratch) -> bool {
-        scratch.cnt.iter().all(|&c| c == 0) && scratch.bank_distinct == [0; WARP_SIZE]
+    /// The scatter walk's counter buffer is all zero.
+    fn is_clean(s: &SharedSpace) -> bool {
+        s.cnt.iter().all(|&c| c == 0)
     }
 
     #[test]
@@ -725,17 +665,16 @@ mod tests {
 
     #[test]
     fn scatter_account_update_matches_split_halves() {
-        // The merged accounting+update walk over reused scratch must
-        // equal the stateless `atomic_scatter_accounting` and then
-        // incrementing per lane, for every scatter shape, with the
-        // scratch coming back clean between calls.
+        // The merged accounting+update walk must equal the stateless
+        // `atomic_scatter_accounting` and then incrementing per lane,
+        // for every scatter shape, with the counter buffer coming back
+        // clean between calls.
         let mut s = SharedSpace::new(32);
         let _pad = s.alloc_f32(3);
         // `b` sits 256 words (≡ 0 mod 32 banks) past `a`, so both map
         // every element to the same bank and the accounting agrees.
         let a = s.alloc_u32(256);
         let b = s.alloc_u32(256);
-        let mut scratch = ScatterScratch::default();
         let mut x = 0xabc1u64;
         let mut expect = vec![0u32; 256];
         for trial in 0..600 {
@@ -762,14 +701,14 @@ mod tests {
             }
             let oracle = s.atomic_scatter_accounting(b.0, &vals);
             assert_eq!(
-                s.scatter_account_update(a, &vals, &mut scratch),
+                s.scatter_account_update(a, &vals),
                 oracle,
                 "trial {trial} vals {vals:?}"
             );
             for &v in &vals {
                 expect[v as usize] = expect[v as usize].wrapping_add(1);
             }
-            assert!(is_clean(&scratch), "scratch not reset");
+            assert!(is_clean(&s), "counters not cleared");
         }
         assert_eq!(s.u32s(a), &expect[..], "merged updates diverge");
     }
@@ -779,8 +718,8 @@ mod tests {
         // The batched full-warp walk must equal per-step
         // `scatter_account_update` calls and the stateless scalar
         // oracle — same charge sums, same final histogram — across
-        // banked layouts and every step shape, with the scratch coming
-        // back clean between batches.
+        // banked layouts and every step shape, with the counter buffer
+        // coming back clean between batches.
         for banks in [32u32, 16] {
             let layout = |scalar: bool| {
                 let mut s = SharedSpace::new(banks);
@@ -790,7 +729,6 @@ mod tests {
             };
             let (a, b, mut s) = layout(false);
             let (_, _, oracle) = layout(true);
-            let mut scratch = ScatterScratch::default();
             let mut x = 0x5eed5u64;
             for trial in 0..200 {
                 x ^= x << 13;
@@ -808,9 +746,7 @@ mod tests {
                             1 => ((x % 32) + k as u64) as u32,
                             2 => (x % 17) as u32,
                             3 => (x % 2) as u32 * 32,
-                            // Spread wider than one 256 window, so the
-                            // windowed walk declines and the general
-                            // walk gets exercised under both layouts.
+                            // Spread wider than 256 buckets.
                             4 => (x % 1024) as u32,
                             _ => 9,
                         });
@@ -819,7 +755,7 @@ mod tests {
                 let mut expect = (0u64, 0u64, 0u64);
                 let mut stateless = (0u64, 0u64, 0u64);
                 for row in rows.chunks_exact(WARP_SIZE) {
-                    let (mult, txns) = s.scatter_account_update(a, row, &mut scratch);
+                    let (mult, txns) = s.scatter_account_update(a, row);
                     expect.0 += mult;
                     expect.1 += txns + mult - 1;
                     expect.2 += txns.saturating_sub(1);
@@ -830,11 +766,11 @@ mod tests {
                 }
                 assert_eq!(expect, stateless, "banks {banks} trial {trial}");
                 assert_eq!(
-                    s.scatter_account_update_rows(b, &rows, &mut scratch),
+                    s.scatter_account_update_rows(b, &rows),
                     expect,
                     "banks {banks} trial {trial}"
                 );
-                assert!(is_clean(&scratch), "scratch not reset");
+                assert!(is_clean(&s), "counters not cleared");
             }
             // `b` sits 1024 words past `a` (≡ 0 mod either bank count),
             // so both map every element to the same bank and the
@@ -853,17 +789,16 @@ mod tests {
             let mut s = SharedSpace::new(banks);
             let a = s.alloc_u32(64);
             let b = s.alloc_u32(64);
-            let mut scratch = ScatterScratch::default();
             s.u32s_mut(a)[9] = u32::MAX - 40;
             s.u32s_mut(b)[9] = u32::MAX - 40;
             let rows = vec![9u32; 3 * WARP_SIZE];
             assert_eq!(
                 s.scatter_broadcast_rows(b, 9, 3, WARP_SIZE as u64),
-                s.scatter_account_update_rows(a, &rows, &mut scratch)
+                s.scatter_account_update_rows(a, &rows)
             );
             let mut expect = (0u64, 0u64, 0u64);
             for _ in 0..4 {
-                let (mult, txns) = s.scatter_account_update(a, &[9u32; 5], &mut scratch);
+                let (mult, txns) = s.scatter_account_update(a, &[9u32; 5]);
                 expect.0 += mult;
                 expect.1 += txns + mult - 1;
                 expect.2 += txns.saturating_sub(1);

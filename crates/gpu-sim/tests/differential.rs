@@ -9,7 +9,7 @@
 //! timing and fault reports — the contract that makes the fast paths an
 //! optimization rather than a behaviour change.
 
-use gpu_sim::mem::{L2Cache, RocCache, ScatterScratch, SharedSpace};
+use gpu_sim::mem::{L2Cache, RocCache, SharedSpace};
 use gpu_sim::prelude::*;
 use gpu_sim::SimError;
 use proptest::prelude::*;
@@ -209,9 +209,9 @@ proptest! {
 // Histogram scatter walks against the stateless scalar oracle
 // ---------------------------------------------------------------------------
 
-/// Histogram length of the scatter-walk differential: room for windows
-/// that straddle a multiple of 256 and for spreads past one window.
-const SCATTER_LEN: u32 = 1024;
+/// Histogram length of the scatter-walk differential: room for rows
+/// up to 5000 buckets wide at any start, as Figure 5's sweep has.
+const SCATTER_LEN: u32 = 5120;
 
 /// One step's bucket indices (`lanes` active lanes) of scatter shape
 /// `shape`, drawn from the xorshift stream `x`.
@@ -222,10 +222,14 @@ fn scatter_row(shape: u8, lanes: usize, hmax: u32, x: &mut u64) -> Vec<u32> {
         *x ^= *x << 17;
         (*x % m as u64) as u32
     };
+    // A width `w` for the wide shapes, 512–5000, and a start that keeps
+    // the row inside the histogram.
+    let wide = next(4489) + 512;
     let lo = next(SCATTER_LEN - 256);
-    // The two ends of a window `w` wide are always present, so the row
-    // spans exactly `w`; the other lanes land inside it.
-    let window = |w: u32, next: &mut dyn FnMut(u32) -> u32| -> Vec<u32> {
+    let wide_lo = next(SCATTER_LEN - wide);
+    // The two ends of a row `w` wide from `lo` are always present, so
+    // the row spans exactly `w`; the other lanes land inside it.
+    let span = |lo: u32, w: u32, next: &mut dyn FnMut(u32) -> u32| -> Vec<u32> {
         (0..lanes)
             .map(|k| match k {
                 0 => lo,
@@ -243,14 +247,24 @@ fn scatter_row(shape: u8, lanes: usize, hmax: u32, x: &mut u64) -> Vec<u32> {
         1 => (0..lanes as u32).map(|k| lo + (k * 7) % 32 * 3).collect(),
         // All equal.
         2 => vec![lo; lanes],
-        // Exactly 255 wide (the windowed walk) and 256 wide (the
-        // general walk).
-        3 => window(255, &mut next),
-        4 => window(256, &mut next),
+        // Exactly 255 and 256 wide.
+        3 => span(lo, 255, &mut next),
+        4 => span(lo, 256, &mut next),
         // Straddling a multiple of 256.
         5 => (0..lanes).map(|_| 200 + next(251)).collect(),
         // Heavy contention on a few buckets.
         6 => (0..lanes).map(|_| lo + next(5) * 32).collect(),
+        // 512–5000 wide.
+        7 => span(wide_lo, wide, &mut next),
+        // 512–5000 wide with same-bank pileups: lanes a multiple of
+        // the bank cycle apart.
+        8 => (0..lanes)
+            .map(|k| match k {
+                0 => wide_lo,
+                1 => wide_lo + wide,
+                _ => wide_lo + next(wide / 48 + 1) * 48,
+            })
+            .collect(),
         // Anywhere in the histogram.
         _ => (0..lanes).map(|_| next(SCATTER_LEN)).collect(),
     }
@@ -264,13 +278,15 @@ proptest! {
     /// 1–31 lanes) against the stateless `atomic_scatter_accounting` of
     /// a scalar-reference space with the same layout plus per-lane data
     /// adds: the same charge sums and the same histogram, for base
-    /// offsets off the 32-word grid and banks ∈ {32, 16}.
+    /// offsets off the 32-word grid, rows up to 5000 wide and banks
+    /// ∈ {32, 16, 24, 48} (a count that is not a power of two, and one
+    /// that folds two columns into one bank).
     #[test]
     fn scatter_walks_match_the_stateless_oracle(
-        banks in prop::sample::select(vec![32u32, 16]),
+        banks in prop::sample::select(vec![32u32, 16, 24, 48]),
         pad in 0usize..70,
         hmax in 1u32..SCATTER_LEN,
-        shapes in prop::collection::vec(0u8..8, 1..7),
+        shapes in prop::collection::vec(0u8..10, 1..7),
         partial in prop::collection::vec(1usize..32, 0..4),
         seed in any::<u64>(),
     ) {
@@ -295,7 +311,6 @@ proptest! {
                 expect[v as usize] += 1;
             }
         };
-        let mut scratch = ScatterScratch::default();
         let rows: Vec<u32> = shapes
             .iter()
             .flat_map(|&sh| scatter_row(sh, WARP_SIZE, hmax, &mut x))
@@ -303,14 +318,14 @@ proptest! {
         for row in rows.chunks_exact(WARP_SIZE) {
             charge(row, &mut want);
         }
-        let got = fast.scatter_account_update_rows(h, &rows, &mut scratch);
+        let got = fast.scatter_account_update_rows(h, &rows);
         prop_assert_eq!(got, want, "full rows, shapes {:?}", shapes);
         let mut got = (0u64, 0u64, 0u64);
         want = (0, 0, 0);
         for (i, &lanes) in partial.iter().enumerate() {
             let row = scatter_row(shapes[i % shapes.len()], lanes, hmax, &mut x);
             charge(&row, &mut want);
-            let (mult, txns) = fast.scatter_account_update(h, &row, &mut scratch);
+            let (mult, txns) = fast.scatter_account_update(h, &row);
             got.0 += mult;
             got.1 += txns + mult - 1;
             got.2 += txns - 1;
