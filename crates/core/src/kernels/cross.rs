@@ -15,7 +15,7 @@
 use crate::distance::DistanceKernel;
 use crate::output::PairAction;
 use crate::point::DeviceSoa;
-use gpu_sim::{BlockCtx, Kernel, KernelResources, LaunchConfig, WARP_SIZE};
+use gpu_sim::{BlockCtx, Kernel, KernelResources, LaunchConfig, TilePred, TileSrc};
 
 /// Register + shared-memory bipartite kernel over sets A and B.
 #[derive(Debug, Clone)]
@@ -102,26 +102,19 @@ where
                 if !valid.any() {
                     return;
                 }
-                let reg = &own[w.warp_id as usize];
-                w.charge_control(len as u64 + 1, valid);
-                if !super::try_tile_pass(
+                super::tile_pass(
                     w,
                     ck.as_ref(),
+                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::TileSrc::SharedBroadcast(&tile),
+                    TileSrc::SharedBroadcast(&tile),
                     len,
-                    gpu_sim::TilePred::All,
-                    reg,
+                    TilePred::All,
+                    &own[w.warp_id as usize],
+                    start,
                     valid,
-                ) {
-                    for j in 0..len {
-                        let rj = super::broadcast_from_shared(w, &tile, j, valid);
-                        let dval = self.dist.eval(w, reg, &rj, valid);
-                        let right = [start + j; WARP_SIZE];
-                        self.action.process(w, &mut st, &gid, &right, &dval, valid);
-                    }
-                }
+                );
             });
             blk.syncthreads();
         }

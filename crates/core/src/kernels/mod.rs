@@ -17,7 +17,12 @@
 //! runs every stage — tile fetch, inner tile pass, intra triangle —
 //! through the compiled pass when the plan lowered and the shape is
 //! supported, else interprets it op by op. The two routes are
-//! bit-identical in outputs, tally and cache state.
+//! bit-identical in outputs, tally and cache state. Every tiling kernel
+//! runs its passes through the same two drivers, which own both
+//! routes: `tile_pass` for an inter-tile, own-tile or shuffle-fragment
+//! pass (a [`gpu_sim::TileSrc`] × [`gpu_sim::TilePred`]), and
+//! `intra_triangle` for the intra-block triangle (a
+//! [`gpu_sim::CompiledTile`] in either [`IntraMode`]).
 
 pub mod cross;
 pub mod naive;
@@ -178,42 +183,62 @@ pub(crate) fn lower_block_plan<const D: usize, F: DistanceKernel<D>, A: PairActi
     crate::plan::lower_pair_plan::<D, F, A>(blk.config(), dist, action, tile_len)
 }
 
-/// Run one inner tile pass through the compiled route when `ck` is
-/// lowered and the shape is supported. Returns `false` when the caller
-/// must interpret the loop op by op; both routes are bit-identical in
-/// outputs, tally and cache state.
+/// One inner tile pass of a warp: `len` steps of *broadcast element `j`
+/// of `src`, evaluate `dist` against the warp's `own` registers under
+/// `pred`, and hand the values to `action` with partner id
+/// `right0 + j`* — the loop every tiling kernel runs per tile (paper
+/// Algorithm 3 lines 5–8, Algorithm 4 lines 5–9). Charges the loop
+/// control, then runs the whole pass through the compiled route when
+/// `ck` is lowered and the shape is supported, else op by op; both
+/// routes are bit-identical in outputs, tally and cache state.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_tile_pass<A: PairAction, const D: usize>(
+pub(crate) fn tile_pass<const D: usize, F: DistanceKernel<D>, A: PairAction>(
     w: &mut WarpCtx<'_, '_>,
     ck: Option<&CompiledKernel>,
+    dist: &F,
     action: &A,
     st: &mut A::Block,
     src: TileSrc<'_, D>,
     len: u32,
     pred: TilePred,
     own: &[F32x32; D],
+    right0: u32,
     valid: Mask,
-) -> bool {
-    let Some(ck) = ck else {
-        return false;
-    };
+) {
+    w.charge_control(len as u64 + 1, valid);
     // `lower_block_plan` already verified the distance shape; the sink
     // view re-borrows per warp.
-    match action.tile_sink(st, w.warp_id) {
-        Some(c) => w.compiled_tile_pass(ck, src, len, pred, own, c, valid),
-        None => false,
+    if let Some(ck) = ck {
+        if let Some(c) = action.tile_sink(st, w.warp_id) {
+            if w.compiled_tile_pass(ck, src, len, pred, own, c, valid) {
+                return;
+            }
+        }
     }
-}
-
-/// Read tile element `j` as a warp broadcast from shared memory (one
-/// transaction per dimension).
-pub(crate) fn broadcast_from_shared<const D: usize>(
-    w: &mut WarpCtx<'_, '_>,
-    tile: &[ShmF32; D],
-    j: u32,
-    mask: Mask,
-) -> [F32x32; D] {
-    std::array::from_fn(|d| w.shared_load_f32(tile[d], &[j; WARP_SIZE], mask))
+    let gid = w.global_thread_ids();
+    let predicated = !matches!(pred, TilePred::All);
+    for j in 0..len {
+        let rj: [F32x32; D] = match src {
+            TileSrc::SharedBroadcast(tile) => {
+                std::array::from_fn(|d| w.shared_load_f32(tile[d], &[j; WARP_SIZE], valid))
+            }
+            TileSrc::RocBroadcast { bufs, start } => {
+                std::array::from_fn(|d| w.roc_load_f32(bufs[d], &[start + j; WARP_SIZE], valid))
+            }
+            TileSrc::LaneBroadcast(lanes) => {
+                std::array::from_fn(|d| w.shfl_bcast_f32(&lanes[d], j, valid))
+            }
+        };
+        // The guard expression: one compare per step, under `valid`.
+        if predicated {
+            w.charge_alu(1, valid);
+        }
+        let pm = pred.mask(j, valid);
+        if pm.any() {
+            let dval = dist.eval(w, own, &rj, pm);
+            action.process(w, st, &gid, &[right0 + j; WARP_SIZE], &dval, pm);
+        }
+    }
 }
 
 /// Gather per-lane tile elements (staggered, conflict-free for
@@ -227,105 +252,84 @@ pub(crate) fn gather_from_shared<const D: usize>(
     std::array::from_fn(|d| w.shared_load_f32(tile[d], idx, mask))
 }
 
-/// The intra-block pair phase over a tile resident in shared memory
-/// (paper Algorithm 2 lines 9–12 / Algorithm 3 lines 11–14), in either
-/// [`IntraMode`]. `block_n` is the number of valid points in this block.
-///
-/// Reads partners from shared memory; `own` holds each thread's datum in
-/// registers.
+/// The intra-block triangle (paper Algorithm 2 lines 9–12, Algorithm 3
+/// lines 11–14) over the block's own `block_n` points, in either
+/// [`IntraMode`]: each thread pairs its `own` registers with partners
+/// gathered from `tile` — local indices of a shared tile, or global
+/// indices `block_start + local` through the ROC — and hands the values
+/// to `action` with partner id `block_start + local`. The regular
+/// triangle runs through the compiled route when `ck` is lowered and
+/// the shape is supported, else (and always when load-balanced) as the
+/// divergent loop.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn intra_block_shared<const D: usize, F: DistanceKernel<D>, A: PairAction>(
+pub(crate) fn intra_triangle<const D: usize, F: DistanceKernel<D>, A: PairAction>(
     blk: &mut BlockCtx<'_>,
     ck: Option<&CompiledKernel>,
-    tile: &[ShmF32; D],
-    own: &[[F32x32; D]],
     dist: &F,
     action: &A,
     st: &mut A::Block,
+    tile: CompiledTile<'_, D>,
+    own: &[[F32x32; D]],
     block_start: u32,
     block_n: u32,
     mode: IntraMode,
 ) {
     let bd = blk.block_dim;
+    let regular = mode == IntraMode::Regular;
+    debug_assert!(
+        regular || bd.is_multiple_of(2),
+        "load balancing requires an even block size"
+    );
+    let half = bd / 2;
     blk.for_each_warp(|w| {
         let tid = w.thread_ids();
         let gid = w.global_thread_ids();
         let valid = w.mask_lt(&tid, block_n).and(w.active_threads());
         let reg = &own[w.warp_id as usize];
-        match mode {
-            IntraMode::Regular => {
-                // Compiled route: the whole divergent triangle in one
-                // closed-form pass. Declines fall through to the
-                // op-by-op loop below (identical bits either way).
-                if let Some(ckk) = ck {
-                    if let Some(c) = action.tile_sink(st, w.warp_id) {
-                        if w.compiled_intra_regular(
-                            ckk,
-                            CompiledTile::Shared(tile),
-                            block_start,
-                            block_n,
-                            reg,
-                            c,
-                            valid,
-                        ) {
-                            return;
-                        }
-                    }
+        if let (true, Some(ck)) = (regular, ck) {
+            if let Some(c) = action.tile_sink(st, w.warp_id) {
+                if w.compiled_intra_regular(ck, tile, block_start, block_n, reg, c, valid) {
+                    return;
                 }
-                // Thread t pairs with t+1 .. block_n-1: divergent trips.
-                let trips: U32x32 = std::array::from_fn(|i| {
-                    if valid.lane(i) {
-                        block_n.saturating_sub(1).saturating_sub(tid[i])
-                    } else {
-                        0
-                    }
-                });
-                w.divergent_loop(&trips, valid, |w2, k, active| {
-                    let pidx: U32x32 = std::array::from_fn(|i| tid[i] + 1 + k);
-                    w2.charge_alu(1, active);
-                    let partner = gather_from_shared(w2, tile, &pidx, active);
-                    let d = dist.eval(w2, reg, &partner, active);
-                    let right: U32x32 = std::array::from_fn(|i| block_start + pidx[i]);
-                    action.process(w2, st, &gid, &right, &d, active);
-                });
-            }
-            IntraMode::LoadBalanced => {
-                // Thread t pairs with (t + j) mod B for j = 1 .. B/2;
-                // only the lower half runs the final iteration (paper
-                // Figure 6). Trip counts are uniform within each warp, so
-                // full blocks incur zero divergence.
-                debug_assert!(
-                    bd.is_multiple_of(2),
-                    "load balancing requires an even block size"
-                );
-                let half = bd / 2;
-                let trips: U32x32 = std::array::from_fn(|i| {
-                    if valid.lane(i) {
-                        if tid[i] < half {
-                            half
-                        } else {
-                            half - 1
-                        }
-                    } else {
-                        0
-                    }
-                });
-                w.divergent_loop(&trips, valid, |w2, k, active| {
-                    let j = k + 1;
-                    let pidx: U32x32 = std::array::from_fn(|i| (tid[i] + j) % bd);
-                    // Address computation + partner-validity test.
-                    w2.charge_alu(2, active);
-                    let pvalid = Mask::from_fn(|i| active.lane(i) && pidx[i] < block_n);
-                    if !pvalid.any() {
-                        return;
-                    }
-                    let partner = gather_from_shared(w2, tile, &pidx, pvalid);
-                    let d = dist.eval(w2, reg, &partner, pvalid);
-                    let right: U32x32 = std::array::from_fn(|i| block_start + pidx[i]);
-                    action.process(w2, st, &gid, &right, &d, pvalid);
-                });
             }
         }
+        // Regular: thread t pairs with t+1 .. block_n-1, divergent trip
+        // counts. Load-balanced: thread t pairs with (t + j) mod B for
+        // j = 1 .. B/2, the upper half one iteration fewer (paper
+        // Figure 6) — uniform trips within a warp, so full blocks incur
+        // zero divergence.
+        let trips: U32x32 = std::array::from_fn(|i| match (valid.lane(i), regular) {
+            (false, _) => 0,
+            (true, true) => block_n.saturating_sub(1).saturating_sub(tid[i]),
+            (true, false) if tid[i] < half => half,
+            (true, false) => half - 1,
+        });
+        w.divergent_loop(&trips, valid, |w2, k, active| {
+            let j = k + 1;
+            let local: U32x32 = std::array::from_fn(|i| {
+                if regular {
+                    tid[i] + j
+                } else {
+                    (tid[i] + j) % bd
+                }
+            });
+            // Address computation, plus the load-balanced partner test.
+            w2.charge_alu(if regular { 1 } else { 2 }, active);
+            // A regular partner is always in range, so `pvalid == active`.
+            let pvalid = Mask::from_fn(|i| active.lane(i) && local[i] < block_n);
+            if !pvalid.any() {
+                return;
+            }
+            let right: U32x32 = std::array::from_fn(|i| block_start + local[i]);
+            let partner: [F32x32; D] = match tile {
+                CompiledTile::Shared(t) => gather_from_shared(w2, t, &local, pvalid),
+                CompiledTile::Roc(bufs) => {
+                    std::array::from_fn(|d| w2.roc_load_f32(bufs[d], &right, pvalid))
+                }
+            };
+            let dval = dist.eval(w2, reg, &partner, pvalid);
+            action.process(w2, st, &gid, &right, &dval, pvalid);
+        });
     });
 }
 

@@ -53,7 +53,10 @@ use crate::distance::DistanceKernel;
 use crate::kernels::IntraMode;
 use crate::output::PairAction;
 use crate::point::DeviceSoa;
-use gpu_sim::{BlockCtx, CompiledKernel, Kernel, KernelResources, LaunchConfig, ShmF32, WARP_SIZE};
+use gpu_sim::{
+    BlockCtx, CompiledKernel, CompiledTile, F32x32, Kernel, KernelResources, LaunchConfig, ShmF32,
+    TilePred, TileSrc,
+};
 
 /// One work item of a packed launch, in catalog offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,16 +209,15 @@ where
     F: DistanceKernel<D>,
     A: PairAction,
 {
-    /// One shared-tile pass: stage `src[t_start .. t_start + t_len)`
-    /// and pair it against the block's own registers, compiled when the
-    /// plan lowered and op by op otherwise.
+    /// Stage `src[t_start .. t_start + t_len)` in the shared tile and
+    /// pair it against the block's own registers in one tile pass.
     #[allow(clippy::too_many_arguments)]
-    fn tile_pass(
+    fn stage_and_pass(
         &self,
         blk: &mut BlockCtx<'_>,
         ck: Option<&CompiledKernel>,
         st: &mut A::Block,
-        own: &[[gpu_sim::F32x32; D]],
+        own: &[[F32x32; D]],
         tile: &[ShmF32; D],
         src: &DeviceSoa<D>,
         t_start: u32,
@@ -230,27 +232,19 @@ where
             if !valid.any() {
                 return;
             }
-            let reg = &own[w.warp_id as usize];
-            w.charge_control(t_len as u64 + 1, valid);
-            if !super::try_tile_pass(
+            super::tile_pass(
                 w,
                 ck,
+                &self.dist,
                 &self.action,
                 st,
-                gpu_sim::TileSrc::SharedBroadcast(tile),
+                TileSrc::SharedBroadcast(tile),
                 t_len,
-                gpu_sim::TilePred::All,
-                reg,
+                TilePred::All,
+                &own[w.warp_id as usize],
+                t_start,
                 valid,
-            ) {
-                let gid = w.global_thread_ids();
-                for j in 0..t_len {
-                    let rj = super::broadcast_from_shared(w, tile, j, valid);
-                    let dval = self.dist.eval(w, reg, &rj, valid);
-                    let right = [t_start + j; WARP_SIZE];
-                    self.action.process(w, st, &gid, &right, &dval, valid);
-                }
-            }
+            );
         });
         blk.syncthreads();
     }
@@ -301,7 +295,7 @@ where
             for i in blk_in_seg + 1..m {
                 let t_start = seg.left_start + i * b;
                 let t_len = b.min(seg.left_len - i * b);
-                self.tile_pass(
+                self.stage_and_pass(
                     blk,
                     ck.as_ref(),
                     &mut st,
@@ -315,14 +309,14 @@ where
             }
             super::load_tile_to_shared(blk, &self.left, &tile, own_start, own_count);
             blk.syncthreads();
-            super::intra_block_shared(
+            super::intra_triangle(
                 blk,
                 ck.as_ref(),
-                &tile,
-                &own,
                 &self.dist,
                 &self.action,
                 &mut st,
+                CompiledTile::Shared(&tile),
+                &own,
                 own_start,
                 own_count,
                 IntraMode::Regular,
@@ -333,7 +327,7 @@ where
             for i in 0..tiles {
                 let t_start = seg.right_start + i * b;
                 let t_len = b.min(seg.right_len - i * b);
-                self.tile_pass(
+                self.stage_and_pass(
                     blk,
                     ck.as_ref(),
                     &mut st,

@@ -10,7 +10,7 @@ use crate::distance::DistanceKernel;
 use crate::kernels::{IntraMode, PairScope};
 use crate::output::PairAction;
 use crate::point::DeviceSoa;
-use gpu_sim::{BlockCtx, Kernel, KernelResources, Mask, U32x32, WarpCtx, WARP_SIZE};
+use gpu_sim::{BlockCtx, CompiledTile, Kernel, KernelResources, TilePred, TileSrc};
 
 /// Register + read-only-cache tiling.
 #[derive(Debug, Clone)]
@@ -46,19 +46,6 @@ impl<const D: usize, F, A> RegisterRocKernel<D, F, A> {
             scope,
             intra,
         }
-    }
-
-    fn roc_broadcast(&self, w: &mut WarpCtx<'_, '_>, j: u32, mask: Mask) -> [gpu_sim::F32x32; D] {
-        std::array::from_fn(|d| w.roc_load_f32(self.input.coords[d], &[j; WARP_SIZE], mask))
-    }
-
-    fn roc_gather(
-        &self,
-        w: &mut WarpCtx<'_, '_>,
-        idx: &U32x32,
-        mask: Mask,
-    ) -> [gpu_sim::F32x32; D] {
-        std::array::from_fn(|d| w.roc_load_f32(self.input.coords[d], idx, mask))
     }
 }
 
@@ -103,6 +90,7 @@ where
         };
 
         // Inter-block phase: R elements through the read-only cache.
+        let coords = &self.input.coords;
         for i in first_tile..m {
             if self.scope == PairScope::AllPairs && i == my_block {
                 continue;
@@ -115,149 +103,65 @@ where
                 if !valid.any() {
                     return;
                 }
-                let reg = &own[w.warp_id as usize];
-                w.charge_control(len as u64 + 1, valid);
-                if !super::try_tile_pass(
+                super::tile_pass(
                     w,
                     ck.as_ref(),
+                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::TileSrc::RocBroadcast {
-                        bufs: &self.input.coords,
+                    TileSrc::RocBroadcast {
+                        bufs: coords,
                         start,
                     },
                     len,
-                    gpu_sim::TilePred::All,
-                    reg,
+                    TilePred::All,
+                    &own[w.warp_id as usize],
+                    start,
                     valid,
-                ) {
-                    for j in 0..len {
-                        let rj = self.roc_broadcast(w, start + j, valid);
-                        let dval = self.dist.eval(w, reg, &rj, valid);
-                        let right = [start + j; WARP_SIZE];
-                        self.action.process(w, &mut st, &gid, &right, &dval, valid);
-                    }
-                }
+                );
             });
         }
 
         // Intra-block phase: partners also through the read-only cache.
         match self.scope {
-            PairScope::HalfPairs => {
-                let mode = self.intra;
-                let bd = blk.block_dim;
-                blk.for_each_warp(|w| {
-                    let tid = w.thread_ids();
-                    let gid = w.global_thread_ids();
-                    let valid = w.mask_lt(&tid, block_n).and(w.active_threads());
-                    let reg = &own[w.warp_id as usize];
-                    match mode {
-                        IntraMode::Regular => {
-                            // Compiled route: the whole ROC-sourced
-                            // triangle in one pass, sector stream
-                            // replayed in op-by-op order.
-                            if let Some(ckk) = ck.as_ref() {
-                                if let Some(c) = self.action.tile_sink(&mut st, w.warp_id) {
-                                    if w.compiled_intra_regular(
-                                        ckk,
-                                        gpu_sim::CompiledTile::Roc(&self.input.coords),
-                                        block_start,
-                                        block_n,
-                                        reg,
-                                        c,
-                                        valid,
-                                    ) {
-                                        return;
-                                    }
-                                }
-                            }
-                            let trips: U32x32 = std::array::from_fn(|i| {
-                                if valid.lane(i) {
-                                    block_n.saturating_sub(1).saturating_sub(tid[i])
-                                } else {
-                                    0
-                                }
-                            });
-                            w.divergent_loop(&trips, valid, |w2, k, active| {
-                                let pidx: U32x32 =
-                                    std::array::from_fn(|i| block_start + tid[i] + 1 + k);
-                                w2.charge_alu(1, active);
-                                let partner = self.roc_gather(w2, &pidx, active);
-                                let dval = self.dist.eval(w2, reg, &partner, active);
-                                self.action.process(w2, &mut st, &gid, &pidx, &dval, active);
-                            });
-                        }
-                        IntraMode::LoadBalanced => {
-                            debug_assert!(bd.is_multiple_of(2));
-                            let half = bd / 2;
-                            let trips: U32x32 = std::array::from_fn(|i| {
-                                if valid.lane(i) {
-                                    if tid[i] < half {
-                                        half
-                                    } else {
-                                        half - 1
-                                    }
-                                } else {
-                                    0
-                                }
-                            });
-                            w.divergent_loop(&trips, valid, |w2, k, active| {
-                                let j = k + 1;
-                                let local: U32x32 = std::array::from_fn(|i| (tid[i] + j) % bd);
-                                w2.charge_alu(2, active);
-                                let pvalid =
-                                    Mask::from_fn(|i| active.lane(i) && local[i] < block_n);
-                                if !pvalid.any() {
-                                    return;
-                                }
-                                let pidx: U32x32 = std::array::from_fn(|i| block_start + local[i]);
-                                let partner = self.roc_gather(w2, &pidx, pvalid);
-                                let dval = self.dist.eval(w2, reg, &partner, pvalid);
-                                self.action.process(w2, &mut st, &gid, &pidx, &dval, pvalid);
-                            });
-                        }
-                    }
-                });
-            }
-            PairScope::AllPairs => {
-                blk.for_each_warp(|w| {
-                    let gid = w.global_thread_ids();
-                    let valid = w.mask_lt(&gid, n).and(w.active_threads());
-                    if !valid.any() {
-                        return;
-                    }
-                    let reg = &own[w.warp_id as usize];
-                    w.charge_control(block_n as u64 + 1, valid);
-                    if !super::try_tile_pass(
-                        w,
-                        ck.as_ref(),
-                        &self.action,
-                        &mut st,
-                        gpu_sim::TileSrc::RocBroadcast {
-                            bufs: &self.input.coords,
-                            start: block_start,
-                        },
-                        block_n,
-                        gpu_sim::TilePred::NotEqual {
-                            gid0: gid[0],
-                            base: block_start,
-                        },
-                        reg,
-                        valid,
-                    ) {
-                        for j in 0..block_n {
-                            let rj = self.roc_broadcast(w, block_start + j, valid);
-                            let pm = Mask::from_fn(|i| valid.lane(i) && gid[i] != block_start + j);
-                            w.charge_alu(1, valid);
-                            if pm.any() {
-                                let dval = self.dist.eval(w, reg, &rj, pm);
-                                let right = [block_start + j; WARP_SIZE];
-                                self.action.process(w, &mut st, &gid, &right, &dval, pm);
-                            }
-                        }
-                    }
-                });
-            }
+            PairScope::HalfPairs => super::intra_triangle(
+                blk,
+                ck.as_ref(),
+                &self.dist,
+                &self.action,
+                &mut st,
+                CompiledTile::Roc(coords),
+                &own,
+                block_start,
+                block_n,
+                self.intra,
+            ),
+            PairScope::AllPairs => blk.for_each_warp(|w| {
+                let gid = w.global_thread_ids();
+                let valid = w.mask_lt(&gid, n).and(w.active_threads());
+                if !valid.any() {
+                    return;
+                }
+                super::tile_pass(
+                    w,
+                    ck.as_ref(),
+                    &self.dist,
+                    &self.action,
+                    &mut st,
+                    TileSrc::RocBroadcast {
+                        bufs: coords,
+                        start: block_start,
+                    },
+                    block_n,
+                    TilePred::NotEqual {
+                        gid0: gid[0],
+                        base: block_start,
+                    },
+                    &own[w.warp_id as usize],
+                    block_start,
+                    valid,
+                );
+            }),
         }
 
         self.action.end_block(blk, st);

@@ -10,7 +10,7 @@ use crate::distance::DistanceKernel;
 use crate::kernels::{IntraMode, PairScope};
 use crate::output::PairAction;
 use crate::point::DeviceSoa;
-use gpu_sim::{BlockCtx, Kernel, KernelResources, Mask, WARP_SIZE};
+use gpu_sim::{BlockCtx, CompiledTile, Kernel, KernelResources, TilePred, TileSrc};
 
 /// Algorithm 3: register-held own datum + shared-memory tile.
 #[derive(Debug, Clone)]
@@ -85,9 +85,9 @@ where
         // One shared tile, reused for every R block and finally for L.
         let tile = super::alloc_tile::<D>(blk, b);
 
-        let (first_tile, skip_self_pairs) = match self.scope {
-            PairScope::HalfPairs => (my_block + 1, false),
-            PairScope::AllPairs => (0, true),
+        let first_tile = match self.scope {
+            PairScope::HalfPairs => my_block + 1,
+            PairScope::AllPairs => 0,
         };
 
         // Lines 3–9: inter-block phase.
@@ -105,28 +105,20 @@ where
                 if !valid.any() {
                     return;
                 }
-                let reg = &own[w.warp_id as usize];
-                // Line 5: for j = 0 to B — a uniform loop, one compiled
-                // pass when the plan lowered.
-                w.charge_control(len as u64 + 1, valid);
-                if !super::try_tile_pass(
+                // Line 5: for j = 0 to B — a uniform loop.
+                super::tile_pass(
                     w,
                     ck.as_ref(),
+                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::TileSrc::SharedBroadcast(&tile),
+                    TileSrc::SharedBroadcast(&tile),
                     len,
-                    gpu_sim::TilePred::All,
-                    reg,
+                    TilePred::All,
+                    &own[w.warp_id as usize],
+                    start,
                     valid,
-                ) {
-                    for j in 0..len {
-                        let rj = super::broadcast_from_shared(w, &tile, j, valid);
-                        let dval = self.dist.eval(w, reg, &rj, valid);
-                        let right = [start + j; WARP_SIZE];
-                        self.action.process(w, &mut st, &gid, &right, &dval, valid);
-                    }
-                }
+                );
             });
             blk.syncthreads();
         }
@@ -137,58 +129,42 @@ where
         super::load_tile_to_shared(blk, &self.input, &tile, block_start, block_n);
         blk.syncthreads();
         match self.scope {
-            PairScope::HalfPairs => {
-                super::intra_block_shared(
-                    blk,
+            PairScope::HalfPairs => super::intra_triangle(
+                blk,
+                ck.as_ref(),
+                &self.dist,
+                &self.action,
+                &mut st,
+                CompiledTile::Shared(&tile),
+                &own,
+                block_start,
+                block_n,
+                self.intra,
+            ),
+            // Ordered pairs within the own tile, self predicated off.
+            PairScope::AllPairs => blk.for_each_warp(|w| {
+                let gid = w.global_thread_ids();
+                let valid = w.mask_lt(&gid, n).and(w.active_threads());
+                if !valid.any() {
+                    return;
+                }
+                super::tile_pass(
+                    w,
                     ck.as_ref(),
-                    &tile,
-                    &own,
                     &self.dist,
                     &self.action,
                     &mut st,
-                    block_start,
+                    TileSrc::SharedBroadcast(&tile),
                     block_n,
-                    self.intra,
+                    TilePred::NotEqual {
+                        gid0: gid[0],
+                        base: block_start,
+                    },
+                    &own[w.warp_id as usize],
+                    block_start,
+                    valid,
                 );
-            }
-            PairScope::AllPairs => {
-                // Ordered pairs within the own tile, self predicated off.
-                debug_assert!(skip_self_pairs);
-                blk.for_each_warp(|w| {
-                    let gid = w.global_thread_ids();
-                    let valid = w.mask_lt(&gid, n).and(w.active_threads());
-                    if !valid.any() {
-                        return;
-                    }
-                    let reg = &own[w.warp_id as usize];
-                    w.charge_control(block_n as u64 + 1, valid);
-                    if !super::try_tile_pass(
-                        w,
-                        ck.as_ref(),
-                        &self.action,
-                        &mut st,
-                        gpu_sim::TileSrc::SharedBroadcast(&tile),
-                        block_n,
-                        gpu_sim::TilePred::NotEqual {
-                            gid0: gid[0],
-                            base: block_start,
-                        },
-                        reg,
-                        valid,
-                    ) {
-                        for j in 0..block_n {
-                            let rj = super::broadcast_from_shared(w, &tile, j, valid);
-                            let pm = Mask::from_fn(|i| valid.lane(i) && gid[i] != block_start + j);
-                            w.charge_alu(1, valid);
-                            if pm.any() {
-                                let dval = self.dist.eval(w, reg, &rj, pm);
-                                let right = [block_start + j; WARP_SIZE];
-                                self.action.process(w, &mut st, &gid, &right, &dval, pm);
-                            }
-                        }
-                    }
-                });
-            }
+            }),
         }
 
         self.action.end_block(blk, st);

@@ -10,7 +10,7 @@ use crate::distance::DistanceKernel;
 use crate::kernels::{IntraMode, PairScope};
 use crate::output::PairAction;
 use crate::point::DeviceSoa;
-use gpu_sim::{BlockCtx, Kernel, KernelResources, Mask, U32x32, WARP_SIZE};
+use gpu_sim::{BlockCtx, CompiledTile, Kernel, KernelResources, TilePred, TileSrc, WARP_SIZE};
 
 /// Algorithm 2: L and R tiles both in shared memory.
 #[derive(Debug, Clone)]
@@ -117,25 +117,19 @@ where
                 // (5.3× vs 5.5×) even though its per-access equation (4)
                 // counts 2× the shared reads of equation (5).
                 let lt = super::gather_from_shared(w, &l_tile, &tid, valid);
-                w.charge_control(len as u64 + 1, valid);
-                if !super::try_tile_pass(
+                super::tile_pass(
                     w,
                     ck.as_ref(),
+                    &self.dist,
                     &self.action,
                     &mut st,
-                    gpu_sim::TileSrc::SharedBroadcast(&r_tile),
+                    TileSrc::SharedBroadcast(&r_tile),
                     len,
-                    gpu_sim::TilePred::All,
+                    TilePred::All,
                     &lt,
+                    start,
                     valid,
-                ) {
-                    for j in 0..len {
-                        let rj = super::broadcast_from_shared(w, &r_tile, j, valid);
-                        let dval = self.dist.eval(w, &lt, &rj, valid);
-                        let right = [start + j; WARP_SIZE];
-                        self.action.process(w, &mut st, &gid, &right, &dval, valid);
-                    }
-                }
+                );
             });
             blk.syncthreads();
         }
@@ -143,138 +137,54 @@ where
         // Lines 9–12: intra-block phase, both operands from L.
         match self.scope {
             PairScope::HalfPairs => {
-                self.intra_shared_shared(blk, ck.as_ref(), &l_tile, &mut st, block_start, block_n)
-            }
-            PairScope::AllPairs => {
+                // L[t] hoisted into a register for the whole intra loop.
+                let mut lt = vec![[[0.0; WARP_SIZE]; D]; blk.num_warps() as usize];
                 blk.for_each_warp(|w| {
                     let tid = w.thread_ids();
-                    let gid = w.global_thread_ids();
-                    let valid = w.mask_lt(&gid, n).and(w.active_threads());
-                    if !valid.any() {
-                        return;
-                    }
-                    let lt = super::gather_from_shared(w, &l_tile, &tid, valid);
-                    w.charge_control(block_n as u64 + 1, valid);
-                    if !super::try_tile_pass(
-                        w,
-                        ck.as_ref(),
-                        &self.action,
-                        &mut st,
-                        gpu_sim::TileSrc::SharedBroadcast(&l_tile),
-                        block_n,
-                        gpu_sim::TilePred::NotEqual {
-                            gid0: gid[0],
-                            base: block_start,
-                        },
-                        &lt,
-                        valid,
-                    ) {
-                        for j in 0..block_n {
-                            let rj = super::broadcast_from_shared(w, &l_tile, j, valid);
-                            let pm = Mask::from_fn(|i| valid.lane(i) && gid[i] != block_start + j);
-                            w.charge_alu(1, valid);
-                            if pm.any() {
-                                let dval = self.dist.eval(w, &lt, &rj, pm);
-                                let right = [block_start + j; WARP_SIZE];
-                                self.action.process(w, &mut st, &gid, &right, &dval, pm);
-                            }
-                        }
-                    }
+                    let valid = w.mask_lt(&tid, block_n).and(w.active_threads());
+                    lt[w.warp_id as usize] = super::gather_from_shared(w, &l_tile, &tid, valid);
                 });
+                super::intra_triangle(
+                    blk,
+                    ck.as_ref(),
+                    &self.dist,
+                    &self.action,
+                    &mut st,
+                    CompiledTile::Shared(&l_tile),
+                    &lt,
+                    block_start,
+                    block_n,
+                    self.intra,
+                );
             }
+            PairScope::AllPairs => blk.for_each_warp(|w| {
+                let tid = w.thread_ids();
+                let gid = w.global_thread_ids();
+                let valid = w.mask_lt(&gid, n).and(w.active_threads());
+                if !valid.any() {
+                    return;
+                }
+                let lt = super::gather_from_shared(w, &l_tile, &tid, valid);
+                super::tile_pass(
+                    w,
+                    ck.as_ref(),
+                    &self.dist,
+                    &self.action,
+                    &mut st,
+                    TileSrc::SharedBroadcast(&l_tile),
+                    block_n,
+                    TilePred::NotEqual {
+                        gid0: gid[0],
+                        base: block_start,
+                    },
+                    &lt,
+                    block_start,
+                    valid,
+                );
+            }),
         }
 
         self.action.end_block(blk, st);
-    }
-}
-
-impl<const D: usize, F, A> ShmShmKernel<D, F, A>
-where
-    F: DistanceKernel<D>,
-    A: PairAction,
-{
-    fn intra_shared_shared(
-        &self,
-        blk: &mut BlockCtx<'_>,
-        ck: Option<&gpu_sim::CompiledKernel>,
-        l_tile: &[gpu_sim::ShmF32; D],
-        st: &mut A::Block,
-        block_start: u32,
-        block_n: u32,
-    ) {
-        let bd = blk.block_dim;
-        let mode = self.intra;
-        blk.for_each_warp(|w| {
-            let tid = w.thread_ids();
-            let gid = w.global_thread_ids();
-            let valid = w.mask_lt(&tid, block_n).and(w.active_threads());
-            // L[t] hoisted into a register for the whole intra loop.
-            let lt = super::gather_from_shared(w, l_tile, &tid, valid);
-            match mode {
-                IntraMode::Regular => {
-                    // Compiled route for the whole triangle; declines
-                    // fall through to the divergent loop below.
-                    if let Some(ckk) = ck {
-                        if let Some(c) = self.action.tile_sink(st, w.warp_id) {
-                            if w.compiled_intra_regular(
-                                ckk,
-                                gpu_sim::CompiledTile::Shared(l_tile),
-                                block_start,
-                                block_n,
-                                &lt,
-                                c,
-                                valid,
-                            ) {
-                                return;
-                            }
-                        }
-                    }
-                    let trips: U32x32 = std::array::from_fn(|i| {
-                        if valid.lane(i) {
-                            block_n.saturating_sub(1).saturating_sub(tid[i])
-                        } else {
-                            0
-                        }
-                    });
-                    w.divergent_loop(&trips, valid, |w2, k, active| {
-                        let pidx: U32x32 = std::array::from_fn(|i| tid[i] + 1 + k);
-                        w2.charge_alu(1, active);
-                        let partner = super::gather_from_shared(w2, l_tile, &pidx, active);
-                        let dval = self.dist.eval(w2, &lt, &partner, active);
-                        let right: U32x32 = std::array::from_fn(|i| block_start + pidx[i]);
-                        self.action.process(w2, st, &gid, &right, &dval, active);
-                    });
-                }
-                IntraMode::LoadBalanced => {
-                    debug_assert!(bd.is_multiple_of(2));
-                    let half = bd / 2;
-                    let trips: U32x32 = std::array::from_fn(|i| {
-                        if valid.lane(i) {
-                            if tid[i] < half {
-                                half
-                            } else {
-                                half - 1
-                            }
-                        } else {
-                            0
-                        }
-                    });
-                    w.divergent_loop(&trips, valid, |w2, k, active| {
-                        let j = k + 1;
-                        let pidx: U32x32 = std::array::from_fn(|i| (tid[i] + j) % bd);
-                        w2.charge_alu(2, active);
-                        let pvalid = Mask::from_fn(|i| active.lane(i) && pidx[i] < block_n);
-                        if !pvalid.any() {
-                            return;
-                        }
-                        let partner = super::gather_from_shared(w2, l_tile, &pidx, pvalid);
-                        let dval = self.dist.eval(w2, &lt, &partner, pvalid);
-                        let right: U32x32 = std::array::from_fn(|i| block_start + pidx[i]);
-                        self.action.process(w2, st, &gid, &right, &dval, pvalid);
-                    });
-                }
-            }
-        });
     }
 }
 

@@ -10,7 +10,10 @@ use crate::distance::DistanceKernel;
 use crate::kernels::PairScope;
 use crate::output::PairAction;
 use crate::point::DeviceSoa;
-use gpu_sim::{BlockCtx, F32x32, Kernel, KernelResources, Mask, U32x32, WarpCtx, WARP_SIZE};
+use gpu_sim::{
+    BlockCtx, CompiledKernel, F32x32, Kernel, KernelResources, Mask, TilePred, TileSrc, U32x32,
+    WarpCtx, WARP_SIZE,
+};
 
 /// Algorithm 4: register tiling via warp shuffle.
 #[derive(Debug, Clone)]
@@ -48,26 +51,19 @@ where
 {
     /// Process one 32-element fragment of a tile: coalesced load into
     /// `reg1` (one register per lane), then broadcast each lane's value
-    /// with `shfl` and evaluate (Algorithm 4 lines 4–9).
-    ///
-    /// `pair_filter(lane_gid, partner_gid) -> bool` predicates which
-    /// pairs this fragment may produce (used to skip self-pairs and to
-    /// enforce ordering in the intra phase); `pred` is the same predicate
-    /// in the closed form the compiled pass needs — the two must agree
-    /// on every `(lane, k)`, which keeps both routes bit-identical.
+    /// with `shfl` and evaluate (Algorithm 4 lines 4–9). `pred` skips
+    /// self-pairs and, in the intra phase, enforces ordering.
     #[allow(clippy::too_many_arguments)]
     fn fragment(
         &self,
         w: &mut WarpCtx<'_, '_>,
-        ck: Option<&gpu_sim::CompiledKernel>,
+        ck: Option<&CompiledKernel>,
         st: &mut A::Block,
-        gid: &U32x32,
         valid: Mask,
         frag_start: u32,
         frag_len: u32,
         reg0: &[F32x32; D],
-        pred: gpu_sim::TilePred,
-        pair_filter: impl Fn(u32, u32) -> bool,
+        pred: TilePred,
     ) {
         // Line 4: regl <- the j-th datum, one element per lane.
         let lane = w.lane_ids();
@@ -78,31 +74,19 @@ where
             std::array::from_fn(|d| w.global_load_f32(self.input.coords[d], &src, load_mask));
 
         // Lines 5–9: walk the 32 lanes by shuffle broadcast.
-        w.charge_control(frag_len as u64 + 1, valid);
-        if super::try_tile_pass(
+        super::tile_pass(
             w,
             ck,
+            &self.dist,
             &self.action,
             st,
-            gpu_sim::TileSrc::LaneBroadcast(&reg1),
+            TileSrc::LaneBroadcast(&reg1),
             frag_len,
             pred,
             reg0,
+            frag_start,
             valid,
-        ) {
-            return;
-        }
-        for k in 0..frag_len {
-            let regtmp: [F32x32; D] = std::array::from_fn(|d| w.shfl_bcast_f32(&reg1[d], k, valid));
-            let partner = frag_start + k;
-            let pm = Mask::from_fn(|i| valid.lane(i) && pair_filter(gid[i], partner));
-            w.charge_alu(1, valid);
-            if pm.any() {
-                let dval = self.dist.eval(w, reg0, &regtmp, pm);
-                let right = [partner; WARP_SIZE];
-                self.action.process(w, st, gid, &right, &dval, pm);
-            }
-        }
+        );
     }
 }
 
@@ -163,29 +147,18 @@ where
                 let mut frag = 0u32;
                 while frag < len {
                     let fl = (len - frag).min(WARP_SIZE as u32);
-                    let pred = gpu_sim::TilePred::NotEqual {
+                    let pred = TilePred::NotEqual {
                         gid0: gid[0],
                         base: start + frag,
                     };
-                    self.fragment(
-                        w,
-                        ck.as_ref(),
-                        &mut st,
-                        &gid,
-                        valid,
-                        start + frag,
-                        fl,
-                        reg0,
-                        pred,
-                        |a, p| a != p,
-                    );
+                    self.fragment(w, ck.as_ref(), &mut st, valid, start + frag, fl, reg0, pred);
                     frag += WARP_SIZE as u32;
                 }
             });
         }
 
         // Intra phase: fragments of the own tile; ordering enforced by
-        // the pair filter (lane_gid < partner for HalfPairs).
+        // the predicate (lane gid < partner for HalfPairs).
         blk.for_each_warp(|w| {
             let gid = w.global_thread_ids();
             let valid = w.mask_lt(&gid, n).and(w.active_threads());
@@ -193,33 +166,15 @@ where
                 return;
             }
             let reg0 = &own[w.warp_id as usize];
-            let half = self.scope == PairScope::HalfPairs;
             let mut frag = 0u32;
             while frag < block_n {
                 let fl = (block_n - frag).min(WARP_SIZE as u32);
-                let pred = if half {
-                    gpu_sim::TilePred::LessThan {
-                        gid0: gid[0],
-                        base: block_start + frag,
-                    }
-                } else {
-                    gpu_sim::TilePred::NotEqual {
-                        gid0: gid[0],
-                        base: block_start + frag,
-                    }
+                let (gid0, base) = (gid[0], block_start + frag);
+                let pred = match self.scope {
+                    PairScope::HalfPairs => TilePred::LessThan { gid0, base },
+                    PairScope::AllPairs => TilePred::NotEqual { gid0, base },
                 };
-                self.fragment(
-                    w,
-                    ck.as_ref(),
-                    &mut st,
-                    &gid,
-                    valid,
-                    block_start + frag,
-                    fl,
-                    reg0,
-                    pred,
-                    |a, p| if half { a < p } else { a != p },
-                );
+                self.fragment(w, ck.as_ref(), &mut st, valid, base, fl, reg0, pred);
                 frag += WARP_SIZE as u32;
             }
         });

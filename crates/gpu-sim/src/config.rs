@@ -141,7 +141,8 @@ pub struct DeviceConfig {
     /// Memory transaction granularity in bytes (32-byte sectors on
     /// Kepler+).
     pub sector_bytes: u32,
-    /// Shared-memory banks per SM (32 four-byte-wide banks).
+    /// Shared-memory banks per SM (32 four-byte-wide banks). Launches
+    /// refuse a count outside `1..=64` (`LaunchConfig::validate`).
     pub shared_banks: u32,
     /// Core clock in GHz; converts cycles to seconds.
     pub clock_ghz: f64,

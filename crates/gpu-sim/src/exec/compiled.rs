@@ -228,6 +228,7 @@ fn squared_bin_edges(inv_width: f32, hmax: u32) -> Vec<f32> {
 }
 
 /// Which partner-tile storage an intra-block compiled pass reads.
+#[derive(Debug, Clone, Copy)]
 pub enum CompiledTile<'t, const D: usize> {
     /// Partners gathered from a shared-memory tile (local indices).
     Shared(&'t [ShmF32; D]),
@@ -402,7 +403,7 @@ impl CompiledKernel {
                 let mut npm = 0u64;
                 let mut sum_apm = 0u64;
                 for j in 0..len {
-                    let pm = WarpCtx::pred_mask(pred, j, valid);
+                    let pm = pred.mask(j, valid);
                     if pm.any() {
                         npm += 1;
                         sum_apm += pm.count() as u64;
@@ -945,6 +946,35 @@ fn cull_survivors<const D: usize>(
 }
 
 impl<'b, 'a> WarpCtx<'b, 'a> {
+    /// Source pre-flight shared by both compiled passes: every read up
+    /// to element `last` of `tile` — global element `start + last` for
+    /// a ROC source — stays in bounds and, through the ROC, cannot
+    /// abandon speculation. A `false` lets the pass decline with no side
+    /// effects and the op-by-op route reproduce the exact fault point.
+    fn tile_readable<const D: usize>(
+        &self,
+        tile: CompiledTile<'_, D>,
+        start: u32,
+        last: u32,
+    ) -> bool {
+        match tile {
+            CompiledTile::Shared(tile) => tile.iter().all(|h| {
+                self.blk
+                    .shared
+                    .check_bounds(h.0, last, "shared f32 load")
+                    .is_ok()
+            }),
+            CompiledTile::Roc(bufs) => start.checked_add(last).is_some_and(|last| {
+                bufs.iter().all(|b| {
+                    self.blk
+                        .check_global_bounds(b.0, last, "roc f32 load")
+                        .is_ok()
+                        && !self.blk.read_would_abandon(b.0)
+                })
+            }),
+        }
+    }
+
     /// Histogram-sink pre-flight: a private histogram shorter than its
     /// bucket range would fault mid-scatter, so the pass declines
     /// side-effect-free and the op-by-op route assigns exact blame.
@@ -1086,37 +1116,16 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             return false;
         }
         // Pre-flight every fault/abandon the pass could hit.
-        match &src {
+        let readable = match &src {
             TileSrc::SharedBroadcast(tile) => {
-                if tile.iter().any(|h| {
-                    self.blk
-                        .shared
-                        .check_bounds(h.0, len - 1, "shared f32 load")
-                        .is_err()
-                }) {
-                    return false;
-                }
+                self.tile_readable(CompiledTile::Shared(tile), 0, len - 1)
             }
             TileSrc::RocBroadcast { bufs, start } => {
-                let Some(last) = start.checked_add(len - 1) else {
-                    return false;
-                };
-                if bufs.iter().any(|b| {
-                    self.blk
-                        .check_global_bounds(b.0, last, "roc f32 load")
-                        .is_err()
-                        || self.blk.read_would_abandon(b.0)
-                }) {
-                    return false;
-                }
+                self.tile_readable(CompiledTile::Roc(bufs), *start, len - 1)
             }
-            TileSrc::LaneBroadcast(_) => {
-                if !self.blk.cfg.has_shuffle {
-                    return false;
-                }
-            }
-        }
-        if !self.hist_sinks_in_bounds(&sink.hists) {
+            TileSrc::LaneBroadcast(_) => self.blk.cfg.has_shuffle,
+        };
+        if !readable || !self.hist_sinks_in_bounds(&sink.hists) {
             return false;
         }
 
@@ -1270,7 +1279,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         // adds commute across steps.
         scr.sinks.clear(counts.len(), hists.len(), kept);
         let full = matches!(pred, TilePred::All) && valid.0 == u32::MAX;
-        let mask = |j| Self::pred_mask(pred, j, valid).0;
+        let mask = |j| pred.mask(j, valid).0;
         let (runs, sinks) = (&scr.runs[..], &mut scr.sinks);
         match view {
             // Unpredicated full-valid passes — the hot shape: every step
@@ -1313,7 +1322,8 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     ///
     /// `valid` must be the caller's `tid < block_n ∧ active` mask and
     /// `own` the warp's register-resident points, exactly as the
-    /// op-by-op `intra_block_shared` receives them.
+    /// op-by-op triangle of `tbs-core`'s `kernels::intra_triangle`
+    /// receives them.
     #[allow(clippy::too_many_arguments)]
     pub fn compiled_intra_regular<const D: usize>(
         &mut self,
@@ -1380,32 +1390,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
         // Pre-flight: the deepest gather reaches element block_n−1;
         // histogram scatters reach hmax.
-        match &tile {
-            CompiledTile::Shared(tile) => {
-                if tile.iter().any(|h| {
-                    self.blk
-                        .shared
-                        .check_bounds(h.0, block_n - 1, "shared f32 load")
-                        .is_err()
-                }) {
-                    return false;
-                }
-            }
-            CompiledTile::Roc(bufs) => {
-                let Some(last) = block_start.checked_add(block_n - 1) else {
-                    return false;
-                };
-                if bufs.iter().any(|b| {
-                    self.blk
-                        .check_global_bounds(b.0, last, "roc f32 load")
-                        .is_err()
-                        || self.blk.read_would_abandon(b.0)
-                }) {
-                    return false;
-                }
-            }
-        }
-        if !self.hist_sinks_in_bounds(&sink.hists) {
+        if !self.tile_readable(tile, block_start, block_n - 1)
+            || !self.hist_sinks_in_bounds(&sink.hists)
+        {
             return false;
         }
 
@@ -1874,7 +1861,7 @@ mod tests {
             let mut npm2 = 0;
             let mut sum2 = 0;
             for j in 0..len {
-                let pm = WarpCtx::pred_mask(TilePred::All, j, valid);
+                let pm = TilePred::All.mask(j, valid);
                 if pm.any() {
                     npm2 += 1;
                     sum2 += pm.count() as u64;

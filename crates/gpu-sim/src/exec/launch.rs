@@ -62,6 +62,13 @@ impl LaunchConfig {
                 ),
             });
         }
+        // The shared-memory scatter walk sizes its counters by the bank
+        // cycle, so an unbounded bank count is an unbounded allocation.
+        if !(1..=64).contains(&cfg.shared_banks) {
+            return Err(SimError::InvalidLaunch {
+                reason: format!("shared_banks {} outside 1..=64", cfg.shared_banks),
+            });
+        }
         Ok(())
     }
 }
@@ -95,5 +102,20 @@ mod tests {
         assert!(LaunchConfig::new(1, 0).validate(&cfg).is_err());
         assert!(LaunchConfig::new(1, 2048).validate(&cfg).is_err());
         assert!(LaunchConfig::new(1, 1024).validate(&cfg).is_ok());
+        // Bank counts outside 1..=64 are refused, whatever the grid.
+        for banks in [0, 65, u32::MAX] {
+            let bad = DeviceConfig {
+                shared_banks: banks,
+                ..cfg.clone()
+            };
+            assert!(LaunchConfig::new(0, 128).validate(&bad).is_err());
+        }
+        for banks in [1, 48, 64] {
+            let ok = DeviceConfig {
+                shared_banks: banks,
+                ..cfg.clone()
+            };
+            assert!(LaunchConfig::new(1, 128).validate(&ok).is_ok());
+        }
     }
 }

@@ -16,8 +16,9 @@
 //! the one sink shape, so a single query and a coalesced batch take the
 //! same pass).
 
+use crate::exec::mask::Mask;
 use crate::mem::{BufF32, ShmF32, ShmU32};
-use crate::{F32x32, U64x32};
+use crate::{F32x32, U64x32, WARP_SIZE};
 
 /// Where the per-step broadcast operand of a tile pass comes from.
 ///
@@ -26,11 +27,11 @@ use crate::{F32x32, U64x32};
 #[derive(Debug, Clone, Copy)]
 pub enum TileSrc<'t, const D: usize> {
     /// Element `j` of each of `D` shared-memory tile arrays
-    /// (`broadcast_from_shared` per step). Charged as one shared load
+    /// (one `shared_load_f32` broadcast per step). Charged as one shared load
     /// instruction / one broadcast transaction per dimension per step.
     SharedBroadcast(&'t [ShmF32; D]),
     /// Element `start + j` of each of `D` global coordinate buffers read
-    /// through the read-only data cache (`roc_broadcast` per step). The
+    /// through the read-only data cache (one `roc_load_f32` per step). The
     /// per-sector hit/miss stream is driven in batched sector runs: the
     /// first touch of each sector probes for real, and while the FIFO's
     /// eviction generation is unchanged the remaining touches of the run
@@ -76,6 +77,30 @@ pub enum TilePred {
         /// Global element index of tile step 0.
         base: u32,
     },
+}
+
+impl TilePred {
+    /// The lanes that evaluate the distance at step `j`: `valid` less
+    /// the lanes the guard expression rejects, in closed form through
+    /// the lane→element contiguity documented above. The compiled pass
+    /// and the op-by-op tile loop both read their masks here.
+    #[inline]
+    pub fn mask(self, j: u32, valid: Mask) -> Mask {
+        match self {
+            TilePred::All => valid,
+            TilePred::NotEqual { gid0, base } => {
+                let l = (base + j).wrapping_sub(gid0);
+                if l < WARP_SIZE as u32 {
+                    Mask(valid.0 & !(1u32 << l))
+                } else {
+                    valid
+                }
+            }
+            TilePred::LessThan { gid0, base } => {
+                valid.and(Mask::first_n((base + j).saturating_sub(gid0)))
+            }
+        }
+    }
 }
 
 /// What a tile pass does with each per-lane distance value: a list of

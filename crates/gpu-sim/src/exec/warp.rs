@@ -26,7 +26,6 @@
 use crate::error::SimError;
 use crate::exec::block::BlockCtx;
 use crate::exec::mask::Mask;
-use crate::exec::tile::TilePred;
 use crate::mem::{self, BufF32, BufU32, BufU64, ShmF32, ShmU32, ShmU64};
 use crate::tally::AccessTally;
 use crate::{F32x32, U32x32, U64x32, WARP_SIZE};
@@ -1123,28 +1122,6 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     // ---------------------------------------------------------------
     // compiled-pass helpers
     // ---------------------------------------------------------------
-
-    /// The per-step active mask of a compiled tile pass, in closed form.
-    /// Exactly the mask the op-by-op loops build with `Mask::from_fn`
-    /// over `gid[i] != partner` / `gid[i] < partner`, relying on the
-    /// lane→element contiguity documented on [`TilePred`].
-    #[inline]
-    pub(crate) fn pred_mask(pred: TilePred, j: u32, valid: Mask) -> Mask {
-        match pred {
-            TilePred::All => valid,
-            TilePred::NotEqual { gid0, base } => {
-                let l = (base + j).wrapping_sub(gid0);
-                if l < WARP_SIZE as u32 {
-                    Mask(valid.0 & !(1u32 << l))
-                } else {
-                    valid
-                }
-            }
-            TilePred::LessThan { gid0, base } => {
-                valid.and(Mask::first_n((base + j).saturating_sub(gid0)))
-            }
-        }
-    }
 
     /// Compiled form of the `*-Out` family's cross-copy reduction loop:
     /// `copies` iterations of *unit-stride load `buf[c·stride + gid]`,

@@ -1165,8 +1165,8 @@ impl Kernel for TileProbeKernel {
             };
 
             if p.intra {
-                // The op-by-op triangle, as `intra_block_shared` and the
-                // Register-ROC kernel interpret it: thread t pairs with
+                // The op-by-op triangle, as `tbs-core`'s `intra_triangle`
+                // interprets it for both tile sources: thread t pairs with
                 // t+1 … len−1 in divergent trips.
                 let trips: U32x32 = std::array::from_fn(|i| {
                     if valid.lane(i) {

@@ -128,6 +128,32 @@ fn invalid_launches_are_rejected_before_execution() {
 }
 
 #[test]
+fn out_of_range_bank_count_is_an_invalid_launch() {
+    struct Noop;
+    impl Kernel for Noop {
+        fn name(&self) -> &'static str {
+            "noop"
+        }
+        fn resources(&self) -> KernelResources {
+            KernelResources::new(8, 0)
+        }
+        fn run_block(&self, _blk: &mut BlockCtx<'_>) {
+            panic!("must not execute");
+        }
+    }
+    // The scatter walk's counters grow with the bank cycle: a huge bank
+    // count must be refused before any block allocates them.
+    let mut dev = Device::new(DeviceConfig {
+        shared_banks: u32::MAX,
+        ..DeviceConfig::titan_x()
+    });
+    assert!(matches!(
+        dev.try_launch(&Noop, LaunchConfig::new(1, 32)),
+        Err(SimError::InvalidLaunch { .. })
+    ));
+}
+
+#[test]
 fn faulted_launch_leaves_device_usable() {
     let mut dev = Device::new(DeviceConfig::titan_x());
     let buf = dev.alloc_f32(vec![1.0; 16]);

@@ -95,6 +95,7 @@ fn register_shm_load_balanced_covers_all_pairs() {
 fn shm_shm_both_intra_modes_cover_all_pairs() {
     check_half(InputPath::ShmShm, IntraMode::Regular, 160, 32);
     check_half(InputPath::ShmShm, IntraMode::LoadBalanced, 160, 32);
+    check_half(InputPath::ShmShm, IntraMode::LoadBalanced, 161, 32); // ragged
 }
 
 #[test]
@@ -113,7 +114,13 @@ fn shuffle_covers_all_pairs() {
 fn all_pairs_scope_covers_each_ordered_pair_once() {
     let n = 96u32;
     let pts = lcg_points(n as usize, 9);
-    for input in [InputPath::Naive, InputPath::RegisterShm, InputPath::Shuffle] {
+    for input in [
+        InputPath::Naive,
+        InputPath::ShmShm,
+        InputPath::RegisterShm,
+        InputPath::RegisterRoc,
+        InputPath::Shuffle,
+    ] {
         let got = collect_pairs(&pts, input, IntraMode::Regular, 32, PairScope::AllPairs);
         let mut expect = Vec::new();
         for i in 0..n {
