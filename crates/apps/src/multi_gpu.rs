@@ -19,8 +19,8 @@ use tbs_core::histogram::{Histogram, HistogramSpec};
 use tbs_core::kernels::{
     pair_launch, CrossShmKernel, HistogramReduceKernel, PairScope, RegisterShmKernel,
 };
-use tbs_core::output::SharedHistogramAction;
-use tbs_core::point::SoaPoints;
+use tbs_core::output::{MultiCountSink, MultiHistSink, MultiQueryAction};
+use tbs_core::point::{DeviceSoa, SoaPoints};
 
 /// A unit of work in the decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,50 +152,20 @@ pub fn sdh_multi_gpu<const D: usize>(
         let mut dev = Device::new(cfg.clone());
         let uploaded: Vec<_> = chunks.iter().map(|c| c.upload(&mut dev)).collect();
         for task in dev_tasks {
-            let (lc, run_secs, partial) = match *task {
-                SdhTask::SelfJoin { chunk } => {
-                    let input = uploaded[chunk];
-                    let lc = pair_launch(input.n, plan.block_size.min(input.n.max(32)));
-                    let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
-                    let k = RegisterShmKernel::new(
-                        input,
-                        Euclidean,
-                        SharedHistogramAction { spec, private },
-                        lc.block_dim,
-                        PairScope::HalfPairs,
-                        plan.intra,
-                    );
-                    let run = dev.try_launch(&k, lc)?;
-                    (lc, run.timing.seconds, private)
-                }
-                SdhTask::CrossJoin { left, right } => {
-                    let (a, b) = (uploaded[left], uploaded[right]);
-                    let lc = pair_launch(a.n, plan.block_size.min(a.n.max(32)));
-                    let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
-                    let k = CrossShmKernel::new(
-                        a,
-                        b,
-                        Euclidean,
-                        SharedHistogramAction { spec, private },
-                        lc.block_dim,
-                    );
-                    let run = dev.try_launch(&k, lc)?;
-                    (lc, run.timing.seconds, private)
-                }
-            };
-            // Local reduction of this task's private copies.
-            let out = dev.alloc_u64_zeroed(spec.buckets as usize);
-            let reduce = HistogramReduceKernel {
-                private: partial,
-                out,
-                buckets: spec.buckets,
-                copies: lc.grid_dim,
-            };
-            let rrun = dev.try_launch(&reduce, reduce.launch_config(256))?;
-            let secs = run_secs + rrun.timing.seconds;
+            let mut secs = 0.0;
+            run_shard_task(
+                &mut dev,
+                &uploaded,
+                task,
+                &[],
+                &[spec],
+                plan,
+                &mut [],
+                std::slice::from_mut(&mut histogram),
+                &mut secs,
+            )?;
             device_seconds[dev_id] += secs;
             schedule.push((dev_id, task.clone(), secs));
-            histogram.merge(&Histogram::from_counts(dev.u64_slice(out).to_vec()));
         }
     }
 
@@ -204,6 +174,88 @@ pub fn sdh_multi_gpu<const D: usize>(
         device_seconds,
         schedule,
     })
+}
+
+/// Launch one shard task over the uploaded `chunks` — a self join on
+/// Register-SHM, a cross join on the bipartite SHM kernel — with count
+/// sinks at `radii` and histogram sinks of `specs`, then reduce each
+/// histogram sink's private copies with one [`HistogramReduceKernel`].
+/// Adds the count sinks' totals into `counts`, the reduced histograms
+/// into `hists` and the simulated time into `sim_seconds`. The launch's
+/// buffers stay allocated; callers that reuse the device scope it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_shard_task<const D: usize>(
+    dev: &mut Device,
+    chunks: &[DeviceSoa<D>],
+    task: &SdhTask,
+    radii: &[f32],
+    specs: &[HistogramSpec],
+    plan: PairwisePlan,
+    counts: &mut [u64],
+    hists: &mut [Histogram],
+    sim_seconds: &mut f64,
+) -> Result<(), SimError> {
+    let a = match *task {
+        SdhTask::SelfJoin { chunk } => chunks[chunk],
+        SdhTask::CrossJoin { left, .. } => chunks[left],
+    };
+    let lc = pair_launch(a.n, plan.block_size.min(a.n.max(32)));
+    let count_bufs: Vec<_> = radii
+        .iter()
+        .map(|_| dev.alloc_u64_zeroed(lc.total_threads() as usize))
+        .collect();
+    let hist_bufs: Vec<_> = specs
+        .iter()
+        .map(|s| dev.alloc_u32_zeroed((lc.grid_dim * s.buckets) as usize))
+        .collect();
+    let action = MultiQueryAction {
+        counts: radii
+            .iter()
+            .zip(&count_bufs)
+            .map(|(&radius, &out)| MultiCountSink { radius, out })
+            .collect(),
+        hists: specs
+            .iter()
+            .zip(&hist_bufs)
+            .map(|(&spec, &private)| MultiHistSink { spec, private })
+            .collect(),
+    };
+    let run = match *task {
+        SdhTask::SelfJoin { .. } => dev.try_launch(
+            &RegisterShmKernel::new(
+                a,
+                Euclidean,
+                action,
+                lc.block_dim,
+                PairScope::HalfPairs,
+                plan.intra,
+            ),
+            lc,
+        )?,
+        SdhTask::CrossJoin { right, .. } => dev.try_launch(
+            &CrossShmKernel::new(a, chunks[right], Euclidean, action, lc.block_dim),
+            lc,
+        )?,
+    };
+    *sim_seconds += run.timing.seconds;
+    for (acc, &buf) in counts.iter_mut().zip(&count_bufs) {
+        *acc += dev.u64_slice(buf).iter().sum::<u64>();
+    }
+    for ((acc, spec), &private) in hists.iter_mut().zip(specs).zip(&hist_bufs) {
+        let out = dev.alloc_u64_zeroed(spec.buckets as usize);
+        let reduce = HistogramReduceKernel {
+            private,
+            out,
+            buckets: spec.buckets,
+            copies: lc.grid_dim,
+        };
+        *sim_seconds += dev
+            .try_launch(&reduce, reduce.launch_config(256))?
+            .timing
+            .seconds;
+        acc.merge(&Histogram::from_counts(dev.u64_slice(out).to_vec()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

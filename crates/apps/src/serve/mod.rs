@@ -73,20 +73,15 @@ fn hist_fits(cfg: &ServeConfig, buckets: u32) -> bool {
 
 use crate::driver::PairwisePlan;
 use crate::knn::knn_gpu;
-use crate::multi_gpu::{build_tasks, chunk_ranges, lpt_schedule, SdhTask};
+use crate::multi_gpu::{build_tasks, chunk_ranges, lpt_schedule, run_shard_task, SdhTask};
 use batch::SinkPlan;
 use cache::{DatasetKey, WorkerCache};
 use gpu_sim::{Device, DeviceConfig};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use tbs_core::distance::Euclidean;
-use tbs_core::histogram::{Histogram, HistogramSpec};
-use tbs_core::kernels::{
-    pair_launch, CrossShmKernel, HistogramReduceKernel, PairScope, RegisterShmKernel,
-};
-use tbs_core::output::{MultiCountSink, MultiHistSink, MultiQueryAction};
-use tbs_core::point::{DeviceSoa, SoaPoints};
+use tbs_core::histogram::Histogram;
+use tbs_core::point::SoaPoints;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -739,10 +734,7 @@ fn worker_loop(device: DeviceConfig, plan: PairwisePlan, rx: Receiver<WorkOrder>
 
 /// One worker's share of a coalesced sweep: for each assigned shard
 /// task and each of the sink plan's `sweeps` (see [`batch::SinkPlan`]),
-/// launch the multi-sink action
-/// (self joins on Register-SHM, cross joins on the bipartite SHM
-/// kernel), reduce each histogram sink's private copies on-device, and
-/// accumulate host-side.
+/// one scoped [`run_shard_task`] accumulating host-side.
 #[allow(clippy::too_many_arguments)]
 fn run_tasks(
     dev: &mut Device,
@@ -765,10 +757,6 @@ fn run_tasks(
         ..WorkOut::default()
     };
     for task in tasks {
-        let (a, b) = match *task {
-            SdhTask::SelfJoin { chunk } => (uploads[chunk], None),
-            SdhTask::CrossJoin { left, right } => (uploads[left], Some(uploads[right])),
-        };
         for (i, range) in sinks.sweeps.iter().enumerate() {
             // The first sweep feeds every count sink.
             let radii = if i == 0 { &sinks.counts[..] } else { &[] };
@@ -778,87 +766,11 @@ fn run_tasks(
                 &mut out.hists[range.clone()],
             );
             let secs = &mut out.sim_seconds;
-            dev.scoped(|dev| run_task(dev, a, b, radii, specs, plan, c, h, secs))?;
+            dev.scoped(|dev| run_shard_task(dev, &uploads, task, radii, specs, plan, c, h, secs))
+                .map_err(|e| e.to_string())?;
         }
     }
     Ok(out)
-}
-
-/// One launch of [`run_tasks`]: one shard task feeding count sinks at
-/// `radii` and histogram sinks of `specs`, adding their outputs into
-/// `counts` and (reduced) `hists` and the simulated time into
-/// `sim_seconds`. The caller's
-/// [`Device::scoped`] frees the launch's buffers, however it returns.
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    dev: &mut Device,
-    a: DeviceSoa<3>,
-    b: Option<DeviceSoa<3>>,
-    radii: &[f32],
-    specs: &[HistogramSpec],
-    plan: PairwisePlan,
-    counts: &mut [u64],
-    hists: &mut [Histogram],
-    sim_seconds: &mut f64,
-) -> Result<(), String> {
-    let lc = pair_launch(a.n, plan.block_size.min(a.n.max(32)));
-    let count_bufs: Vec<_> = radii
-        .iter()
-        .map(|_| dev.alloc_u64_zeroed(lc.total_threads() as usize))
-        .collect();
-    let hist_bufs: Vec<_> = specs
-        .iter()
-        .map(|s| dev.alloc_u32_zeroed((lc.grid_dim * s.buckets) as usize))
-        .collect();
-    let action = MultiQueryAction {
-        counts: radii
-            .iter()
-            .zip(&count_bufs)
-            .map(|(&radius, &out)| MultiCountSink { radius, out })
-            .collect(),
-        hists: specs
-            .iter()
-            .zip(&hist_bufs)
-            .map(|(&spec, &private)| MultiHistSink { spec, private })
-            .collect(),
-    };
-    let run = match b {
-        None => dev.try_launch(
-            &RegisterShmKernel::new(
-                a,
-                Euclidean,
-                action,
-                lc.block_dim,
-                PairScope::HalfPairs,
-                plan.intra,
-            ),
-            lc,
-        ),
-        Some(b) => dev.try_launch(
-            &CrossShmKernel::new(a, b, Euclidean, action, lc.block_dim),
-            lc,
-        ),
-    }
-    .map_err(|e| e.to_string())?;
-    *sim_seconds += run.timing.seconds;
-    for (acc, &buf) in counts.iter_mut().zip(&count_bufs) {
-        *acc += dev.u64_slice(buf).iter().sum::<u64>();
-    }
-    for ((acc, spec), &private) in hists.iter_mut().zip(specs).zip(&hist_bufs) {
-        let hout = dev.alloc_u64_zeroed(spec.buckets as usize);
-        let reduce = HistogramReduceKernel {
-            private,
-            out: hout,
-            buckets: spec.buckets,
-            copies: lc.grid_dim,
-        };
-        let rrun = dev
-            .try_launch(&reduce, reduce.launch_config(256))
-            .map_err(|e| e.to_string())?;
-        *sim_seconds += rrun.timing.seconds;
-        acc.merge(&Histogram::from_counts(dev.u64_slice(hout).to_vec()));
-    }
-    Ok(())
 }
 
 /// A dataset group's gridded count-withins, coalesced: ONE covering

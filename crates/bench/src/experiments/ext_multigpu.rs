@@ -134,7 +134,7 @@ pub fn predicted_makespan(
     devices: usize,
     cfg: &DeviceConfig,
 ) -> (f64, f64) {
-    use tbs_apps::multi_gpu::{chunk_ranges, lpt_schedule, SdhTask};
+    use tbs_apps::multi_gpu::{build_tasks, chunk_ranges, lpt_schedule, SdhTask};
     use tbs_core::analytic::{
         predicted_cross_run, predicted_reduction_run, predicted_run, InputPath, KernelSpec,
         OutputPath, Workload,
@@ -145,14 +145,7 @@ pub fn predicted_makespan(
         .map(|r| r.len())
         .collect();
     let out = OutputPath::SharedHistogram { buckets };
-    let mut tasks = Vec::new();
-    for i in 0..g {
-        tasks.push(SdhTask::SelfJoin { chunk: i });
-        for j in (i + 1)..g {
-            tasks.push(SdhTask::CrossJoin { left: i, right: j });
-        }
-    }
-    let assignment = lpt_schedule(&tasks, &sizes, g);
+    let assignment = lpt_schedule(&build_tasks(&sizes), &sizes, g);
     let task_secs = |t: &SdhTask| -> f64 {
         match *t {
             SdhTask::SelfJoin { chunk } => {

@@ -12,7 +12,7 @@
 //! asserts all routes are bit-identical (pair count / histogram, full
 //! `AccessTally`, simulated timing), and reports wall-clock times plus
 //! the compiled route's interpreter statistics (dispatch count, compiled
-//! lane coverage, cache-memo hit rate).
+//! lane coverage).
 //!
 //! Every route runs under the config-default block executor
 //! (`ExecMode::Parallel { threads: 0 }`); one extra sequential run of
@@ -105,8 +105,6 @@ pub struct Sample {
     pub lane_ops: u64,
     /// Fraction of useful lane work absorbed by compiled passes.
     pub compiled_coverage: f64,
-    /// Generation-stamped cache-memo hit rate (replayed / probed runs).
-    pub memo_hit_rate: f64,
 }
 
 impl Sample {
@@ -353,7 +351,6 @@ fn measure_workload(work: Workload, n: usize) -> Sample {
         compiled_seq_s,
         lane_ops: t.useful_lane_ops + t.predicated_lane_slots,
         compiled_coverage: compiled.interp.compiled_coverage(t),
-        memo_hit_rate: compiled.interp.memo_hit_rate(),
     }
 }
 
@@ -440,24 +437,18 @@ pub fn inter_tile_rows(n: usize, b: usize) -> u64 {
         .sum()
 }
 
-/// Interpreter statistics of one compiled `pcf_gpu` run at [`RADIUS`]
-/// and block [`BLOCK`] over `n` uniform points, on a fresh device under
-/// the default block executor.
-fn hot_pcf_stats(n: usize) -> InterpStats {
-    let pts = uniform_points::<3>(n, BOX, SEED);
-    let mut dev = Device::new(DeviceConfig::titan_x());
-    let plan = PairwisePlan::register_shm(BLOCK);
-    let r = pcf_gpu(&mut dev, &pts, RADIUS, plan).expect("launch");
-    r.run.interp
-}
-
 /// Box culling on the hot path: the share of inter-tile rows that the
 /// compiled count passes of `pcf_gpu` (Morton-ordered upload) cull, at
 /// [`RADIUS`] and block [`BLOCK`] over `n` uniform points.
 /// Deterministic, not wall-clock: a change that stops ordering the
 /// upload, or stops the chunk test from firing, shows up here.
 pub fn build_cull_report(n: usize) -> Result<Report, ReportError> {
-    let interp = hot_pcf_stats(n);
+    let pts = uniform_points::<3>(n, BOX, SEED);
+    let mut dev = Device::new(DeviceConfig::titan_x());
+    let interp = pcf_gpu(&mut dev, &pts, RADIUS, PairwisePlan::register_shm(BLOCK))
+        .expect("launch")
+        .run
+        .interp;
     let frac = interp.culled_rows as f64 / inter_tile_rows(n, BLOCK as usize) as f64;
     let mut rep =
         Report::new("sim_cull", "Box culling of the hot-path count passes").with_context(&format!(
@@ -470,22 +461,6 @@ pub fn build_cull_report(n: usize) -> Result<Report, ReportError> {
          chunks whose bounding box lies out of range of the warp's box, skipped\n\
          and charged in closed form.",
     );
-    Ok(rep)
-}
-
-/// The simulated L2's cache memo on the hot path: the hit rate
-/// (replayed / probed tile fetches) of the run [`build_cull_report`]
-/// takes, over `n` points. It repeats to the bit run to run but not
-/// across executors (the speculative parallel engine replays a few
-/// more fetches), so it belongs with the host measurements.
-pub fn build_memo_report(n: usize) -> Result<Report, ReportError> {
-    let memo = hot_pcf_stats(n).memo_hit_rate();
-    let mut rep = Report::new("sim_memo", "L2 memo hit rate of the hot-path count passes")
-        .with_context(&format!(
-            "pcf_gpu (Morton-ordered upload), r={RADIUS}, register_shm plan, \
-             block={BLOCK}, {BOX}^3 box, compiled route, default block executor"
-        ));
-    rep.metric(&format!("memo_hit_rate.n{n}"), memo, "frac")?;
     Ok(rep)
 }
 
@@ -520,7 +495,6 @@ pub fn build_report(sizes: &[usize]) -> Result<Report, ReportError> {
                 "seq_s",
                 "comp/vec",
                 "ccov",
-                "memo",
                 "Mlane-ops/s",
             ],
         );
@@ -535,7 +509,6 @@ pub fn build_report(sizes: &[usize]) -> Result<Report, ReportError> {
                 secs(s.compiled_seq_s),
                 Cell::x(s.compiled_vs_vectorized()),
                 Cell::pct(s.compiled_coverage),
-                Cell::pct(s.memo_hit_rate),
                 Cell::num(
                     s.lane_ops_per_s(),
                     format!("{:.1}", s.lane_ops_per_s() / 1e6),
@@ -548,7 +521,6 @@ pub fn build_report(sizes: &[usize]) -> Result<Report, ReportError> {
                 ("compiled_vs_vectorized", s.compiled_vs_vectorized(), "x"),
                 ("parallel_vs_sequential", s.parallel_vs_sequential(), "x"),
                 ("compiled_coverage", s.compiled_coverage, "frac"),
-                ("memo_hit_rate", s.memo_hit_rate, "frac"),
                 ("lane_ops_per_s", s.lane_ops_per_s(), "ops/s"),
                 ("compiled_ns_per_pair", s.compiled_ns_per_pair(), "ns"),
             ] {

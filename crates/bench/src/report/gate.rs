@@ -337,12 +337,6 @@ pub fn gate_groups() -> &'static [GateGroup] {
             "sim_hotpath.parallel_vs_sequential_sdh.n16384",
             Band::min(1.3),
         ),
-        // The simulated L2's cache memo must keep replaying most tile
-        // fetches of one compiled 2-PCF at N = 65536 (0.951 under the
-        // parallel engine, 0.949 under the sequential one; each repeats
-        // to the bit): its hit rate collapsing is the regression this
-        // band exists to catch.
-        spec("sim_memo.memo_hit_rate.n65536", Band::min(0.5)),
         // Most useful lane work must flow through compiled passes on
         // the fig2 workload (deterministic, not wall-clock, so the
         // floor can sit just under the 0.93 measured: with the output
@@ -471,13 +465,11 @@ pub fn functional_reports() -> Result<Vec<Report>, ReportError> {
 }
 
 /// Build the host-throughput reports at the gate's reduced sizes: the
-/// interpreter hot path and its L2 memo, the grid-vs-all-pairs sweep
-/// (each size also cross-checked against the CPU grid oracle) and the
-/// query service.
+/// interpreter hot path, the grid-vs-all-pairs sweep (each size also
+/// cross-checked against the CPU grid oracle) and the query service.
 pub fn host_reports() -> Result<Vec<Report>, ReportError> {
     Ok(vec![
         hotpath::build_report(&[16_384])?,
-        hotpath::build_memo_report(65_536)?,
         gridpath::build_report(&[262_144, 1_048_576])?,
         ext_serve::build_report(&[16_384], &[16_384], 4_096)?,
     ])

@@ -185,10 +185,10 @@ pub struct DeviceConfig {
     /// (`exec::compiled`): tile fetches, inner tile passes and
     /// intra-block loops run as straight-line host code with their
     /// instruction/byte/sector accounting charged from precomputed
-    /// closed-form tally deltas instead of per-dispatch interpretation,
-    /// and the L2/ROC caches replay guaranteed hits from
-    /// generation-stamped memos. Any shape the compiler does not
-    /// support — and any pass whose fault pre-flight fails — falls back
+    /// closed-form tally deltas instead of per-dispatch interpretation.
+    /// It selects no cache body: the L2 and ROC use the same fast body
+    /// on both routes. Any shape the compiler does not support — and
+    /// any pass whose fault pre-flight fails — falls back
     /// to the op-by-op route, which stays bit-identical and serves as
     /// the differential oracle. Like `scalar_reference` this is purely a
     /// host-speed choice: outputs, tallies, timing and fault blame never

@@ -87,8 +87,6 @@ impl<'a> BlockCtx<'a> {
     ) -> Self {
         let roc = if cfg.scalar_reference {
             RocCache::new_reference(cfg.roc_sectors())
-        } else if cfg.compiled {
-            RocCache::new_memoized(cfg.roc_sectors())
         } else {
             RocCache::new(cfg.roc_sectors())
         };

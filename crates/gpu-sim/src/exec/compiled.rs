@@ -53,11 +53,11 @@
 //! ## The contract
 //!
 //! Bit-identity with the op-by-op route in everything the differential
-//! suite compares: outputs, the full [`AccessTally`], L2/ROC cache state
-//! (hit/miss splits, eviction order) and first-fault behavior. Every
-//! pass therefore pre-flights all faults it could hit and returns
-//! `false` **with no side effects** on any unsupported shape — a
-//! non-prefix mask, a foreign sink, a would-fault access, a
+//! suite compares: outputs, the full [`crate::tally::AccessTally`],
+//! L2/ROC cache state (hit/miss splits, eviction order) and first-fault
+//! behavior. Every pass therefore pre-flights all faults it could hit
+//! and returns `false` **with no side effects** on any unsupported
+//! shape — a non-prefix mask, a foreign sink, a would-fault access, a
 //! speculation-abandoning read — and the caller falls back to the
 //! op-by-op route, which doubles as the differential oracle.
 //!

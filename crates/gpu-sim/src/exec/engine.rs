@@ -52,8 +52,8 @@ const WINDOW_BLOCKS_PER_THREAD: usize = 8;
 /// Everything one executed block hands to the commit phase.
 struct BlockOutcome {
     tally: AccessTally,
-    /// Host interpreter statistics (block-local dispatch/fusion counts
-    /// plus the block's ROC memoization counters).
+    /// Host interpreter statistics (block-local dispatch and compiled-pass
+    /// counts).
     interp: InterpStats,
     fault: Option<SimError>,
     shared_allocated: u64,
@@ -66,24 +66,13 @@ struct BlockOutcome {
 }
 
 /// The device-wide L2 for one launch: the legacy body in scalar-reference
-/// mode, the fast body with generation-stamped run memoization when the
-/// compiled route is on, the plain fast body otherwise. All three make
-/// identical hit/miss decisions.
+/// mode, the fast body otherwise. Both make identical hit/miss decisions.
 fn new_l2(cfg: &DeviceConfig) -> L2Cache {
     if cfg.scalar_reference {
         L2Cache::new_reference(cfg.l2_sectors())
-    } else if cfg.compiled {
-        L2Cache::new_memoized(cfg.l2_sectors())
     } else {
         L2Cache::new(cfg.l2_sectors())
     }
-}
-
-/// Fold the launch-wide L2's memoization counters into the stats (the
-/// per-block ROC counters travel inside each [`BlockOutcome`]).
-fn collect_l2_memo(l2: &L2Cache, stats: &mut InterpStats) {
-    stats.memo_replayed_sectors += l2.memo_replayed();
-    stats.memo_probed_sectors += l2.memo_probed();
 }
 
 /// Run the whole grid under the configured [`ExecMode`], returning the
@@ -123,7 +112,6 @@ fn run_sequential<K: Kernel + ?Sized>(
         let outcome = run_block_direct(global, &mut l2, cfg, kernel, b, lc);
         commit_checks(outcome, kernel, res, lc, &mut total, &mut stats)?;
     }
-    collect_l2_memo(&l2, &mut stats);
     Ok((total, stats))
 }
 
@@ -157,7 +145,6 @@ fn run_parallel<K: Kernel + ?Sized>(
                 let outcome = run_block_direct(global, &mut l2, cfg, kernel, b, lc);
                 commit_checks(outcome, kernel, res, lc, &mut total, &mut stats)?;
             }
-            collect_l2_memo(&l2, &mut stats);
             return Ok((total, stats));
         }
 
@@ -221,7 +208,6 @@ fn run_parallel<K: Kernel + ?Sized>(
         }
         start = end;
     }
-    collect_l2_memo(&l2, &mut stats);
     Ok((total, stats))
 }
 
@@ -254,14 +240,9 @@ fn run_block_spec<K: Kernel + ?Sized>(
 
 fn into_outcome(blk: BlockCtx<'_>) -> BlockOutcome {
     let shared_allocated = blk.shared.allocated_bytes();
-    // The per-block ROC's memoization counters ride along with the
-    // block's interpreter stats.
-    let mut interp = blk.interp;
-    interp.memo_replayed_sectors += blk.roc.memo_replayed();
-    interp.memo_probed_sectors += blk.roc.memo_probed();
     BlockOutcome {
         tally: blk.tally,
-        interp,
+        interp: blk.interp,
         fault: blk.fault,
         shared_allocated,
         reads: blk.reads,

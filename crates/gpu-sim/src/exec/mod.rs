@@ -88,8 +88,7 @@ pub struct KernelRun {
     /// Profiler-style report (utilizations, bandwidths).
     pub profile: KernelProfile,
     /// Host-side interpreter statistics (dispatches, compiled-pass
-    /// coverage, memoization hits). Not part of the simulated device
-    /// state.
+    /// coverage, culled rows). Not part of the simulated device state.
     pub interp: InterpStats,
 }
 

@@ -499,10 +499,6 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
 
     #[inline]
     pub(crate) fn roc_one_sector(&mut self, s: u64) {
-        if self.blk.roc.try_replay_hit(s) {
-            self.blk.tally.roc_hit_sectors += 1;
-            return;
-        }
         if self.blk.roc.access(s) {
             self.blk.tally.roc_hit_sectors += 1;
         } else {

@@ -35,9 +35,9 @@ pub struct FifoSet {
     len: usize,
     /// Eviction generation: bumped every time a key leaves the set.
     /// Residency is monotone within one generation (inserts only add
-    /// keys), which is the invariant the sector-run memoization in
-    /// `L2Cache`/`RocCache` relies on: a key observed resident at
-    /// generation `g` is still resident while `generation() == g`.
+    /// keys): a key observed resident at generation `g` is still
+    /// resident while `generation() == g`. The compiled ROC tile pass
+    /// relies on this to credit a sector run's repeat touches as hits.
     generation: u64,
 }
 
@@ -120,6 +120,21 @@ impl FifoSet {
         let tail = (self.head + self.len) % self.ring.len();
         self.ring[tail] = key;
         self.len += 1;
+    }
+
+    /// One FIFO cache access: `true` if `key` is resident (a hit changes
+    /// nothing); otherwise insert it, evicting the oldest key first when
+    /// full, and return `false`.
+    #[inline]
+    pub fn touch(&mut self, key: u64) -> bool {
+        if self.contains(key) {
+            return true;
+        }
+        if self.is_full() {
+            self.pop_oldest();
+        }
+        self.insert_new(key);
+        false
     }
 
     /// Remove and return the oldest resident key.

@@ -29,60 +29,12 @@ enum Body {
     },
 }
 
-/// One generation-stamped memo slot: a contiguous sector run observed
-/// fully resident at `generation`.
-#[derive(Debug, Clone, Copy)]
-struct RunMemo {
-    base: u64,
-    count: u32,
-    generation: u64,
-}
-
-/// Bounds for the direct-mapped memo table (both powers of two).
-///
-/// The table must cover the tiling kernels' steady-state run working
-/// set or it replays nothing: between two requests of the same run the
-/// launch touches every other distinct run once. Tile *fetches*
-/// dominate that set — each warp's unit-stride load is its own
-/// `(base, count)` run, so a launch cycles through
-/// `grid_dim × warps_per_block × dims` distinct bases (1 536 at
-/// n = 16 K with 1024-thread blocks and D = 3, 6 144 at 64 K, 24 576 at
-/// 256 K). A fixed 256-slot table therefore collapsed from a 4.3 % memo
-/// hit rate at 16 K to 0.26 % at 64 K: every slot was overwritten
-/// before its run repeated. Sizing the table from the cache capacity
-/// restores the hit rate at every N that fits — a replayable run must
-/// have been fully resident, so the number of *useful* entries can
-/// never exceed `capacity_sectors` — while `MEMO_MAX_SLOTS` caps the
-/// host memory spent on very large configured caches.
-const MEMO_MIN_SLOTS: usize = 256;
-const MEMO_MAX_SLOTS: usize = 1 << 17;
-
-/// Memo table size for a cache of `capacity_sectors`: the next power of
-/// two at or above the capacity, clamped to the bounds above.
-fn memo_slots(capacity_sectors: usize) -> usize {
-    capacity_sectors
-        .next_power_of_two()
-        .clamp(MEMO_MIN_SLOTS, MEMO_MAX_SLOTS)
-}
-
 /// FIFO sector cache keyed by flat device byte address / sector size.
 #[derive(Debug)]
 pub struct L2Cache {
     body: Body,
     hits: u64,
     misses: u64,
-    /// Generation-stamped run memoization (None = disabled). A slot
-    /// records a `(base, count)` sector run whose every sector was
-    /// resident when the access completed at the stamped eviction
-    /// generation; while `FifoSet::generation()` still equals the stamp,
-    /// residency is monotone (inserts never remove keys), so the run can
-    /// be replayed as pure hits without re-probing. The table length is
-    /// a power of two chosen by [`memo_slots`] from the cache capacity.
-    memo: Option<Box<[Option<RunMemo>]>>,
-    /// Sectors replayed from the memo (hits credited without probing).
-    memo_replayed: u64,
-    /// Sectors that went through a real table probe on the run path.
-    memo_probed: u64,
 }
 
 impl L2Cache {
@@ -92,20 +44,7 @@ impl L2Cache {
             body: Body::Fast(FifoSet::new(capacity_sectors)),
             hits: 0,
             misses: 0,
-            memo: None,
-            memo_replayed: 0,
-            memo_probed: 0,
         }
-    }
-
-    /// Like [`L2Cache::new`], with generation-stamped run memoization
-    /// enabled. Hit/miss decisions and counters are identical; only the
-    /// host cost of steady-state re-reads changes (O(1) per run instead
-    /// of O(sectors)).
-    pub fn new_memoized(capacity_sectors: usize) -> Self {
-        let mut c = Self::new(capacity_sectors);
-        c.memo = Some(vec![None; memo_slots(capacity_sectors)].into_boxed_slice());
-        c
     }
 
     /// Create the cache with the legacy map+deque body. Hit/miss
@@ -121,9 +60,6 @@ impl L2Cache {
             },
             hits: 0,
             misses: 0,
-            memo: None,
-            memo_replayed: 0,
-            memo_probed: 0,
         }
     }
 
@@ -133,16 +69,13 @@ impl L2Cache {
     pub fn access(&mut self, sector: u64) -> bool {
         match &mut self.body {
             Body::Fast(set) => {
-                if set.contains(sector) {
+                let hit = set.touch(sector);
+                if hit {
                     self.hits += 1;
-                    return true;
+                } else {
+                    self.misses += 1;
                 }
-                self.misses += 1;
-                if set.is_full() {
-                    set.pop_oldest();
-                }
-                set.insert_new(sector);
-                false
+                hit
             }
             Body::Reference {
                 resident,
@@ -172,68 +105,15 @@ impl L2Cache {
 
     /// Access the contiguous ascending sector run `[base, base+count)`;
     /// returns the number of hits. Equivalent to `count` calls to
-    /// [`L2Cache::access`] — same hit/miss decisions, same final cache
-    /// state, same counters — but when run memoization is enabled
-    /// ([`L2Cache::new_memoized`]) a run that completed with the
-    /// eviction generation unchanged is recorded, and an identical run
-    /// replays as pure hits while the generation still matches:
-    ///
-    /// * no evictions during the recorded run ⇒ every touched sector was
-    ///   resident when it finished (hits were already resident, misses
-    ///   were inserted);
-    /// * residency is monotone within a generation ⇒ they all still are;
-    /// * a FIFO hit mutates nothing but the hit counter ⇒ replaying as
-    ///   `count` hits is bit-exact for state and statistics.
+    /// [`L2Cache::access`] in ascending order.
     pub fn access_run(&mut self, base: u64, count: u32) -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        if self.memo.is_none() || !matches!(self.body, Body::Fast(_)) {
-            let mut hits = 0u64;
-            for s in base..base + count as u64 {
-                if self.access(s) {
-                    hits += 1;
-                }
-            }
-            return hits;
-        }
-        let memo = self.memo.as_deref_mut().expect("checked above");
+        let sectors = base..base + count as u64;
         let Body::Fast(set) = &mut self.body else {
-            unreachable!("checked above")
+            return sectors.filter(|&s| self.access(s)).count() as u64;
         };
-        let slot = (base.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (memo.len() - 1);
-        if let Some(m) = memo[slot] {
-            if m.base == base && m.count == count && m.generation == set.generation() {
-                self.hits += count as u64;
-                self.memo_replayed += count as u64;
-                return count as u64;
-            }
-        }
-        let gen_before = set.generation();
-        let mut hits = 0u64;
-        for sector in base..base + count as u64 {
-            if set.contains(sector) {
-                hits += 1;
-            } else {
-                self.misses += 1;
-                if set.is_full() {
-                    set.pop_oldest();
-                }
-                set.insert_new(sector);
-            }
-        }
+        let hits = sectors.filter(|&s| set.touch(s)).count() as u64;
         self.hits += hits;
-        self.memo_probed += count as u64;
-        if set.generation() == gen_before {
-            memo[slot] = Some(RunMemo {
-                base,
-                count,
-                generation: gen_before,
-            });
-        } else {
-            // The run itself evicted; anything recorded is suspect.
-            memo[slot] = None;
-        }
+        self.misses += count as u64 - hits;
         hits
     }
 
@@ -243,16 +123,6 @@ impl L2Cache {
 
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Sectors whose hit was replayed from the run memo (no probe).
-    pub fn memo_replayed(&self) -> u64 {
-        self.memo_replayed
-    }
-
-    /// Sectors that took a real probe on the [`L2Cache::access_run`] path.
-    pub fn memo_probed(&self) -> u64 {
-        self.memo_probed
     }
 
     /// Fraction of accesses that hit, or 0 when never accessed.
@@ -313,96 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn memoized_run_replays_as_hits_and_invalidates_on_eviction() {
-        let mut memo = L2Cache::new_memoized(64);
-        let mut plain = L2Cache::new(64);
-        // Warm-up run: all misses, generation unchanged (no evictions),
-        // so the run is recorded.
-        assert_eq!(memo.access_run(10, 32), plain.access_run(10, 32));
-        assert_eq!(memo.memo_replayed(), 0);
-        // Steady-state re-read: replayed without probing.
-        assert_eq!(memo.access_run(10, 32), plain.access_run(10, 32));
-        assert_eq!(memo.memo_replayed(), 32);
-        assert_eq!(memo.hits(), plain.hits());
-        assert_eq!(memo.misses(), plain.misses());
-        // Force evictions: the generation advances and the memo must
-        // fall back to real probes with identical decisions.
-        for s in 100..200u64 {
-            memo.access(s);
-            plain.access(s);
-        }
-        assert_eq!(memo.access_run(10, 32), plain.access_run(10, 32));
-        assert_eq!(memo.access_run(10, 32), plain.access_run(10, 32));
-        assert_eq!(memo.hits(), plain.hits());
-        assert_eq!(memo.misses(), plain.misses());
-    }
-
-    #[test]
-    fn memo_table_scales_with_capacity() {
-        // A steady-state working set far larger than the old fixed
-        // 256-slot table: 2048 distinct 4-sector runs, all resident
-        // (capacity 8192 sectors). After the warm-up pass every
-        // subsequent pass must replay every run — collisions between
-        // distinct live runs would overwrite slots and drop the rate.
-        let mut l2 = L2Cache::new_memoized(8192);
-        let runs: Vec<u64> = (0..2048u64).map(|i| i * 4).collect();
-        for &b in &runs {
-            l2.access_run(b, 4);
-        }
-        let probed_after_warmup = l2.memo_probed();
-        for _ in 0..3 {
-            for &b in &runs {
-                l2.access_run(b, 4);
-            }
-        }
-        assert_eq!(
-            l2.memo_probed(),
-            probed_after_warmup,
-            "steady-state re-reads must replay from the memo, not probe"
-        );
-        assert_eq!(l2.memo_replayed(), 3 * 2048 * 4);
-    }
-
-    #[test]
-    fn memo_slots_bounds() {
-        assert_eq!(super::memo_slots(0), super::MEMO_MIN_SLOTS);
-        assert_eq!(super::memo_slots(100), 256);
-        assert_eq!(super::memo_slots(98_304), 131_072);
-        assert_eq!(super::memo_slots(1 << 24), super::MEMO_MAX_SLOTS);
-        for cap in [0usize, 1, 100, 4096, 98_304, 1 << 24] {
-            assert!(super::memo_slots(cap).is_power_of_two());
-        }
-    }
-
-    #[test]
-    fn memoized_and_plain_runs_agree_under_thrash() {
-        // Capacity smaller than the runs: every run evicts, the memo
-        // never validates, and decisions must still match exactly.
-        for cap in [1usize, 8, 48, 512] {
-            let mut memo = L2Cache::new_memoized(cap);
-            let mut plain = L2Cache::new(cap);
-            let mut x = 0x51u64;
-            for _ in 0..400 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let base = x % 96;
-                let count = (x >> 8) as u32 % 40;
-                assert_eq!(
-                    memo.access_run(base, count),
-                    plain.access_run(base, count),
-                    "cap {cap} base {base} count {count}"
-                );
-            }
-            assert_eq!(memo.hits(), plain.hits());
-            assert_eq!(memo.misses(), plain.misses());
-        }
-    }
-
-    #[test]
     fn fast_and_reference_bodies_agree() {
-        // A sawtooth with re-touches exercises hit, cold miss, and
-        // capacity-eviction paths in both bodies.
+        // A sawtooth with re-touches and sector runs exercises hit, cold
+        // miss, and capacity-eviction paths in both bodies.
         for cap in [1usize, 2, 7, 64] {
             let mut fast = L2Cache::new(cap);
             let mut refr = L2Cache::new_reference(cap);
@@ -413,6 +196,13 @@ mod tests {
                 x ^= x << 17;
                 let sector = x % 96;
                 assert_eq!(fast.access(sector), refr.access(sector), "cap {cap}");
+                // Sector runs take the fast body's own loop.
+                let (base, count) = (x % 96, (x >> 8) as u32 % 40);
+                assert_eq!(
+                    fast.access_run(base, count),
+                    refr.access_run(base, count),
+                    "cap {cap} run {base}+{count}"
+                );
             }
             assert_eq!(fast.hits(), refr.hits());
             assert_eq!(fast.misses(), refr.misses());

@@ -84,9 +84,8 @@ impl SectorTrace {
 
     /// Replay the trace through the device-wide L2, crediting hit/miss
     /// sectors to `tally` exactly as the sequential engine would.
-    /// Unit-stride runs go through [`L2Cache::access_run`] so replay
-    /// benefits from the same generation-stamped memoization as direct
-    /// execution (identical hit/miss decisions either way).
+    /// Unit-stride runs go through [`L2Cache::access_run`], as in direct
+    /// execution.
     pub(crate) fn replay(&self, l2: &mut L2Cache, tally: &mut AccessTally) {
         for &(base, count, step) in &self.runs {
             if step == 1 {

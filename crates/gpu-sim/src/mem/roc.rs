@@ -28,30 +28,12 @@ enum Body {
     },
 }
 
-/// A sector observed resident at `generation` — replayable as a hit
-/// while the eviction generation is unchanged (see `mem/fifo.rs`).
-#[derive(Debug, Clone, Copy)]
-struct SectorMemo {
-    sector: u64,
-    generation: u64,
-}
-
-/// Direct-mapped memo size. Tile loops walk sectors slowly (8 `f32`
-/// elements per 32-byte sector), so even a few slots catch the re-reads.
-const MEMO_SLOTS: usize = 8;
-
 /// FIFO sector cache modeling one SM's read-only data cache.
 #[derive(Debug)]
 pub struct RocCache {
     body: Body,
     hits: u64,
     misses: u64,
-    /// Generation-stamped hit memoization (None = disabled).
-    memo: Option<Box<[Option<SectorMemo>; MEMO_SLOTS]>>,
-    /// Hits replayed from the memo without a table probe.
-    memo_replayed: u64,
-    /// Accesses that took a real table probe while the memo was enabled.
-    memo_probed: u64,
 }
 
 impl RocCache {
@@ -60,22 +42,7 @@ impl RocCache {
             body: Body::Fast(FifoSet::new(capacity_sectors)),
             hits: 0,
             misses: 0,
-            memo: None,
-            memo_replayed: 0,
-            memo_probed: 0,
         }
-    }
-
-    /// Like [`RocCache::new`] with generation-stamped hit memoization:
-    /// a sector whose residency was observed at the current eviction
-    /// generation replays as a hit through [`RocCache::try_replay_hit`]
-    /// without probing the FIFO table. Hit/miss decisions and counters
-    /// are identical to the unmemoized cache (a FIFO hit mutates
-    /// nothing, and residency within one generation is monotone).
-    pub fn new_memoized(capacity_sectors: usize) -> Self {
-        let mut c = Self::new(capacity_sectors);
-        c.memo = Some(Box::new([None; MEMO_SLOTS]));
-        c
     }
 
     /// Legacy map+deque body with identical hit/miss decisions; see
@@ -89,29 +56,6 @@ impl RocCache {
             },
             hits: 0,
             misses: 0,
-            memo: None,
-            memo_replayed: 0,
-            memo_probed: 0,
-        }
-    }
-
-    /// Replay `sector` as a hit if the memo proves it resident at the
-    /// current eviction generation; returns `false` (taking no action)
-    /// when the caller must fall back to a real [`RocCache::access`].
-    /// Only a hit can be replayed, and a FIFO hit mutates nothing but
-    /// the hit counter, so the replay is bit-exact.
-    #[inline]
-    pub fn try_replay_hit(&mut self, sector: u64) -> bool {
-        let (Some(memo), Body::Fast(set)) = (self.memo.as_deref(), &self.body) else {
-            return false;
-        };
-        match memo[sector as usize % MEMO_SLOTS] {
-            Some(m) if m.sector == sector && m.generation == set.generation() => {
-                self.hits += 1;
-                self.memo_replayed += 1;
-                true
-            }
-            _ => false,
         }
     }
 
@@ -120,25 +64,11 @@ impl RocCache {
     pub fn access(&mut self, sector: u64) -> bool {
         match &mut self.body {
             Body::Fast(set) => {
-                let hit = if set.contains(sector) {
+                let hit = set.touch(sector);
+                if hit {
                     self.hits += 1;
-                    true
                 } else {
                     self.misses += 1;
-                    if set.is_full() {
-                        set.pop_oldest();
-                    }
-                    set.insert_new(sector);
-                    false
-                };
-                // Either way the sector is resident *now*, at the
-                // post-access generation — record that observation.
-                if let Some(memo) = self.memo.as_deref_mut() {
-                    self.memo_probed += 1;
-                    memo[sector as usize % MEMO_SLOTS] = Some(SectorMemo {
-                        sector,
-                        generation: set.generation(),
-                    });
                 }
                 hit
             }
@@ -179,13 +109,12 @@ impl RocCache {
     }
 
     /// Credit `n` further touches of sectors proven resident at the
-    /// current eviction generation — the bulk form of
-    /// [`RocCache::try_replay_hit`] for an arithmetic sector run. A FIFO
-    /// hit mutates nothing but the hit counter, so crediting the hits
-    /// without per-sector probes is bit-exact for every future decision.
+    /// current eviction generation (see [`RocCache::generation`]) as
+    /// hits. A FIFO hit mutates nothing but the hit counter, so crediting
+    /// the hits without per-sector probes is bit-exact for every future
+    /// decision.
     pub fn credit_replayed_hits(&mut self, n: u64) {
         self.hits += n;
-        self.memo_replayed += n;
     }
 
     pub fn hits(&self) -> u64 {
@@ -194,16 +123,6 @@ impl RocCache {
 
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Hits replayed from the generation-stamped memo.
-    pub fn memo_replayed(&self) -> u64 {
-        self.memo_replayed
-    }
-
-    /// Real table probes taken while the memo was enabled.
-    pub fn memo_probed(&self) -> u64 {
-        self.memo_probed
     }
 }
 
@@ -240,64 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn memoized_replay_matches_plain_access_stream() {
-        // Drive a memoized cache (try_replay first, as the interpreter
-        // does) and a plain one through the same stream: hit/miss totals
-        // must agree, and the broadcast reuse pattern must mostly replay.
-        // The stream walks f32 *elements* the way a broadcast tile loop
-        // does — 8 consecutive touches of each 32-byte sector.
-        let mut memo = RocCache::new_memoized(768);
-        let mut plain = RocCache::new(768);
-        let drive = |c: &mut RocCache, s: u64| -> bool {
-            if c.try_replay_hit(s) {
-                true
-            } else {
-                c.access(s)
-            }
-        };
-        for _round in 0..4 {
-            for e in 0..1024u64 {
-                let s = e / 8;
-                assert_eq!(drive(&mut memo, s), drive(&mut plain, s));
-            }
-        }
-        assert_eq!(memo.hits(), plain.hits());
-        assert_eq!(memo.misses(), plain.misses());
-        assert!(memo.memo_replayed() > 0, "steady-state reuse must replay");
-    }
-
-    #[test]
-    fn memoized_replay_never_outlives_eviction() {
-        // Capacity 4 with a 6-sector loop: constant eviction. The memo
-        // must invalidate on every generation bump; decisions stay
-        // identical to the unmemoized cache.
-        let mut memo = RocCache::new_memoized(4);
-        let mut plain = RocCache::new(4);
-        let mut x = 0x77u64;
-        for _ in 0..2_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let s = x % 6;
-            let m = if memo.try_replay_hit(s) {
-                true
-            } else {
-                memo.access(s)
-            };
-            assert_eq!(m, plain.access(s), "sector {s}");
-        }
-        assert_eq!(memo.hits(), plain.hits());
-        assert_eq!(memo.misses(), plain.misses());
-    }
-
-    #[test]
     fn bulk_credit_matches_per_sector_replay() {
         // The compiled tile pass probes a sector run's first round for real,
         // then — if the eviction generation is unchanged — credits the
         // remaining rounds in bulk. Drive both protocols over the same
         // element stream and require identical hit/miss totals.
-        let mut bulk = RocCache::new_memoized(768);
-        let mut per = RocCache::new_memoized(768);
+        let mut bulk = RocCache::new(768);
+        let mut per = RocCache::new(768);
         for _round in 0..4 {
             let mut e = 0u64;
             while e < 1024 {
@@ -305,15 +173,11 @@ mod tests {
                 let run = (8 - e % 8).min(1024 - e);
                 // Per-sector protocol: every element touch probes.
                 for _ in 0..run {
-                    if !per.try_replay_hit(s) {
-                        per.access(s);
-                    }
+                    per.access(s);
                 }
                 // Bulk protocol: one real probe, then a generation check.
                 let gen0 = bulk.generation();
-                if !bulk.try_replay_hit(s) {
-                    bulk.access(s);
-                }
+                bulk.access(s);
                 assert_eq!(bulk.generation(), gen0, "no eviction at this size");
                 bulk.credit_replayed_hits(run - 1);
                 e += run;
@@ -321,7 +185,6 @@ mod tests {
         }
         assert_eq!(bulk.hits(), per.hits());
         assert_eq!(bulk.misses(), per.misses());
-        assert!(bulk.memo_replayed() > 0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl AccessTally {
 }
 
 /// Host-side interpreter statistics: dispatch counts, compiled-pass
-/// coverage and cache-memoization hit counts.
+/// coverage and culled rows.
 ///
 /// Deliberately a separate struct from [`AccessTally`]: the tally models
 /// the *simulated device* and is compared bit-for-bit by the differential
@@ -194,12 +194,6 @@ pub struct InterpStats {
     /// charged in closed form instead of being evaluated, bucketed and
     /// walked.
     pub culled_rows: u64,
-    /// L2 + ROC sectors whose hit was replayed from a generation-stamped
-    /// memo without probing the FIFO table.
-    pub memo_replayed_sectors: u64,
-    /// L2 + ROC sectors that took a real table probe while memoization
-    /// was enabled.
-    pub memo_probed_sectors: u64,
 }
 
 impl InterpStats {
@@ -209,8 +203,6 @@ impl InterpStats {
         self.compiled_ops += o.compiled_ops;
         self.compiled_lane_ops += o.compiled_lane_ops;
         self.culled_rows += o.culled_rows;
-        self.memo_replayed_sectors += o.memo_replayed_sectors;
-        self.memo_probed_sectors += o.memo_probed_sectors;
     }
 
     /// Always 0.0: there is no fused route — every lane op runs
@@ -230,23 +222,11 @@ impl InterpStats {
         }
     }
 
-    /// Fraction of memo-eligible sector lookups replayed without a
-    /// probe. 0.0 when memoization never engaged.
-    ///
-    /// Unlike outputs and [`AccessTally`], this depends on the block
-    /// executor: the speculative parallel engine replays a few more
-    /// lookups than a sequential run of the same launch (one compiled
-    /// `pcf_gpu` at N = 65536 reads 0.9511 under
-    /// `ExecMode::Parallel { threads: 2 }` and 0.9486 under
-    /// `ExecMode::Sequential`), so it varies with the host's core count
-    /// and repeats to the bit only for a fixed engine.
+    /// Always 0.0: the simulated caches keep no memo table. Kept for
+    /// reports that print a memo-hit-rate column, so they read an
+    /// honest zero.
     pub fn memo_hit_rate(&self) -> f64 {
-        let total = self.memo_replayed_sectors + self.memo_probed_sectors;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo_replayed_sectors as f64 / total as f64
-        }
+        0.0
     }
 }
 

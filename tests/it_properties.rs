@@ -171,3 +171,31 @@ proptest! {
         prop_assert!(run.occupancy.occupancy > 0.0 && run.occupancy.occupancy <= 1.0);
     }
 }
+
+/// Host interpreter statistics describe the compiled route's work, not
+/// the block engine that ran it: one compiled `pcf_gpu` launch (64
+/// blocks) and one compiled privatized SDH (4 blocks) report equal
+/// `InterpStats` under the sequential engine and the speculative
+/// parallel one. The 2-PCF runs at N = 65536, B = 1024, the smallest
+/// known shape where a per-launch cache statistic once split by engine;
+/// its short radius lets box culling skip most rows, which keeps the
+/// launch quick.
+#[test]
+fn interp_stats_do_not_depend_on_the_block_engine() {
+    let plan = PairwisePlan::register_shm(1024);
+    let big = lcg_points(65_536, 61);
+    let small = lcg_points(4_096, 61);
+    let spec = HistogramSpec::new(64, 100.0 * 1.7320508);
+    let [seq, par] = [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }].map(|mode| {
+        let mut dev = Device::new(DeviceConfig::titan_x().with_exec_mode(mode));
+        let pcf = tbs_apps::pcf_gpu(&mut dev, &big, 0.5, plan).expect("pcf");
+        let sdh = sdh_gpu(&mut dev, &small, spec, plan, SdhOutputMode::Privatized).expect("sdh");
+        (pcf.run.interp, sdh.pair_run.interp)
+    });
+    assert!(
+        seq.0.compiled_ops > 0 && seq.1.compiled_ops > 0,
+        "both launches compile"
+    );
+    assert_eq!(seq.0, par.0, "pcf_gpu");
+    assert_eq!(seq.1, par.1, "privatized sdh");
+}
