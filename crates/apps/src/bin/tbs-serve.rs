@@ -27,8 +27,9 @@
 //!   `f32`, gets an error reply and registers nothing.
 //!
 //!   Query objects: `pair_counts {radii}`, `sdh {buckets, width}`,
-//!   `count_within {radius, gridded?}`, `knn {k}`. Each request gets one
-//!   JSON reply line (`{"ok":...}` or `{"error":...}`).
+//!   `count_within {radius, gridded?}`, `knn {k}`. Each non-blank line
+//!   gets one JSON reply line (`{"ok":...}` or `{"error":...}`), a line
+//!   that is not JSON, or not UTF-8, included.
 
 use std::io::BufRead;
 use tbs_apps::serve::{Query, QueryResult, ServeConfig, Server, ServerHandle};
@@ -200,15 +201,24 @@ fn run_protocol(h: ServerHandle) -> i32 {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut input = stdin.lock();
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read bytes, not `String`s: one line that is not UTF-8 gets an
+        // error reply and the session goes on.
+        match input.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        match handle_line(&h, &line) {
+        let raw = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+        let reply = match std::str::from_utf8(raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => handle_line(&h, line),
+            Err(e) => Some(error(format!("request is not UTF-8: {e}"))),
+        };
+        match reply {
             Some(reply) => {
                 let text = reply.render_compact().expect("render");
                 // A hung-up client (EPIPE) is a normal way to end the

@@ -1,15 +1,18 @@
 //! The `tbs-serve` line protocol, driven through the binary's stdin and
 //! stdout: a `gen` with arguments it cannot honour gets an error reply,
 //! registers nothing, and the session keeps answering; so does a query
-//! whose fields do not fit their types.
+//! whose fields do not fit their types, a line that is not UTF-8, and
+//! any line of generated garbage.
 
+use proptest::prelude::*;
 use std::io::Write;
 use std::process::{Command, Stdio};
 use tbs_json::Json;
 
-/// Run one protocol session over `lines`; return its parsed reply lines
-/// and whether the server exited cleanly.
-fn session(lines: &[&str]) -> (Vec<Json>, bool) {
+/// Run one protocol session over `lines` (each sent with a trailing
+/// `\n`); return its parsed reply lines and whether the server exited
+/// cleanly.
+fn session<L: AsRef<[u8]>>(lines: &[L]) -> (Vec<Json>, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_tbs-serve"))
         .args(["--workers", "1"])
         .stdin(Stdio::piped())
@@ -18,7 +21,8 @@ fn session(lines: &[&str]) -> (Vec<Json>, bool) {
         .expect("spawn tbs-serve");
     let mut stdin = child.stdin.take().expect("stdin");
     for line in lines {
-        writeln!(stdin, "{line}").expect("write request");
+        stdin.write_all(line.as_ref()).expect("write request");
+        stdin.write_all(b"\n").expect("write request");
     }
     drop(stdin);
     let out = child.wait_with_output().expect("wait for tbs-serve");
@@ -142,4 +146,67 @@ fn an_empty_batch_answers_with_no_results() {
         "{:?}",
         replies[2]
     );
+}
+
+#[test]
+fn a_line_that_is_not_utf8_gets_an_error_and_the_session_goes_on() {
+    let lines: [&[u8]; 4] = [
+        br#"{"cmd":"stats"}"#,
+        b"\xff\xfe bad",
+        br#"{"cmd":"stats"}"#,
+        br#"{"cmd":"shutdown"}"#,
+    ];
+    let (replies, clean) = session(&lines);
+    assert!(clean, "tbs-serve must exit cleanly");
+    assert_eq!(replies.len(), 3, "{replies:?}");
+    assert!(refusal(&replies[1]).contains("UTF-8"), "{:?}", replies[1]);
+    assert_eq!(replies[2], replies[0], "the session lost its state");
+}
+
+/// Requests cut short: a strict prefix of a JSON object is never a
+/// valid document, so none of these can register data or shut down.
+const REQUESTS: &[&str] = &[
+    r#"{"cmd":"gen","name":"g","n":64,"extent":10.0,"seed":1}"#,
+    r#"{"cmd":"query","dataset":"g","query":{"type":"sdh","buckets":8,"width":2.0}}"#,
+    r#"{"cmd":"batch","dataset":"g","queries":[{"type":"knn","k":2}]}"#,
+    r#"{"cmd":"stats"}"#,
+    r#"{"cmd":"shutdown"}"#,
+];
+
+/// Whether the server skips `line` without a reply.
+fn is_blank(line: &[u8]) -> bool {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    std::str::from_utf8(line).is_ok_and(|l| l.trim().is_empty())
+}
+
+fn garbage_line() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<bool>(),
+        prop::collection::vec(any::<u8>(), 0..96),
+        0..REQUESTS.len(),
+        any::<u64>(),
+    )
+        .prop_map(|(raw, bytes, req, cut)| {
+            if raw {
+                bytes.into_iter().filter(|&b| b != b'\n').collect()
+            } else {
+                let req = REQUESTS[req].as_bytes();
+                req[..(cut % req.len() as u64) as usize].to_vec()
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn every_garbage_line_gets_one_reply(lines in prop::collection::vec(garbage_line(), 180..220)) {
+        let (replies, clean) = session(&lines);
+        prop_assert!(clean, "tbs-serve must exit cleanly");
+        let expected = lines.iter().filter(|l| !is_blank(l)).count();
+        prop_assert_eq!(replies.len(), expected);
+        for reply in &replies {
+            refusal(reply);
+        }
+    }
 }

@@ -1,53 +1,68 @@
-//! Run every table/figure reproduction in sequence (the EXPERIMENTS.md
-//! generator). `cargo run --release -p tbs-bench --bin all_experiments`.
-//! Pass `--json DIR` (or set `TBS_REPORT_DIR`) to also mirror every
-//! section as a schema-versioned `<name>.json`.
-use gpu_sim::DeviceConfig;
-use tbs_bench::experiments::*;
-use tbs_bench::report::{self, Report, ReportError};
-use tbs_cpu::CpuModel;
-use tbs_datagen::paper_sweep;
+//! Print the paper's tables and figures: every section of
+//! `tbs_bench::experiments::SECTIONS`, or only the named ones, in list
+//! order.
+//!
+//! ```text
+//! cargo run --release -p tbs-bench --bin all_experiments [NAME…] [--json DIR]
+//! ```
+//!
+//! An unknown name exits non-zero and lists the valid ones. `--json DIR`
+//! also writes each section's report as a schema-versioned
+//! `<name>.json`. With no name the output is `results/all_experiments.txt`
+//! byte for byte (`tests/it_capture.rs` checks it); after a change that
+//! is meant to move the paper's numbers, rewrite the capture with
+//!
+//! ```text
+//! cargo run --release -q -p tbs-bench --bin all_experiments > results/all_experiments.txt
+//! ```
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = DeviceConfig::titan_x();
-    let cpu = CpuModel::xeon_e5_2640_v2();
-    let sweep = paper_sweep(10, 1024);
-    let sections: Vec<(&str, Result<Report, ReportError>)> = vec![
-        ("Figure 2", fig2::build_report(&sweep, &cfg)),
-        ("Table II", tables::build_table2_report(512 * 1024, &cfg)),
-        ("Figure 4", fig4::build_report(&sweep, &cfg, &cpu)),
-        ("Table III", tables::build_table3_report(512 * 1024, &cfg)),
-        ("Table IV", tables::build_table4_report(512 * 1024, &cfg)),
-        ("Figure 5", fig5::build_report(fig5::FIG5_N, &cfg)),
-        ("Figure 7", fig7::build_report(&cfg)),
-        ("Figure 9", fig9::build_report(&sweep, &cfg, &cpu)),
-        (
-            "Extension: architectures",
-            ext_arch::build_report(512 * 1024),
-        ),
-        (
-            "Extension: data skew",
-            ext_skew::build_report(4096, 1024, 128),
-        ),
-        (
-            "Extension: Type-III output",
-            ext_type3::build_report(2048, 64),
-        ),
-        ("Extension: multi-GPU", ext_multigpu::build_report(4096, 64)),
-        (
-            "Extension: multi-copy privatization",
-            ext_multicopy::build_report(4096, 256),
-        ),
-        (
-            "Extension: block size",
-            ext_blocksize::build_report(512 * 1024, &cfg),
-        ),
-    ];
-    for (name, result) in sections {
-        println!("================================================================");
-        println!("{name}");
-        println!("================================================================");
-        report::emit_result(result);
-        println!();
+use tbs_bench::experiments::SECTIONS;
+use tbs_bench::report;
+
+fn main() -> ExitCode {
+    let mut names = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--json" {
+            args.next();
+        } else {
+            names.push(a);
+        }
     }
+    if let Some(bad) = names
+        .iter()
+        .find(|n| SECTIONS.iter().all(|s| s.name != n.as_str()))
+    {
+        let valid: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+        eprintln!(
+            "all_experiments: unknown section `{bad}`; valid names: {}",
+            valid.join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
+    let json = report::json_dir();
+    for s in SECTIONS
+        .iter()
+        .filter(|s| names.is_empty() || names.iter().any(|n| n == s.name))
+    {
+        let rep = match (s.build)() {
+            Ok(rep) => rep,
+            Err(e) => {
+                eprintln!("all_experiments: section `{}` failed to build: {e}", s.name);
+                return ExitCode::FAILURE;
+            }
+        };
+        print!("{}", s.render(&rep));
+        if let Some(dir) = &json {
+            match rep.write_json(dir) {
+                Ok(path) => eprintln!("wrote {}", path.display()),
+                Err(e) => {
+                    eprintln!("all_experiments: cannot write `{}`: {e}", s.name);
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+    }
+    ExitCode::SUCCESS
 }

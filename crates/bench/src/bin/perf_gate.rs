@@ -17,10 +17,9 @@
 //!
 //! `--bless` refuses to write a baseline whose measured value already
 //! violates a hard invariant band, so a regression cannot be blessed
-//! into the committed reference. Pass `--json DIR` (or set
-//! `TBS_REPORT_DIR`) to mirror every underlying report as JSON; on a
-//! gate run the reports are always also written to `target/perf-gate/`
-//! so CI can upload them as artifacts.
+//! into the committed reference. Pass `--json DIR` to mirror every
+//! underlying report as JSON; on a gate run the reports are always also
+//! written to `target/perf-gate/` so CI can upload them as artifacts.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

@@ -2,8 +2,10 @@
 //!
 //! One module per table/figure of the paper's evaluation, each producing
 //! the same rows/series the paper reports (see DESIGN.md §4 for the
-//! experiment index). The `src/bin/*` binaries print these reports;
-//! integration tests run them at reduced sizes; `EXPERIMENTS.md` records
+//! experiment index). `all_experiments` prints the reports listed in
+//! [`experiments::SECTIONS`], and `tests/it_capture.rs` pins that output
+//! to `results/all_experiments.txt`; other integration tests run the
+//! experiments at reduced sizes; `EXPERIMENTS.md` records
 //! paper-vs-measured values.
 //!
 //! Methodology: series over the paper's N range (512 → 2×10⁶) use the

@@ -4,8 +4,8 @@
 //! series/rows the paper plots, but as typed data instead of formatted
 //! text. One report renders two ways —
 //!
-//! * [`Report::render`] — the human-readable tables the `src/bin/*`
-//!   binaries print (and `results/all_experiments.txt` records);
+//! * [`Report::render`] — the human-readable tables `all_experiments`
+//!   prints (and `results/all_experiments.txt` records);
 //! * [`Report::to_json`] — a machine-checkable JSON document
 //!   ([`SCHEMA_VERSION`]-stamped) that the CI perf gate
 //!   ([`gate`], `src/bin/perf_gate.rs`) diffs against the committed
@@ -390,7 +390,7 @@ impl Report {
         self.metrics.iter().find(|m| m.id == id).map(|m| m.value)
     }
 
-    /// Render the human-readable report (what the bins print).
+    /// Render the human-readable report (what `all_experiments` prints).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.title);
@@ -549,47 +549,16 @@ fn arr_field<'a>(j: &'a Json, ty: &str, key: &str) -> Result<&'a [Json], ReportE
 // bin plumbing
 // ---------------------------------------------------------------------
 
-/// Where `emit` should mirror reports as JSON, if anywhere: the value
-/// of a `--json DIR` argument, else `$TBS_REPORT_DIR`, else nowhere.
+/// Where a bin should mirror its reports as JSON, if anywhere: the
+/// value of a `--json DIR` argument.
 pub fn json_dir() -> Option<PathBuf> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == "--json" {
-            if let Some(dir) = args.next() {
-                return Some(PathBuf::from(dir));
-            }
+            return args.next().map(PathBuf::from);
         }
     }
-    std::env::var_os("TBS_REPORT_DIR").map(PathBuf::from)
-}
-
-/// [`emit`] a freshly built report, exiting non-zero if the build
-/// failed (empty series, non-finite metric). The experiment bins route
-/// through here so a broken sweep is a hard error, not silent NaN text.
-pub fn emit_result(result: Result<Report, ReportError>) {
-    match result {
-        Ok(rep) => emit(&rep),
-        Err(e) => {
-            eprintln!("report build failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Print a report and, when a JSON directory is configured
-/// ([`json_dir`]), mirror it to `<dir>/<name>.json`. All `src/bin/*`
-/// experiment binaries route through here.
-pub fn emit(report: &Report) {
-    print!("{}", report.render());
-    if let Some(dir) = json_dir() {
-        match report.write_json(&dir) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write JSON report `{}`: {e}", report.name);
-                std::process::exit(2);
-            }
-        }
-    }
+    None
 }
 
 #[cfg(test)]

@@ -31,14 +31,12 @@
 //! assert_eq!(hist.total(), 500 * 499 / 2);
 //! ```
 
-pub mod blocked;
 pub mod grid;
 pub mod model;
 pub mod pcf;
 pub mod schedule;
 pub mod sdh;
 
-pub use blocked::{sdh_blocked, BlockedSdhConfig};
 pub use grid::{
     grid_cross_radial_reference, grid_pcf_device_reference, grid_pcf_reference,
     grid_radial_reference,

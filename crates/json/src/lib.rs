@@ -333,6 +333,7 @@ fn escape_into(s: &str, out: &mut String) {
 // ---------------------------------------------------------------------
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -342,6 +343,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -567,11 +569,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8: the input is a &str, so the
-                    // sequence is valid — copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .expect("parser input is valid utf-8");
-                    let c = rest.chars().next().expect("non-empty");
+                    // Multi-byte UTF-8: `pos` is on a char boundary of
+                    // the input &str, so decode just the one scalar
+                    // there (not the whole rest of the input).
+                    let c = self.input[self.pos..].chars().next().expect("non-empty");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -687,6 +688,19 @@ mod tests {
         assert!(Json::parse(r#""\ud83d""#).is_err(), "unpaired surrogate");
         assert!(Json::parse(r#""\x""#).is_err(), "bad escape");
         assert!(Json::parse("\"raw\u{01}\"").is_err(), "control char");
+    }
+
+    #[test]
+    fn long_non_ascii_strings_parse_in_linear_time() {
+        // Each multi-byte scalar used to re-validate the rest of the
+        // input: 200k two-byte characters took about half a minute.
+        let s = "é".repeat(200_000);
+        let text = format!("{{\"pad\":\"{s}\"}}");
+        let t = std::time::Instant::now();
+        let j = Json::parse(&text).unwrap();
+        let secs = t.elapsed().as_secs_f64();
+        assert_eq!(j.get("pad").and_then(Json::as_str), Some(s.as_str()));
+        assert!(secs < 5.0, "took {secs:.1} s");
     }
 
     #[test]
